@@ -25,7 +25,6 @@ from .decompose import (
     LengthStats,
     NonBinaryRewardError,
     RegimeThresholds,
-    aggregate_with_decomposition,
     ba_weight_identity,
     decompose,
     length_stats,
@@ -83,7 +82,6 @@ __all__ = [
     "LengthStats",
     "NonBinaryRewardError",
     "RegimeThresholds",
-    "aggregate_with_decomposition",
     "ba_weight_identity",
     "decompose",
     "length_stats",

@@ -1,24 +1,27 @@
-"""The clipped token term and the four loss-aggregation rules.
+"""The clipped token term and the four loss-aggregation rules, as one table.
 
 Each token contributes phi = min(rho * A, clamp(rho, 1-eps_low, 1+eps_high) * A),
 the clipped surrogate term with the sequence-level advantage A shared by all
-tokens of a response. The aggregation rule decides how these per-token terms
-combine into one group objective J (a maximization objective; the
-policy-gradient loss reported in diagnostics is -J):
+tokens of a response. Every rule combines these terms into one group
+objective J = sum_i w_i sum_t phi_{i,t} (a maximization objective; the
+policy-gradient loss reported in diagnostics is -J). The rules differ only in
+the weight w_i, which depends on the sign of A_i and, for seq, on T_i:
 
-  token         J = (1/N)  sum_i sum_t phi_{i,t}
-  seq           J = (1/G)  sum_i (1/T_i) sum_t phi_{i,t}
-  balanced      J = (k/G) L+ + ((G-k)/G) L-   with L+- the token-level means
-                within the positive / negative sign subsets
-  balanced_gen  sign balance by advantage mass: the sequence counts k, G-k
-                become the masses M+- = sum |A_i| per side and the token
-                means are weighted by Z+- = sum |A_i| T_i, so non-binary
-                rewards are handled
+  token         1/N                        token mean over the group
+  seq           1/(G T_i)                  mean of per-response token means
+  balanced      (k/G)/N+ | ((G-k)/G)/N-    within-sign token means, weighted
+                                           by the sequence counts k, G-k
+  balanced_gen  (M+/G)/Z+ | (M-/G)/Z-      the same with advantage masses
+                                           M+- = sum |A_i| and Z+- = sum |A_i| T_i,
+                                           so non-binary rewards are handled
 
-An empty sign subset simply drops out (its weight already encodes the zero
-count); when both subsets are empty the balanced objectives return 0 flagged
-degenerate. Every rule also reports the analytic dJ/d rho for each token,
-using the unclipped branch at clip ties so the gradient is defined everywhere.
+with N+- the token counts of the positive / negative subsets. All rows read
+the same sign-split sums (``RuleSums``), so a caller computes them once per
+group with ``compute_rule_sums`` and evaluates each row with ``rule_terms``.
+The weight is also dJ/d phi, so dJ/d rho = w_i d phi/d rho, taking the
+unclipped branch at clip ties so the gradient is defined everywhere. An empty
+sign subset simply drops out (its weight already encodes the zero count);
+when both are empty the balanced objectives return 0 flagged degenerate.
 
 Summations use exactly-rounded ``math.fsum``, which makes all four objectives
 bit-for-bit invariant under permutation of responses and of tokens within a
@@ -30,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import fsum
-from typing import Any, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -50,6 +53,9 @@ __all__ = [
     "objective_balanced_gen",
     "gradient_check",
     "compute_rule_sums",
+    "rule_terms",
+    "ratio_gradients",
+    "group_ratio_arrays",
     "evaluate_arrays",
 ]
 
@@ -102,7 +108,6 @@ class AggregationResult:
     rule: str
     grad_ratios: tuple[np.ndarray, ...]
     degenerate: bool = False
-    decomposition: Any = None
 
 
 @dataclass(frozen=True)
@@ -174,29 +179,26 @@ def compute_rule_sums(
         raise ValueError(
             f"{len(ratio_arrays)} ratio arrays for {adv.size} advantages"
         )
-    pos = set(adv.pos_indices)
-    neg = set(adv.neg_indices)
     pos_phi: list[float] = []
     neg_phi: list[float] = []
     pos_seq: list[float] = []
     neg_seq: list[float] = []
     n_pos = n_neg = total = clipped = 0
-    for i, arr in enumerate(ratio_arrays):
-        a = adv.advantages[i]
+    for arr, a in zip(ratio_arrays, adv.advantages):
         t = len(arr)
         total += t
         clipped += _clipped_count(arr, a, clip)
-        if i in pos:
+        # zero-advantage responses contribute exactly zero everywhere
+        if a > 0.0:
             s = fsum(_phi_array(arr, a, clip))
             pos_phi.append(s)
             pos_seq.append(s / t)
             n_pos += t
-        elif i in neg:
+        elif a < 0.0:
             s = fsum(_phi_array(arr, a, clip))
             neg_phi.append(s)
             neg_seq.append(s / t)
             n_neg += t
-        # zero-advantage responses contribute exactly zero everywhere
     m_pos = fsum(adv.advantages[i] for i in adv.pos_indices)
     m_neg = fsum(-adv.advantages[i] for i in adv.neg_indices)
     z_pos = fsum(adv.advantages[i] * len(ratio_arrays[i]) for i in adv.pos_indices)
@@ -220,6 +222,57 @@ def compute_rule_sums(
     )
 
 
+Weight = Callable[[int], float]
+
+
+def rule_terms(rule: str, sums: RuleSums) -> tuple[float, bool, Weight, Weight]:
+    """One row of the rule table: (objective, degenerate, w_pos, w_neg).
+
+    ``w_pos(T)`` / ``w_neg(T)`` is dJ/d phi for a token of a length-T
+    response with positive / negative advantage; only seq depends on T.
+    """
+    g = sums.size
+    if rule == "token":
+        w = 1.0 / sums.total_tokens
+        objective = (sums.pos_phi + sums.neg_phi) / sums.total_tokens
+        return objective, False, lambda t: w, lambda t: w
+    if rule == "seq":
+        objective = (sums.pos_seq + sums.neg_seq) / g
+        return objective, False, lambda t: 1.0 / (g * t), lambda t: 1.0 / (g * t)
+    if rule == "balanced":
+        c_pos, c_neg, d_pos, d_neg = sums.k, sums.neg_count, sums.n_pos, sums.n_neg
+    elif rule == "balanced_gen":
+        c_pos, c_neg, d_pos, d_neg = sums.m_pos, sums.m_neg, sums.z_pos, sums.z_neg
+    else:
+        raise ValueError(f"unknown rule {rule!r}; expected one of {RULES}")
+    term_pos = w_pos = term_neg = w_neg = 0.0
+    if sums.k:
+        term_pos = (c_pos / g) * (sums.pos_phi / d_pos)
+        w_pos = (c_pos / g) / d_pos
+    if sums.neg_count:
+        term_neg = (c_neg / g) * (sums.neg_phi / d_neg)
+        w_neg = (c_neg / g) / d_neg
+    degenerate = sums.k == 0 and sums.neg_count == 0
+    return term_pos + term_neg, degenerate, lambda t: w_pos, lambda t: w_neg
+
+
+def ratio_gradients(
+    adv: AdvantageSet,
+    ratio_arrays: Sequence[np.ndarray],
+    clip: ClipConfig,
+    w_pos: Weight,
+    w_neg: Weight,
+) -> tuple[np.ndarray, ...]:
+    """Per-response dJ/d rho from one rule row's sign weights (read-only)."""
+    out = []
+    for arr, a in zip(ratio_arrays, adv.advantages):
+        w = w_pos(len(arr)) if a > 0.0 else w_neg(len(arr)) if a < 0.0 else 0.0
+        gi = w * _dphi_array(arr, a, clip)
+        gi.setflags(write=False)
+        out.append(gi)
+    return tuple(out)
+
+
 def evaluate_arrays(
     rule: str,
     adv: AdvantageSet,
@@ -230,69 +283,18 @@ def evaluate_arrays(
     """Evaluate one rule on raw ratio arrays.
 
     Returns (objective, per-response gradient arrays or None, the shared
-    sign sums, degenerate flag). This is the array-level core behind the
-    public objective functions; the training simulator calls it directly
-    with ratios recomputed from logits.
+    sign sums, degenerate flag). Callers that need several rules of one
+    group should call compute_rule_sums once and read each row with
+    rule_terms instead.
     """
-    if rule not in RULES:
-        raise ValueError(f"unknown rule {rule!r}; expected one of {RULES}")
     sums = compute_rule_sums(adv, ratio_arrays, clip)
-    g = sums.size
-    degenerate = False
-    w_pos = w_neg = 0.0
-
-    if rule == "token":
-        objective = (sums.pos_phi + sums.neg_phi) / sums.total_tokens
-    elif rule == "seq":
-        objective = (sums.pos_seq + sums.neg_seq) / g
-    elif rule == "balanced":
-        term_pos = (sums.k / g) * (sums.pos_phi / sums.n_pos) if sums.k else 0.0
-        term_neg = (
-            (sums.neg_count / g) * (sums.neg_phi / sums.n_neg) if sums.neg_count else 0.0
-        )
-        objective = term_pos + term_neg
-        degenerate = sums.k == 0 and sums.neg_count == 0
-        if sums.k:
-            w_pos = (sums.k / g) / sums.n_pos
-        if sums.neg_count:
-            w_neg = (sums.neg_count / g) / sums.n_neg
-    else:  # balanced_gen
-        term_pos = (sums.m_pos / g) * (sums.pos_phi / sums.z_pos) if sums.k else 0.0
-        term_neg = (
-            (sums.m_neg / g) * (sums.neg_phi / sums.z_neg) if sums.neg_count else 0.0
-        )
-        objective = term_pos + term_neg
-        degenerate = sums.k == 0 and sums.neg_count == 0
-        if sums.k:
-            w_pos = (sums.m_pos / g) / sums.z_pos
-        if sums.neg_count:
-            w_neg = (sums.m_neg / g) / sums.z_neg
-
-    grads: tuple[np.ndarray, ...] | None = None
-    if need_grad:
-        pos = set(adv.pos_indices)
-        neg = set(adv.neg_indices)
-        out = []
-        for i, arr in enumerate(ratio_arrays):
-            a = adv.advantages[i]
-            if rule == "token":
-                w = 1.0 / sums.total_tokens
-            elif rule == "seq":
-                w = 1.0 / (g * len(arr))
-            elif i in pos:
-                w = w_pos
-            elif i in neg:
-                w = w_neg
-            else:
-                w = 0.0
-            gi = w * _dphi_array(arr, a, clip)
-            gi.setflags(write=False)
-            out.append(gi)
-        grads = tuple(out)
+    objective, degenerate, w_pos, w_neg = rule_terms(rule, sums)
+    grads = ratio_gradients(adv, ratio_arrays, clip, w_pos, w_neg) if need_grad else None
     return objective, grads, sums, degenerate
 
 
-def _ratio_arrays(group: RolloutGroup) -> list[np.ndarray]:
+def group_ratio_arrays(group: RolloutGroup) -> list[np.ndarray]:
+    """The group's per-response ratios as float arrays (copies)."""
     arrays = []
     for i, resp in enumerate(group.responses):
         if resp.ratios is None:
@@ -311,7 +313,7 @@ def _objective(
         raise ValueError(
             f"advantage set of size {adv.size} does not match group of size {group.size}"
         )
-    arrays = _ratio_arrays(group)
+    arrays = group_ratio_arrays(group)
     objective, grads, _, degenerate = evaluate_arrays(rule, adv, arrays, clip)
     if not math.isfinite(objective):
         raise ValueError(f"non-finite {rule} objective for group {group.prompt_id!r}")
@@ -362,7 +364,7 @@ def gradient_check(
     """
     if h <= 0.0:
         raise ValueError("h must be > 0")
-    arrays = _ratio_arrays(group)
+    arrays = group_ratio_arrays(group)
     if len(result.grad_ratios) != len(arrays) or any(
         gr.shape != arr.shape for gr, arr in zip(result.grad_ratios, arrays)
     ):

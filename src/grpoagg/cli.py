@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregate import RULES, ClipConfig, evaluate_arrays, _ratio_arrays
-from .decompose import length_stats, regime_report
+from .aggregate import RULES, ClipConfig, compute_rule_sums, group_ratio_arrays, rule_terms
+from .decompose import LengthStats, batch_metrics, length_stats, regime_report
 from .groups import DegenerateGroupError, AdvantageSet, normalize_advantages
 from .rollout_io import (
     MetricRecord,
@@ -111,44 +111,19 @@ def cmd_verify(args) -> int:
 
 def _window_records(
     step: int, groups, advs, clip: ClipConfig
-) -> tuple[list[MetricRecord], str]:
-    stats = length_stats(groups, advs)
-    n_resp = sum(g.size for g in groups)
-    mean_reward = fsum(r.reward for g in groups for r in g.responses) / n_resp
-    k_mean = fsum(a.k for a in advs) / len(advs)
-    evaluable = [(g, a) for g, a in zip(groups, advs) if g.has_ratios]
-    records = []
-    for rule in RULES:
-        objective = pg_loss = clip_fraction = None
-        if evaluable:
-            values = []
-            clipped = tokens = 0
-            for g, a in evaluable:
-                value, _, sums, _ = evaluate_arrays(
-                    rule, a, _ratio_arrays(g), clip, need_grad=False
-                )
-                values.append(value)
-                clipped += sums.clipped
-                tokens += sums.total_tokens
-            objective = fsum(values) / len(values)
-            pg_loss = -objective
-            clip_fraction = clipped / tokens
-        records.append(
-            MetricRecord(
-                step=step,
-                rule=rule,
-                objective=objective,
-                pg_loss=pg_loss,
-                len_cv=stats.len_cv,
-                len_gap=stats.len_gap,
-                tbar_pos=stats.tbar_pos,
-                tbar_neg=stats.tbar_neg,
-                mean_reward=mean_reward,
-                k_mean=k_mean,
-                clip_fraction=clip_fraction,
-            )
-        )
-    return records, regime_report(stats)
+) -> tuple[list[MetricRecord], LengthStats]:
+    values: dict[str, list[float]] = {rule: [] for rule in RULES}
+    clipped = tokens = 0
+    for g, a in zip(groups, advs):
+        if not g.has_ratios:
+            continue
+        sums = compute_rule_sums(a, group_ratio_arrays(g), clip)
+        for rule in RULES:
+            values[rule].append(rule_terms(rule, sums)[0])
+        clipped += sums.clipped
+        tokens += sums.total_tokens
+    objectives = {rule: fsum(v) / len(v) if v else None for rule, v in values.items()}
+    return batch_metrics(step, groups, advs, objectives, clipped / tokens if tokens else None)
 
 
 def cmd_analyze(args) -> int:
@@ -196,13 +171,12 @@ def cmd_analyze(args) -> int:
     for w, start in enumerate(range(0, len(groups), args.window)):
         window_groups = groups[start : start + args.window]
         window_advs = advs[start : start + args.window]
-        recs, label = _window_records(w, window_groups, window_advs, clip)
+        recs, stats = _window_records(w, window_groups, window_advs, clip)
         records.extend(recs)
-        stats = length_stats(window_groups, window_advs)
         gap = "n/a" if stats.len_gap is None else f"{stats.len_gap:.4f}"
         regime_lines.append(
             f"window {w}: groups={len(window_groups)} len_cv={stats.len_cv:.4f} "
-            f"len_gap={gap} regime={label}"
+            f"len_gap={gap} regime={regime_report(stats)}"
         )
     overall = regime_report(length_stats(groups, advs))
     regime_lines.append(f"overall: groups={len(groups)} regime={overall}")

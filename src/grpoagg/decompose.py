@@ -21,20 +21,19 @@ by dividing individual tokens by their advantage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import fsum
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .aggregate import (
     RULES,
-    AggregationResult,
     ClipConfig,
-    _objective,
-    _ratio_arrays,
     compute_rule_sums,
     evaluate_arrays,
+    group_ratio_arrays,
 )
 from .groups import AdvantageSet, RolloutGroup, binary_closed_form
+from .rollout_io import MetricRecord
 
 __all__ = [
     "DecompositionReport",
@@ -42,9 +41,9 @@ __all__ = [
     "RegimeThresholds",
     "NonBinaryRewardError",
     "decompose",
-    "aggregate_with_decomposition",
     "ba_weight_identity",
     "length_stats",
+    "batch_metrics",
     "regime_report",
 ]
 
@@ -128,7 +127,7 @@ def decompose(
         raise ValueError(
             f"advantage set of size {adv.size} does not match group of size {group.size}"
         )
-    arrays = _ratio_arrays(group)
+    arrays = group_ratio_arrays(group)
     sums = compute_rule_sums(adv, arrays, clip)
     g = group.size
     k = sums.k
@@ -175,15 +174,6 @@ def decompose(
     )
 
 
-def aggregate_with_decomposition(
-    group: RolloutGroup, adv: AdvantageSet, clip: ClipConfig, rule: str
-) -> AggregationResult:
-    """Evaluate ``rule`` and attach its DecompositionReport."""
-    result = _objective(rule, group, adv, clip)
-    report = decompose(group, adv, clip, rule)
-    return replace(result, decomposition=report)
-
-
 def ba_weight_identity(
     group: RolloutGroup, adv: AdvantageSet, clip: ClipConfig
 ) -> tuple[float, float, bool]:
@@ -206,7 +196,7 @@ def ba_weight_identity(
     ba_neg = ((g - k) / g) * (-a_neg)
     seq_prefactor = math.sqrt(k * (g - k)) / g
     report = decompose(group, adv, clip, "balanced")
-    arrays = _ratio_arrays(group)
+    arrays = group_ratio_arrays(group)
     objective = evaluate_arrays("balanced", adv, arrays, clip, need_grad=False)[0]
     reconstructed = seq_prefactor * (report.delta_pos - report.delta_neg)
     match = (
@@ -250,6 +240,41 @@ def length_stats(
         else None
     )
     return LengthStats(mean_len, len_cv, tbar_pos, tbar_neg, len_gap)
+
+
+def batch_metrics(
+    step: int,
+    groups: Sequence[RolloutGroup],
+    advs: Sequence[AdvantageSet],
+    objectives: Mapping[str, float | None],
+    clip_fraction: float | None,
+) -> tuple[list[MetricRecord], LengthStats]:
+    """One MetricRecord per rule in ``objectives``, plus the batch's length stats.
+
+    Only the objective and its pg_loss differ between the records; lengths,
+    mean reward, mean k and ``clip_fraction`` do not depend on the rule.
+    """
+    stats = length_stats(groups, advs)
+    n_resp = sum(g.size for g in groups)
+    mean_reward = fsum(r.reward for g in groups for r in g.responses) / n_resp
+    k_mean = fsum(a.k for a in advs) / len(advs)
+    records = [
+        MetricRecord(
+            step=step,
+            rule=rule,
+            objective=objective,
+            pg_loss=None if objective is None else -objective,
+            len_cv=stats.len_cv,
+            len_gap=stats.len_gap,
+            tbar_pos=stats.tbar_pos,
+            tbar_neg=stats.tbar_neg,
+            mean_reward=mean_reward,
+            k_mean=k_mean,
+            clip_fraction=clip_fraction,
+        )
+        for rule, objective in objectives.items()
+    ]
+    return records, stats
 
 
 def regime_report(

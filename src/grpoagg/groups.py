@@ -99,7 +99,10 @@ class Response:
                 )
             object.__setattr__(self, "logp_new", logp_new)
             object.__setattr__(self, "logp_old", logp_old)
-            derived = tuple(math.exp(n - o) for n, o in zip(logp_new, logp_old))
+            try:
+                derived = tuple(math.exp(n - o) for n, o in zip(logp_new, logp_old))
+            except OverflowError:
+                raise ValueError("exp(logp_new - logp_old) overflows a float") from None
             if self.ratios is None:
                 object.__setattr__(self, "ratios", derived)
 
@@ -114,8 +117,7 @@ class Response:
                     raise ValueError(f"non-positive ratio {r!r}")
             object.__setattr__(self, "ratios", ratios)
             if self.logp_new is not None:
-                for t, (r, n, o) in enumerate(zip(ratios, self.logp_new, self.logp_old)):
-                    expect = math.exp(n - o)
+                for t, (r, expect) in enumerate(zip(ratios, derived)):
                     if abs(r - expect) > RATIO_LOGP_RTOL * expect:
                         raise ValueError(
                             f"ratio {r!r} at token {t} inconsistent with "

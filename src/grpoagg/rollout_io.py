@@ -10,7 +10,9 @@ Rollout logs are line-delimited JSON, one group per line:
 ``token_count``, a ``reward``, and optionally ``ratios`` or a
 ``logp_new``/``logp_old`` pair (from which ratios are derived). Records with
 only token counts are "length-only": they support length and advantage
-diagnostics but not objective evaluation.
+diagnostics but not objective evaluation. Token ids and ``token_count`` must
+be integers (a float with an integral value such as ``3.0`` is accepted;
+``2.7`` and booleans are not).
 
 Metrics go to CSV with a fixed header and floats rendered with 10
 significant digits, so a given record stream always produces byte-identical
@@ -147,6 +149,15 @@ def _get_number(obj: dict, key: str, line_no: int | None, where: str) -> float:
     return float(v)
 
 
+def _check_int(v, line_no: int | None, what: str) -> None:
+    if isinstance(v, bool) or not (
+        isinstance(v, int) or (isinstance(v, float) and v.is_integer())
+    ):
+        raise RecordValidationError(
+            f"line {line_no}: {what} must be an integer, got {v!r}", line_no
+        )
+
+
 def _opt_list(obj: dict, key: str, line_no: int | None, where: str) -> list | None:
     v = obj.get(key)
     if v is None:
@@ -212,6 +223,11 @@ def parse_rollout_line(
             raise RecordValidationError(
                 f"line {line_no}: {where}: needs tokens or token_count", line_no
             )
+        if token_count is not None:
+            _check_int(token_count, line_no, f"{where}: token_count")
+        if tokens is not None and not all(type(t) is int for t in tokens):
+            for j, t in enumerate(tokens):
+                _check_int(t, line_no, f"{where}: token {j}")
         ratios = _opt_list(raw, "ratios", line_no, where)
         logp_new = _opt_list(raw, "logp_new", line_no, where)
         logp_old = _opt_list(raw, "logp_old", line_no, where)

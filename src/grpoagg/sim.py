@@ -30,8 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .aggregate import RULES, ClipConfig, evaluate_arrays
-from .decompose import length_stats
+from .aggregate import RULES, ClipConfig, compute_rule_sums, ratio_gradients, rule_terms
+from .decompose import batch_metrics
 from .groups import AdvantageSet, Response, RolloutGroup, normalize_advantages
 from .rollout_io import MetricRecord, write_metrics, write_rollouts
 
@@ -198,10 +198,6 @@ class PolicyTable:
     def probs(self) -> np.ndarray:
         return np.exp(self.log_probs())
 
-    def snapshot(self) -> "PolicyTable":
-        """The frozen old-policy reference for the current step."""
-        return self
-
 
 def verify_reward(task: TaskSpec, prompt_index: int, tokens: Sequence[int]) -> float:
     """Deterministic 0/1 reward; malformed responses simply score 0."""
@@ -281,7 +277,7 @@ class BatchEval:
     degenerate_groups: int
 
 
-def _group_ratio_arrays(
+def _policy_ratio_arrays(
     group: RolloutGroup, lp_new: np.ndarray, lp_old: np.ndarray
 ) -> list[np.ndarray]:
     p = int(group.prompt_id)
@@ -322,36 +318,33 @@ def evaluate_batch(
     degenerate = 0
     for group, adv in zip(groups, advs):
         p = int(group.prompt_id)
-        arrays = _group_ratio_arrays(group, lp_new, lp_old)
+        arrays = _policy_ratio_arrays(group, lp_new, lp_old)
+        sums = compute_rule_sums(adv, arrays, clip)
+        terms = {r: rule_terms(r, sums) for r in RULES}
         for r in RULES:
-            with_grad = need_grad and r == rule
-            value, grads, sums, degen = evaluate_arrays(
-                r, adv, arrays, clip, need_grad=with_grad
+            rule_values[r].append(terms[r][0])
+        value, degen, w_pos, w_neg = terms[rule]
+        clipped += sums.clipped
+        total_tokens += sums.total_tokens
+        degenerate += int(degen)
+        if grad is None:
+            continue
+        if not math.isfinite(value):
+            raise SimulationError(
+                f"non-finite {rule} objective for prompt {group.prompt_id}"
             )
-            rule_values[r].append(value)
-            if r != rule:
-                continue
-            clipped += sums.clipped
-            total_tokens += sums.total_tokens
-            degenerate += int(degen)
-            if not with_grad:
-                continue
-            if not math.isfinite(value):
+        grads = ratio_gradients(adv, arrays, clip, w_pos, w_neg)
+        for resp, g_arr, ratio_arr in zip(group.responses, grads, arrays):
+            coeff = g_arr * ratio_arr  # dJ/d rho * d rho/d logp_new
+            if not np.all(np.isfinite(coeff)):
                 raise SimulationError(
-                    f"non-finite {rule} objective for prompt {group.prompt_id}"
+                    f"non-finite gradient for prompt {group.prompt_id}"
                 )
-            assert grads is not None and grad is not None
-            for resp, g_arr, ratio_arr in zip(group.responses, grads, arrays):
-                coeff = g_arr * ratio_arr  # dJ/d rho * d rho/d logp_new
-                if not np.all(np.isfinite(coeff)):
-                    raise SimulationError(
-                        f"non-finite gradient for prompt {group.prompt_id}"
-                    )
-                length = len(resp.tokens)  # type: ignore[arg-type]
-                pos = np.arange(length)
-                toks = np.asarray(resp.tokens)
-                grad[p, :length, :] -= coeff[:, None] * probs_new[p, :length, :]
-                np.add.at(grad[p], (pos, toks), coeff)
+            length = len(resp.tokens)  # type: ignore[arg-type]
+            pos = np.arange(length)
+            toks = np.asarray(resp.tokens)
+            grad[p, :length, :] -= coeff[:, None] * probs_new[p, :length, :]
+            np.add.at(grad[p], (pos, toks), coeff)
     b = len(groups)
     objectives = {r: fsum(v) / b for r, v in rule_values.items()}
     if grad is not None:
@@ -402,29 +395,10 @@ def train_step(
         clip_fracs.append(ev.clip_fraction)
         assert ev.grad_logits is not None
         current = PolicyTable(current.logits + config.learning_rate * ev.grad_logits)
-    stats = length_stats(groups, advs)
-    n_resp = sum(g.size for g in groups)
-    mean_reward = fsum(r.reward for g in groups for r in g.responses) / n_resp
-    k_mean = fsum(adv.k for adv in advs) / len(advs)
-    clip_fraction = fsum(clip_fracs) / len(clip_fracs)
-    records = []
-    for r in RULES:
-        objective = fsum(values[r]) / len(values[r])
-        records.append(
-            MetricRecord(
-                step=step,
-                rule=r,
-                objective=objective,
-                pg_loss=-objective,
-                len_cv=stats.len_cv,
-                len_gap=stats.len_gap,
-                tbar_pos=stats.tbar_pos,
-                tbar_neg=stats.tbar_neg,
-                mean_reward=mean_reward,
-                k_mean=k_mean,
-                clip_fraction=clip_fraction,
-            )
-        )
+    objectives = {r: fsum(v) / len(v) for r, v in values.items()}
+    records, _ = batch_metrics(
+        step, groups, advs, objectives, fsum(clip_fracs) / len(clip_fracs)
+    )
     return current, records, groups
 
 
@@ -444,7 +418,7 @@ def run_training(
     dumped: list[RolloutGroup] = []
     for step in range(config.steps):
         prompt_indices = [(step * batch + j) % task.num_prompts for j in range(batch)]
-        old = policy.snapshot()
+        old = policy  # policies are immutable, so this reference is the snapshot
         policy, recs, groups = train_step(policy, old, task, prompt_indices, config, step)
         records.extend(recs)
         if rollouts_path is not None:

@@ -4,15 +4,21 @@ import numpy as np
 import pytest
 
 from grpoagg.aggregate import (
+    RULES,
     BoundaryProximityError,
     ClipConfig,
     MissingRatiosError,
+    compute_rule_sums,
+    evaluate_arrays,
     gradient_check,
+    group_ratio_arrays,
     objective_balanced,
     objective_balanced_gen,
     objective_seq,
     objective_token,
     phi,
+    ratio_gradients,
+    rule_terms,
 )
 from grpoagg.groups import (
     AdvantageSet,
@@ -352,3 +358,101 @@ def test_gradients_zero_beyond_clip(clip):
     result2 = objective_token(inside, normalize_advantages(inside), clip)
     assert result2.grad_ratios[0][0] == pytest.approx(0.5)  # A=+1 over N=2
     assert result2.grad_ratios[1][0] == pytest.approx(-0.5)
+
+
+# --- the rule table against the per-rule if-chains it replaced ---
+
+def chain_terms(rule, s):
+    """Objective, degenerate flag and sign weights, spelled out per rule."""
+    g = s.size
+    w_pos = w_neg = 0.0
+    degenerate = False
+    if rule == "token":
+        objective = (s.pos_phi + s.neg_phi) / s.total_tokens
+    elif rule == "seq":
+        objective = (s.pos_seq + s.neg_seq) / g
+    elif rule == "balanced":
+        term_pos = (s.k / g) * (s.pos_phi / s.n_pos) if s.k else 0.0
+        term_neg = (s.neg_count / g) * (s.neg_phi / s.n_neg) if s.neg_count else 0.0
+        objective = term_pos + term_neg
+        degenerate = s.k == 0 and s.neg_count == 0
+        if s.k:
+            w_pos = (s.k / g) / s.n_pos
+        if s.neg_count:
+            w_neg = (s.neg_count / g) / s.n_neg
+    else:
+        term_pos = (s.m_pos / g) * (s.pos_phi / s.z_pos) if s.k else 0.0
+        term_neg = (s.m_neg / g) * (s.neg_phi / s.z_neg) if s.neg_count else 0.0
+        objective = term_pos + term_neg
+        degenerate = s.k == 0 and s.neg_count == 0
+        if s.k:
+            w_pos = (s.m_pos / g) / s.z_pos
+        if s.neg_count:
+            w_neg = (s.m_neg / g) / s.z_neg
+    return objective, degenerate, w_pos, w_neg
+
+
+def chain_gradients(rule, s, adv, arrays, clip):
+    _, _, w_pos, w_neg = chain_terms(rule, s)
+    out = []
+    for arr, a in zip(arrays, adv.advantages):
+        if rule == "token":
+            w = 1.0 / s.total_tokens
+        elif rule == "seq":
+            w = 1.0 / (s.size * len(arr))
+        else:
+            w = w_pos if a > 0.0 else w_neg if a < 0.0 else 0.0
+        if a > 0.0:
+            dphi = a * (arr <= clip.upper).astype(float)
+        elif a < 0.0:
+            dphi = a * (arr >= clip.lower).astype(float)
+        else:
+            dphi = np.zeros_like(arr)
+        out.append(w * dphi)
+    return out
+
+
+def table_cases(rng):
+    """Binary, real, zero-advantage, single-sided and all-zero groups."""
+    for _ in range(40):
+        group = random_binary_group(rng)
+        yield group, normalize_advantages(group)
+        group = random_real_group(rng)
+        adv = normalize_advantages(group)
+        yield group, adv
+        a = adv.advantages
+        g = group.size
+        yield group, AdvantageSet.from_advantages([x if i % 3 else 0.0 for i, x in enumerate(a)])
+        yield group, AdvantageSet.from_advantages([abs(x) if i % 2 else 0.0 for i, x in enumerate(a)])
+        yield group, AdvantageSet.from_advantages([-abs(x) for x in a])
+        yield group, AdvantageSet.from_advantages([0.0] * g)
+
+
+def test_rule_table_matches_chains_and_evaluate_arrays_exactly(clip):
+    rng = np.random.default_rng(21)
+    kinds = set()
+    for group, adv in table_cases(rng):
+        kinds.add((adv.k > 0, len(adv.neg_indices) > 0, len(adv.zero_indices) > 0))
+        arrays = group_ratio_arrays(group)
+        sums = compute_rule_sums(adv, arrays, clip)  # once for all four rules
+        for rule in RULES:
+            objective, degenerate, w_pos, w_neg = rule_terms(rule, sums)
+            value, grads, _, degen = evaluate_arrays(rule, adv, arrays, clip)
+            want, want_degen, _, _ = chain_terms(rule, sums)
+            assert objective == value == want
+            assert degenerate == degen == want_degen
+            table_grads = ratio_gradients(adv, arrays, clip, w_pos, w_neg)
+            for got, ref, want_g in zip(
+                table_grads, grads, chain_gradients(rule, sums, adv, arrays, clip)
+            ):
+                assert np.array_equal(got, ref) and np.array_equal(got, want_g)
+    # every sign pattern was exercised, the all-zero one included
+    assert (False, False, True) in kinds
+    assert (True, False, True) in kinds and (False, True, False) in kinds
+
+
+def test_rule_terms_rejects_unknown_rule(clip):
+    group = make_group([(2, 1.0), (3, 0.0)])
+    sums = compute_rule_sums(normalize_advantages(group), group_ratio_arrays(group), clip)
+    with pytest.raises(ValueError, match="unknown rule"):
+        rule_terms("mean", sums)

@@ -13,7 +13,6 @@ from grpoagg.decompose import (
     LengthStats,
     NonBinaryRewardError,
     RegimeThresholds,
-    aggregate_with_decomposition,
     ba_weight_identity,
     decompose,
     length_stats,
@@ -122,16 +121,6 @@ def test_delta_seq_equals_delta_ba_on_uniform_lengths(clip):
         ba_rep = decompose(group, adv, clip, "balanced")
         assert seq_rep.delta_pos == pytest.approx(ba_rep.delta_pos, abs=1e-12)
         assert seq_rep.delta_neg == pytest.approx(ba_rep.delta_neg, abs=1e-12)
-
-
-def test_aggregate_with_decomposition_attaches_report(clip):
-    group = make_group([(2, 1.0), (4, 1.0), (1, 0.0), (1, 0.0)])
-    adv = normalize_advantages(group)
-    result = aggregate_with_decomposition(group, adv, clip, "token")
-    assert result.decomposition is not None
-    assert result.decomposition.reconstructed_objective == pytest.approx(
-        result.objective, abs=1e-13
-    )
 
 
 def test_ba_weight_identity_examples(clip):

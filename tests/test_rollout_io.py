@@ -88,6 +88,29 @@ def test_parse_rejects_bad_version_and_missing_fields():
     with pytest.raises(MalformedLineError):
         parse_rollout_line("[1,2,3]", 1)
 
+    def one_response(resp: str) -> str:
+        return (
+            '{"prompt_id":"p","responses":[' + resp + ',{"tokens":[1],"reward":0.0}]}'
+        )
+
+    bad = [
+        # exp(logp_new - logp_old) overflows a float
+        '{"tokens":[1],"reward":1.0,"logp_new":[0.0],"logp_old":[-800.0]}',
+        # non-integer and boolean token counts / token ids
+        '{"token_count":2.7,"reward":1.0}',
+        '{"token_count":true,"reward":1.0}',
+        '{"tokens":[1,1.9],"reward":1.0}',
+        '{"tokens":[false],"reward":1.0}',
+    ]
+    for resp in bad:
+        with pytest.raises(RecordValidationError) as err:
+            parse_rollout_line(one_response(resp), 7)
+        assert err.value.line_no == 7
+        assert str(err.value).startswith("line 7: response 0:")
+    # an integral float is still an integer
+    group = parse_rollout_line(one_response('{"token_count":3.0,"reward":1.0}'), 7)
+    assert group.lengths == (3, 1)
+
 
 def test_read_rollouts_strict_raises_with_line_number(tmp_path):
     path = tmp_path / "log.jsonl"

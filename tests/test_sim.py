@@ -4,7 +4,7 @@ from math import fsum
 import numpy as np
 import pytest
 
-from grpoagg.aggregate import ClipConfig, objective_balanced, objective_token
+from grpoagg.aggregate import RULES, ClipConfig, evaluate_arrays, objective_balanced, objective_token
 from grpoagg.decompose import decompose
 from grpoagg.groups import normalize_advantages
 from grpoagg.sim import (
@@ -14,6 +14,7 @@ from grpoagg.sim import (
     SimulationError,
     TaskSpec,
     TrainConfig,
+    _policy_ratio_arrays,
     evaluate_batch,
     logit_gradient_check,
     rollout_seed,
@@ -335,3 +336,18 @@ def test_policy_table_invariants():
     assert np.allclose(policy.probs().sum(axis=-1), 1.0, atol=1e-12)
     with pytest.raises(ValueError):
         policy.logits[0, 0, 0] = 1.0  # read-only
+
+
+def test_evaluate_batch_one_pass_matches_per_rule_evaluation():
+    task = count_task()
+    config = TrainConfig(rule="token", steps=1, learning_rate=0.5, seed=5, inner_epochs=2)
+    policy = PolicyTable.uniform(4, 8, 3)
+    new_policy, _, groups = train_step(policy, policy, task, range(4), config, 0)
+    advs = [normalize_advantages(g) for g in groups]
+    lp_new, lp_old = new_policy.log_probs(), policy.log_probs()
+    arrays = [_policy_ratio_arrays(g, lp_new, lp_old) for g in groups]
+    for rule in RULES:
+        ev = evaluate_batch(new_policy, policy, groups, advs, rule, config.clip)
+        for r in RULES:
+            values = [evaluate_arrays(r, a, arr, config.clip)[0] for a, arr in zip(advs, arrays)]
+            assert ev.rule_objectives[r] == fsum(values) / len(values)
