@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification or validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from math import fsum
 from pathlib import Path
@@ -13,14 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from .aggregate import RULES, ClipConfig, compute_rule_sums, group_ratio_arrays, rule_terms
-from .decompose import LengthStats, batch_metrics, length_stats, regime_report
+from .decompose import LengthStats, batch_metrics, length_stats, pooled_mean, regime_report
 from .groups import DegenerateGroupError, AdvantageSet, normalize_advantages
-from .rollout_io import (
-    MetricRecord,
-    RolloutLogError,
-    parse_rollout_line,
-    write_metrics,
-)
+from .rollout_io import MetricRecord, RolloutLogError, parse_rollout_line, write_metrics
 from .sim import TASK_KINDS, TaskSpec, TrainConfig, run_training
 from .verify import SUITE, run_suite
 
@@ -109,21 +105,27 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _window_records(
-    step: int, groups, advs, clip: ClipConfig
-) -> tuple[list[MetricRecord], LengthStats]:
-    values: dict[str, list[float]] = {rule: [] for rule in RULES}
-    clipped = tokens = 0
-    for g, a in zip(groups, advs):
-        if not g.has_ratios:
-            continue
-        sums = compute_rule_sums(a, group_ratio_arrays(g), clip)
-        for rule in RULES:
-            values[rule].append(rule_terms(rule, sums)[0])
-        clipped += sums.clipped
-        tokens += sums.total_tokens
-    objectives = {rule: fsum(v) / len(v) if v else None for rule, v in values.items()}
-    return batch_metrics(step, groups, advs, objectives, clipped / tokens if tokens else None)
+def _group_terms(group, adv, clip: ClipConfig) -> tuple | None:
+    """A group's objective per rule, clipped tokens and tokens; None if length-only."""
+    if not group.has_ratios:
+        return None
+    try:
+        with np.errstate(over="ignore"):
+            sums = compute_rule_sums(adv, group_ratio_arrays(group), clip)
+        objectives = [rule_terms(rule, sums)[0] for rule in RULES]
+        if not all(map(math.isfinite, objectives)):
+            raise OverflowError
+    except OverflowError:
+        raise ValueError(f"group {group.prompt_id!r}: an objective overflows a float") from None
+    return (*objectives, sums.clipped, sums.total_tokens)
+
+
+def _window_records(step: int, groups, advs, terms) -> tuple[list[MetricRecord], LengthStats]:
+    columns = list(zip(*(t for t in terms if t is not None))) or [()] * (len(RULES) + 2)
+    objectives = {rule: pooled_mean(col) if col else None for rule, col in zip(RULES, columns)}
+    tokens = sum(columns[-1])
+    clip_fraction = sum(columns[-2]) / tokens if tokens else None
+    return batch_metrics(step, groups, advs, objectives, clip_fraction)
 
 
 def cmd_analyze(args) -> int:
@@ -132,17 +134,30 @@ def cmd_analyze(args) -> int:
         print("error: --window must be >= 1", file=sys.stderr)
         return 2
     groups = []
-    parse_errors = 0
+    advs = []
+    terms = []
+    degenerate = 0
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 try:
-                    groups.append(parse_rollout_line(line, line_no, args.eps_var))
-                except RolloutLogError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    parse_errors += 1
+                    group = parse_rollout_line(line, line_no, args.eps_var)
+                    try:
+                        adv = normalize_advantages(group)
+                    except DegenerateGroupError:
+                        # all rewards equal at eps_var=0: treat as zero advantage
+                        degenerate += 1
+                        adv = AdvantageSet.from_advantages([0.0] * group.size)
+                    group_terms = _group_terms(group, adv, clip)
+                except ValueError as exc:  # a RolloutLogError names its line itself
+                    where = "" if isinstance(exc, RolloutLogError) else f"line {line_no}: "
+                    print(f"error: {where}{exc}", file=sys.stderr)
+                    continue
+                groups.append(group)
+                advs.append(adv)
+                terms.append(group_terms)
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return 1
@@ -150,16 +165,7 @@ def cmd_analyze(args) -> int:
         print("error: no groups parsed", file=sys.stderr)
         return 1
 
-    advs = []
-    degenerate = 0
-    length_only = sum(1 for g in groups if not g.has_ratios)
-    for g in groups:
-        try:
-            advs.append(normalize_advantages(g))
-        except DegenerateGroupError:
-            # all rewards equal at eps_var=0: treat as zero advantage
-            degenerate += 1
-            advs.append(AdvantageSet.from_advantages([0.0] * g.size))
+    length_only = terms.count(None)
     if degenerate:
         print(f"notice: {degenerate} degenerate group(s) treated as zero-advantage")
     if length_only:
@@ -171,7 +177,8 @@ def cmd_analyze(args) -> int:
     for w, start in enumerate(range(0, len(groups), args.window)):
         window_groups = groups[start : start + args.window]
         window_advs = advs[start : start + args.window]
-        recs, stats = _window_records(w, window_groups, window_advs, clip)
+        window_terms = terms[start : start + args.window]
+        recs, stats = _window_records(w, window_groups, window_advs, window_terms)
         records.extend(recs)
         gap = "n/a" if stats.len_gap is None else f"{stats.len_gap:.4f}"
         regime_lines.append(

@@ -43,6 +43,7 @@ __all__ = [
     "decompose",
     "ba_weight_identity",
     "length_stats",
+    "pooled_mean",
     "batch_metrics",
     "regime_report",
 ]
@@ -242,6 +243,14 @@ def length_stats(
     return LengthStats(mean_len, len_cv, tbar_pos, tbar_neg, len_gap)
 
 
+def pooled_mean(values: Sequence[float]) -> float:
+    """``fsum(values) / n``; where that sum overflows, the sum of ``v / n``."""
+    try:
+        return fsum(values) / len(values)
+    except OverflowError:
+        return fsum(v / len(values) for v in values)
+
+
 def batch_metrics(
     step: int,
     groups: Sequence[RolloutGroup],
@@ -255,8 +264,7 @@ def batch_metrics(
     mean reward, mean k and ``clip_fraction`` do not depend on the rule.
     """
     stats = length_stats(groups, advs)
-    n_resp = sum(g.size for g in groups)
-    mean_reward = fsum(r.reward for g in groups for r in g.responses) / n_resp
+    mean_reward = pooled_mean([r.reward for g in groups for r in g.responses])
     k_mean = fsum(a.k for a in advs) / len(advs)
     records = [
         MetricRecord(

@@ -9,6 +9,11 @@ advantage; zero-advantage responses (possible when ``eps_var > 0`` or a
 reward ties the mean) belong to neither subset and contribute nothing to any
 downstream objective.
 
+Response and RolloutGroup own every record rule: token ids and ``token_count``
+(at most 2**53) are Python or NumPy ints or integral floats, never bools;
+rewards, ratios, log-probabilities and ``eps_var`` are finite Python floats or
+ints or ``np.float64``. A violation is a ValueError naming the field.
+
 For binary rewards with ``eps_var = 0`` the advantages have a closed form
 that depends only on the group size and the number of positive responses:
 sqrt((G-k)/k) on the positive side and -sqrt(k/(G-k)) on the negative side.
@@ -17,8 +22,11 @@ sqrt((G-k)/k) on the positive side and -sqrt(k/(G-k)) on the negative side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from math import fsum
+
+import numpy as np
 
 __all__ = [
     "Response",
@@ -28,6 +36,7 @@ __all__ = [
     "normalize_advantages",
     "binary_closed_form",
     "RATIO_LOGP_RTOL",
+    "MAX_TOKEN_COUNT",
 ]
 
 # Tolerance for checking stored ratios against exp(logp_new - logp_old).
@@ -38,12 +47,50 @@ class DegenerateGroupError(ValueError):
     """All rewards in a group are identical while eps_var is zero."""
 
 
-def _float_tuple(values, name: str) -> tuple[float, ...]:
-    out = tuple(float(v) for v in values)
-    for v in out:
-        if not math.isfinite(v):
-            raise ValueError(f"{name} contains non-finite value {v!r}")
-    return out
+# Element types taken as real numbers / integers without a per-element check.
+_REAL_TYPES = frozenset((float, int, np.float64))
+_INT_TYPE = frozenset((int,))
+# Largest length that is still an exact float, as the length statistics need.
+MAX_TOKEN_COUNT = 2**53
+
+
+def _as_tuple(values, name: str) -> tuple:
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence, got {type(values).__name__}") from None
+
+
+def _real(value, name: str) -> float:
+    """A finite real number; any failure is a ValueError naming ``name``."""
+    if type(value) in _REAL_TYPES:
+        try:
+            if math.isfinite(out := float(value)):
+                return out
+        except OverflowError:
+            raise ValueError(f"{name} is out of float range") from None
+    raise ValueError(f"{name} must be a finite real number, got {value!r}")
+
+
+def _reals(values, name: str) -> tuple[float, ...]:
+    """``_real`` over a sequence, in C-level passes unless an element fails."""
+    values = _as_tuple(values, name)
+    try:
+        if _REAL_TYPES.issuperset(map(type, values)):
+            if all(map(math.isfinite, out := tuple(map(float, values)))):
+                return out
+    except OverflowError:
+        pass
+    return tuple(_real(v, f"{name}[{i}]") for i, v in enumerate(values))
+
+
+def _int(value, name: str) -> int:
+    """A Python or NumPy int, or an integral float; never a bool."""
+    if isinstance(value, float) and value.is_integer() or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    ):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -66,32 +113,33 @@ class Response:
     truncated: bool = False
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "reward", _real(self.reward, "reward"))
         if self.tokens is not None:
-            object.__setattr__(self, "tokens", tuple(int(t) for t in self.tokens))
-        reward = float(self.reward)
-        if not math.isfinite(reward):
-            raise ValueError(f"non-finite reward {self.reward!r}")
-        object.__setattr__(self, "reward", reward)
-
-        if self.tokens is not None:
-            length = len(self.tokens)
-            if self.token_count is not None and int(self.token_count) != length:
-                raise ValueError(
-                    f"token_count {self.token_count} does not match {length} tokens"
-                )
+            tokens = _as_tuple(self.tokens, "tokens")
+            if not _INT_TYPE.issuperset(map(type, tokens)):
+                tokens = tuple(_int(t, f"tokens[{i}]") for i, t in enumerate(tokens))
+            object.__setattr__(self, "tokens", tokens)
+            length = len(tokens)
+            if self.token_count is not None and _int(self.token_count, "token_count") != length:
+                raise ValueError(f"token_count {self.token_count} does not match {length} tokens")
         elif self.token_count is not None:
-            length = int(self.token_count)
+            length = _int(self.token_count, "token_count")
         else:
             raise ValueError("response needs tokens or token_count")
         if length < 1:
             raise ValueError("response must contain at least one token")
+        if length > MAX_TOKEN_COUNT:
+            raise ValueError(f"token_count {self.token_count!r} exceeds 2**53")
         object.__setattr__(self, "token_count", length)
+        if type(self.truncated) is not bool:
+            raise ValueError(f"truncated must be a bool, got {self.truncated!r}")
 
         if (self.logp_new is None) != (self.logp_old is None):
             raise ValueError("logp_new and logp_old must be supplied together")
+        ratios = derived = None
         if self.logp_new is not None:
-            logp_new = _float_tuple(self.logp_new, "logp_new")
-            logp_old = _float_tuple(self.logp_old, "logp_old")
+            logp_new = _reals(self.logp_new, "logp_new")
+            logp_old = _reals(self.logp_old, "logp_old")
             if len(logp_new) != length or len(logp_old) != length:
                 raise ValueError(
                     f"logp arrays of length {len(logp_new)}/{len(logp_old)} "
@@ -100,29 +148,27 @@ class Response:
             object.__setattr__(self, "logp_new", logp_new)
             object.__setattr__(self, "logp_old", logp_old)
             try:
-                derived = tuple(math.exp(n - o) for n, o in zip(logp_new, logp_old))
+                ratios = derived = tuple(math.exp(n - o) for n, o in zip(logp_new, logp_old))
+                if math.inf in derived:
+                    raise OverflowError
             except OverflowError:
                 raise ValueError("exp(logp_new - logp_old) overflows a float") from None
-            if self.ratios is None:
-                object.__setattr__(self, "ratios", derived)
-
         if self.ratios is not None:
-            ratios = _float_tuple(self.ratios, "ratios")
+            ratios = _reals(self.ratios, "ratios")
             if len(ratios) != length:
-                raise ValueError(
-                    f"ratios length {len(ratios)} does not match token count {length}"
-                )
-            for r in ratios:
-                if r <= 0.0:
-                    raise ValueError(f"non-positive ratio {r!r}")
-            object.__setattr__(self, "ratios", ratios)
-            if self.logp_new is not None:
-                for t, (r, expect) in enumerate(zip(ratios, derived)):
-                    if abs(r - expect) > RATIO_LOGP_RTOL * expect:
-                        raise ValueError(
-                            f"ratio {r!r} at token {t} inconsistent with "
-                            f"exp(logp_new - logp_old) = {expect!r}"
-                        )
+                raise ValueError(f"ratios length {len(ratios)} does not match token count {length}")
+        if ratios is None:
+            return
+        if min(ratios) <= 0.0:
+            raise ValueError(f"non-positive ratio {next(r for r in ratios if r <= 0.0)!r}")
+        object.__setattr__(self, "ratios", ratios)
+        if derived is not None and ratios is not derived:
+            for t, (r, expect) in enumerate(zip(ratios, derived)):
+                if abs(r - expect) > RATIO_LOGP_RTOL * expect:
+                    raise ValueError(
+                        f"ratio {r!r} at token {t} inconsistent with "
+                        f"exp(logp_new - logp_old) = {expect!r}"
+                    )
 
     @property
     def length(self) -> int:
@@ -140,12 +186,16 @@ class RolloutGroup:
     source_line: int | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.prompt_id, str):
+            raise ValueError(f"prompt_id must be a string, got {self.prompt_id!r}")
+        if self.group_id is not None and not isinstance(self.group_id, str):
+            raise ValueError(f"group_id must be a string, got {self.group_id!r}")
         object.__setattr__(self, "responses", tuple(self.responses))
         if len(self.responses) < 2:
             raise ValueError(f"group needs at least 2 responses, got {len(self.responses)}")
-        eps = float(self.eps_var)
-        if not math.isfinite(eps) or eps < 0.0:
-            raise ValueError(f"eps_var must be finite and >= 0, got {self.eps_var!r}")
+        eps = _real(self.eps_var, "eps_var")
+        if eps < 0.0:
+            raise ValueError(f"eps_var must be >= 0, got {eps!r}")
         object.__setattr__(self, "eps_var", eps)
 
     @property
@@ -174,19 +224,19 @@ class RolloutGroup:
 class AdvantageSet:
     """Normalized advantages plus the sign partition of a group.
 
-    ``pos_indices`` / ``neg_indices`` list the responses with strictly
-    positive / negative advantage; any remaining indices have advantage
-    exactly zero.
+    ``pos_indices`` / ``neg_indices`` are derived from the advantages: they
+    list the responses with strictly positive / negative advantage; any
+    remaining indices have advantage exactly zero.
     """
 
     advantages: tuple[float, ...]
     mu: float
     sigma: float
-    pos_indices: tuple[int, ...]
-    neg_indices: tuple[int, ...]
+    pos_indices: tuple[int, ...] = field(init=False)
+    neg_indices: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        advantages = _float_tuple(self.advantages, "advantages")
+        advantages = _reals(self.advantages, "advantages")
         object.__setattr__(self, "advantages", advantages)
         if not math.isfinite(self.mu):
             raise ValueError("mu must be finite")
@@ -194,18 +244,13 @@ class AdvantageSet:
             raise ValueError(f"sigma must be finite and > 0, got {self.sigma!r}")
         pos = tuple(i for i, a in enumerate(advantages) if a > 0.0)
         neg = tuple(i for i, a in enumerate(advantages) if a < 0.0)
-        if tuple(self.pos_indices) != pos or tuple(self.neg_indices) != neg:
-            raise ValueError("pos/neg indices inconsistent with advantage signs")
         object.__setattr__(self, "pos_indices", pos)
         object.__setattr__(self, "neg_indices", neg)
 
     @classmethod
     def from_advantages(cls, values) -> "AdvantageSet":
         """Build a set directly from advantage values (mu=0, sigma=1)."""
-        advantages = tuple(float(v) for v in values)
-        pos = tuple(i for i, a in enumerate(advantages) if a > 0.0)
-        neg = tuple(i for i, a in enumerate(advantages) if a < 0.0)
-        return cls(advantages, 0.0, 1.0, pos, neg)
+        return cls(values, 0.0, 1.0)
 
     @property
     def size(self) -> int:
@@ -227,21 +272,25 @@ def normalize_advantages(group: RolloutGroup) -> AdvantageSet:
 
     Raises DegenerateGroupError when ``eps_var == 0`` and every reward is
     identical (sigma would be zero). With ``eps_var > 0`` such groups yield
-    all-zero advantages instead.
+    all-zero advantages instead. Raises ValueError naming the group when the
+    reward sum or variance overflows a float, or the variance underflows to 0.
     """
     rewards = group.rewards
     g = group.size
-    mu = fsum(rewards) / g
     if group.eps_var == 0.0 and all(r == rewards[0] for r in rewards):
         raise DegenerateGroupError(
             f"group {group.prompt_id!r}: all rewards equal ({rewards[0]}) with eps_var=0"
         )
-    var = fsum((r - mu) ** 2 for r in rewards) / g
-    sigma = math.sqrt(var + group.eps_var)
-    advantages = tuple((r - mu) / sigma for r in rewards)
-    pos = tuple(i for i, a in enumerate(advantages) if a > 0.0)
-    neg = tuple(i for i, a in enumerate(advantages) if a < 0.0)
-    return AdvantageSet(advantages, mu, sigma, pos, neg)
+    try:
+        mu = fsum(rewards) / g
+        sigma = math.sqrt(fsum((r - mu) ** 2 for r in rewards) / g + group.eps_var)
+        if not 0.0 < sigma < math.inf:
+            raise OverflowError
+    except OverflowError:
+        raise ValueError(
+            f"group {group.prompt_id!r}: reward variance is out of float range"
+        ) from None
+    return AdvantageSet(tuple((r - mu) / sigma for r in rewards), mu, sigma)
 
 
 def binary_closed_form(group_size: int, k: int) -> tuple[float, float]:

@@ -7,12 +7,13 @@ Rollout logs are line-delimited JSON, one group per line:
                     "ratios": [1.0, 0.98, 1.03]}, ...]}
 
 ``v`` defaults to 1 when absent. Each response supplies ``tokens`` or a bare
-``token_count``, a ``reward``, and optionally ``ratios`` or a
-``logp_new``/``logp_old`` pair (from which ratios are derived). Records with
-only token counts are "length-only": they support length and advantage
-diagnostics but not objective evaluation. Token ids and ``token_count`` must
-be integers (a float with an integral value such as ``3.0`` is accepted;
-``2.7`` and booleans are not).
+``token_count``, a ``reward``, optionally ``ratios`` or a ``logp_new``/
+``logp_old`` pair (from which ratios are derived), and ``"truncated": true``
+when it hit the length limit. Records with only token counts are
+"length-only": they support length and advantage diagnostics but not
+objective evaluation. The parser checks only the line format; every field
+rule belongs to ``groups.Response`` and ``groups.RolloutGroup``, whose errors
+come back as RecordValidationError naming the line and response.
 
 Metrics go to CSV with a fixed header and floats rendered with 10
 significant digits, so a given record stream always produces byte-identical
@@ -140,35 +141,6 @@ def read_metrics(path: str | Path) -> list[MetricRecord]:
     return records
 
 
-def _get_number(obj: dict, key: str, line_no: int | None, where: str) -> float:
-    v = obj.get(key)
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise RecordValidationError(
-            f"line {line_no}: {where}: missing or non-numeric {key!r}", line_no
-        )
-    return float(v)
-
-
-def _check_int(v, line_no: int | None, what: str) -> None:
-    if isinstance(v, bool) or not (
-        isinstance(v, int) or (isinstance(v, float) and v.is_integer())
-    ):
-        raise RecordValidationError(
-            f"line {line_no}: {what} must be an integer, got {v!r}", line_no
-        )
-
-
-def _opt_list(obj: dict, key: str, line_no: int | None, where: str) -> list | None:
-    v = obj.get(key)
-    if v is None:
-        return None
-    if not isinstance(v, list):
-        raise RecordValidationError(
-            f"line {line_no}: {where}: {key!r} must be a list", line_no
-        )
-    return v
-
-
 def parse_rollout_line(
     line: str, line_no: int | None = None, default_eps_var: float = 0.0
 ) -> RolloutGroup:
@@ -180,81 +152,40 @@ def parse_rollout_line(
     """
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedLineError(f"line {line_no}: invalid JSON: {exc}", line_no) from exc
     if not isinstance(obj, dict):
         raise MalformedLineError(f"line {line_no}: expected a JSON object", line_no)
     version = obj.get("v", 1)
-    if version != 1:
+    if version != 1 or version is True:  # True == 1 in Python
         raise RecordValidationError(
             f"line {line_no}: unsupported schema version {version!r}", line_no
         )
-    prompt_id = obj.get("prompt_id")
-    if not isinstance(prompt_id, str):
-        raise RecordValidationError(
-            f"line {line_no}: missing or non-string prompt_id", line_no
-        )
-    group_id = obj.get("group_id")
-    if group_id is not None and not isinstance(group_id, str):
-        raise RecordValidationError(
-            f"line {line_no}: group_id must be a string", line_no
-        )
-    eps_var = (
-        _get_number(obj, "eps_var", line_no, "group")
-        if "eps_var" in obj
-        else float(default_eps_var)
-    )
     raw_responses = obj.get("responses")
-    if not isinstance(raw_responses, list) or not raw_responses:
-        raise RecordValidationError(
-            f"line {line_no}: missing or empty responses list", line_no
-        )
+    if not isinstance(raw_responses, list):
+        raise RecordValidationError(f"line {line_no}: missing or non-list responses", line_no)
     responses = []
     for idx, raw in enumerate(raw_responses):
-        where = f"response {idx}"
+        where = f"line {line_no}: response {idx}"
         if not isinstance(raw, dict):
-            raise RecordValidationError(
-                f"line {line_no}: {where}: expected an object", line_no
-            )
-        reward = _get_number(raw, "reward", line_no, where)
-        tokens = _opt_list(raw, "tokens", line_no, where)
-        token_count = raw.get("token_count")
-        if tokens is None and token_count is None:
-            raise RecordValidationError(
-                f"line {line_no}: {where}: needs tokens or token_count", line_no
-            )
-        if token_count is not None:
-            _check_int(token_count, line_no, f"{where}: token_count")
-        if tokens is not None and not all(type(t) is int for t in tokens):
-            for j, t in enumerate(tokens):
-                _check_int(t, line_no, f"{where}: token {j}")
-        ratios = _opt_list(raw, "ratios", line_no, where)
-        logp_new = _opt_list(raw, "logp_new", line_no, where)
-        logp_old = _opt_list(raw, "logp_old", line_no, where)
+            raise RecordValidationError(f"{where}: expected an object", line_no)
         try:
-            responses.append(
-                Response(
-                    tokens=tuple(tokens) if tokens is not None else None,
-                    reward=reward,
-                    ratios=tuple(ratios) if ratios is not None else None,
-                    logp_new=tuple(logp_new) if logp_new is not None else None,
-                    logp_old=tuple(logp_old) if logp_old is not None else None,
-                    token_count=int(token_count) if token_count is not None else None,
-                )
-            )
+            responses.append(Response(
+                tokens=raw.get("tokens"), reward=raw.get("reward"), ratios=raw.get("ratios"),
+                logp_new=raw.get("logp_new"), logp_old=raw.get("logp_old"),
+                token_count=raw.get("token_count"), truncated=raw.get("truncated", False),
+            ))
         except (TypeError, ValueError) as exc:
-            raise RecordValidationError(
-                f"line {line_no}: {where}: {exc}", line_no
-            ) from exc
+            raise RecordValidationError(f"{where}: {exc}", line_no) from exc
     try:
         return RolloutGroup(
-            prompt_id=prompt_id,
+            prompt_id=obj.get("prompt_id"),
             responses=tuple(responses),
-            eps_var=eps_var,
-            group_id=group_id,
+            eps_var=obj.get("eps_var", default_eps_var),
+            group_id=obj.get("group_id"),
             source_line=line_no,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise RecordValidationError(f"line {line_no}: {exc}", line_no) from exc
 
 
@@ -288,6 +219,8 @@ def group_to_dict(group: RolloutGroup) -> dict:
         if resp.logp_new is not None:
             r["logp_new"] = list(resp.logp_new)
             r["logp_old"] = list(resp.logp_old)
+        if resp.truncated:
+            r["truncated"] = True
         responses.append(r)
     out: dict = {"v": 1}
     if group.group_id is not None:

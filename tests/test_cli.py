@@ -163,6 +163,54 @@ def test_analyze_reports_fault_lines(tmp_path, capsys):
         assert f"line {line_no}" in err
 
 
+def test_analyze_reports_and_skips_groups_that_fail_validation(tmp_path, capsys):
+    good = {"tokens": [1, 0], "reward": 1.0, "ratios": [1.0, 0.9]}
+    bad_groups = [
+        [{"token_count": 1e200, "reward": 1.0}, {"token_count": 2, "reward": 0.0}],
+        [{"token_count": 1, "reward": 1e308}, {"token_count": 1, "reward": -1e308}],
+        [{"token_count": 1, "reward": r} for r in (1e308, 1e308, 0.0)],
+        [{"tokens": [1, 0], "reward": 1.0, "ratios": ["1.0", True]}, good],
+        # nine positives and one negative: a huge ratio overflows phi
+        [dict(good, reward=1.0)] * 9 + [{"tokens": [1], "reward": 0.0, "ratios": [1e308]}],
+    ]
+    groups = [[good, dict(good, reward=0.0)]] + bad_groups + [[good, dict(good, reward=0.0)]]
+    log = tmp_path / "log.jsonl"
+    log.write_text(
+        "".join(json.dumps({"prompt_id": f"p{i}", "responses": g}) + "\n"
+                for i, g in enumerate(groups)),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "analyze", "--input", str(log), "--out", str(tmp_path))
+    assert code == 0
+    assert [line.split(":")[1] for line in err.splitlines()] == [
+        f" line {n}" for n in range(2, 2 + len(bad_groups))
+    ]
+    assert "overall: groups=2 " in out
+
+
+def test_analyze_pools_extreme_but_valid_groups(tmp_path, capsys):
+    # each group is valid, but the window sums of objectives and rewards
+    # overflow a float; the pooled means are still exact enough to print
+    pair = [
+        {"tokens": [1], "reward": 1.0, "ratios": [1.0]},
+        {"tokens": [1], "reward": 0.0, "ratios": [1e308]},
+    ]
+    degenerate = [{"token_count": 1, "reward": 1e308}] * 2
+    log = tmp_path / "log.jsonl"
+    log.write_text(
+        "".join(json.dumps({"prompt_id": f"p{i}", "responses": pair}) + "\n" for i in range(4))
+        + json.dumps({"prompt_id": "d", "responses": degenerate}) + "\n",
+        encoding="utf-8",
+    )
+    code, _, err = run_cli(
+        capsys, "analyze", "--input", str(log), "--window", "8", "--out", str(tmp_path)
+    )
+    assert code == 0 and err == ""
+    records = read_metrics(tmp_path / "analysis.csv")
+    assert [r.objective for r in records] == [-5e307] * 4
+    assert {r.mean_reward for r in records} == {2e307}
+
+
 # --- simulate / compare ---
 
 def test_simulate_writes_metrics(tmp_path, capsys):

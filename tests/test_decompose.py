@@ -16,6 +16,7 @@ from grpoagg.decompose import (
     ba_weight_identity,
     decompose,
     length_stats,
+    pooled_mean,
     regime_report,
 )
 from grpoagg.groups import AdvantageSet, normalize_advantages
@@ -218,3 +219,10 @@ def test_regime_report_examples():
     assert regime_report(LengthStats(1.0, 0.0, 1.0, 1.0, 0.0), thresholds) == "mixed"
     assert regime_report(LengthStats(1.0, 0.9, 1.0, 1.0, 0.6), thresholds) == "mixed"
     assert regime_report(LengthStats(1.0, 0.9, None, None, None), thresholds) == "mixed"
+
+
+def test_pooled_mean_is_fsum_mean_unless_the_sum_overflows():
+    values = [0.1, 0.2, 0.3, 1e-17]
+    assert pooled_mean(values) == math.fsum(values) / 4
+    assert pooled_mean([1e308, 1e308, 1e308]) == 1e308
+    assert pooled_mean([1.7e308, -1.7e308, 1.7e308]) == pytest.approx(1.7e308 / 3)

@@ -158,10 +158,87 @@ def test_group_validation():
 
 
 def test_advantage_set_partition_consistency():
-    with pytest.raises(ValueError):
-        AdvantageSet((1.0, -1.0), 0.0, 1.0, pos_indices=(1,), neg_indices=(0,))
     adv = AdvantageSet.from_advantages([2.0, 0.0, -2.0])
     assert adv.pos_indices == (0,)
     assert adv.neg_indices == (2,)
     assert adv.zero_indices == (1,)
     assert adv.k == 1
+
+
+HUGE = 10**400  # an exact JSON integer far beyond float range
+
+
+@pytest.mark.parametrize(
+    "kwargs, field_name",
+    [
+        (dict(tokens=(1.9, True), reward=1.0), "tokens"),
+        (dict(tokens=(1, True), reward=1.0), "tokens"),
+        (dict(tokens=(np.True_,), reward=1.0), "tokens"),
+        (dict(tokens=5, reward=1.0), "tokens"),
+        (dict(tokens=None, token_count=2.7, reward=1.0), "token_count"),
+        (dict(tokens=None, token_count=True, reward=1.0), "token_count"),
+        (dict(tokens=None, token_count=1e200, reward=1.0), "token_count"),
+        (dict(tokens=None, token_count=2**53 + 1, reward=1.0), "token_count"),
+        (dict(tokens=(1,), reward="2"), "reward"),
+        (dict(tokens=(1,), reward=True), "reward"),
+        (dict(tokens=(1,), reward=None), "reward"),
+        (dict(tokens=(1,), reward=HUGE), "reward"),
+        (dict(tokens=(1, 2), reward=1.0, ratios=("1.0", True)), "ratios"),
+        (dict(tokens=(1, 2), reward=1.0, ratios=(1.0, True)), "ratios"),
+        (dict(tokens=(1,), reward=1.0, ratios=(HUGE,)), "ratios"),
+        (dict(tokens=(1,), reward=1.0, ratios=([1.0],)), "ratios"),
+        (dict(tokens=(1,), reward=1.0, logp_new=(False,), logp_old=(0.0,)), "logp_new"),
+        (dict(tokens=(1,), reward=1.0, logp_new=(0.0,), logp_old=(False,)), "logp_old"),
+        (dict(tokens=(1,), reward=1.0, truncated=1), "truncated"),
+    ],
+)
+def test_response_rejects_loose_values_naming_the_field(kwargs, field_name):
+    with pytest.raises(ValueError, match=field_name):
+        Response(**kwargs)
+
+
+def test_response_accepts_numpy_and_integral_numbers():
+    r = Response(
+        np.array([1, 2, 0]), np.float64(0.5), np.array([1.0, 2.0, 0.5]), token_count=3.0
+    )
+    assert r.tokens == (1, 2, 0) and all(type(t) is int for t in r.tokens)
+    assert type(r.reward) is float and r.reward == 0.5
+    assert r.ratios == (1.0, 2.0, 0.5) and all(type(v) is float for v in r.ratios)
+    assert Response((3.0, 1), 1, (1, 2)).tokens == (3, 1)
+    assert Response(None, 0.0, token_count=2**53).length == 2**53
+    r = Response((1,), 1.0, logp_new=(np.float64(-1.0),), logp_old=(-1,))
+    assert r.ratios == (1.0,) and type(r.logp_old[0]) is float
+
+
+@pytest.mark.parametrize(
+    "kwargs, field_name",
+    [
+        (dict(prompt_id=None), "prompt_id"),
+        (dict(prompt_id=3), "prompt_id"),
+        (dict(group_id=7), "group_id"),
+        (dict(eps_var=HUGE), "eps_var"),
+        (dict(eps_var=True), "eps_var"),
+        (dict(eps_var="0.1"), "eps_var"),
+        (dict(eps_var=float("inf")), "eps_var"),
+    ],
+)
+def test_group_rejects_bad_fields_naming_the_field(kwargs, field_name):
+    one = Response((1,), 1.0, (1.0,))
+    args = dict(prompt_id="p", responses=(one, one)) | kwargs
+    with pytest.raises(ValueError, match=field_name):
+        RolloutGroup(**args)
+
+
+@pytest.mark.parametrize(
+    "rewards",
+    [
+        (1e308, -1e308),  # the squared deviation overflows
+        (1e308, 1e308, 0.0),  # the sum of the rewards overflows
+        (0.0, 5e-324),  # the variance underflows to zero
+    ],
+)
+def test_normalize_reports_reward_variance_out_of_range(rewards):
+    group = make_group([(1, r) for r in rewards], prompt_id="big")
+    with pytest.raises(ValueError, match="group 'big'") as err:
+        normalize_advantages(group)
+    assert not isinstance(err.value, DegenerateGroupError)

@@ -1,0 +1,151 @@
+"""Property tests: no drawn rollout record or log ends in an undocumented error.
+
+Records are drawn around the JSONL schema: well-formed fields next to wrong
+types, booleans, strings, huge integers, extreme floats, nesting and missing
+keys.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+import warnings
+from pathlib import Path
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from grpoagg.cli import main
+from grpoagg.groups import RolloutGroup
+from grpoagg.rollout_io import RolloutLogError, parse_rollout_line
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
+
+extreme_floats = st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e-300, 1.0, 1e154, 1e300, 1.7976931348623157e308,
+     -1e308, float("inf"), float("nan")]
+)
+numbers = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    extreme_floats,
+    st.integers(-3, 3),
+    st.integers(min_value=10**300, max_value=10**400),
+)
+junk = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.text(max_size=3), numbers),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+reals = st.one_of(st.floats(0.05, 20.0), finite, numbers, junk)
+token_ids = st.one_of(st.integers(0, 9), st.floats(0.0, 3.0), junk)
+counts = st.one_of(st.integers(-1, 40), st.just(1e200), st.just(2**53 + 1), junk)
+
+# mostly ordinary values, now and then an extreme one
+binary = st.sampled_from([0.0, 1.0])
+eps_vars = st.sampled_from([0.0, 1e-6])
+rewards = st.one_of(binary, binary, finite, extreme_floats)
+ratios = st.one_of(st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(0.05, 20.0), extreme_floats)
+logps = st.one_of(st.floats(-20.0, 0.0), st.floats(-20.0, 0.0), finite, extreme_floats)
+
+
+@st.composite
+def well_typed_response(draw, with_ratios: bool):
+    """Every field has the right type; values range up to the float extremes."""
+    t = draw(st.integers(1, 4))
+    resp = {"reward": draw(rewards)}
+    if not with_ratios:
+        resp["token_count"] = t
+    elif draw(st.booleans()):
+        resp["tokens"] = draw(st.lists(st.integers(0, 9), min_size=t, max_size=t))
+        resp["ratios"] = draw(st.lists(ratios, min_size=t, max_size=t))
+    else:
+        resp["tokens"] = draw(st.lists(st.integers(0, 9), min_size=t, max_size=t))
+        old = draw(st.lists(logps, min_size=t, max_size=t))
+        steps = draw(st.lists(st.floats(-0.5, 0.5), min_size=t, max_size=t))
+        resp["logp_old"], resp["logp_new"] = old, [o + d for o, d in zip(old, steps)]
+    if draw(st.booleans()):
+        resp["truncated"] = draw(st.booleans())
+    return resp
+
+
+@st.composite
+def loose_response(draw):
+    """Any field may be missing or of the wrong type."""
+    t = draw(st.integers(1, 4))
+    optional = {
+        "tokens": st.lists(token_ids, min_size=t, max_size=t) | junk,
+        "token_count": st.just(t) | counts,
+        "ratios": st.lists(reals, min_size=t, max_size=t) | junk,
+        "logp_new": st.lists(reals, min_size=t, max_size=t),
+        "logp_old": st.lists(reals, min_size=t, max_size=t),
+        "truncated": st.booleans() | junk,
+    }
+    return draw(st.fixed_dictionaries({}, optional={"reward": reals, **optional}) | junk)
+
+
+@st.composite
+def records(draw):
+    """A group record: well-typed throughout, or with junk in any field."""
+    if draw(st.integers(0, 2)):
+        with_ratios = draw(st.integers(0, 3)) > 0
+        return {
+            "prompt_id": draw(st.text(max_size=3)),
+            "eps_var": draw(st.one_of(eps_vars, eps_vars, extreme_floats)),
+            "responses": draw(st.lists(well_typed_response(with_ratios), min_size=2, max_size=5)),
+        }
+    return draw(
+        st.fixed_dictionaries(
+            {"responses": st.lists(loose_response(), max_size=5) | junk},
+            optional={
+                "v": st.just(1) | junk,
+                "prompt_id": st.text(max_size=3) | junk,
+                "group_id": st.text(max_size=3) | junk,
+                "eps_var": eps_vars | reals,
+            },
+        )
+    )
+
+
+# one line in eight is cut in half, which breaks its JSON
+cuts = st.integers(0, 7).map(lambda i: i == 7)
+
+
+def render(record, cut: bool) -> str:
+    line = json.dumps(record)
+    return line[: len(line) // 2] if cut else line
+
+
+@SETTINGS
+@given(record=records(), cut=cuts, line_no=st.integers(1, 10**6))
+def test_parse_returns_a_group_or_a_rollout_log_error(record, cut, line_no):
+    try:
+        group = parse_rollout_line(render(record, cut), line_no)
+    except RolloutLogError as exc:
+        assert exc.line_no == line_no
+        assert str(exc).startswith(f"line {line_no}:")
+    else:
+        assert isinstance(group, RolloutGroup)
+
+
+@SETTINGS
+@given(
+    log=st.lists(st.tuples(records(), cuts), min_size=1, max_size=6),
+    window=st.integers(1, 4),
+)
+def test_analyze_exits_zero_or_one_and_reports_lines(log, window):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.jsonl"
+        path.write_text("".join(render(r, cut) + "\n" for r, cut in log), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["analyze", "--input", str(path), "--window", str(window),
+                         "--out", tmp])
+    assert code in (0, 1)
+    for line in err.getvalue().splitlines():
+        assert line.startswith("error: line ") or line == "error: no groups parsed"

@@ -93,23 +93,61 @@ def test_parse_rejects_bad_version_and_missing_fields():
             '{"prompt_id":"p","responses":[' + resp + ',{"tokens":[1],"reward":0.0}]}'
         )
 
+    huge = "1" + "0" * 400  # a JSON integer far beyond float range
     bad = [
         # exp(logp_new - logp_old) overflows a float
-        '{"tokens":[1],"reward":1.0,"logp_new":[0.0],"logp_old":[-800.0]}',
+        ('{"tokens":[1],"reward":1.0,"logp_new":[0.0],"logp_old":[-800.0]}', "logp_new"),
         # non-integer and boolean token counts / token ids
-        '{"token_count":2.7,"reward":1.0}',
-        '{"token_count":true,"reward":1.0}',
-        '{"tokens":[1,1.9],"reward":1.0}',
-        '{"tokens":[false],"reward":1.0}',
+        ('{"token_count":2.7,"reward":1.0}', "token_count"),
+        ('{"token_count":true,"reward":1.0}', "token_count"),
+        ('{"tokens":[1,1.9],"reward":1.0}', "tokens"),
+        ('{"tokens":[false],"reward":1.0}', "tokens"),
+        ('{"tokens":"12","reward":1.0}', "tokens"),
+        # lengths beyond exact floats
+        ('{"token_count":1e200,"reward":1.0}', "token_count"),
+        # strings, booleans and out-of-range integers where numbers belong
+        ('{"tokens":[1,2],"reward":1.0,"ratios":["1.0",true]}', "ratios"),
+        ('{"tokens":[1],"reward":1.0,"ratios":[true]}', "ratios"),
+        ('{"tokens":[1],"reward":1.0,"logp_new":[false],"logp_old":[0.0]}', "logp_new"),
+        ('{"tokens":[1],"reward":1.0,"logp_new":[0.0],"logp_old":[false]}', "logp_old"),
+        ('{"tokens":[1],"reward":"2"}', "reward"),
+        ('{"tokens":[1],"reward":' + huge + "}", "reward"),
+        ('{"tokens":[1],"reward":1.0,"ratios":[' + huge + "]}", "ratios"),
+        ('{"tokens":[1],"reward":1.0,"truncated":1}', "truncated"),
+        ("[1]", "expected an object"),
     ]
-    for resp in bad:
+    for resp, field_name in bad:
         with pytest.raises(RecordValidationError) as err:
             parse_rollout_line(one_response(resp), 7)
         assert err.value.line_no == 7
         assert str(err.value).startswith("line 7: response 0:")
+        assert field_name in str(err.value)
     # an integral float is still an integer
     group = parse_rollout_line(one_response('{"token_count":3.0,"reward":1.0}'), 7)
     assert group.lengths == (3, 1)
+
+
+TWO = '"responses":[{"token_count":1,"reward":1.0},{"token_count":1,"reward":0.0}]'
+
+
+@pytest.mark.parametrize(
+    "line, error, text",
+    [
+        ('{"prompt_id":"p","eps_var":1' + "0" * 400 + "," + TWO + "}",
+         RecordValidationError, "line 3: eps_var"),
+        ('{"prompt_id":7,' + TWO + "}", RecordValidationError, "line 3: prompt_id"),
+        ('{"v":true,"prompt_id":"p","responses":[]}', RecordValidationError, "line 3: unsupported"),
+        ('{"prompt_id":"p","responses":{}}', RecordValidationError, "line 3: "),
+        ('{"prompt_id":"p","responses":[]}', RecordValidationError, "line 3: "),
+        ('{"reward":' + "1" * 5000 + "}", MalformedLineError, "line 3: invalid JSON"),
+        ("[" * 100000, MalformedLineError, "line 3: invalid JSON"),
+    ],
+)
+def test_parse_rejects_bad_groups_and_undecodable_lines(line, error, text):
+    with pytest.raises(error) as err:
+        parse_rollout_line(line, 3)
+    assert err.value.line_no == 3
+    assert str(err.value).startswith(text)
 
 
 def test_read_rollouts_strict_raises_with_line_number(tmp_path):
@@ -155,6 +193,7 @@ def test_round_trip(tmp_path):
             (
                 Response((1, 2, 0), 1.0, (1.25, 0.75, 1.0)),
                 Response((2, 0), 0.0, (0.5, 2.0)),
+                Response((2, 2), 0.0, (1.0, 1.0), truncated=True),
             ),
             eps_var=1e-6,
             group_id="g9",
@@ -173,6 +212,7 @@ def test_round_trip(tmp_path):
             assert ra.reward == rb.reward
             assert ra.ratios == rb.ratios
             assert ra.token_count == rb.token_count
+            assert ra.truncated == rb.truncated
 
     # writing the same groups twice is byte-identical
     path2 = tmp_path / "out2.jsonl"
