@@ -17,7 +17,9 @@ the weight w_i, which depends on the sign of A_i and, for seq, on T_i:
 
 with N+- the token counts of the positive / negative subsets. All rows read
 the same sign-split sums (``RuleSums``), so a caller computes them once per
-group with ``compute_rule_sums`` and evaluates each row with ``rule_terms``.
+group with ``compute_rule_sums`` (or for a run of groups with one
+``FlatBatch``, whose tokens are laid out flat) and evaluates each row with
+``rule_terms``.
 The weight is also dJ/d phi, so dJ/d rho = w_i d phi/d rho, taking the
 unclipped branch at clip ties so the gradient is defined everywhere. An empty
 sign subset simply drops out (its weight already encodes the zero count);
@@ -31,7 +33,7 @@ response.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import fsum
 from typing import Callable, Sequence
 
@@ -44,6 +46,7 @@ __all__ = [
     "ClipConfig",
     "AggregationResult",
     "RuleSums",
+    "FlatBatch",
     "MissingRatiosError",
     "BoundaryProximityError",
     "phi",
@@ -146,83 +149,110 @@ def phi(ratio: float, advantage: float, clip: ClipConfig) -> float:
     return min(ratio * advantage, clamped * advantage)
 
 
-def _phi_array(ratios: np.ndarray, advantage: float, clip: ClipConfig) -> np.ndarray:
-    clamped = np.clip(ratios, clip.lower, clip.upper)
-    return np.minimum(ratios * advantage, clamped * advantage)
+Weight = Callable[[int], float]
 
 
-def _dphi_array(ratios: np.ndarray, advantage: float, clip: ClipConfig) -> np.ndarray:
-    # Unclipped branch at ties, hence the inclusive comparisons.
-    if advantage > 0.0:
-        active = ratios <= clip.upper
-    elif advantage < 0.0:
-        active = ratios >= clip.lower
-    else:
-        return np.zeros_like(ratios)
-    return advantage * active.astype(float)
+@dataclass(frozen=True)
+class FlatBatch:
+    """The per-token ratios of a run of groups, laid out flat.
+
+    Tokens are ordered by group, then response, then position; ``lengths``
+    holds each response's token count in that order and ``advantages`` each
+    token's sequence-level advantage. Every per-token term is one numpy
+    expression over the whole run, and a response is a slice of it.
+    """
+
+    advs: tuple[AdvantageSet, ...]
+    lengths: tuple[int, ...]
+    ratios: np.ndarray
+    advantages: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        size = sum(adv.size for adv in self.advs)
+        if len(self.lengths) != size:
+            raise ValueError(f"{len(self.lengths)} ratio arrays for {size} advantages")
+        advantages = np.repeat([a for adv in self.advs for a in adv.advantages], self.lengths)
+        if self.ratios.shape != advantages.shape:
+            raise ValueError(f"{self.ratios.size} ratios for {advantages.size} tokens")
+        object.__setattr__(self, "advantages", advantages)
+
+    @classmethod
+    def of_group(cls, adv: AdvantageSet, ratio_arrays: Sequence[np.ndarray]) -> "FlatBatch":
+        lengths = tuple(len(arr) for arr in ratio_arrays)
+        ratios = np.concatenate(ratio_arrays) if lengths else np.empty(0)
+        return cls((adv,), lengths, ratios)
+
+    def _groups(self):
+        """Each group's advantage set, response lengths and first token."""
+        i = start = 0
+        for adv in self.advs:
+            lengths = self.lengths[i : i + adv.size]
+            yield adv, lengths, start
+            i += adv.size
+            start += sum(lengths)
+
+    def rule_sums(self, clip: ClipConfig) -> list[RuleSums]:
+        """Each group's sign sums: one phi pass, then an exact fsum per response."""
+        r, a = self.ratios, self.advantages
+        token_phi = np.minimum(r * a, np.clip(r, clip.lower, clip.upper) * a).tolist()
+        # a token counts as clipped when the clamped branch is the strict minimum
+        clipped = ((a > 0.0) & (r > clip.upper)) | ((a < 0.0) & (r < clip.lower))
+        out = []
+        for adv, lengths, first in self._groups():
+            phi_sums = []
+            start = first
+            for a_i, t in zip(adv.advantages, lengths):
+                # zero-advantage responses contribute exactly zero everywhere
+                phi_sums.append(fsum(token_phi[start : start + t]) if a_i != 0.0 else 0.0)
+                start += t
+            count = int(np.count_nonzero(clipped[first:start]))
+            out.append(_assemble_sums(adv, lengths, phi_sums, count))
+        return out
+
+    def ratio_gradients(
+        self, clip: ClipConfig, weights: Sequence[tuple[Weight, Weight]]
+    ) -> np.ndarray:
+        """Flat dJ/d rho = w_i d phi/d rho, given each group's (w_pos, w_neg)."""
+        w = [
+            w_pos(t) if a > 0.0 else w_neg(t) if a < 0.0 else 0.0
+            for (adv, lengths, _), (w_pos, w_neg) in zip(self._groups(), weights)
+            for a, t in zip(adv.advantages, lengths)
+        ]
+        r, a = self.ratios, self.advantages
+        # unclipped branch at ties, hence the inclusive comparisons
+        active = ((a > 0.0) & (r <= clip.upper)) | ((a < 0.0) & (r >= clip.lower))
+        return np.repeat(w, self.lengths) * (a * active)
 
 
-def _clipped_count(ratios: np.ndarray, advantage: float, clip: ClipConfig) -> int:
-    # A token counts as clipped when the clamped branch is the strict minimum.
-    if advantage > 0.0:
-        return int(np.count_nonzero(ratios > clip.upper))
-    if advantage < 0.0:
-        return int(np.count_nonzero(ratios < clip.lower))
-    return 0
+def _assemble_sums(
+    adv: AdvantageSet, lengths: Sequence[int], phi_sums: Sequence[float], clipped: int
+) -> RuleSums:
+    a = adv.advantages
+    pos, neg = adv.pos_indices, adv.neg_indices
+    return RuleSums(
+        size=adv.size,
+        k=adv.k,
+        neg_count=len(neg),
+        total_tokens=sum(lengths),
+        n_pos=sum(lengths[i] for i in pos),
+        n_neg=sum(lengths[i] for i in neg),
+        pos_phi=fsum(phi_sums[i] for i in pos),
+        neg_phi=fsum(phi_sums[i] for i in neg),
+        pos_seq=fsum(phi_sums[i] / lengths[i] for i in pos),
+        neg_seq=fsum(phi_sums[i] / lengths[i] for i in neg),
+        m_pos=fsum(a[i] for i in pos),
+        m_neg=fsum(-a[i] for i in neg),
+        z_pos=fsum(a[i] * lengths[i] for i in pos),
+        z_neg=fsum(-a[i] * lengths[i] for i in neg),
+        clipped=clipped,
+    )
 
 
 def compute_rule_sums(
     adv: AdvantageSet, ratio_arrays: Sequence[np.ndarray], clip: ClipConfig
 ) -> RuleSums:
     """Accumulate the sign-partitioned phi sums every rule is built from."""
-    if len(ratio_arrays) != adv.size:
-        raise ValueError(
-            f"{len(ratio_arrays)} ratio arrays for {adv.size} advantages"
-        )
-    pos_phi: list[float] = []
-    neg_phi: list[float] = []
-    pos_seq: list[float] = []
-    neg_seq: list[float] = []
-    n_pos = n_neg = total = clipped = 0
-    for arr, a in zip(ratio_arrays, adv.advantages):
-        t = len(arr)
-        total += t
-        clipped += _clipped_count(arr, a, clip)
-        # zero-advantage responses contribute exactly zero everywhere
-        if a > 0.0:
-            s = fsum(_phi_array(arr, a, clip))
-            pos_phi.append(s)
-            pos_seq.append(s / t)
-            n_pos += t
-        elif a < 0.0:
-            s = fsum(_phi_array(arr, a, clip))
-            neg_phi.append(s)
-            neg_seq.append(s / t)
-            n_neg += t
-    m_pos = fsum(adv.advantages[i] for i in adv.pos_indices)
-    m_neg = fsum(-adv.advantages[i] for i in adv.neg_indices)
-    z_pos = fsum(adv.advantages[i] * len(ratio_arrays[i]) for i in adv.pos_indices)
-    z_neg = fsum(-adv.advantages[i] * len(ratio_arrays[i]) for i in adv.neg_indices)
-    return RuleSums(
-        size=adv.size,
-        k=adv.k,
-        neg_count=len(adv.neg_indices),
-        total_tokens=total,
-        n_pos=n_pos,
-        n_neg=n_neg,
-        pos_phi=fsum(pos_phi),
-        neg_phi=fsum(neg_phi),
-        pos_seq=fsum(pos_seq),
-        neg_seq=fsum(neg_seq),
-        m_pos=m_pos,
-        m_neg=m_neg,
-        z_pos=z_pos,
-        z_neg=z_neg,
-        clipped=clipped,
-    )
-
-
-Weight = Callable[[int], float]
+    return FlatBatch.of_group(adv, ratio_arrays).rule_sums(clip)[0]
 
 
 def rule_terms(rule: str, sums: RuleSums) -> tuple[float, bool, Weight, Weight]:
@@ -264,13 +294,10 @@ def ratio_gradients(
     w_neg: Weight,
 ) -> tuple[np.ndarray, ...]:
     """Per-response dJ/d rho from one rule row's sign weights (read-only)."""
-    out = []
-    for arr, a in zip(ratio_arrays, adv.advantages):
-        w = w_pos(len(arr)) if a > 0.0 else w_neg(len(arr)) if a < 0.0 else 0.0
-        gi = w * _dphi_array(arr, a, clip)
-        gi.setflags(write=False)
-        out.append(gi)
-    return tuple(out)
+    batch = FlatBatch.of_group(adv, ratio_arrays)
+    flat = batch.ratio_gradients(clip, [(w_pos, w_neg)])
+    flat.setflags(write=False)
+    return tuple(np.split(flat, np.cumsum(batch.lengths[:-1])))
 
 
 def evaluate_arrays(

@@ -16,7 +16,7 @@ import numpy as np
 from .aggregate import RULES, ClipConfig, compute_rule_sums, group_ratio_arrays, rule_terms
 from .decompose import LengthStats, batch_metrics, length_stats, pooled_mean, regime_report
 from .groups import DegenerateGroupError, AdvantageSet, normalize_advantages
-from .rollout_io import MetricRecord, RolloutLogError, parse_rollout_line, write_metrics
+from .rollout_io import MetricRecord, read_rollouts, write_metrics
 from .sim import TASK_KINDS, TaskSpec, TrainConfig, run_training
 from .verify import SUITE, run_suite
 
@@ -133,31 +133,33 @@ def cmd_analyze(args) -> int:
     if args.window < 1:
         print("error: --window must be >= 1", file=sys.stderr)
         return 2
+    if not (math.isfinite(args.eps_var) and args.eps_var >= 0.0):
+        print(f"error: --eps-var must be finite and >= 0, got {args.eps_var!r}", file=sys.stderr)
+        return 2
     groups = []
     advs = []
     terms = []
     degenerate = 0
+
+    def report(error: object) -> None:
+        print(f"error: {error}", file=sys.stderr)
+
     try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
+        for group in read_rollouts(args.input, args.eps_var, on_error=report):
+            try:
                 try:
-                    group = parse_rollout_line(line, line_no, args.eps_var)
-                    try:
-                        adv = normalize_advantages(group)
-                    except DegenerateGroupError:
-                        # all rewards equal at eps_var=0: treat as zero advantage
-                        degenerate += 1
-                        adv = AdvantageSet.from_advantages([0.0] * group.size)
-                    group_terms = _group_terms(group, adv, clip)
-                except ValueError as exc:  # a RolloutLogError names its line itself
-                    where = "" if isinstance(exc, RolloutLogError) else f"line {line_no}: "
-                    print(f"error: {where}{exc}", file=sys.stderr)
-                    continue
-                groups.append(group)
-                advs.append(adv)
-                terms.append(group_terms)
+                    adv = normalize_advantages(group)
+                except DegenerateGroupError:
+                    # all rewards equal at eps_var=0: treat as zero advantage
+                    degenerate += 1
+                    adv = AdvantageSet.from_advantages([0.0] * group.size)
+                group_terms = _group_terms(group, adv, clip)
+            except ValueError as exc:
+                report(f"line {group.source_line}: {exc}")
+                continue
+            groups.append(group)
+            advs.append(adv)
+            terms.append(group_terms)
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return 1

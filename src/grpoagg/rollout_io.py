@@ -26,7 +26,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .groups import Response, RolloutGroup
 
@@ -190,18 +190,47 @@ def parse_rollout_line(
 
 
 def read_rollouts(
-    path: str | Path, default_eps_var: float = 0.0
+    path: str | Path,
+    default_eps_var: float = 0.0,
+    on_error: Callable[[RolloutLogError], None] | None = None,
 ) -> Iterator[RolloutGroup]:
     """Stream validated groups from a JSONL file, one group per line.
 
-    Raises MalformedLineError / RecordValidationError with the 1-based line
-    number on the first invalid line. Whitespace-only lines are skipped.
+    The file is read as bytes and decoded one line at a time, so a line that
+    is not UTF-8 fails alone. As in text mode, a line ends at "\\n", "\\r\\n"
+    or a lone "\\r", and whitespace-only lines are skipped. An invalid line
+    raises MalformedLineError / RecordValidationError with its 1-based line
+    number or, when ``on_error`` is given, is passed to it and skipped.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            yield parse_rollout_line(line, line_no, default_eps_var)
+    line_no = 0
+    with open(path, "rb") as fh:
+        for chunk in fh:
+            for raw in chunk.splitlines(keepends=True):
+                line_no += 1
+                try:
+                    line = _decode_line(raw, line_no)
+                    if not line.strip():
+                        continue
+                    group = parse_rollout_line(line, line_no, default_eps_var)
+                except RolloutLogError as exc:
+                    if on_error is None:
+                        raise
+                    on_error(exc)
+                    continue
+                yield group
+
+
+def _decode_line(raw: bytes, line_no: int) -> str:
+    """One line as text mode reads it: UTF-8, its line end (if any) as "\\n"."""
+    try:
+        line = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedLineError(f"line {line_no}: not UTF-8: {exc}", line_no) from exc
+    if line.endswith("\r"):
+        return line[:-1] + "\n"
+    if line.endswith("\r\n"):
+        return line[:-2] + "\n"
+    return line
 
 
 def group_to_dict(group: RolloutGroup) -> dict:

@@ -24,13 +24,15 @@ deterministic and rule-comparison runs share rollout randomness per step.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from math import fsum
 from typing import Sequence
 
 import numpy as np
 
-from .aggregate import RULES, ClipConfig, compute_rule_sums, ratio_gradients, rule_terms
+from .aggregate import RULES, ClipConfig, FlatBatch, rule_terms
 from .decompose import batch_metrics
 from .groups import AdvantageSet, Response, RolloutGroup, normalize_advantages
 from .rollout_io import MetricRecord, write_metrics, write_rollouts
@@ -39,6 +41,8 @@ __all__ = [
     "EOS_TOKEN",
     "COUNT_SYMBOL",
     "TASK_KINDS",
+    "MAX_POLICY_CELLS",
+    "MAX_STEP_CELLS",
     "TaskSpec",
     "TrainConfig",
     "PolicyTable",
@@ -55,10 +59,21 @@ __all__ = [
 EOS_TOKEN = 0
 COUNT_SYMBOL = 1
 TASK_KINDS = ("count", "free-length")
+# Size caps, so an oversized configuration is a ValueError before anything is
+# allocated: the policy table holds prompts * t_max * vocab_size logits, and
+# one training step samples up to batch * group_size * t_max tokens, whose
+# logit-gradient entries number that times vocab_size (+1).
+MAX_POLICY_CELLS = 2**22
+MAX_STEP_CELLS = 2**22
 
 
 class SimulationError(RuntimeError):
     """Non-finite gradient or other unrecoverable training failure."""
+
+
+def _check_cells(what: str, cells: int, cap: int) -> None:
+    if cells > cap:
+        raise ValueError(f"{what} is {cells}, above the cap of {cap}")
 
 
 @dataclass(frozen=True)
@@ -67,7 +82,8 @@ class TaskSpec:
 
     ``counts`` (count task) and ``targets`` (free-length task) default to a
     deterministic per-prompt assignment; pass them explicitly to control
-    difficulty.
+    difficulty. ``num_prompts * t_max * vocab_size`` is at most
+    MAX_POLICY_CELLS.
     """
 
     kind: str
@@ -86,6 +102,11 @@ class TaskSpec:
             raise ValueError("t_max must be >= 2")
         if self.num_prompts < 1:
             raise ValueError("num_prompts must be >= 1")
+        _check_cells(
+            "policy cells (num_prompts * t_max * vocab_size)",
+            self.num_prompts * self.t_max * self.vocab_size,
+            MAX_POLICY_CELLS,
+        )
         if self.kind == "count":
             counts = self.counts
             if counts is None:
@@ -231,38 +252,51 @@ def sample_group(
     sampling time policy == old, so stored ratios are exactly 1. Responses
     without EOS by t_max are truncated and flagged. Deterministic given
     ``seed``.
+
+    The group's uniforms are drawn as one block of G * t_max; each token
+    takes the next draw in order, so the rollouts are those of one
+    ``rng.random()`` call per token (the unused tail of the block is
+    discarded with the private generator). The symbol for draw u at position
+    t is the count of cum[t][:V-1] <= u, i.e. ``searchsorted(cum[t], u,
+    side="right")`` clamped to V-1. Extra memory is O(G * t_max + t_max * V).
     """
     if group_size < 2:
         raise ValueError("group_size must be >= 2")
+    _check_cells("draws per group (group_size * t_max)", group_size * task.t_max, MAX_STEP_CELLS)
     if policy.logits.shape != old.logits.shape:
         raise ValueError("policy and old-policy shapes differ")
     rng = np.random.default_rng(seed)
     lp_new = policy.log_probs()[prompt_index]
     lp_old = old.log_probs()[prompt_index]
-    cum = np.cumsum(np.exp(lp_new), axis=1)
-    vocab = policy.vocab_size
-    responses = []
+    cum = np.cumsum(np.exp(lp_new), axis=1)[: task.t_max, :-1].tolist()
+    draws = rng.random(group_size * task.t_max).tolist()
+    tokens: list[int] = []
+    lengths = []
     for _ in range(group_size):
-        tokens: list[int] = []
-        truncated = True
-        for t in range(task.t_max):
-            u = rng.random()
-            v = min(int(np.searchsorted(cum[t], u, side="right")), vocab - 1)
+        start = len(tokens)
+        for row in cum:
+            v = bisect_right(row, draws[len(tokens)])
             tokens.append(v)
             if v == EOS_TOKEN:
-                truncated = False
                 break
-        positions = np.arange(len(tokens))
-        toks = np.asarray(tokens)
+        lengths.append(len(tokens) - start)
+    index = (np.array([t for n in lengths for t in range(n)]), np.array(tokens))
+    new, prev = lp_new[index].tolist(), lp_old[index].tolist()
+    responses = []
+    start = 0
+    for n in lengths:
+        end = start + n
+        toks = tokens[start:end]
         responses.append(
             Response(
-                tokens=tuple(tokens),
-                reward=verify_reward(task, prompt_index, tokens),
-                logp_new=tuple(lp_new[positions, toks]),
-                logp_old=tuple(lp_old[positions, toks]),
-                truncated=truncated,
+                tokens=tuple(toks),
+                reward=verify_reward(task, prompt_index, toks),
+                logp_new=tuple(new[start:end]),
+                logp_old=tuple(prev[start:end]),
+                truncated=toks[-1] != EOS_TOKEN,
             )
         )
+        start = end
     return RolloutGroup(str(prompt_index), tuple(responses), eps_var)
 
 
@@ -275,18 +309,6 @@ class BatchEval:
     rule_objectives: dict[str, float]
     clip_fraction: float
     degenerate_groups: int
-
-
-def _policy_ratio_arrays(
-    group: RolloutGroup, lp_new: np.ndarray, lp_old: np.ndarray
-) -> list[np.ndarray]:
-    p = int(group.prompt_id)
-    arrays = []
-    for resp in group.responses:
-        pos = np.arange(len(resp.tokens))  # type: ignore[arg-type]
-        toks = np.asarray(resp.tokens)
-        arrays.append(np.exp(lp_new[p, pos, toks] - lp_old[p, pos, toks]))
-    return arrays
 
 
 def evaluate_batch(
@@ -305,56 +327,65 @@ def evaluate_batch(
     dJ/d rho through rho = pi_new / pi_old into the softmax logits. Groups
     must carry integer-valued prompt ids indexing the policy's prompt axis,
     as produced by sample_group.
+
+    The batch's tokens are laid out flat (group, response, position), so
+    ratios, phi and the gradient chain are each one numpy pass. The logit
+    gradient is one ``np.add.at`` whose entries come in token order, each
+    token's V dense -coeff * pi terms before its +coeff point term: the same
+    additions, in the same order per logit, as a loop over responses.
     """
     if len(groups) != len(advs):
         raise ValueError(f"{len(groups)} groups but {len(advs)} advantage sets")
     lp_new = policy.log_probs()
     lp_old = old.log_probs()
-    probs_new = np.exp(lp_new)
-    grad = np.zeros_like(lp_new) if need_grad else None
-    rule_values: dict[str, list[float]] = {r: [] for r in RULES}
-    clipped = 0
-    total_tokens = 0
-    degenerate = 0
-    for group, adv in zip(groups, advs):
-        p = int(group.prompt_id)
-        arrays = _policy_ratio_arrays(group, lp_new, lp_old)
-        sums = compute_rule_sums(adv, arrays, clip)
-        terms = {r: rule_terms(r, sums) for r in RULES}
-        for r in RULES:
-            rule_values[r].append(terms[r][0])
-        value, degen, w_pos, w_neg = terms[rule]
-        clipped += sums.clipped
-        total_tokens += sums.total_tokens
-        degenerate += int(degen)
-        if grad is None:
-            continue
-        if not math.isfinite(value):
-            raise SimulationError(
-                f"non-finite {rule} objective for prompt {group.prompt_id}"
-            )
-        grads = ratio_gradients(adv, arrays, clip, w_pos, w_neg)
-        for resp, g_arr, ratio_arr in zip(group.responses, grads, arrays):
-            coeff = g_arr * ratio_arr  # dJ/d rho * d rho/d logp_new
-            if not np.all(np.isfinite(coeff)):
-                raise SimulationError(
-                    f"non-finite gradient for prompt {group.prompt_id}"
-                )
-            length = len(resp.tokens)  # type: ignore[arg-type]
-            pos = np.arange(length)
-            toks = np.asarray(resp.tokens)
-            grad[p, :length, :] -= coeff[:, None] * probs_new[p, :length, :]
-            np.add.at(grad[p], (pos, toks), coeff)
+    responses = [resp for group in groups for resp in group.responses]
+    lengths = [len(resp.tokens) for resp in responses]  # type: ignore[arg-type]
+    tokens = np.fromiter(
+        chain.from_iterable(resp.tokens for resp in responses), np.intp, sum(lengths)
+    )
+    group_tokens = [group.total_tokens for group in groups]
+    prompts = np.repeat([int(group.prompt_id) for group in groups], group_tokens)
+    positions = np.arange(tokens.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    index = (prompts, positions, tokens)
+    batch = FlatBatch(tuple(advs), tuple(lengths), np.exp(lp_new[index] - lp_old[index]))
+    all_sums = batch.rule_sums(clip)
+    terms = [{r: rule_terms(r, sums) for r in RULES} for sums in all_sums]
     b = len(groups)
-    objectives = {r: fsum(v) / b for r, v in rule_values.items()}
-    if grad is not None:
+    objectives = {r: fsum(t[r][0] for t in terms) / b for r in RULES}
+    total_tokens = sum(s.total_tokens for s in all_sums)
+    clipped = sum(s.clipped for s in all_sums)
+    grad = None
+    if need_grad:
+        applied = [t[rule] for t in terms]
+        # dJ/d rho * d rho/d logp_new
+        coeff = batch.ratio_gradients(clip, [(w_pos, w_neg) for _, _, w_pos, w_neg in applied])
+        coeff *= batch.ratios
+        group_starts = np.cumsum(group_tokens) - group_tokens
+        finite = np.logical_and.reduceat(np.isfinite(coeff), group_starts).tolist()
+        # groups in order, each one's objective before its gradient
+        for group, (value, *_), ok in zip(groups, applied, finite):
+            if not math.isfinite(value):
+                raise SimulationError(f"non-finite {rule} objective for prompt {group.prompt_id}")
+            if not ok:
+                raise SimulationError(f"non-finite gradient for prompt {group.prompt_id}")
+        vocab = policy.vocab_size
+        rows = prompts * policy.t_max + positions
+        entries = np.empty((tokens.size, vocab + 1), dtype=np.intp)
+        entries[:, :vocab] = rows[:, None] * vocab + np.arange(vocab)
+        entries[:, vocab] = rows * vocab + tokens
+        values = np.empty((tokens.size, vocab + 1))
+        values[:, :vocab] = -(coeff[:, None] * np.exp(lp_new.reshape(-1, vocab)[rows]))
+        values[:, vocab] = coeff
+        grad = np.zeros(lp_new.size)
+        np.add.at(grad, entries.ravel(), values.ravel())
+        grad = grad.reshape(lp_new.shape)
         grad /= b
     return BatchEval(
         objective=objectives[rule],
         grad_logits=grad,
         rule_objectives=objectives,
         clip_fraction=clipped / total_tokens if total_tokens else 0.0,
-        degenerate_groups=degenerate,
+        degenerate_groups=sum(int(t[rule][1]) for t in terms),
     )
 
 
@@ -411,9 +442,16 @@ def run_training(
     """Run the full loop from a uniform policy; returns (records, final policy).
 
     Optionally writes the metric CSV and a JSONL dump of every sampled group.
+    Raises ValueError before any work when one step's prompts * group_size *
+    t_max * vocab_size exceeds MAX_STEP_CELLS.
     """
-    policy = PolicyTable.uniform(task.num_prompts, task.t_max, task.vocab_size)
     batch = config.prompts_per_batch or task.num_prompts
+    _check_cells(
+        "step cells (prompts per batch * group_size * t_max * vocab_size)",
+        batch * config.group_size * task.t_max * task.vocab_size,
+        MAX_STEP_CELLS,
+    )
+    policy = PolicyTable.uniform(task.num_prompts, task.t_max, task.vocab_size)
     records: list[MetricRecord] = []
     dumped: list[RolloutGroup] = []
     for step in range(config.steps):

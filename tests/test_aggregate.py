@@ -28,7 +28,7 @@ from grpoagg.groups import (
 )
 from grpoagg.verify import random_binary_group, random_real_group, random_smooth_group
 
-from conftest import make_group
+from conftest import make_group, reference_rule_sums
 
 
 # --- independent oracle: literal formulas, plain python loops ---
@@ -435,6 +435,7 @@ def test_rule_table_matches_chains_and_evaluate_arrays_exactly(clip):
         kinds.add((adv.k > 0, len(adv.neg_indices) > 0, len(adv.zero_indices) > 0))
         arrays = group_ratio_arrays(group)
         sums = compute_rule_sums(adv, arrays, clip)  # once for all four rules
+        assert sums == reference_rule_sums(adv, arrays, clip)
         for rule in RULES:
             objective, degenerate, w_pos, w_neg = rule_terms(rule, sums)
             value, grads, _, degen = evaluate_arrays(rule, adv, arrays, clip)

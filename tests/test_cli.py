@@ -188,6 +188,29 @@ def test_analyze_reports_and_skips_groups_that_fail_validation(tmp_path, capsys)
     assert "overall: groups=2 " in out
 
 
+def test_analyze_reports_undecodable_lines_and_keeps_the_rest(tmp_path, capsys):
+    good = {"tokens": [1, 0], "reward": 1.0, "ratios": [1.0, 0.9]}
+    line = json.dumps({"prompt_id": "p", "responses": [good, dict(good, reward=0.0)]})
+    log = tmp_path / "log.jsonl"
+    # "\r\n", a lone "\r" and "\n" each end one line, as in text mode
+    log.write_bytes(f"{line}\r\n".encode() + b"\xff\xfe\r" + f"{line}\n\n{line}".encode())
+    code, out, err = run_cli(capsys, "analyze", "--input", str(log), "--out", str(tmp_path))
+    assert code == 0
+    assert err.startswith("error: line 2: not UTF-8: ") and err.count("\n") == 1
+    assert "overall: groups=3 " in out
+
+
+@pytest.mark.parametrize("eps_var", ["-1", "nan", "inf"])
+def test_analyze_rejects_bad_eps_var_once(tmp_path, capsys, eps_var):
+    log = tmp_path / "log.jsonl"
+    write_log(log, 3)
+    code, _, err = run_cli(
+        capsys, "analyze", "--input", str(log), "--eps-var", eps_var, "--out", str(tmp_path)
+    )
+    assert code == 2
+    assert err.startswith("error: --eps-var must be finite and >= 0") and err.count("\n") == 1
+
+
 def test_analyze_pools_extreme_but_valid_groups(tmp_path, capsys):
     # each group is valid, but the window sums of objectives and rewards
     # overflow a float; the pooled means are still exact enough to print

@@ -2,16 +2,21 @@
 
 The files under ``data/golden`` were written by these exact command lines;
 any change to them must be a deliberate, versioned change of the outputs.
+Each case maps an output file to its golden file. A policy archive is
+compared by its logit array's bytes (golden ``.npy``), because ``np.savez``
+stamps the archive with the time.
 """
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from grpoagg.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 FAULTY = Path(__file__).parent / "data" / "faulty_rollouts.jsonl"
+RULES = ("token", "seq", "balanced", "balanced_gen")
 
 
 @pytest.mark.parametrize(
@@ -19,21 +24,43 @@ FAULTY = Path(__file__).parent / "data" / "faulty_rollouts.jsonl"
     [
         (
             ["analyze", "--input", str(FAULTY), "--window", "2"],
-            ["analysis.csv", "regime.txt"],
+            {"analysis.csv": "analysis.csv", "regime.txt": "regime.txt"},
         ),
         (
             ["simulate", "--task", "count", "--lr", "0.5", "--steps", "25", "--seed", "3"],
-            ["metrics_balanced.csv"],
+            {
+                "metrics_balanced.csv": "metrics_balanced.csv",
+                "policy_balanced.npz": "simulate_policy_balanced.npy",
+            },
         ),
         (
             ["compare", "--inner-epochs", "2", "--lr", "0.5", "--steps", "12", "--seed", "1"],
-            ["comparison.csv"],
+            {"comparison.csv": "comparison.csv"}
+            | {f"policy_{r}.npz": f"compare_policy_{r}.npy" for r in RULES},
+        ),
+        (
+            ["compare", "--locked-rollouts", "--inner-epochs", "2", "--lr", "0.5",
+             "--steps", "12", "--seed", "2"],
+            {"comparison.csv": "comparison_locked.csv"},
+        ),
+        (
+            ["simulate", "--task", "free-length", "--vocab-size", "5", "--t-max", "6",
+             "--group-size", "6", "--lr", "0.5", "--steps", "4", "--seed", "4",
+             "--dump-rollouts"],
+            {"rollouts_balanced.jsonl": "rollouts_balanced.jsonl"},
         ),
     ],
-    ids=["analyze", "simulate", "compare"],
+    ids=["analyze", "simulate", "compare", "compare-locked", "simulate-dump"],
 )
 def test_outputs_match_golden_bytes(tmp_path, capsys, argv, outputs):
     assert main(argv + ["--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    for name in outputs:
-        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    for name, golden in outputs.items():
+        if name.endswith(".npz"):
+            with np.load(tmp_path / name) as archive:
+                got = archive["logits"]
+            want = np.load(GOLDEN / golden)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        else:
+            assert (tmp_path / name).read_bytes() == (GOLDEN / golden).read_bytes(), name

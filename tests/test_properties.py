@@ -1,4 +1,5 @@
-"""Property tests: no drawn rollout record or log ends in an undocumented error.
+"""Property tests: no drawn rollout record or log ends in an undocumented error,
+and the flat rule-sums core equals its per-response reference.
 
 Records are drawn around the JSONL schema: well-formed fields next to wrong
 types, booleans, strings, huge integers, extreme floats, nesting and missing
@@ -12,14 +13,18 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from grpoagg.aggregate import ClipConfig, compute_rule_sums
 from grpoagg.cli import main
-from grpoagg.groups import RolloutGroup
+from grpoagg.groups import AdvantageSet, RolloutGroup
 from grpoagg.rollout_io import RolloutLogError, parse_rollout_line
+
+from conftest import reference_rule_sums
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -149,3 +154,33 @@ def test_analyze_exits_zero_or_one_and_reports_lines(log, window):
     assert code in (0, 1)
     for line in err.getvalue().splitlines():
         assert line.startswith("error: line ") or line == "error: no groups parsed"
+
+
+# ratios at the clip boundaries of ClipConfig() included, to hit the ties
+ratios = st.floats(1e-300, 1e300) | st.sampled_from([0.8, 1.0, 1.28])
+
+
+@st.composite
+def sign_groups(draw):
+    g = draw(st.integers(2, 64))
+    advantages = st.just(0.0) | st.floats(-1e300, 1e300, allow_nan=False)
+    adv = AdvantageSet.from_advantages(draw(st.lists(advantages, min_size=g, max_size=g)))
+    arrays = [np.array(draw(st.lists(ratios, min_size=1, max_size=6))) for _ in range(g)]
+    return adv, arrays
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@SETTINGS
+@given(group=sign_groups())
+def test_rule_sums_equal_the_per_response_fsum_reference(group):
+    adv, arrays = group
+    clip = ClipConfig()
+    with np.errstate(over="ignore"):
+        got = outcome(compute_rule_sums, adv, arrays, clip)
+        assert got == outcome(reference_rule_sums, adv, arrays, clip)

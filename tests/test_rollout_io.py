@@ -166,6 +166,25 @@ def test_read_rollouts_strict_raises_with_line_number(tmp_path):
     assert err.value.line_no == 2
 
 
+def test_read_rollouts_decodes_each_line_and_keeps_line_numbers(tmp_path):
+    line = (
+        '{"prompt_id":"p0","responses":'
+        '[{"token_count":1,"reward":1.0},{"token_count":2,"reward":0.0}]}'
+    )
+    path = tmp_path / "log.jsonl"
+    # lines end at "\r\n", a lone "\r" and "\n"; line 2 is not UTF-8, line 5 not JSON
+    path.write_bytes(f"{line}\r\n".encode() + b"\xff\xfe\r" + f"{line}\r \n{{\n{line}".encode())
+    stream = read_rollouts(path)
+    assert next(stream).source_line == 1
+    with pytest.raises(MalformedLineError, match="^line 2: not UTF-8: ") as err:
+        next(stream)
+    assert err.value.line_no == 2
+    errors = []
+    groups = list(read_rollouts(path, on_error=errors.append))
+    assert [g.source_line for g in groups] == [1, 3, 6]
+    assert [e.line_no for e in errors] == [2, 5]
+
+
 def test_fixture_fault_line_numbers():
     text = (DATA / "faulty_rollouts.jsonl").read_text(encoding="utf-8")
     good, bad = [], []

@@ -1,20 +1,29 @@
 import math
+from dataclasses import replace
 from math import fsum
 
 import numpy as np
 import pytest
 
-from grpoagg.aggregate import RULES, ClipConfig, evaluate_arrays, objective_balanced, objective_token
+from grpoagg.aggregate import (
+    RULES,
+    ClipConfig,
+    evaluate_arrays,
+    objective_balanced,
+    objective_token,
+    rule_terms,
+)
+from grpoagg.cli import main
 from grpoagg.decompose import decompose
-from grpoagg.groups import normalize_advantages
+from grpoagg.groups import AdvantageSet, Response, RolloutGroup, normalize_advantages
 from grpoagg.sim import (
     COUNT_SYMBOL,
     EOS_TOKEN,
+    MAX_POLICY_CELLS,
     PolicyTable,
     SimulationError,
     TaskSpec,
     TrainConfig,
-    _policy_ratio_arrays,
     evaluate_batch,
     logit_gradient_check,
     rollout_seed,
@@ -23,6 +32,19 @@ from grpoagg.sim import (
     train_step,
     verify_reward,
 )
+
+from conftest import reference_rule_sums
+
+
+def policy_ratio_arrays(group, lp_new, lp_old):
+    """Reference: one response's ratios at a time, as exp(logp_new - logp_old)."""
+    p = int(group.prompt_id)
+    arrays = []
+    for resp in group.responses:
+        pos = np.arange(len(resp.tokens))
+        toks = np.asarray(resp.tokens)
+        arrays.append(np.exp(lp_new[p, pos, toks] - lp_old[p, pos, toks]))
+    return arrays
 
 
 def count_task(**kw):
@@ -84,6 +106,27 @@ def test_train_config_validation():
         TrainConfig(rule="token", steps=1, inner_epochs=0)
 
 
+def test_size_caps_are_checked_before_allocating(capsys, tmp_path):
+    huge = 10**11
+    for kw in ({"t_max": huge}, {"vocab_size": huge}, {"num_prompts": huge}):
+        with pytest.raises(ValueError, match="policy cells"):
+            TaskSpec("count", **kw)
+    # exactly at the cap is accepted
+    assert TaskSpec("count", num_prompts=1, t_max=MAX_POLICY_CELLS // 2, vocab_size=2)
+    task = count_task()
+    with pytest.raises(ValueError, match="step cells"):
+        run_training(task, TrainConfig(rule="token", steps=1, group_size=huge))
+    with pytest.raises(ValueError, match="step cells"):
+        run_training(task, TrainConfig(rule="token", steps=1, prompts_per_batch=huge))
+    policy = PolicyTable.uniform(4, 8, 3)
+    with pytest.raises(ValueError, match="draws per group"):
+        sample_group(policy, policy, task, 0, huge, rollout_seed(0, 0, 0))
+    for flag in ("--t-max", "--group-size", "--prompts", "--vocab-size"):
+        argv = ["simulate", flag, str(huge), "--steps", "1", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "above the cap" in capsys.readouterr().err
+
+
 # --- sampling ---
 
 def test_sample_group_ratios_exactly_one():
@@ -127,6 +170,45 @@ def test_sample_group_truncation_flag():
         assert resp.length == task.t_max
         assert resp.tokens[-1] != EOS_TOKEN
         assert resp.reward == 0.0
+
+
+def reference_sample_group(policy, task, prompt_index, group_size, seed, eps_var):
+    """One rng.random() call and one searchsorted per token, as a loop."""
+    rng = np.random.default_rng(seed)
+    lp = policy.log_probs()[prompt_index]
+    cum = np.cumsum(np.exp(lp), axis=1)
+    responses = []
+    for _ in range(group_size):
+        tokens = []
+        truncated = True
+        for t in range(task.t_max):
+            v = min(int(np.searchsorted(cum[t], rng.random(), side="right")), task.vocab_size - 1)
+            tokens.append(v)
+            if v == EOS_TOKEN:
+                truncated = False
+                break
+        pos, toks = np.arange(len(tokens)), np.asarray(tokens)
+        responses.append(Response(
+            tuple(tokens), verify_reward(task, prompt_index, tokens),
+            logp_new=tuple(lp[pos, toks]), logp_old=tuple(lp[pos, toks]), truncated=truncated,
+        ))
+    return RolloutGroup(str(prompt_index), tuple(responses), eps_var)
+
+
+def test_sample_group_matches_per_token_reference():
+    ends = set()
+    for kind, group_size, t_max, vocab in [("count", 16, 8, 3), ("free-length", 7, 3, 2),
+                                           ("free-length", 5, 12, 6), ("count", 64, 32, 8)]:
+        task = TaskSpec(kind, vocab_size=vocab, t_max=t_max, num_prompts=3)
+        for seed in range(6):
+            policy = PolicyTable(np.random.default_rng(seed).normal(size=(3, t_max, vocab)))
+            for p in range(3):
+                seq = rollout_seed(seed, 1, p)
+                got = sample_group(policy, policy, task, p, group_size, seq, 1e-6)
+                assert got == reference_sample_group(policy, task, p, group_size, seq, 1e-6)
+                ends |= {(r.length == t_max, r.truncated) for r in got.responses}
+    # EOS before t_max, EOS exactly at position t_max - 1, and truncation all occur
+    assert ends == {(False, False), (True, False), (True, True)}
 
 
 # --- training step ---
@@ -345,9 +427,75 @@ def test_evaluate_batch_one_pass_matches_per_rule_evaluation():
     new_policy, _, groups = train_step(policy, policy, task, range(4), config, 0)
     advs = [normalize_advantages(g) for g in groups]
     lp_new, lp_old = new_policy.log_probs(), policy.log_probs()
-    arrays = [_policy_ratio_arrays(g, lp_new, lp_old) for g in groups]
+    arrays = [policy_ratio_arrays(g, lp_new, lp_old) for g in groups]
     for rule in RULES:
         ev = evaluate_batch(new_policy, policy, groups, advs, rule, config.clip)
         for r in RULES:
             values = [evaluate_arrays(r, a, arr, config.clip)[0] for a, arr in zip(advs, arrays)]
             assert ev.rule_objectives[r] == fsum(values) / len(values)
+
+
+def reference_evaluate_batch(policy, old, groups, advs, rule, clip):
+    """The batch one group and one response at a time, as a loop."""
+    lp_new, lp_old = policy.log_probs(), old.log_probs()
+    probs = np.exp(lp_new)
+    grad = np.zeros_like(lp_new)
+    values = {r: [] for r in RULES}
+    clipped = tokens = degenerate = 0
+    for group, adv in zip(groups, advs):
+        p = int(group.prompt_id)
+        arrays = policy_ratio_arrays(group, lp_new, lp_old)
+        sums = reference_rule_sums(adv, arrays, clip)
+        for r in RULES:
+            values[r].append(rule_terms(r, sums)[0])
+        _, degen, w_pos, w_neg = rule_terms(rule, sums)
+        clipped += sums.clipped
+        tokens += sums.total_tokens
+        degenerate += int(degen)
+        for resp, arr, a in zip(group.responses, arrays, adv.advantages):
+            t = len(arr)
+            if a > 0.0:
+                dphi = a * (arr <= clip.upper).astype(float)
+            elif a < 0.0:
+                dphi = a * (arr >= clip.lower).astype(float)
+            else:
+                dphi = np.zeros(t)
+            w = w_pos(t) if a > 0.0 else w_neg(t) if a < 0.0 else 0.0
+            coeff = (w * dphi) * arr
+            grad[p, :t, :] -= coeff[:, None] * probs[p, :t, :]
+            np.add.at(grad[p], (np.arange(t), np.asarray(resp.tokens)), coeff)
+    b = len(groups)
+    grad /= b
+    objectives = {r: fsum(v) / b for r, v in values.items()}
+    return objectives, grad, clipped / tokens, degenerate
+
+
+def test_evaluate_batch_matches_per_response_reference():
+    task = count_task()
+    config = TrainConfig(rule="token", steps=1, learning_rate=20.0, seed=8, inner_epochs=2)
+    old = PolicyTable.uniform(4, 8, 3)
+    policy, _, groups = train_step(old, old, task, range(4), config, 0)
+    advs = [normalize_advantages(g) for g in groups]
+    a = advs[0].advantages
+    # all rewards equal under the eps_var floor: all-zero advantages, a degenerate group
+    flat = RolloutGroup("1", tuple(replace(r, reward=0.0) for r in groups[1].responses), 1e-6)
+    extra = [
+        (groups[0], AdvantageSet.from_advantages([x if i % 3 else 0.0 for i, x in enumerate(a)])),
+        (groups[0], AdvantageSet.from_advantages([abs(x) + 0.1 for x in a])),  # positive only
+        (groups[2], AdvantageSet.from_advantages([-abs(x) - 0.1 for x in a])),  # negative only
+        (flat, normalize_advantages(flat)),
+    ]
+    groups = groups + [g for g, _ in extra]  # prompts 0 and 2 repeat: order of additions matters
+    advs = advs + [adv for _, adv in extra]
+    assert not any(normalize_advantages(flat).advantages)
+    for current in (old, policy):  # first epoch (ratios 1) and second (ratios off 1)
+        for rule in RULES:
+            ev = evaluate_batch(current, old, groups, advs, rule, config.clip)
+            objectives, grad, clip_fraction, degenerate = reference_evaluate_batch(
+                current, old, groups, advs, rule, config.clip
+            )
+            assert ev.rule_objectives == objectives and ev.objective == objectives[rule]
+            assert ev.clip_fraction == clip_fraction
+            assert ev.degenerate_groups == degenerate
+            assert ev.grad_logits.tobytes() == grad.tobytes()
+    assert clip_fraction > 0.0 and degenerate >= 1
