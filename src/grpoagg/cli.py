@@ -1,6 +1,8 @@
 """Command-line interface: verify, analyze, simulate, compare.
 
 Exit codes: 0 success, 1 verification or validation failure, 2 usage error.
+An output that cannot be written (``--out`` names a file, say) is reported as
+``error: cannot write <path>: <reason>`` with exit code 1.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .aggregate import RULES, ClipConfig, compute_rule_sums, group_ratio_arrays, rule_terms
-from .decompose import LengthStats, batch_metrics, length_stats, pooled_mean, regime_report
+from .decompose import LengthStats, LengthTally, batch_metrics, pooled_mean, regime_report
 from .groups import DegenerateGroupError, AdvantageSet, normalize_advantages
-from .rollout_io import MetricRecord, read_rollouts, write_metrics
+from .rollout_io import METRIC_HEADER, MetricRecord, format_metrics, read_rollouts, write_metrics
 from .sim import TASK_KINDS, TaskSpec, TrainConfig, run_training
 from .verify import SUITE, run_suite
 
@@ -128,7 +130,35 @@ def _window_records(step: int, groups, advs, terms) -> tuple[list[MetricRecord],
     return batch_metrics(step, groups, advs, objectives, clip_fraction)
 
 
+class _ReadError(Exception):
+    """The rollout log cannot be read."""
+
+
+def _windows(items, size: int):
+    """Lists of ``size`` consecutive items, the last one possibly shorter."""
+    window = []
+    for item in items:
+        window.append(item)
+        if len(window) == size:
+            yield window
+            window = []
+    if window:
+        yield window
+
+
 def cmd_analyze(args) -> int:
+    """Analyze a rollout log one window of ``--window`` groups at a time.
+
+    Each group is normalised and evaluated as it is read; a failing line or
+    group is reported to stderr at once and skipped. A full window's rows go
+    to ``analysis.csv`` and its groups are dropped, so memory is set by
+    ``--window`` and not by the length of the log: across windows only the
+    regime lines and the counts of each response length (for the
+    ``overall:`` line) are kept. Notices and regime lines go to stdout after
+    the read. Nothing is written, and ``--out`` is not created, when no
+    group parses; a read error after the first window leaves the rows
+    written so far.
+    """
     clip = _clip_from_args(args)
     if args.window < 1:
         print("error: --window must be >= 1", file=sys.stderr)
@@ -136,63 +166,69 @@ def cmd_analyze(args) -> int:
     if not (math.isfinite(args.eps_var) and args.eps_var >= 0.0):
         print(f"error: --eps-var must be finite and >= 0, got {args.eps_var!r}", file=sys.stderr)
         return 2
-    groups = []
-    advs = []
-    terms = []
-    degenerate = 0
+    degenerate = length_only = 0
 
     def report(error: object) -> None:
         print(f"error: {error}", file=sys.stderr)
 
-    try:
-        for group in read_rollouts(args.input, args.eps_var, on_error=report):
-            try:
+    def evaluated():
+        nonlocal degenerate, length_only
+        try:
+            for group in read_rollouts(args.input, args.eps_var, on_error=report):
                 try:
-                    adv = normalize_advantages(group)
-                except DegenerateGroupError:
-                    # all rewards equal at eps_var=0: treat as zero advantage
-                    degenerate += 1
-                    adv = AdvantageSet.from_advantages([0.0] * group.size)
-                group_terms = _group_terms(group, adv, clip)
-            except ValueError as exc:
-                report(f"line {group.source_line}: {exc}")
-                continue
-            groups.append(group)
-            advs.append(adv)
-            terms.append(group_terms)
-    except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
+                    try:
+                        adv = normalize_advantages(group)
+                    except DegenerateGroupError:
+                        # all rewards equal at eps_var=0: treat as zero advantage
+                        degenerate += 1
+                        adv = AdvantageSet.from_advantages([0.0] * group.size)
+                    group_terms = _group_terms(group, adv, clip)
+                except ValueError as exc:
+                    report(f"line {group.source_line}: {exc}")
+                    continue
+                length_only += group_terms is None
+                yield group, adv, group_terms
+        except OSError as exc:
+            raise _ReadError(f"cannot read {args.input}: {exc}") from None
+
+    csv_path = args.out / "analysis.csv"
+    regime_path = args.out / "regime.txt"
+    tally = LengthTally()
+    groups_read = 0
+    regime_lines = []
+    csv = None
+    try:
+        for w, window in enumerate(_windows(evaluated(), args.window)):
+            groups, advs, terms = zip(*window)
+            records, stats = _window_records(w, groups, advs, terms)
+            if csv is None:
+                args.out.mkdir(parents=True, exist_ok=True)
+                csv = open(csv_path, "w", encoding="utf-8")
+                csv.write(METRIC_HEADER)
+            csv.write(format_metrics(records))
+            for group, adv in zip(groups, advs):
+                tally.add(group, adv)
+            groups_read += len(groups)
+            gap = "n/a" if stats.len_gap is None else f"{stats.len_gap:.4f}"
+            regime_lines.append(
+                f"window {w}: groups={len(groups)} len_cv={stats.len_cv:.4f} "
+                f"len_gap={gap} regime={regime_report(stats)}"
+            )
+    except _ReadError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    if not groups:
+    finally:
+        if csv is not None:
+            csv.close()
+    if csv is None:
         print("error: no groups parsed", file=sys.stderr)
         return 1
 
-    length_only = terms.count(None)
     if degenerate:
         print(f"notice: {degenerate} degenerate group(s) treated as zero-advantage")
     if length_only:
         print(f"notice: {length_only} length-only group(s); objectives skipped for them")
-
-    args.out.mkdir(parents=True, exist_ok=True)
-    records = []
-    regime_lines = []
-    for w, start in enumerate(range(0, len(groups), args.window)):
-        window_groups = groups[start : start + args.window]
-        window_advs = advs[start : start + args.window]
-        window_terms = terms[start : start + args.window]
-        recs, stats = _window_records(w, window_groups, window_advs, window_terms)
-        records.extend(recs)
-        gap = "n/a" if stats.len_gap is None else f"{stats.len_gap:.4f}"
-        regime_lines.append(
-            f"window {w}: groups={len(window_groups)} len_cv={stats.len_cv:.4f} "
-            f"len_gap={gap} regime={regime_report(stats)}"
-        )
-    overall = regime_report(length_stats(groups, advs))
-    regime_lines.append(f"overall: groups={len(groups)} regime={overall}")
-
-    csv_path = args.out / "analysis.csv"
-    write_metrics(records, csv_path)
-    regime_path = args.out / "regime.txt"
+    regime_lines.append(f"overall: groups={groups_read} regime={regime_report(tally.stats())}")
     regime_path.write_text("\n".join(regime_lines) + "\n", encoding="utf-8")
     for line in regime_lines:
         print(line)
@@ -321,6 +357,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # every read error is reported where it happens
+        print(f"error: cannot write {exc.filename or args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -38,6 +38,7 @@ from .rollout_io import MetricRecord
 __all__ = [
     "DecompositionReport",
     "LengthStats",
+    "LengthTally",
     "RegimeThresholds",
     "NonBinaryRewardError",
     "decompose",
@@ -208,6 +209,66 @@ def ba_weight_identity(
     return ba_pos, seq_prefactor, match
 
 
+class LengthTally:
+    """Counts of response lengths, pooled and per advantage sign.
+
+    ``stats`` gives exactly what length_stats gives for every group added:
+    the statistics are ``fsum``s, whose value does not depend on the order
+    of their terms. A tally takes memory of the order of the number of
+    distinct lengths, however many groups it has seen.
+    """
+
+    def __init__(self) -> None:
+        self.all: dict[int, int] = {}
+        self.pos: dict[int, int] = {}
+        self.neg: dict[int, int] = {}
+
+    def add(self, group: RolloutGroup, adv: AdvantageSet) -> None:
+        if adv.size != group.size:
+            raise ValueError("advantage set does not match group")
+        lengths = group.lengths
+        for counts, indices in (
+            (self.all, range(group.size)),
+            (self.pos, adv.pos_indices),
+            (self.neg, adv.neg_indices),
+        ):
+            for i in indices:
+                t = lengths[i]
+                counts[t] = counts.get(t, 0) + 1
+
+    def stats(self) -> LengthStats:
+        return _pooled_stats(_Counted(self.all), _Counted(self.pos), _Counted(self.neg))
+
+
+class _Counted:
+    """A multiset of lengths held as counts: sized, and iterable any number of times."""
+
+    def __init__(self, counts: dict[int, int]) -> None:
+        self.counts = counts
+
+    def __len__(self) -> int:
+        return sum(self.counts.values())
+
+    def __iter__(self):
+        return (t for t, c in self.counts.items() for _ in range(c))
+
+
+def _pooled_stats(lengths, pos_lengths, neg_lengths) -> LengthStats:
+    n = len(lengths)
+    if not n:
+        raise ValueError("length_stats needs a non-empty batch")
+    mean_len = fsum(lengths) / n
+    len_cv = math.sqrt(fsum((t - mean_len) ** 2 for t in lengths) / n) / mean_len
+    tbar_pos = fsum(pos_lengths) / len(pos_lengths) if pos_lengths else None
+    tbar_neg = fsum(neg_lengths) / len(neg_lengths) if neg_lengths else None
+    len_gap = (
+        (tbar_neg - tbar_pos) / mean_len
+        if tbar_pos is not None and tbar_neg is not None
+        else None
+    )
+    return LengthStats(mean_len, len_cv, tbar_pos, tbar_neg, len_gap)
+
+
 def length_stats(
     groups: Sequence[RolloutGroup], advs: Sequence[AdvantageSet]
 ) -> LengthStats:
@@ -216,8 +277,6 @@ def length_stats(
     Lengths are pooled over every response; Tbar+- pool over all
     sign-classified responses in the batch. CV uses the population variance.
     """
-    if not groups:
-        raise ValueError("length_stats needs a non-empty batch")
     if len(groups) != len(advs):
         raise ValueError(f"{len(groups)} groups but {len(advs)} advantage sets")
     lengths: list[int] = []
@@ -230,17 +289,7 @@ def length_stats(
         lengths.extend(gl)
         pos_lengths.extend(gl[i] for i in adv.pos_indices)
         neg_lengths.extend(gl[i] for i in adv.neg_indices)
-    n = len(lengths)
-    mean_len = fsum(lengths) / n
-    len_cv = math.sqrt(fsum((t - mean_len) ** 2 for t in lengths) / n) / mean_len
-    tbar_pos = fsum(pos_lengths) / len(pos_lengths) if pos_lengths else None
-    tbar_neg = fsum(neg_lengths) / len(neg_lengths) if neg_lengths else None
-    len_gap = (
-        (tbar_neg - tbar_pos) / mean_len
-        if tbar_pos is not None and tbar_neg is not None
-        else None
-    )
-    return LengthStats(mean_len, len_cv, tbar_pos, tbar_neg, len_gap)
+    return _pooled_stats(lengths, pos_lengths, neg_lengths)
 
 
 def pooled_mean(values: Sequence[float]) -> float:

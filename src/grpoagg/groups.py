@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from math import fsum
 
@@ -148,7 +149,7 @@ class Response:
             object.__setattr__(self, "logp_new", logp_new)
             object.__setattr__(self, "logp_old", logp_old)
             try:
-                ratios = derived = tuple(math.exp(n - o) for n, o in zip(logp_new, logp_old))
+                ratios = derived = tuple(map(math.exp, map(operator.sub, logp_new, logp_old)))
                 if math.inf in derived:
                     raise OverflowError
             except OverflowError:

@@ -15,6 +15,14 @@ objective evaluation. The parser checks only the line format; every field
 rule belongs to ``groups.Response`` and ``groups.RolloutGroup``, whose errors
 come back as RecordValidationError naming the line and response.
 
+Lines are decoded with ``orjson`` when it is installed and with ``json``
+otherwise, with the same result either way: a line that orjson rejects, or
+that may hold an integer beyond 64 bits (which orjson 3.8 reads as a float)
+or nesting deep enough to reach the interpreter's recursion limit, is
+decoded by ``json.loads``, so every value and every error text is the
+standard library's. orjson is imported on the first decode, not with the
+package.
+
 Metrics go to CSV with a fixed header and floats rendered with 10
 significant digits, so a given record stream always produces byte-identical
 output.
@@ -41,6 +49,7 @@ __all__ = [
     "write_rollouts",
     "group_to_dict",
     "write_metrics",
+    "format_metrics",
     "read_metrics",
 ]
 
@@ -57,6 +66,7 @@ METRIC_FIELDS = (
     "k_mean",
     "clip_fraction",
 )
+METRIC_HEADER = ",".join(METRIC_FIELDS) + "\n"
 
 
 class RolloutLogError(ValueError):
@@ -102,6 +112,15 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else f"{float(value):.10g}"
 
 
+def format_metrics(records: Iterable[MetricRecord]) -> str:
+    """The CSV rows of ``records``, each ending in a newline; no header."""
+    return "".join(
+        ",".join([str(rec.step), rec.rule] + [_fmt(getattr(rec, name)) for name in METRIC_FIELDS[2:]])
+        + "\n"
+        for rec in records
+    )
+
+
 def write_metrics(records: Sequence[MetricRecord], path: str | Path) -> None:
     """Write records to CSV; records must be ordered by non-decreasing step."""
     last = None
@@ -111,25 +130,14 @@ def write_metrics(records: Sequence[MetricRecord], path: str | Path) -> None:
                 f"records out of order: step {rec.step} after step {last}"
             )
         last = rec.step
-    lines = [",".join(METRIC_FIELDS)]
-    for rec in records:
-        lines.append(
-            ",".join(
-                [str(rec.step), rec.rule]
-                + [_fmt(getattr(rec, name)) for name in METRIC_FIELDS[2:]]
-            )
-        )
-    try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"writing metrics to {path}: {exc}") from exc
+    Path(path).write_text(METRIC_HEADER + format_metrics(records), encoding="utf-8")
 
 
 def read_metrics(path: str | Path) -> list[MetricRecord]:
     """Parse a metric CSV written by write_metrics."""
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
-    if not lines or lines[0] != ",".join(METRIC_FIELDS):
+    if not lines or lines[0] + "\n" != METRIC_HEADER:
         raise ValueError(f"{path}: unexpected metric CSV header")
     records = []
     for line in lines[1:]:
@@ -139,6 +147,53 @@ def read_metrics(path: str | Path) -> list[MetricRecord]:
         values = [None if p == "" else float(p) for p in parts[2:]]
         records.append(MetricRecord(int(parts[0]), parts[1], *values))
     return records
+
+
+# orjson.loads once resolved, or None without orjson; resolved on the first
+# decode so that importing the package never loads orjson.
+_UNRESOLVED = object()
+_fast_loads = _UNRESOLVED
+# In the mask every ASCII digit is "0" and every "{" is "[". A run of 19
+# digits (>= 10**18) that does not follow a digit or "." may be an integer
+# beyond 64 bits, which orjson 3.8 reads as a float instead of an int.
+_MASK = str.maketrans("123456789{", "000000000[")
+_LONG_DIGITS = "0" * 19
+# orjson 3.8 has no nesting limit (a line nested ~10**5 deep crashes the
+# process), while json.loads raises RecursionError once the nesting plus the
+# caller's stack depth passes sys.getrecursionlimit(), 1000 by default.
+# Nesting is at most the number of "[" and "{", so a line with 512 or more
+# of them is left to json.loads; the two agree whenever the caller runs more
+# than 512 frames below the recursion limit.
+_MAX_FAST_OPENS = 512
+
+
+def _fast_safe(line: str) -> bool:
+    """True when orjson gives json.loads' result for ``line`` or raises."""
+    mask = line.translate(_MASK)
+    if mask.count("[") >= _MAX_FAST_OPENS:
+        return False
+    at = mask.find(_LONG_DIGITS)
+    while at >= 0:
+        if at == 0 or mask[at - 1] not in "0.":
+            return False
+        at = mask.find(_LONG_DIGITS, at + 1)
+    return True
+
+
+def _loads(line: str):
+    """``json.loads(line)``, through orjson where that gives the same value."""
+    global _fast_loads
+    if _fast_loads is _UNRESOLVED:
+        try:
+            from orjson import loads as _fast_loads
+        except ImportError:
+            _fast_loads = None
+    if _fast_loads is not None and _fast_safe(line):
+        try:
+            return _fast_loads(line)
+        except ValueError:
+            pass  # json.loads raises the error whose text is reported
+    return json.loads(line)
 
 
 def parse_rollout_line(
@@ -151,7 +206,7 @@ def parse_rollout_line(
     any error raised.
     """
     try:
-        obj = json.loads(line)
+        obj = _loads(line)
     except (ValueError, RecursionError) as exc:
         raise MalformedLineError(f"line {line_no}: invalid JSON: {exc}", line_no) from exc
     if not isinstance(obj, dict):
@@ -196,8 +251,10 @@ def read_rollouts(
 ) -> Iterator[RolloutGroup]:
     """Stream validated groups from a JSONL file, one group per line.
 
-    The file is read as bytes and decoded one line at a time, so a line that
-    is not UTF-8 fails alone. As in text mode, a line ends at "\\n", "\\r\\n"
+    Only the current line and its group are held, so a caller that drops
+    each group in turn reads a log of any length in bounded memory. The file
+    is read as bytes and decoded one line at a time, so a line that is not
+    UTF-8 fails alone. As in text mode, a line ends at "\\n", "\\r\\n"
     or a lone "\\r", and whitespace-only lines are skipped. An invalid line
     raises MalformedLineError / RecordValidationError with its 1-based line
     number or, when ``on_error`` is given, is passed to it and skipped.
@@ -262,10 +319,7 @@ def group_to_dict(group: RolloutGroup) -> dict:
 
 def write_rollouts(groups: Iterable[RolloutGroup], path: str | Path) -> None:
     """Write groups as canonical JSONL (the read_rollouts round-trip form)."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for group in groups:
-                fh.write(json.dumps(group_to_dict(group), separators=(",", ":")))
-                fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"writing rollouts to {path}: {exc}") from exc
+    with open(path, "w", encoding="utf-8") as fh:
+        for group in groups:
+            fh.write(json.dumps(group_to_dict(group), separators=(",", ":")))
+            fh.write("\n")

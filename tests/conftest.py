@@ -1,10 +1,35 @@
+import contextlib
 from math import fsum
 
 import numpy as np
 import pytest
 
+from grpoagg import rollout_io
 from grpoagg.aggregate import ClipConfig, RuleSums
 from grpoagg.groups import Response, RolloutGroup
+
+try:
+    import orjson
+except ImportError:
+    orjson = None
+
+# The two line decoders of rollout_io, for pytest.mark.parametrize.
+DECODERS = [
+    pytest.param("orjson", marks=pytest.mark.skipif(orjson is None, reason="orjson is not installed")),
+    "stdlib",
+]
+AVAILABLE_DECODERS = ("stdlib",) if orjson is None else ("orjson", "stdlib")
+
+
+@contextlib.contextmanager
+def decoding_with(decoder: str):
+    """Decode rollout lines with orjson ("orjson") or with json.loads alone ("stdlib")."""
+    saved = rollout_io._fast_loads
+    rollout_io._fast_loads = orjson.loads if decoder == "orjson" else None
+    try:
+        yield
+    finally:
+        rollout_io._fast_loads = saved
 
 
 @pytest.fixture

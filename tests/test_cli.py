@@ -1,10 +1,14 @@
 import json
+import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import grpoagg
 from grpoagg.cli import main
 from grpoagg.rollout_io import METRIC_FIELDS, read_metrics
 
@@ -232,6 +236,70 @@ def test_analyze_pools_extreme_but_valid_groups(tmp_path, capsys):
     records = read_metrics(tmp_path / "analysis.csv")
     assert [r.objective for r in records] == [-5e307] * 4
     assert {r.mean_reward for r in records} == {2e307}
+
+
+def test_analyze_memory_is_set_by_the_window_not_the_log(tmp_path, capsys):
+    # tracemalloc counts Python allocations, which unlike RSS are deterministic.
+    # It also counts CPython's tuple free lists (sizes below 20, bounded), so
+    # groups hold 24 responses of 40 or more tokens, whose tuples are larger.
+    rng = random.Random(0)
+    lines = []
+    for i in range(96):
+        responses = []
+        for _ in range(24):
+            n = rng.randrange(40, 80)
+            responses.append({"tokens": [rng.randrange(5) for _ in range(n)],
+                              "reward": float(rng.random() < 0.5),
+                              "ratios": [rng.uniform(0.7, 1.4) for _ in range(n)]})
+        lines.append(json.dumps({"prompt_id": f"p{i}", "responses": responses}) + "\n")
+
+    def peak(n_groups):
+        log = tmp_path / f"log{n_groups}.jsonl"
+        log.write_text("".join(lines[:n_groups]), encoding="utf-8")
+        argv = ["analyze", "--input", str(log), "--window", "4", "--out", str(tmp_path / "out")]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        capsys.readouterr()
+        return peak
+
+    peak(4)  # first-call allocations (imports, caches) out of the way
+    assert peak(96) <= 1.25 * peak(24)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "--input", str(DATA / "faulty_rollouts.jsonl")],
+     ["simulate", "--steps", "1"],
+     ["compare", "--steps", "1"]],
+    ids=["analyze", "simulate", "compare"],
+)
+def test_out_that_cannot_be_created_is_an_error_line(tmp_path, capsys, argv):
+    out = tmp_path / "taken"
+    out.write_text("", encoding="utf-8")
+    code, _, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 1
+    assert err.splitlines()[-1] == f"error: cannot write {out}: File exists"
+    assert all(line.startswith("error: ") for line in err.splitlines())
+
+
+def test_orjson_is_loaded_only_to_decode_a_rollout_log(tmp_path):
+    # importing the package and training must not pay for importing orjson
+    code = (
+        "import sys, grpoagg.cli\n"
+        "assert 'orjson' not in sys.modules\n"
+        "assert grpoagg.cli.main(['simulate', '--steps', '1', '--out', sys.argv[1]]) == 0\n"
+        "assert grpoagg.cli.main(['compare', '--steps', '1', '--out', sys.argv[1]]) == 0\n"
+        "assert 'orjson' not in sys.modules\n"
+    )
+    src = str(Path(grpoagg.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 # --- simulate / compare ---

@@ -11,6 +11,7 @@ from grpoagg.aggregate import (
 )
 from grpoagg.decompose import (
     LengthStats,
+    LengthTally,
     NonBinaryRewardError,
     RegimeThresholds,
     ba_weight_identity,
@@ -19,7 +20,7 @@ from grpoagg.decompose import (
     pooled_mean,
     regime_report,
 )
-from grpoagg.groups import AdvantageSet, normalize_advantages
+from grpoagg.groups import AdvantageSet, Response, RolloutGroup, normalize_advantages
 from grpoagg.verify import random_binary_group
 
 from conftest import make_group
@@ -192,6 +193,26 @@ def test_length_stats_absent_gap():
     stats = length_stats([group], [adv])
     assert stats.tbar_pos is None and stats.tbar_neg is None
     assert stats.len_gap is None
+
+
+def test_length_tally_gives_length_stats_bits():
+    # lengths up to 2**40 make the fsums' rounding matter; the tally must
+    # still give exactly the bits of length_stats over the same groups
+    rng = np.random.default_rng(5)
+    groups = []
+    for _ in range(40):
+        responses = [
+            Response(None, float(rng.integers(2)), token_count=int(rng.choice([1, 3, 2**40 + int(rng.integers(9))])))
+            for _ in range(int(rng.integers(2, 7)))
+        ]
+        groups.append(RolloutGroup("p", tuple(responses), 1e-6))
+    advs = [normalize_advantages(g) for g in groups]
+    tally = LengthTally()
+    for group, adv in zip(groups, advs):
+        tally.add(group, adv)
+    assert repr(tally.stats()) == repr(length_stats(groups, advs))
+    with pytest.raises(ValueError, match="non-empty"):
+        LengthTally().stats()
 
 
 def test_len_gap_invariant_under_integer_length_scaling(clip):

@@ -1,9 +1,11 @@
-"""Property tests: no drawn rollout record or log ends in an undocumented error,
-and the flat rule-sums core equals its per-response reference.
+"""Property tests: no drawn rollout record, log or simulator command line ends
+in an undocumented error, and the flat rule-sums core equals its
+per-response reference.
 
 Records are drawn around the JSONL schema: well-formed fields next to wrong
 types, booleans, strings, huge integers, extreme floats, nesting and missing
-keys.
+keys. Simulator command lines are drawn from tiny valid sizes next to zero,
+negative, non-finite and oversized values.
 """
 
 import contextlib
@@ -24,7 +26,7 @@ from grpoagg.cli import main
 from grpoagg.groups import AdvantageSet, RolloutGroup
 from grpoagg.rollout_io import RolloutLogError, parse_rollout_line
 
-from conftest import reference_rule_sums
+from conftest import AVAILABLE_DECODERS, decoding_with, reference_rule_sums
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -127,13 +129,20 @@ def render(record, cut: bool) -> str:
 @SETTINGS
 @given(record=records(), cut=cuts, line_no=st.integers(1, 10**6))
 def test_parse_returns_a_group_or_a_rollout_log_error(record, cut, line_no):
-    try:
-        group = parse_rollout_line(render(record, cut), line_no)
-    except RolloutLogError as exc:
-        assert exc.line_no == line_no
-        assert str(exc).startswith(f"line {line_no}:")
-    else:
-        assert isinstance(group, RolloutGroup)
+    # under every available decoder, with the same group or error text
+    outcomes = []
+    for decoder in AVAILABLE_DECODERS:
+        with decoding_with(decoder):
+            try:
+                group = parse_rollout_line(render(record, cut), line_no)
+            except RolloutLogError as exc:
+                assert exc.line_no == line_no
+                assert str(exc).startswith(f"line {line_no}:")
+                outcomes.append((type(exc), str(exc)))
+            else:
+                assert isinstance(group, RolloutGroup)
+                outcomes.append(repr(group))
+    assert outcomes.count(outcomes[0]) == len(outcomes)
 
 
 @SETTINGS
@@ -184,3 +193,55 @@ def test_rule_sums_equal_the_per_response_fsum_reference(group):
     with np.errstate(over="ignore"):
         got = outcome(compute_rule_sums, adv, arrays, clip)
         assert got == outcome(reference_rule_sums, adv, arrays, clip)
+
+
+# tiny sizes, next to values every check must refuse; a huge size is always
+# far over the sim.MAX_*_CELLS caps, so it is refused before any allocation
+def mostly(value: str, other):
+    """``value`` three times in four, else a draw of ``other``."""
+    return st.one_of(st.just(value), st.just(value), st.just(value), other)
+
+
+sizes = mostly("2", st.sampled_from(["-1", "0", "1", "3", str(2**40)]))
+reals_arg = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e-300", "1e308"])
+
+
+@st.composite
+def sim_argv(draw):
+    # "--flag=value", so that argparse takes "-inf" as a value, not as a flag
+    command = draw(st.sampled_from(["simulate", "compare"]))
+    counts = st.sampled_from(["-1", "0", "1", "2", "3"])  # time grows with these
+    args = {"--steps": draw(mostly("2", counts))}
+    if draw(st.booleans()):
+        args["--inner-epochs"] = draw(counts)
+    for flag in ("--group-size", "--prompts", "--vocab-size", "--t-max"):
+        if draw(st.booleans()):
+            args[flag] = draw(sizes)
+    usual = {"--lr": "0.5", "--eps-var": "1e-6", "--clip-low": "0.2", "--clip-high": "0.28"}
+    for flag, value in usual.items():
+        args[flag] = draw(mostly(value, reals_arg))
+    args["--task"] = draw(st.sampled_from(["count", "free-length"]))
+    args["--seed"] = draw(mostly("0", st.just("-1")))
+    argv = [command] + [f"{flag}={value}" for flag, value in args.items()]
+    if command == "simulate":
+        argv.append("--rule=" + draw(st.sampled_from(["token", "seq", "balanced", "balanced_gen"])))
+    elif draw(st.booleans()):
+        argv.append("--locked-rollouts")
+    if draw(st.booleans()):
+        argv.append("--dump-rollouts")
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(argv=sim_argv())
+def test_simulate_and_compare_exit_zero_or_two_with_error_lines(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + ["--out=" + tmp])
+    assert code in (0, 2)
+    lines = err.getvalue().splitlines()
+    assert all(line.startswith("error: ") for line in lines)
+    assert (code == 2) == bool(lines)
