@@ -191,22 +191,28 @@ class FlatBatch:
             i += adv.size
             start += sum(lengths)
 
-    def rule_sums(self, clip: ClipConfig) -> list[RuleSums]:
-        """Each group's sign sums: one phi pass, then an exact fsum per response."""
+    def rule_sums(self, clip: ClipConfig) -> list[RuleSums | None]:
+        """Each group's sign sums: one phi pass, then an exact fsum per response.
+
+        A group whose sums overflow a float is None in the list.
+        """
         r, a = self.ratios, self.advantages
         token_phi = np.minimum(r * a, np.clip(r, clip.lower, clip.upper) * a).tolist()
         # a token counts as clipped when the clamped branch is the strict minimum
         clipped = ((a > 0.0) & (r > clip.upper)) | ((a < 0.0) & (r < clip.lower))
-        out = []
+        out: list[RuleSums | None] = []
         for adv, lengths, first in self._groups():
             phi_sums = []
             start = first
-            for a_i, t in zip(adv.advantages, lengths):
-                # zero-advantage responses contribute exactly zero everywhere
-                phi_sums.append(fsum(token_phi[start : start + t]) if a_i != 0.0 else 0.0)
-                start += t
-            count = int(np.count_nonzero(clipped[first:start]))
-            out.append(_assemble_sums(adv, lengths, phi_sums, count))
+            try:
+                for a_i, t in zip(adv.advantages, lengths):
+                    # zero-advantage responses contribute exactly zero everywhere
+                    phi_sums.append(fsum(token_phi[start : start + t]) if a_i != 0.0 else 0.0)
+                    start += t
+                count = int(np.count_nonzero(clipped[first:start]))
+                out.append(_assemble_sums(adv, lengths, phi_sums, count))
+            except OverflowError:
+                out.append(None)
         return out
 
     def ratio_gradients(
@@ -251,8 +257,14 @@ def _assemble_sums(
 def compute_rule_sums(
     adv: AdvantageSet, ratio_arrays: Sequence[np.ndarray], clip: ClipConfig
 ) -> RuleSums:
-    """Accumulate the sign-partitioned phi sums every rule is built from."""
-    return FlatBatch.of_group(adv, ratio_arrays).rule_sums(clip)[0]
+    """Accumulate the sign-partitioned phi sums every rule is built from.
+
+    Raises OverflowError when a sum overflows a float.
+    """
+    sums = FlatBatch.of_group(adv, ratio_arrays).rule_sums(clip)[0]
+    if sums is None:
+        raise OverflowError("the rule sums overflow a float")
+    return sums
 
 
 def rule_terms(rule: str, sums: RuleSums) -> tuple[float, bool, Weight, Weight]:

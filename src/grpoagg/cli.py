@@ -10,15 +10,25 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import chain, islice
 from math import fsum
+from operator import itemgetter
 from pathlib import Path
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .aggregate import RULES, ClipConfig, compute_rule_sums, group_ratio_arrays, rule_terms
-from .decompose import LengthStats, LengthTally, batch_metrics, pooled_mean, regime_report
-from .groups import DegenerateGroupError, AdvantageSet, normalize_advantages
-from .rollout_io import METRIC_HEADER, MetricRecord, format_metrics, read_rollouts, write_metrics
+from .aggregate import RULES, ClipConfig, FlatBatch, rule_terms
+from .decompose import (
+    LengthStats,
+    LengthTally,
+    batch_metrics,
+    pooled_length_stats,
+    pooled_mean,
+    regime_report,
+)
+from .groups import AdvantageSet, DegenerateGroupError, normalize_rewards
+from .rollout_io import METRIC_HEADER, MetricRecord, format_metrics, read_group_columns, write_metrics
 from .sim import TASK_KINDS, TaskSpec, TrainConfig, run_training
 from .verify import SUITE, run_suite
 
@@ -107,57 +117,99 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _group_terms(group, adv, clip: ClipConfig) -> tuple | None:
-    """A group's objective per rule, clipped tokens and tokens; None if length-only."""
-    if not group.has_ratios:
-        return None
-    try:
-        with np.errstate(over="ignore"):
-            sums = compute_rule_sums(adv, group_ratio_arrays(group), clip)
-        objectives = [rule_terms(rule, sums)[0] for rule in RULES]
-        if not all(map(math.isfinite, objectives)):
-            raise OverflowError
-    except OverflowError:
-        raise ValueError(f"group {group.prompt_id!r}: an objective overflows a float") from None
-    return (*objectives, sums.clipped, sums.total_tokens)
+class _Evaluated(NamedTuple):
+    """One group of an analyze window, normalised and evaluated."""
+
+    lengths: list[int]
+    rewards: list[float]
+    adv: AdvantageSet
+    terms: tuple | None  # (objective per rule, clipped tokens, tokens); None if length-only
+    degenerate: bool  # all rewards equal at eps_var=0, taken as zero advantage
 
 
-def _window_records(step: int, groups, advs, terms) -> tuple[list[MetricRecord], LengthStats]:
-    columns = list(zip(*(t for t in terms if t is not None))) or [()] * (len(RULES) + 2)
+def _evaluate(read: list[tuple], clip: ClipConfig, report) -> list[_Evaluated]:
+    """Groups as read_group_columns yields them, normalised and evaluated, all
+    of them with ratios by one FlatBatch. A group whose normalisation fails
+    or whose objective overflows is passed to ``report`` as (line number,
+    text) and left out."""
+    normalised = []
+    for line_no, prompt_id, eps_var, rewards, lengths, ratios in read:
+        try:
+            adv, degenerate = normalize_rewards(rewards, eps_var, prompt_id), False
+        except DegenerateGroupError:
+            adv, degenerate = AdvantageSet.from_advantages([0.0] * len(rewards)), True
+        except ValueError as exc:
+            report(line_no, f"line {line_no}: {exc}")
+            continue
+        normalised.append((line_no, prompt_id, lengths, rewards, adv, degenerate, ratios))
+    evaluable = [(adv, lengths, ratios) for _, _, lengths, _, adv, _, ratios in normalised if ratios is not None]
+    token_lengths = tuple(chain.from_iterable(t for _, t, _ in evaluable))
+    token_ratios = np.fromiter(chain.from_iterable(r for *_, r in evaluable), float, sum(token_lengths))
+    batch = FlatBatch(tuple(adv for adv, *_ in evaluable), token_lengths, token_ratios)
+    with np.errstate(over="ignore"):
+        all_sums = iter(batch.rule_sums(clip))
+    out = []
+    for line_no, prompt_id, lengths, rewards, adv, degenerate, ratios in normalised:
+        terms = None
+        if ratios is not None:
+            sums = next(all_sums)
+            objectives = sums and [rule_terms(rule, sums)[0] for rule in RULES]
+            if not (objectives and all(map(math.isfinite, objectives))):
+                report(line_no, f"line {line_no}: group {prompt_id!r}: an objective overflows a float")
+                continue
+            terms = (*objectives, sums.clipped, sums.total_tokens)
+        out.append(_Evaluated(lengths, rewards, adv, terms, degenerate))
+    return out
+
+
+def _window_rows(step: int, groups: list[_Evaluated], tally: LengthTally) -> tuple[list[MetricRecord], LengthStats]:
+    """The metric rows and length statistics of a window of evaluated groups.
+
+    The window's lengths, pooled and per sign, are also added to ``tally``.
+    """
+    lengths = list(chain.from_iterable(g.lengths for g in groups))
+    pos_lengths = [g.lengths[i] for g in groups for i in g.adv.pos_indices]
+    neg_lengths = [g.lengths[i] for g in groups for i in g.adv.neg_indices]
+    tally.add(lengths, pos_lengths, neg_lengths)
+    columns = list(zip(*(g.terms for g in groups if g.terms is not None))) or [()] * (len(RULES) + 2)
     objectives = {rule: pooled_mean(col) if col else None for rule, col in zip(RULES, columns)}
     tokens = sum(columns[-1])
     clip_fraction = sum(columns[-2]) / tokens if tokens else None
-    return batch_metrics(step, groups, advs, objectives, clip_fraction)
+    stats = pooled_length_stats(lengths, pos_lengths, neg_lengths)
+    rewards = list(chain.from_iterable(g.rewards for g in groups))
+    records = batch_metrics(step, stats, rewards, [g.adv.k for g in groups], objectives, clip_fraction)
+    return records, stats
 
 
-class _ReadError(Exception):
-    """The rollout log cannot be read."""
-
-
-def _windows(items, size: int):
-    """Lists of ``size`` consecutive items, the last one possibly shorter."""
-    window = []
-    for item in items:
-        window.append(item)
-        if len(window) == size:
-            yield window
-            window = []
-    if window:
-        yield window
+def _next_window(log: Iterator[tuple], size: int, clip: ClipConfig, report) -> list[_Evaluated]:
+    """The next ``size`` groups of the log that evaluate; fewer only at its end."""
+    groups: list[_Evaluated] = []
+    while len(groups) < size:
+        want = size - len(groups)
+        read = list(islice(log, want))
+        groups += _evaluate(read, clip, report)
+        if len(read) < want:
+            break
+    return groups
 
 
 def cmd_analyze(args) -> int:
     """Analyze a rollout log one window of ``--window`` groups at a time.
 
-    Each group is normalised and evaluated as it is read; a failing line or
-    group is reported to stderr at once and skipped. A full window's rows go
-    to ``analysis.csv`` and its groups are dropped, so memory is set by
-    ``--window`` and not by the length of the log: across windows only the
-    regime lines and the counts of each response length (for the
-    ``overall:`` line) are kept. Notices and regime lines go to stdout after
-    the read. Nothing is written, and ``--out`` is not created, when no
-    group parses; a read error after the first window leaves the rows
-    written so far.
+    read_group_columns reads the log as columns, checking each line in bulk
+    and re-checking only exceptional lines with the record validator. Each
+    window's groups are normalised and evaluated together, by one FlatBatch;
+    a group whose normalisation fails or whose objective overflows is
+    reported and dropped, and the window is refilled from the following
+    lines, so it holds the first ``--window`` groups that evaluate. A full
+    window's rows go to ``analysis.csv`` and its groups are dropped, so
+    memory is set by ``--window`` and not by the length of the log: across
+    windows only the regime lines and the counts of each response length
+    (for the ``overall:`` line) are kept. A line yields at most one error;
+    a window's ``error: line N:`` lines go to stderr in line order before its
+    rows are written. Notices and regime lines go to stdout after the read.
+    Nothing is written, and ``--out`` is not created, when no group parses;
+    a read error after the first window leaves the rows written so far.
     """
     clip = _clip_from_args(args)
     if args.window < 1:
@@ -166,58 +218,52 @@ def cmd_analyze(args) -> int:
     if not (math.isfinite(args.eps_var) and args.eps_var >= 0.0):
         print(f"error: --eps-var must be finite and >= 0, got {args.eps_var!r}", file=sys.stderr)
         return 2
-    degenerate = length_only = 0
+    errors: list[tuple[int, str]] = []
 
-    def report(error: object) -> None:
-        print(f"error: {error}", file=sys.stderr)
+    def report(line_no: int, text: str) -> None:
+        errors.append((line_no, text))
 
-    def evaluated():
-        nonlocal degenerate, length_only
-        try:
-            for group in read_rollouts(args.input, args.eps_var, on_error=report):
-                try:
-                    try:
-                        adv = normalize_advantages(group)
-                    except DegenerateGroupError:
-                        # all rewards equal at eps_var=0: treat as zero advantage
-                        degenerate += 1
-                        adv = AdvantageSet.from_advantages([0.0] * group.size)
-                    group_terms = _group_terms(group, adv, clip)
-                except ValueError as exc:
-                    report(f"line {group.source_line}: {exc}")
-                    continue
-                length_only += group_terms is None
-                yield group, adv, group_terms
-        except OSError as exc:
-            raise _ReadError(f"cannot read {args.input}: {exc}") from None
+    def flush_errors() -> None:
+        for _, text in sorted(errors, key=itemgetter(0)):
+            print(f"error: {text}", file=sys.stderr)
+        errors.clear()
 
+    log = read_group_columns(args.input, args.eps_var, lambda exc: report(exc.line_no, str(exc)))
     csv_path = args.out / "analysis.csv"
     regime_path = args.out / "regime.txt"
     tally = LengthTally()
-    groups_read = 0
-    regime_lines = []
+    degenerate = length_only = groups_read = 0
+    regime_lines: list[str] = []
     csv = None
     try:
-        for w, window in enumerate(_windows(evaluated(), args.window)):
-            groups, advs, terms = zip(*window)
-            records, stats = _window_records(w, groups, advs, terms)
+        while True:
+            try:
+                groups = _next_window(log, args.window, clip, report)
+            except OSError as exc:
+                flush_errors()
+                print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
+                return 1
+            flush_errors()
+            if not groups:
+                break
+            records, stats = _window_rows(len(regime_lines), groups, tally)
             if csv is None:
                 args.out.mkdir(parents=True, exist_ok=True)
                 csv = open(csv_path, "w", encoding="utf-8")
                 csv.write(METRIC_HEADER)
             csv.write(format_metrics(records))
-            for group, adv in zip(groups, advs):
-                tally.add(group, adv)
+            degenerate += sum(g.degenerate for g in groups)
+            length_only += sum(g.terms is None for g in groups)
             groups_read += len(groups)
             gap = "n/a" if stats.len_gap is None else f"{stats.len_gap:.4f}"
             regime_lines.append(
-                f"window {w}: groups={len(groups)} len_cv={stats.len_cv:.4f} "
+                f"window {len(regime_lines)}: groups={len(groups)} len_cv={stats.len_cv:.4f} "
                 f"len_gap={gap} regime={regime_report(stats)}"
             )
-    except _ReadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+            if len(groups) < args.window:
+                break  # the end of the log
     finally:
+        log.close()
         if csv is not None:
             csv.close()
     if csv is None:

@@ -21,9 +21,10 @@ by dividing individual tokens by their advantage.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from math import fsum
-from typing import Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .aggregate import (
     RULES,
@@ -44,6 +45,7 @@ __all__ = [
     "decompose",
     "ba_weight_identity",
     "length_stats",
+    "pooled_length_stats",
     "pooled_mean",
     "batch_metrics",
     "regime_report",
@@ -212,48 +214,45 @@ def ba_weight_identity(
 class LengthTally:
     """Counts of response lengths, pooled and per advantage sign.
 
-    ``stats`` gives exactly what length_stats gives for every group added:
-    the statistics are ``fsum``s, whose value does not depend on the order
-    of their terms. A tally takes memory of the order of the number of
-    distinct lengths, however many groups it has seen.
+    ``stats`` gives exactly what pooled_length_stats gives over every length
+    added: the statistics are ``fsum``s, whose value does not depend on the
+    order of their terms. A tally takes memory of the order of the number of
+    distinct lengths, however many lengths it has seen.
     """
 
     def __init__(self) -> None:
-        self.all: dict[int, int] = {}
-        self.pos: dict[int, int] = {}
-        self.neg: dict[int, int] = {}
+        self.all: Counter[int] = Counter()
+        self.pos: Counter[int] = Counter()
+        self.neg: Counter[int] = Counter()
 
-    def add(self, group: RolloutGroup, adv: AdvantageSet) -> None:
-        if adv.size != group.size:
-            raise ValueError("advantage set does not match group")
-        lengths = group.lengths
-        for counts, indices in (
-            (self.all, range(group.size)),
-            (self.pos, adv.pos_indices),
-            (self.neg, adv.neg_indices),
-        ):
-            for i in indices:
-                t = lengths[i]
-                counts[t] = counts.get(t, 0) + 1
+    def add(self, lengths: Iterable[int], pos_lengths: Iterable[int], neg_lengths: Iterable[int]) -> None:
+        """Count a batch's lengths, as passed to pooled_length_stats."""
+        self.all.update(lengths)
+        self.pos.update(pos_lengths)
+        self.neg.update(neg_lengths)
 
     def stats(self) -> LengthStats:
-        return _pooled_stats(_Counted(self.all), _Counted(self.pos), _Counted(self.neg))
+        return pooled_length_stats(_Counted(self.all), _Counted(self.pos), _Counted(self.neg))
 
 
 class _Counted:
     """A multiset of lengths held as counts: sized, and iterable any number of times."""
 
-    def __init__(self, counts: dict[int, int]) -> None:
+    def __init__(self, counts: Counter[int]) -> None:
         self.counts = counts
 
     def __len__(self) -> int:
-        return sum(self.counts.values())
+        return self.counts.total()
 
     def __iter__(self):
-        return (t for t, c in self.counts.items() for _ in range(c))
+        return self.counts.elements()
 
 
-def _pooled_stats(lengths, pos_lengths, neg_lengths) -> LengthStats:
+def pooled_length_stats(
+    lengths: Collection[int], pos_lengths: Collection[int], neg_lengths: Collection[int]
+) -> LengthStats:
+    """Length statistics of every response length and of the positive /
+    negative responses' lengths; each is iterated more than once."""
     n = len(lengths)
     if not n:
         raise ValueError("length_stats needs a non-empty batch")
@@ -289,7 +288,7 @@ def length_stats(
         lengths.extend(gl)
         pos_lengths.extend(gl[i] for i in adv.pos_indices)
         neg_lengths.extend(gl[i] for i in adv.neg_indices)
-    return _pooled_stats(lengths, pos_lengths, neg_lengths)
+    return pooled_length_stats(lengths, pos_lengths, neg_lengths)
 
 
 def pooled_mean(values: Sequence[float]) -> float:
@@ -302,20 +301,22 @@ def pooled_mean(values: Sequence[float]) -> float:
 
 def batch_metrics(
     step: int,
-    groups: Sequence[RolloutGroup],
-    advs: Sequence[AdvantageSet],
+    stats: LengthStats,
+    rewards: Sequence[float],
+    ks: Sequence[int],
     objectives: Mapping[str, float | None],
     clip_fraction: float | None,
-) -> tuple[list[MetricRecord], LengthStats]:
-    """One MetricRecord per rule in ``objectives``, plus the batch's length stats.
+) -> list[MetricRecord]:
+    """One MetricRecord per rule in ``objectives`` for a batch of groups.
 
-    Only the objective and its pg_loss differ between the records; lengths,
-    mean reward, mean k and ``clip_fraction`` do not depend on the rule.
+    ``stats`` are the batch's length statistics, ``rewards`` every response's
+    reward and ``ks`` each group's count of positive responses. Only the
+    objective and its pg_loss differ between the records; lengths, mean
+    reward, mean k and ``clip_fraction`` do not depend on the rule.
     """
-    stats = length_stats(groups, advs)
-    mean_reward = pooled_mean([r.reward for g in groups for r in g.responses])
-    k_mean = fsum(a.k for a in advs) / len(advs)
-    records = [
+    mean_reward = pooled_mean(rewards)
+    k_mean = fsum(ks) / len(ks)
+    return [
         MetricRecord(
             step=step,
             rule=rule,
@@ -331,7 +332,6 @@ def batch_metrics(
         )
         for rule, objective in objectives.items()
     ]
-    return records, stats
 
 
 def regime_report(

@@ -13,6 +13,8 @@ Response and RolloutGroup own every record rule: token ids and ``token_count``
 (at most 2**53) are Python or NumPy ints or integral floats, never bools;
 rewards, ratios, log-probabilities and ``eps_var`` are finite Python floats or
 ints or ``np.float64``. A violation is a ValueError naming the field.
+``group_columns`` applies the same rules in bulk, to a group given as plain
+fields, and builds no record.
 
 For binary rewards with ``eps_var = 0`` the advantages have a closed form
 that depends only on the group size and the number of positive responses:
@@ -25,16 +27,20 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
+from itertools import chain
 from math import fsum
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "Response",
     "RolloutGroup",
+    "group_columns",
     "AdvantageSet",
     "DegenerateGroupError",
     "normalize_advantages",
+    "normalize_rewards",
     "binary_closed_form",
     "RATIO_LOGP_RTOL",
     "MAX_TOKEN_COUNT",
@@ -221,6 +227,100 @@ class RolloutGroup:
         return all(r.ratios is not None for r in self.responses)
 
 
+def group_columns(prompt_id, responses, eps_var=0.0, group_id=None) -> tuple | None:
+    """The columns of a group given as plain fields, checked in bulk.
+
+    ``responses`` holds each response's fields as a dict keyed by Response
+    field name (other keys are ignored, an absent field is None, an absent
+    ``truncated`` False). Returns ``(eps_var, rewards, lengths, ratios)`` as
+    RolloutGroup and its Responses would hold them, with ``ratios`` one flat
+    list ordered by response and position, or None for a length-only group.
+    The checks are C-level passes over all of the group's values at once
+    and accept only values every record rule accepts. None means they did
+    not accept every value; build the records then, for the group or its
+    error. Integral-float token ids, a ``token_count`` next to ``tokens`` and
+    ratios next to a logp pair (which need the RATIO_LOGP_RTOL check) always
+    give None. A rule added to Response or RolloutGroup must be added here.
+    """
+    if not (
+        type(prompt_id) is str
+        and (group_id is None or type(group_id) is str)
+        and len(responses) >= 2
+    ):
+        return None
+    rewards: list = []
+    lengths: list[int] = []
+    token_lists: list[list] = []
+    reals: list[list] = []  # per response with ratios: its ratios, or logp_new and logp_old
+    spans: list[tuple[int, bool]] = []  # per response with ratios: (length, from a logp pair)
+    length_only = False
+    for raw in responses:
+        if type(raw) is not dict or type(raw.get("truncated", False)) is not bool:
+            return None
+        tokens = raw.get("tokens")
+        count = raw.get("token_count")
+        if tokens is not None:
+            if type(tokens) is not list or count is not None or not tokens:
+                return None
+            token_lists.append(tokens)
+            count = len(tokens)
+        elif type(count) is not int or not 1 <= count <= MAX_TOKEN_COUNT:
+            return None
+        rewards.append(raw.get("reward"))
+        lengths.append(count)
+        ratios = raw.get("ratios")
+        logp_new = raw.get("logp_new")
+        logp_old = raw.get("logp_old")
+        if logp_new is not None or logp_old is not None:
+            if not (
+                ratios is None
+                and type(logp_new) is list
+                and type(logp_old) is list
+                and len(logp_new) == count == len(logp_old)
+            ):
+                return None
+            reals += (logp_new, logp_old)
+            spans.append((count, True))
+        elif ratios is not None:
+            if type(ratios) is not list or len(ratios) != count:
+                return None
+            reals.append(ratios)
+            spans.append((count, False))
+        else:
+            length_only = True
+    head = [eps_var, *rewards]
+    if not (
+        _INT_TYPE.issuperset(map(type, chain.from_iterable(token_lists)))
+        and _REAL_TYPES.issuperset(map(type, chain(head, *reals)))
+    ):
+        return None
+    try:
+        values = list(map(float, chain(head, *reals)))
+    except OverflowError:
+        return None
+    if not all(map(math.isfinite, values)) or values[0] < 0.0:
+        return None
+    ratios = values[len(head) :]
+    if len(reals) > len(spans):
+        # exp(logp_new - logp_old) exactly as Response derives it
+        given, ratios, at = ratios, [], 0
+        for t, from_logp in spans:
+            if from_logp:
+                try:
+                    ratios += map(math.exp, map(operator.sub, given[at : at + t], given[at + t : at + 2 * t]))
+                except OverflowError:
+                    return None
+                at += 2 * t
+            else:
+                ratios += given[at : at + t]
+                at += t
+        if math.inf in ratios:
+            return None
+    if ratios and not min(ratios) > 0.0:
+        return None
+    return values[0], values[1 : len(head)], lengths, None if length_only else ratios
+
+
 @dataclass(frozen=True)
 class AdvantageSet:
     """Normalized advantages plus the sign partition of a group.
@@ -276,20 +376,28 @@ def normalize_advantages(group: RolloutGroup) -> AdvantageSet:
     all-zero advantages instead. Raises ValueError naming the group when the
     reward sum or variance overflows a float, or the variance underflows to 0.
     """
-    rewards = group.rewards
-    g = group.size
-    if group.eps_var == 0.0 and all(r == rewards[0] for r in rewards):
+    return normalize_rewards(group.rewards, group.eps_var, group.prompt_id)
+
+
+def normalize_rewards(rewards: Sequence[float], eps_var: float, prompt_id: str) -> AdvantageSet:
+    """``normalize_advantages`` of a group given as its reward column.
+
+    ``rewards`` are finite floats and ``eps_var`` a finite float >= 0, as a
+    RolloutGroup holds them; ``prompt_id`` names the group in errors.
+    """
+    g = len(rewards)
+    if eps_var == 0.0 and all(r == rewards[0] for r in rewards):
         raise DegenerateGroupError(
-            f"group {group.prompt_id!r}: all rewards equal ({rewards[0]}) with eps_var=0"
+            f"group {prompt_id!r}: all rewards equal ({rewards[0]}) with eps_var=0"
         )
     try:
         mu = fsum(rewards) / g
-        sigma = math.sqrt(fsum((r - mu) ** 2 for r in rewards) / g + group.eps_var)
+        sigma = math.sqrt(fsum((r - mu) ** 2 for r in rewards) / g + eps_var)
         if not 0.0 < sigma < math.inf:
             raise OverflowError
     except OverflowError:
         raise ValueError(
-            f"group {group.prompt_id!r}: reward variance is out of float range"
+            f"group {prompt_id!r}: reward variance is out of float range"
         ) from None
     return AdvantageSet(tuple((r - mu) / sigma for r in rewards), mu, sigma)
 

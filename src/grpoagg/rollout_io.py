@@ -15,6 +15,13 @@ objective evaluation. The parser checks only the line format; every field
 rule belongs to ``groups.Response`` and ``groups.RolloutGroup``, whose errors
 come back as RecordValidationError naming the line and response.
 
+``read_rollouts`` yields one validated RolloutGroup per line.
+``read_group_columns`` yields the same groups as plain columns, one tuple per
+line, for callers that evaluate many groups at once: each line is checked in
+bulk by ``groups.group_columns``, and only a line those checks do not accept
+is parsed by ``parse_rollout_line``, so both readers accept the same groups
+with the same values and report the same errors.
+
 Lines are decoded with ``orjson`` when it is installed and with ``json``
 otherwise, with the same result either way: a line that orjson rejects, or
 that may hold an integer beyond 64 bits (which orjson 3.8 reads as a float)
@@ -33,10 +40,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .groups import Response, RolloutGroup
+from .groups import Response, RolloutGroup, group_columns
 
 __all__ = [
     "METRIC_FIELDS",
@@ -46,6 +54,7 @@ __all__ = [
     "RecordValidationError",
     "parse_rollout_line",
     "read_rollouts",
+    "read_group_columns",
     "write_rollouts",
     "group_to_dict",
     "write_metrics",
@@ -252,12 +261,33 @@ def read_rollouts(
     """Stream validated groups from a JSONL file, one group per line.
 
     Only the current line and its group are held, so a caller that drops
-    each group in turn reads a log of any length in bounded memory. The file
-    is read as bytes and decoded one line at a time, so a line that is not
-    UTF-8 fails alone. As in text mode, a line ends at "\\n", "\\r\\n"
-    or a lone "\\r", and whitespace-only lines are skipped. An invalid line
-    raises MalformedLineError / RecordValidationError with its 1-based line
-    number or, when ``on_error`` is given, is passed to it and skipped.
+    each group in turn reads a log of any length in bounded memory. Lines
+    are read as ``_text_lines`` reads them. An invalid line raises
+    MalformedLineError / RecordValidationError with its 1-based line number
+    or, when ``on_error`` is given, is passed to it and skipped.
+    """
+    for line_no, line in _text_lines(path, on_error):
+        try:
+            group = parse_rollout_line(line, line_no, default_eps_var)
+        except RolloutLogError as exc:
+            _pass_on(exc, on_error)
+            continue
+        yield group
+
+
+def _pass_on(exc: RolloutLogError, on_error: Callable[[RolloutLogError], None] | None) -> None:
+    if on_error is None:
+        raise exc
+    on_error(exc)
+
+
+def _text_lines(path, on_error) -> Iterator[tuple[int, str]]:
+    """Each line of a file that is not whitespace only, with its 1-based number.
+
+    The file is read as bytes and decoded one line at a time, so a line that
+    is not UTF-8 fails alone (MalformedLineError, raised or passed to
+    ``on_error``). As in text mode, a line ends at "\\n", "\\r\\n" or a
+    lone "\\r", and its end is given as "\\n".
     """
     line_no = 0
     with open(path, "rb") as fh:
@@ -266,15 +296,11 @@ def read_rollouts(
                 line_no += 1
                 try:
                     line = _decode_line(raw, line_no)
-                    if not line.strip():
-                        continue
-                    group = parse_rollout_line(line, line_no, default_eps_var)
-                except RolloutLogError as exc:
-                    if on_error is None:
-                        raise
-                    on_error(exc)
+                except MalformedLineError as exc:
+                    _pass_on(exc, on_error)
                     continue
-                yield group
+                if line.strip():
+                    yield line_no, line
 
 
 def _decode_line(raw: bytes, line_no: int) -> str:
@@ -288,6 +314,59 @@ def _decode_line(raw: bytes, line_no: int) -> str:
     if line.endswith("\r\n"):
         return line[:-2] + "\n"
     return line
+
+
+def read_group_columns(
+    path: str | Path,
+    default_eps_var: float = 0.0,
+    on_error: Callable[[RolloutLogError], None] | None = None,
+) -> Iterator[tuple]:
+    """Stream a log's valid groups as columns, one tuple per group:
+    ``(line_no, prompt_id, eps_var, rewards, lengths, ratios)``.
+
+    ``rewards`` and ``lengths`` are lists, ``ratios`` one flat list ordered
+    by response and position, or None for a length-only group; every value
+    is what the line's RolloutGroup holds. Lines are read, and errors raised
+    or passed to ``on_error``, as ``read_rollouts`` does. A decoded line
+    whose fields ``groups.group_columns`` accepts builds no Response; any
+    other line is parsed by ``parse_rollout_line`` alone, so the values,
+    error texts and line numbers are the record API's. Closing the
+    generator closes the log.
+    """
+    for line_no, line in _text_lines(path, on_error):
+        # json.loads' recursion limit counts the caller's frames, so both
+        # decodes of a line run at the same call depth
+        columns = _line_columns(line, default_eps_var)
+        if columns is None:
+            try:
+                group = parse_rollout_line(line, line_no, default_eps_var)
+            except RolloutLogError as exc:
+                _pass_on(exc, on_error)
+                continue
+            ratios = None
+            if group.has_ratios:
+                ratios = list(chain.from_iterable(r.ratios for r in group.responses))
+            columns = group.prompt_id, group.eps_var, list(group.rewards), list(group.lengths), ratios
+        yield (line_no, *columns)
+
+
+def _line_columns(line: str, default_eps_var: float) -> tuple | None:
+    """A line's (prompt_id, eps_var, rewards, lengths, ratios), or None unless
+    it decodes to a record of the line format whose fields group_columns
+    accepts."""
+    try:
+        obj = _loads(line)
+    except (ValueError, RecursionError):
+        return None
+    if type(obj) is not dict:
+        return None
+    version = obj.get("v", 1)
+    responses = obj.get("responses")
+    if not (type(version) is int and version == 1 and type(responses) is list):
+        return None
+    prompt_id = obj.get("prompt_id")
+    columns = group_columns(prompt_id, responses, obj.get("eps_var", default_eps_var), obj.get("group_id"))
+    return None if columns is None else (prompt_id, *columns)
 
 
 def group_to_dict(group: RolloutGroup) -> dict:

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .aggregate import RULES, ClipConfig, FlatBatch, rule_terms
-from .decompose import batch_metrics
+from .decompose import batch_metrics, length_stats
 from .groups import AdvantageSet, Response, RolloutGroup, normalize_advantages
 from .rollout_io import MetricRecord, write_metrics, write_rollouts
 
@@ -43,6 +43,7 @@ __all__ = [
     "TASK_KINDS",
     "MAX_POLICY_CELLS",
     "MAX_STEP_CELLS",
+    "MAX_WORK_CELLS",
     "TaskSpec",
     "TrainConfig",
     "PolicyTable",
@@ -65,6 +66,12 @@ TASK_KINDS = ("count", "free-length")
 # logit-gradient entries number that times vocab_size (+1).
 MAX_POLICY_CELLS = 2**22
 MAX_STEP_CELLS = 2**22
+# Work cap, so a run that cannot finish is a ValueError before its first
+# step: a run evaluates steps * inner_epochs batches of step cells each. One
+# step cell takes 0.14 us (G64/P16/T32/V8) to 1.5 us (the default count
+# task's 1,536 cells) on a 2-core x86 host with Python 3.11, so a run at the
+# cap would take 43 hours to 19 days.
+MAX_WORK_CELLS = 2**40
 
 
 class SimulationError(RuntimeError):
@@ -349,6 +356,9 @@ def evaluate_batch(
     index = (prompts, positions, tokens)
     batch = FlatBatch(tuple(advs), tuple(lengths), np.exp(lp_new[index] - lp_old[index]))
     all_sums = batch.rule_sums(clip)
+    for group, sums in zip(groups, all_sums):
+        if sums is None:
+            raise SimulationError(f"rule sums overflow a float for prompt {group.prompt_id}")
     terms = [{r: rule_terms(r, sums) for r in RULES} for sums in all_sums]
     b = len(groups)
     objectives = {r: fsum(t[r][0] for t in terms) / b for r in RULES}
@@ -427,8 +437,13 @@ def train_step(
         assert ev.grad_logits is not None
         current = PolicyTable(current.logits + config.learning_rate * ev.grad_logits)
     objectives = {r: fsum(v) / len(v) for r, v in values.items()}
-    records, _ = batch_metrics(
-        step, groups, advs, objectives, fsum(clip_fracs) / len(clip_fracs)
+    records = batch_metrics(
+        step,
+        length_stats(groups, advs),
+        [r.reward for g in groups for r in g.responses],
+        [a.k for a in advs],
+        objectives,
+        fsum(clip_fracs) / len(clip_fracs),
     )
     return current, records, groups
 
@@ -443,13 +458,20 @@ def run_training(
 
     Optionally writes the metric CSV and a JSONL dump of every sampled group.
     Raises ValueError before any work when one step's prompts * group_size *
-    t_max * vocab_size exceeds MAX_STEP_CELLS.
+    t_max * vocab_size exceeds MAX_STEP_CELLS, or that times steps *
+    inner_epochs exceeds MAX_WORK_CELLS.
     """
     batch = config.prompts_per_batch or task.num_prompts
+    step_cells = batch * config.group_size * task.t_max * task.vocab_size
     _check_cells(
         "step cells (prompts per batch * group_size * t_max * vocab_size)",
-        batch * config.group_size * task.t_max * task.vocab_size,
+        step_cells,
         MAX_STEP_CELLS,
+    )
+    _check_cells(
+        "work cells (steps * inner_epochs * step cells)",
+        config.steps * config.inner_epochs * step_cells,
+        MAX_WORK_CELLS,
     )
     policy = PolicyTable.uniform(task.num_prompts, task.t_max, task.vocab_size)
     records: list[MetricRecord] = []

@@ -209,7 +209,8 @@ def test_length_tally_gives_length_stats_bits():
     advs = [normalize_advantages(g) for g in groups]
     tally = LengthTally()
     for group, adv in zip(groups, advs):
-        tally.add(group, adv)
+        lengths = group.lengths
+        tally.add(lengths, [lengths[i] for i in adv.pos_indices], [lengths[i] for i in adv.neg_indices])
     assert repr(tally.stats()) == repr(length_stats(groups, advs))
     with pytest.raises(ValueError, match="non-empty"):
         LengthTally().stats()

@@ -11,8 +11,11 @@ negative, non-finite and oversized values.
 import contextlib
 import io
 import json
+import math
+import shutil
 import tempfile
 import warnings
+from math import fsum
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +24,17 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from grpoagg.aggregate import ClipConfig, compute_rule_sums
+from grpoagg.aggregate import RULES, ClipConfig, compute_rule_sums, rule_terms
 from grpoagg.cli import main
-from grpoagg.groups import AdvantageSet, RolloutGroup
-from grpoagg.rollout_io import RolloutLogError, parse_rollout_line
+from grpoagg.decompose import length_stats, pooled_mean, regime_report
+from grpoagg.groups import AdvantageSet, DegenerateGroupError, RolloutGroup, normalize_advantages
+from grpoagg.rollout_io import (
+    METRIC_HEADER,
+    MetricRecord,
+    RolloutLogError,
+    format_metrics,
+    parse_rollout_line,
+)
 
 from conftest import AVAILABLE_DECODERS, decoding_with, reference_rule_sums
 
@@ -145,24 +155,178 @@ def test_parse_returns_a_group_or_a_rollout_log_error(record, cut, line_no):
     assert outcomes.count(outcomes[0]) == len(outcomes)
 
 
-@SETTINGS
-@given(
-    log=st.lists(st.tuples(records(), cuts), min_size=1, max_size=6),
-    window=st.integers(1, 4),
+def reference_analyze(lines: list[str], window: int, out: Path) -> dict:
+    """What ``analyze --window W`` writes, one group at a time through the record API.
+
+    Each line is parsed, normalised and evaluated before the next is read,
+    and its error (if any) is reported at once; a full window's groups give
+    its rows.
+    """
+    clip = ClipConfig()
+    stderr, windows, kept = [], [], []
+    degenerate = length_only = 0
+    for line_no, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            group = parse_rollout_line(line + "\n", line_no)  # as read, with its line end
+            try:
+                adv, zero = normalize_advantages(group), False
+            except DegenerateGroupError:
+                adv, zero = AdvantageSet.from_advantages([0.0] * group.size), True
+            terms = None
+            if group.has_ratios:
+                arrays = [np.asarray(r.ratios, dtype=float) for r in group.responses]
+                try:
+                    with np.errstate(over="ignore"):
+                        sums = compute_rule_sums(adv, arrays, clip)
+                    objectives = [rule_terms(rule, sums)[0] for rule in RULES]
+                    if not all(map(math.isfinite, objectives)):
+                        raise OverflowError
+                except OverflowError:
+                    raise ValueError(f"group {group.prompt_id!r}: an objective overflows a float") from None
+                terms = (objectives, sums.clipped, sums.total_tokens)
+        except RolloutLogError as exc:
+            stderr.append(f"error: {exc}\n")
+            continue
+        except ValueError as exc:
+            stderr.append(f"error: line {line_no}: {exc}\n")
+            continue
+        degenerate += zero
+        length_only += terms is None
+        kept.append((group, adv, terms))
+        if len(kept) == window:
+            windows.append(kept)
+            kept = []
+    windows += [kept] if kept else []
+    if not windows:
+        return {"code": 1, "stdout": "", "stderr": "".join(stderr) + "error: no groups parsed\n",
+                "analysis.csv": None, "regime.txt": None}
+    rows, regime = [], []
+    for step, batch in enumerate(windows):
+        groups, advs, terms = zip(*batch)
+        evaluated = [t for t in terms if t is not None]
+        tokens = sum(t[2] for t in evaluated)
+        stats = length_stats(groups, advs)
+        rows += [
+            MetricRecord(
+                step, rule, objective, None if objective is None else -objective,
+                stats.len_cv, stats.len_gap, stats.tbar_pos, stats.tbar_neg,
+                pooled_mean([r.reward for g in groups for r in g.responses]),
+                fsum(a.k for a in advs) / len(advs),
+                sum(t[1] for t in evaluated) / tokens if tokens else None,
+            )
+            for rule, objective in (
+                (rule, pooled_mean([t[0][i] for t in evaluated]) if evaluated else None)
+                for i, rule in enumerate(RULES)
+            )
+        ]
+        gap = "n/a" if stats.len_gap is None else f"{stats.len_gap:.4f}"
+        regime.append(f"window {step}: groups={len(groups)} len_cv={stats.len_cv:.4f} "
+                      f"len_gap={gap} regime={regime_report(stats)}\n")
+    groups, advs, _ = zip(*(g for batch in windows for g in batch))
+    regime.append(f"overall: groups={len(groups)} regime={regime_report(length_stats(groups, advs))}\n")
+    notices = []
+    if degenerate:
+        notices.append(f"notice: {degenerate} degenerate group(s) treated as zero-advantage\n")
+    if length_only:
+        notices.append(f"notice: {length_only} length-only group(s); objectives skipped for them\n")
+    wrote = f"wrote {out / 'analysis.csv'} and {out / 'regime.txt'}\n"
+    return {"code": 0, "stdout": "".join(notices + regime) + wrote, "stderr": "".join(stderr),
+            "analysis.csv": METRIC_HEADER + format_metrics(rows), "regime.txt": "".join(regime)}
+
+
+good = {"tokens": [1, 0], "reward": 1.0, "ratios": [1.0, 0.9]}
+bad = dict(good, reward=0.0)
+# lines the bulk checks of the window reader leave to the record validator,
+# lines that fail exactly one of those checks, and a group whose objective
+# overflows, which a window must refill
+EXCEPTIONAL = [
+    {"prompt_id": "zero", "responses": [dict(good, ratios=[0.0, 1.0]), bad]},
+    {"prompt_id": "ints", "responses": [dict(good, ratios=[1, 2], reward=1), dict(bad, reward=0)]},
+    {"prompt_id": "tiny", "responses": [dict(good, logp_new=[-800.0, 0.0], logp_old=[0.0, 0.0]), bad]},
+    {"prompt_id": "huge", "responses": [dict(good, logp_new=[800.0, 0.0], logp_old=[0.0, 0.0]), bad]},
+    {"prompt_id": "long", "responses": [{"token_count": 2**53 + 1, "reward": 1.0}, {"token_count": 2, "reward": 0.0}]},
+    {"prompt_id": "eps", "eps_var": -1e-300, "responses": [good, bad]},
+    {"prompt_id": "floats", "responses": [dict(good, tokens=[1.0, 0.0]), bad]},
+    {"prompt_id": "count", "responses": [{"token_count": 3.0, "reward": 1.0}, {"token_count": 2, "reward": 0.0}]},
+    {"prompt_id": "both", "responses": [good, dict(bad, tokens=[2, 2, 0], token_count=3, ratios=[1, 1, 1])]},
+    {"prompt_id": "pair", "responses": [dict(good, logp_new=[-1.0, -2.0], logp_old=[-1.0, -1.5]),
+                                        dict(bad, ratios=[1.0, 1.0], logp_new=[-0.5, -0.5], logp_old=[-0.5, -0.5])]},
+    {"prompt_id": "overflow", "responses": [good] * 9 + [{"tokens": [1], "reward": 0.0, "ratios": [1e308]}]},
+    {"prompt_id": "plain", "responses": [good, bad]},
+]
+drawn_line = st.tuples(records(), cuts).map(lambda rc: render(*rc))
+# three in four lines are drawn records, one in four is exceptional or blank
+log_lines = st.one_of(
+    drawn_line,
+    drawn_line,
+    drawn_line,
+    st.sampled_from([json.dumps(record) for record in EXCEPTIONAL] + ["", "  ", "[1]"]),
 )
+
+
+@SETTINGS
+@given(log=st.lists(log_lines, min_size=1, max_size=8), window=st.integers(1, 4))
 def test_analyze_exits_zero_or_one_and_reports_lines(log, window):
+    # under every available decoder, analyze writes what the record API's
+    # group-at-a-time loop gives
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "log.jsonl"
-        path.write_text("".join(render(r, cut) + "\n" for r, cut in log), encoding="utf-8")
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                warnings.catch_warnings():
+        path.write_text("".join(line + "\n" for line in log), encoding="utf-8")
+        out = Path(tmp) / "out"
+        with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["analyze", "--input", str(path), "--window", str(window),
-                         "--out", tmp])
+            want = reference_analyze(log, window, out)
+            for decoder in AVAILABLE_DECODERS:
+                shutil.rmtree(out, ignore_errors=True)
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with decoding_with(decoder), contextlib.redirect_stdout(stdout), \
+                        contextlib.redirect_stderr(stderr):
+                    code = main(["analyze", "--input", str(path), "--window", str(window),
+                                 "--out", str(out)])
+                got = {"code": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+                for name in ("analysis.csv", "regime.txt"):
+                    got[name] = (out / name).read_text(encoding="utf-8") if (out / name).exists() else None
+                assert got == want, decoder
     assert code in (0, 1)
-    for line in err.getvalue().splitlines():
+    for line in got["stderr"].splitlines():
         assert line.startswith("error: line ") or line == "error: no groups parsed"
+
+
+@st.composite
+def sim_configs(draw):
+    """A small simulate command line with one inner epoch and eps_var > 0."""
+    return [
+        "simulate",
+        "--task", draw(st.sampled_from(["count", "free-length"])),
+        "--group-size", str(draw(st.integers(2, 8))),
+        "--prompts", str(prompts := draw(st.integers(1, 4))),
+        "--t-max", str(draw(st.integers(2, 8))),
+        "--vocab-size", str(draw(st.integers(2, 5))),
+        "--steps", str(draw(st.integers(1, 5))),
+        "--rule", draw(st.sampled_from(RULES)),
+        "--eps-var", repr(draw(st.sampled_from([1e-6, 1e-3, 0.5]))),
+        "--lr", repr(draw(st.sampled_from([0.01, 0.5, 4.0]))),
+        "--seed", str(draw(st.integers(0, 1000))),
+        "--inner-epochs", "1",
+    ], prompts
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(config=sim_configs())
+def test_analyze_of_a_rollout_dump_reproduces_the_simulator_metrics(config):
+    # with one inner epoch every stored ratio is exactly 1, so analyze, one
+    # window per step, must evaluate each step as the simulator did
+    argv, prompts = config
+    rule = argv[argv.index("--rule") + 1]
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv + ["--dump-rollouts", "--out", tmp]) == 0
+            assert main(["analyze", "--input", f"{tmp}/rollouts_{rule}.jsonl",
+                         "--window", str(prompts), "--out", f"{tmp}/analysis"]) == 0
+        metrics = Path(tmp, f"metrics_{rule}.csv").read_bytes()
+        assert Path(tmp, "analysis", "analysis.csv").read_bytes() == metrics
 
 
 # ratios at the clip boundaries of ClipConfig() included, to hit the ties

@@ -5,6 +5,7 @@ from math import fsum
 import numpy as np
 import pytest
 
+from grpoagg import sim
 from grpoagg.aggregate import (
     RULES,
     ClipConfig,
@@ -20,6 +21,7 @@ from grpoagg.sim import (
     COUNT_SYMBOL,
     EOS_TOKEN,
     MAX_POLICY_CELLS,
+    MAX_WORK_CELLS,
     PolicyTable,
     SimulationError,
     TaskSpec,
@@ -125,6 +127,37 @@ def test_size_caps_are_checked_before_allocating(capsys, tmp_path):
         argv = ["simulate", flag, str(huge), "--steps", "1", "--out", str(tmp_path)]
         assert main(argv) == 2
         assert "above the cap" in capsys.readouterr().err
+
+
+def test_work_cap_is_checked_before_the_first_step(monkeypatch, capsys, tmp_path):
+    # no step may run: a refused run would take hours, and an admitted one
+    # stops at its first step
+    def first_step(*args, **kwargs):
+        raise AssertionError("the run reached its first step")
+
+    monkeypatch.setattr(sim, "train_step", first_step)
+    task = TaskSpec("count", vocab_size=2, t_max=8, num_prompts=4)
+    step_cells = 4 * 16 * 8 * 2  # prompts * group_size * t_max * vocab_size
+    at_cap = TrainConfig(rule="token", steps=MAX_WORK_CELLS // step_cells // 2, inner_epochs=2)
+    with pytest.raises(AssertionError, match="first step"):
+        run_training(task, at_cap)
+    for over in (replace(at_cap, steps=at_cap.steps + 1), replace(at_cap, inner_epochs=3)):
+        with pytest.raises(ValueError, match=r"work cells \(steps \* inner_epochs \* step cells\)"):
+            run_training(task, over)
+    for command in ("simulate", "compare"):
+        argv = [command, "--steps", "3", "--prompts", "2", "--inner-epochs", str(2**40),
+                "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: work cells (steps * inner_epochs * step cells) is {3 * 2**40 * 2 * 16 * 8 * 3}, "
+            f"above the cap of {MAX_WORK_CELLS}\n"
+        )
+    # a long run at a large step size (G64/P16/T32/V8, about 40 s) is admitted
+    argv = ["simulate", "--group-size", "64", "--prompts", "16", "--t-max", "32",
+            "--vocab-size", "8", "--steps", "1025", "--out", str(tmp_path)]
+    with pytest.raises(AssertionError, match="first step"):
+        main(argv)
 
 
 # --- sampling ---
