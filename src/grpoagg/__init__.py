@@ -5,113 +5,32 @@ the clipped token term and the four aggregation objectives with analytic
 gradients (``aggregate``), sign-split bias diagnostics (``decompose``), a
 deterministic tabular-policy training simulator (``sim``), JSONL/CSV
 interchange (``rollout_io``), and the seeded identity suite (``verify``).
+The package exports exactly the names each module lists in its ``__all__``.
 """
 
-from .aggregate import (
-    RULES,
-    AggregationResult,
-    BoundaryProximityError,
-    ClipConfig,
-    MissingRatiosError,
-    gradient_check,
-    objective_balanced,
-    objective_balanced_gen,
-    objective_seq,
-    objective_token,
-    phi,
-)
-from .decompose import (
-    DecompositionReport,
-    LengthStats,
-    NonBinaryRewardError,
-    RegimeThresholds,
-    ba_weight_identity,
-    decompose,
-    length_stats,
-    regime_report,
-)
-from .groups import (
-    AdvantageSet,
-    DegenerateGroupError,
-    Response,
-    RolloutGroup,
-    binary_closed_form,
-    normalize_advantages,
-)
-from .rollout_io import (
-    METRIC_FIELDS,
-    MalformedLineError,
-    MetricRecord,
-    RecordValidationError,
-    RolloutLogError,
-    read_metrics,
-    read_rollouts,
-    write_metrics,
-    write_rollouts,
-)
-from .sim import (
-    COUNT_SYMBOL,
-    EOS_TOKEN,
-    PolicyTable,
-    SimulationError,
-    TaskSpec,
-    TrainConfig,
-    logit_gradient_check,
-    run_training,
-    sample_group,
-    train_step,
-    verify_reward,
-)
-from .verify import run_suite
+# The lists are read through aliases: ``from .decompose import *`` rebinds
+# the package attribute ``decompose`` from the module to the function.
+from . import aggregate as _aggregate
+from . import decompose as _decompose
+from . import groups as _groups
+from . import rollout_io as _rollout_io
+from . import sim as _sim
+from . import verify as _verify
+from .aggregate import *  # noqa: F401,F403
+from .decompose import *  # noqa: F401,F403
+from .groups import *  # noqa: F401,F403
+from .rollout_io import *  # noqa: F401,F403
+from .sim import *  # noqa: F401,F403
+from .verify import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "RULES",
-    "AggregationResult",
-    "BoundaryProximityError",
-    "ClipConfig",
-    "MissingRatiosError",
-    "gradient_check",
-    "objective_balanced",
-    "objective_balanced_gen",
-    "objective_seq",
-    "objective_token",
-    "phi",
-    "DecompositionReport",
-    "LengthStats",
-    "NonBinaryRewardError",
-    "RegimeThresholds",
-    "ba_weight_identity",
-    "decompose",
-    "length_stats",
-    "regime_report",
-    "AdvantageSet",
-    "DegenerateGroupError",
-    "Response",
-    "RolloutGroup",
-    "binary_closed_form",
-    "normalize_advantages",
-    "METRIC_FIELDS",
-    "MalformedLineError",
-    "MetricRecord",
-    "RecordValidationError",
-    "RolloutLogError",
-    "read_metrics",
-    "read_rollouts",
-    "write_metrics",
-    "write_rollouts",
-    "COUNT_SYMBOL",
-    "EOS_TOKEN",
-    "PolicyTable",
-    "SimulationError",
-    "TaskSpec",
-    "TrainConfig",
-    "logit_gradient_check",
-    "run_training",
-    "sample_group",
-    "train_step",
-    "verify_reward",
-    "run_suite",
+    *_aggregate.__all__,
+    *_decompose.__all__,
+    *_groups.__all__,
+    *_rollout_io.__all__,
+    *_sim.__all__,
+    *_verify.__all__,
     "__version__",
 ]

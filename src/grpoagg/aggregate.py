@@ -19,7 +19,7 @@ with N+- the token counts of the positive / negative subsets. All rows read
 the same sign-split sums (``RuleSums``), so a caller computes them once per
 group with ``compute_rule_sums`` (or for a run of groups with one
 ``FlatBatch``, whose tokens are laid out flat) and evaluates each row with
-``rule_terms``.
+``rule_terms``; ``objective`` does both for one group and one rule.
 The weight is also dJ/d phi, so dJ/d rho = w_i d phi/d rho, taking the
 unclipped branch at clip ties so the gradient is defined everywhere. An empty
 sign subset simply drops out (its weight already encodes the zero count);
@@ -50,16 +50,10 @@ __all__ = [
     "MissingRatiosError",
     "BoundaryProximityError",
     "phi",
-    "objective_token",
-    "objective_seq",
-    "objective_balanced",
-    "objective_balanced_gen",
+    "objective",
     "gradient_check",
     "compute_rule_sums",
     "rule_terms",
-    "ratio_gradients",
-    "group_ratio_arrays",
-    "evaluate_arrays",
 ]
 
 RULES = ("token", "seq", "balanced", "balanced_gen")
@@ -176,12 +170,6 @@ class FlatBatch:
             raise ValueError(f"{self.ratios.size} ratios for {advantages.size} tokens")
         object.__setattr__(self, "advantages", advantages)
 
-    @classmethod
-    def of_group(cls, adv: AdvantageSet, ratio_arrays: Sequence[np.ndarray]) -> "FlatBatch":
-        lengths = tuple(len(arr) for arr in ratio_arrays)
-        ratios = np.concatenate(ratio_arrays) if lengths else np.empty(0)
-        return cls((adv,), lengths, ratios)
-
     def _groups(self):
         """Each group's advantage set, response lengths and first token."""
         i = start = 0
@@ -254,19 +242,6 @@ def _assemble_sums(
     )
 
 
-def compute_rule_sums(
-    adv: AdvantageSet, ratio_arrays: Sequence[np.ndarray], clip: ClipConfig
-) -> RuleSums:
-    """Accumulate the sign-partitioned phi sums every rule is built from.
-
-    Raises OverflowError when a sum overflows a float.
-    """
-    sums = FlatBatch.of_group(adv, ratio_arrays).rule_sums(clip)[0]
-    if sums is None:
-        raise OverflowError("the rule sums overflow a float")
-    return sums
-
-
 def rule_terms(rule: str, sums: RuleSums) -> tuple[float, bool, Weight, Weight]:
     """One row of the rule table: (objective, degenerate, w_pos, w_neg).
 
@@ -298,94 +273,54 @@ def rule_terms(rule: str, sums: RuleSums) -> tuple[float, bool, Weight, Weight]:
     return term_pos + term_neg, degenerate, lambda t: w_pos, lambda t: w_neg
 
 
-def ratio_gradients(
-    adv: AdvantageSet,
-    ratio_arrays: Sequence[np.ndarray],
-    clip: ClipConfig,
-    w_pos: Weight,
-    w_neg: Weight,
-) -> tuple[np.ndarray, ...]:
-    """Per-response dJ/d rho from one rule row's sign weights (read-only)."""
-    batch = FlatBatch.of_group(adv, ratio_arrays)
-    flat = batch.ratio_gradients(clip, [(w_pos, w_neg)])
-    flat.setflags(write=False)
-    return tuple(np.split(flat, np.cumsum(batch.lengths[:-1])))
-
-
-def evaluate_arrays(
-    rule: str,
-    adv: AdvantageSet,
-    ratio_arrays: Sequence[np.ndarray],
-    clip: ClipConfig,
-    need_grad: bool = True,
-) -> tuple[float, tuple[np.ndarray, ...] | None, RuleSums, bool]:
-    """Evaluate one rule on raw ratio arrays.
-
-    Returns (objective, per-response gradient arrays or None, the shared
-    sign sums, degenerate flag). Callers that need several rules of one
-    group should call compute_rule_sums once and read each row with
-    rule_terms instead.
-    """
-    sums = compute_rule_sums(adv, ratio_arrays, clip)
-    objective, degenerate, w_pos, w_neg = rule_terms(rule, sums)
-    grads = ratio_gradients(adv, ratio_arrays, clip, w_pos, w_neg) if need_grad else None
-    return objective, grads, sums, degenerate
-
-
-def group_ratio_arrays(group: RolloutGroup) -> list[np.ndarray]:
-    """The group's per-response ratios as float arrays (copies)."""
-    arrays = []
+def _group_batch(group: RolloutGroup, adv: AdvantageSet) -> FlatBatch:
+    """The one-group FlatBatch of ``group`` under ``adv``, on a fresh ratio copy."""
+    if adv.size != group.size:
+        raise ValueError(
+            f"advantage set of size {adv.size} does not match group of size {group.size}"
+        )
     for i, resp in enumerate(group.responses):
         if resp.ratios is None:
             raise MissingRatiosError(
                 f"group {group.prompt_id!r}: response {i} is length-only, "
                 "objectives need per-token ratios"
             )
-        arrays.append(np.asarray(resp.ratios, dtype=float))
-    return arrays
+    ratios = np.array([r for resp in group.responses for r in resp.ratios], dtype=float)
+    return FlatBatch((adv,), group.lengths, ratios)
 
 
-def _objective(
+def _sums(batch: FlatBatch, clip: ClipConfig) -> RuleSums:
+    sums = batch.rule_sums(clip)[0]
+    if sums is None:
+        raise OverflowError("the rule sums overflow a float")
+    return sums
+
+
+def compute_rule_sums(group: RolloutGroup, adv: AdvantageSet, clip: ClipConfig) -> RuleSums:
+    """Accumulate the sign-partitioned phi sums every rule is built from.
+
+    Raises ValueError when ``adv`` does not match the group, MissingRatiosError
+    for a length-only group and OverflowError when a sum overflows a float.
+    """
+    return _sums(_group_batch(group, adv), clip)
+
+
+def objective(
     rule: str, group: RolloutGroup, adv: AdvantageSet, clip: ClipConfig
 ) -> AggregationResult:
-    if adv.size != group.size:
-        raise ValueError(
-            f"advantage set of size {adv.size} does not match group of size {group.size}"
-        )
-    arrays = group_ratio_arrays(group)
-    objective, grads, _, degenerate = evaluate_arrays(rule, adv, arrays, clip)
-    if not math.isfinite(objective):
+    """One group's objective under ``rule`` (a row of the table) and its dJ/d rho.
+
+    Raises as compute_rule_sums does, then ValueError for an unknown rule or
+    a non-finite objective. The gradient arrays are read-only.
+    """
+    batch = _group_batch(group, adv)
+    value, degenerate, w_pos, w_neg = rule_terms(rule, _sums(batch, clip))
+    if not math.isfinite(value):
         raise ValueError(f"non-finite {rule} objective for group {group.prompt_id!r}")
-    assert grads is not None
-    return AggregationResult(objective, rule, grads, degenerate=degenerate)
-
-
-def objective_token(
-    group: RolloutGroup, adv: AdvantageSet, clip: ClipConfig
-) -> AggregationResult:
-    """Mean of phi over all tokens in the group."""
-    return _objective("token", group, adv, clip)
-
-
-def objective_seq(
-    group: RolloutGroup, adv: AdvantageSet, clip: ClipConfig
-) -> AggregationResult:
-    """Mean over responses of each response's token-mean of phi."""
-    return _objective("seq", group, adv, clip)
-
-
-def objective_balanced(
-    group: RolloutGroup, adv: AdvantageSet, clip: ClipConfig
-) -> AggregationResult:
-    """Within-sign token means combined with sequence-count weights."""
-    return _objective("balanced", group, adv, clip)
-
-
-def objective_balanced_gen(
-    group: RolloutGroup, adv: AdvantageSet, clip: ClipConfig
-) -> AggregationResult:
-    """Balanced aggregation with advantage masses, for non-binary rewards."""
-    return _objective("balanced_gen", group, adv, clip)
+    flat = batch.ratio_gradients(clip, [(w_pos, w_neg)])
+    flat.setflags(write=False)
+    grads = tuple(np.split(flat, np.cumsum(batch.lengths[:-1])))
+    return AggregationResult(value, rule, grads, degenerate=degenerate)
 
 
 def gradient_check(
@@ -403,17 +338,18 @@ def gradient_check(
     """
     if h <= 0.0:
         raise ValueError("h must be > 0")
-    arrays = group_ratio_arrays(group)
-    if len(result.grad_ratios) != len(arrays) or any(
-        gr.shape != arr.shape for gr, arr in zip(result.grad_ratios, arrays)
+    batch = _group_batch(group, adv)
+    if len(result.grad_ratios) != len(batch.lengths) or any(
+        gr.shape != (t,) for gr, t in zip(result.grad_ratios, batch.lengths)
     ):
         raise ValueError("result gradient layout does not match group")
-    offenders = []
-    for i, arr in enumerate(arrays):
-        for t, r in enumerate(arr):
-            margin = min(abs(r - clip.lower), abs(r - clip.upper))
-            if margin <= 10.0 * h or r <= h:
-                offenders.append((i, t, float(r)))
+    where = [(i, t) for i, n in enumerate(batch.lengths) for t in range(n)]
+    ratios = batch.ratios
+    offenders = [
+        (i, t, float(r))
+        for (i, t), r in zip(where, ratios)
+        if min(abs(r - clip.lower), abs(r - clip.upper)) <= 10.0 * h or r <= h
+    ]
     if offenders:
         raise BoundaryProximityError(
             f"{len(offenders)} ratio(s) within 10*h={10 * h:g} of a clip "
@@ -421,16 +357,15 @@ def gradient_check(
             tuple(offenders),
         )
     max_rel = 0.0
-    for i, arr in enumerate(arrays):
-        for t in range(len(arr)):
-            orig = arr[t]
-            arr[t] = orig + h
-            j_plus = evaluate_arrays(result.rule, adv, arrays, clip, need_grad=False)[0]
-            arr[t] = orig - h
-            j_minus = evaluate_arrays(result.rule, adv, arrays, clip, need_grad=False)[0]
-            arr[t] = orig
-            numeric = (j_plus - j_minus) / (2.0 * h)
-            analytic = float(result.grad_ratios[i][t])
-            rel = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
-            max_rel = max(max_rel, rel)
+    for j, (i, t) in enumerate(where):
+        orig = ratios[j]
+        ratios[j] = orig + h
+        j_plus = rule_terms(result.rule, _sums(batch, clip))[0]
+        ratios[j] = orig - h
+        j_minus = rule_terms(result.rule, _sums(batch, clip))[0]
+        ratios[j] = orig
+        numeric = (j_plus - j_minus) / (2.0 * h)
+        analytic = float(result.grad_ratios[i][t])
+        rel = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
+        max_rel = max(max_rel, rel)
     return max_rel

@@ -357,7 +357,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    args.out.mkdir(parents=True, exist_ok=True)
     per_rule: dict[str, list[MetricRecord]] = {}
     try:
         if args.locked_rollouts:

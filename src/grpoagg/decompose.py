@@ -26,13 +26,7 @@ from dataclasses import dataclass
 from math import fsum
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .aggregate import (
-    RULES,
-    ClipConfig,
-    compute_rule_sums,
-    evaluate_arrays,
-    group_ratio_arrays,
-)
+from .aggregate import RULES, ClipConfig, compute_rule_sums, rule_terms
 from .groups import AdvantageSet, RolloutGroup, binary_closed_form
 from .rollout_io import MetricRecord
 
@@ -127,12 +121,7 @@ def decompose(
     """
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}; expected one of {RULES}")
-    if adv.size != group.size:
-        raise ValueError(
-            f"advantage set of size {adv.size} does not match group of size {group.size}"
-        )
-    arrays = group_ratio_arrays(group)
-    sums = compute_rule_sums(adv, arrays, clip)
+    sums = compute_rule_sums(group, adv, clip)
     g = group.size
     k = sums.k
     nk = sums.neg_count
@@ -200,8 +189,7 @@ def ba_weight_identity(
     ba_neg = ((g - k) / g) * (-a_neg)
     seq_prefactor = math.sqrt(k * (g - k)) / g
     report = decompose(group, adv, clip, "balanced")
-    arrays = group_ratio_arrays(group)
-    objective = evaluate_arrays("balanced", adv, arrays, clip, need_grad=False)[0]
+    objective = rule_terms("balanced", compute_rule_sums(group, adv, clip))[0]
     reconstructed = seq_prefactor * (report.delta_pos - report.delta_neg)
     match = (
         abs(ba_pos - seq_prefactor) <= IDENTITY_ATOL

@@ -15,15 +15,7 @@ from typing import Callable, TextIO
 
 import numpy as np
 
-from .aggregate import (
-    ClipConfig,
-    gradient_check,
-    objective_balanced,
-    objective_balanced_gen,
-    objective_seq,
-    objective_token,
-    phi,
-)
+from .aggregate import RULES, ClipConfig, gradient_check, objective, phi
 from .decompose import (
     LengthStats,
     RegimeThresholds,
@@ -50,10 +42,7 @@ REQUIRED_OPERATIONS = frozenset(
         "normalize_advantages",
         "binary_closed_form",
         "phi",
-        "objective_token",
-        "objective_seq",
-        "objective_balanced",
-        "objective_balanced_gen",
+        "objective",
         "gradient_check",
         "decompose",
         "ba_weight_identity",
@@ -61,13 +50,6 @@ REQUIRED_OPERATIONS = frozenset(
         "regime_report",
     }
 )
-
-_OBJECTIVES = {
-    "token": objective_token,
-    "seq": objective_seq,
-    "balanced": objective_balanced,
-    "balanced_gen": objective_balanced_gen,
-}
 
 
 def _response(rng: np.random.Generator, reward: float, length: int, lo: float, hi: float) -> Response:
@@ -204,7 +186,7 @@ def _reconstruction(rule: str):
         for _ in range(300):
             group = random_binary_group(rng)
             adv = normalize_advantages(group)
-            value = _OBJECTIVES[rule](group, adv, clip).objective
+            value = objective(rule, group, adv, clip).objective
             report = decompose(group, adv, clip, rule)
             err = max(err, abs(value - report.reconstructed_objective))
         return err
@@ -229,8 +211,8 @@ def _check_gen_reduction(rng: np.random.Generator, clip: ClipConfig) -> float:
     for _ in range(300):
         group = random_binary_group(rng)
         adv = normalize_advantages(group)
-        j_gen = objective_balanced_gen(group, adv, clip).objective
-        j_ba = objective_balanced(group, adv, clip).objective
+        j_gen = objective("balanced_gen", group, adv, clip).objective
+        j_ba = objective("balanced", group, adv, clip).objective
         err = max(err, abs(j_gen - j_ba))
     return err
 
@@ -251,12 +233,10 @@ def _check_mass_symmetry(rng: np.random.Generator, clip: ClipConfig) -> float:
 
 def _check_gradients(rng: np.random.Generator, clip: ClipConfig) -> float:
     err = 0.0
-    rules = ("token", "seq", "balanced", "balanced_gen")
     for i in range(40):
         group = random_smooth_group(rng, clip)
         adv = normalize_advantages(group)
-        rule = rules[i % 4]
-        result = _OBJECTIVES[rule](group, adv, clip)
+        result = objective(RULES[i % 4], group, adv, clip)
         err = max(err, gradient_check(result, group, adv, clip, h=1e-5))
     return err
 
@@ -272,11 +252,9 @@ def _check_permutation(rng: np.random.Generator, clip: ClipConfig) -> float:
             group.prompt_id, tuple(group.responses[i] for i in perm), 0.0
         )
         padv = AdvantageSet.from_advantages([adv.advantages[i] for i in perm])
-        for fn in _OBJECTIVES.values():
-            err = max(
-                err,
-                abs(fn(group, adv, clip).objective - fn(pgroup, padv, clip).objective),
-            )
+        for rule in RULES:
+            base = objective(rule, group, adv, clip).objective
+            err = max(err, abs(base - objective(rule, pgroup, padv, clip).objective))
     return err
 
 
@@ -325,25 +303,25 @@ SUITE: tuple[IdentityCheck, ...] = (
     IdentityCheck("clipped_term_concavity", ("phi",), 1e-12, _check_phi_values),
     IdentityCheck(
         "token_decomposition",
-        ("objective_token", "decompose"),
+        ("objective", "decompose"),
         1e-12,
         _reconstruction("token"),
     ),
     IdentityCheck(
         "seq_decomposition",
-        ("objective_seq", "decompose"),
+        ("objective", "decompose"),
         1e-12,
         _reconstruction("seq"),
     ),
     IdentityCheck(
         "balanced_decomposition",
-        ("objective_balanced", "decompose"),
+        ("objective", "decompose"),
         1e-12,
         _reconstruction("balanced"),
     ),
     IdentityCheck(
         "generalized_decomposition",
-        ("objective_balanced_gen", "decompose"),
+        ("objective", "decompose"),
         1e-12,
         _reconstruction("balanced_gen"),
     ),
@@ -352,31 +330,20 @@ SUITE: tuple[IdentityCheck, ...] = (
     ),
     IdentityCheck(
         "generalized_binary_reduction",
-        ("objective_balanced_gen", "objective_balanced"),
+        ("objective",),
         1e-12,
         _check_gen_reduction,
     ),
     IdentityCheck("mass_symmetry", ("decompose",), 1e-10, _check_mass_symmetry),
     IdentityCheck(
         "ratio_gradient_check",
-        (
-            "gradient_check",
-            "objective_token",
-            "objective_seq",
-            "objective_balanced",
-            "objective_balanced_gen",
-        ),
+        ("gradient_check", "objective"),
         1e-5,
         _check_gradients,
     ),
     IdentityCheck(
         "permutation_invariance",
-        (
-            "objective_token",
-            "objective_seq",
-            "objective_balanced",
-            "objective_balanced_gen",
-        ),
+        ("objective",),
         0.0,
         _check_permutation,
     ),

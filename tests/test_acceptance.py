@@ -12,14 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from grpoagg.aggregate import (
-    ClipConfig,
-    gradient_check,
-    objective_balanced,
-    objective_balanced_gen,
-    objective_seq,
-    objective_token,
-)
+from grpoagg.aggregate import ClipConfig, gradient_check, objective
 from grpoagg.decompose import ba_weight_identity, decompose
 from grpoagg.groups import (
     binary_closed_form,
@@ -50,13 +43,6 @@ from conftest import make_group
 
 DATA = Path(__file__).parent / "data"
 CLIP = ClipConfig(0.2, 0.28)
-
-OBJECTIVES = {
-    "token": objective_token,
-    "seq": objective_seq,
-    "balanced": objective_balanced,
-    "balanced_gen": objective_balanced_gen,
-}
 
 
 def binary_groups(seed, count, **kw):
@@ -90,7 +76,7 @@ def test_a2_decomposition_identities():
     worst = 0.0
     for group, adv in instances:
         for rule in ("token", "seq", "balanced"):
-            value = OBJECTIVES[rule](group, adv, CLIP).objective
+            value = objective(rule, group, adv, CLIP).objective
             report = decompose(group, adv, CLIP, rule)
             worst = max(worst, abs(value - report.reconstructed_objective))
     elapsed = time.perf_counter() - start
@@ -114,8 +100,8 @@ def test_a4_generalized_reduction_on_binary():
         worst = max(
             worst,
             abs(
-                objective_balanced_gen(group, adv, CLIP).objective
-                - objective_balanced(group, adv, CLIP).objective
+                objective("balanced_gen", group, adv, CLIP).objective
+                - objective("balanced", group, adv, CLIP).objective
             ),
         )
     assert worst <= 1e-12
@@ -145,7 +131,7 @@ def test_a6_gradient_correctness():
     for i in range(60):
         group = random_smooth_group(rng, CLIP)
         adv = normalize_advantages(group)
-        result = OBJECTIVES[rules[i % 4]](group, adv, CLIP)
+        result = objective(rules[i % 4], group, adv, CLIP)
         worst_ratio = max(worst_ratio, gradient_check(result, group, adv, CLIP, h=1e-6))
     worst_logit = 0.0
     task = TaskSpec("count", vocab_size=3, t_max=5, num_prompts=2, counts=(1, 2))
@@ -176,13 +162,13 @@ def test_a7_sign_length_coupling():
     # exact static form: Tbar- = 2 Tbar+, ratios 1, uniform delta
     group = make_group([(2, 1.0), (2, 1.0), (4, 0.0), (4, 0.0)])
     adv = normalize_advantages(group)
-    j_token = objective_token(group, adv, CLIP).objective
+    j_token = objective("token", group, adv, CLIP).objective
     n = group.total_tokens
     expected = math.sqrt(2 * 2) / n * (2.0 - 4.0)
     assert j_token == expected
     assert j_token != 0.0
-    assert objective_seq(group, adv, CLIP).objective == 0.0
-    assert objective_balanced(group, adv, CLIP).objective == 0.0
+    assert objective("seq", group, adv, CLIP).objective == 0.0
+    assert objective("balanced", group, adv, CLIP).objective == 0.0
 
     # the same regime realized by the count task: correct answers stop at
     # n+1 tokens while over-generating failures run to t_max
@@ -196,11 +182,11 @@ def test_a7_sign_length_coupling():
     assert 1 <= sadv.k <= 15
     report = decompose(sampled, sadv, CLIP, "token")
     assert report.tbar_neg >= 2.0 * report.tbar_pos
-    j_tok = objective_token(sampled, sadv, CLIP).objective
+    j_tok = objective("token", sampled, sadv, CLIP).objective
     assert abs(j_tok - report.reconstructed_objective) <= 1e-12
     assert j_tok < 0.0
-    assert abs(objective_seq(sampled, sadv, CLIP).objective) <= 1e-14
-    assert abs(objective_balanced(sampled, sadv, CLIP).objective) <= 1e-14
+    assert abs(objective("seq", sampled, sadv, CLIP).objective) <= 1e-14
+    assert abs(objective("balanced", sampled, sadv, CLIP).objective) <= 1e-14
 
     # full compare run, frozen pilot calibration: the token lineage's
     # running-mean loss drifts while the balanced lineage stays at zero
@@ -250,8 +236,8 @@ def test_a8_seq_vs_balanced_divergence_and_coincidence():
         worst = max(
             worst,
             abs(
-                objective_balanced(group, adv, CLIP).objective
-                - objective_seq(group, adv, CLIP).objective
+                objective("balanced", group, adv, CLIP).objective
+                - objective("seq", group, adv, CLIP).objective
             ),
         )
     assert worst <= 1e-12
@@ -261,8 +247,8 @@ def test_a8_seq_vs_balanced_divergence_and_coincidence():
         group = heterogeneous_group(rng)
         adv = normalize_advantages(group)
         gap = abs(
-            objective_balanced(group, adv, CLIP).objective
-            - objective_seq(group, adv, CLIP).objective
+            objective("balanced", group, adv, CLIP).objective
+            - objective("seq", group, adv, CLIP).objective
         )
         differing += gap > 1e-6
     assert differing >= 475  # 95% of 500

@@ -9,15 +9,9 @@ from grpoagg.aggregate import (
     ClipConfig,
     MissingRatiosError,
     compute_rule_sums,
-    evaluate_arrays,
     gradient_check,
-    group_ratio_arrays,
-    objective_balanced,
-    objective_balanced_gen,
-    objective_seq,
-    objective_token,
+    objective,
     phi,
-    ratio_gradients,
     rule_terms,
 )
 from grpoagg.groups import (
@@ -99,7 +93,7 @@ def test_clip_config_validation():
 def test_objective_token_example(clip):
     group = make_group([(2, 1.0), (4, 1.0), (1, 0.0), (1, 0.0)])
     adv = normalize_advantages(group)
-    result = objective_token(group, adv, clip)
+    result = objective("token", group, adv, clip)
     assert result.objective == pytest.approx(0.5, abs=1e-15)
     assert oracle_objectives(group, adv, clip)[0] == pytest.approx(0.5, abs=1e-12)
 
@@ -107,7 +101,7 @@ def test_objective_token_example(clip):
 def test_objective_token_zero_advantages(clip):
     group = make_group([(2, 1.0), (3, 1.0)], eps_var=1e-6)
     adv = normalize_advantages(group)
-    result = objective_token(group, adv, clip)
+    result = objective("token", group, adv, clip)
     assert result.objective == 0.0
     for arr in result.grad_ratios:
         assert np.all(arr == 0.0)
@@ -123,7 +117,7 @@ def test_objective_token_unclipped_band_mean(clip):
             for resp, a in zip(group.responses, adv.advantages)
             for r in resp.ratios
         ) / group.total_tokens
-        assert objective_token(group, adv, clip).objective == pytest.approx(
+        assert objective("token", group, adv, clip).objective == pytest.approx(
             expected, abs=1e-12
         )
 
@@ -131,7 +125,7 @@ def test_objective_token_unclipped_band_mean(clip):
 def test_objective_seq_examples(clip):
     group = make_group([(2, 1.0), (4, 1.0), (1, 0.0), (1, 0.0)])
     adv = normalize_advantages(group)
-    assert objective_seq(group, adv, clip).objective == 0.0
+    assert objective("seq", group, adv, clip).objective == 0.0
 
     # single-token responses: seq and token coincide bitwise
     rng = np.random.default_rng(5)
@@ -139,8 +133,8 @@ def test_objective_seq_examples(clip):
         group = random_binary_group(rng, max_len=1)
         adv = normalize_advantages(group)
         assert (
-            objective_seq(group, adv, clip).objective
-            == objective_token(group, adv, clip).objective
+            objective("seq", group, adv, clip).objective
+            == objective("token", group, adv, clip).objective
         )
 
 
@@ -151,8 +145,8 @@ def test_objective_seq_tiny_delta_example(clip):
         [(1, 1.0, 1.0), (3, 1.0, tiny), (2, 0.0, 1.0), (2, 0.0, 1.0)]
     )
     adv = normalize_advantages(group)
-    assert objective_seq(group, adv, clip).objective == pytest.approx(-0.25, abs=1e-12)
-    assert objective_balanced(group, adv, clip).objective == pytest.approx(
+    assert objective("seq", group, adv, clip).objective == pytest.approx(-0.25, abs=1e-12)
+    assert objective("balanced", group, adv, clip).objective == pytest.approx(
         -0.375, abs=1e-12
     )
 
@@ -160,7 +154,7 @@ def test_objective_seq_tiny_delta_example(clip):
 def test_objective_balanced_example(clip):
     group = make_group([(2, 1.0), (4, 1.0), (1, 0.0), (1, 0.0)])
     adv = normalize_advantages(group)
-    assert objective_balanced(group, adv, clip).objective == 0.0
+    assert objective("balanced", group, adv, clip).objective == 0.0
 
 
 def test_objective_balanced_equals_seq_on_uniform_sign_lengths(clip):
@@ -174,18 +168,18 @@ def test_objective_balanced_equals_seq_on_uniform_sign_lengths(clip):
         specs += [(ln, 0.0, float(rng.uniform(0.85, 1.2))) for _ in range(g - k)]
         group = make_group(specs)
         adv = normalize_advantages(group)
-        assert objective_balanced(group, adv, clip).objective == pytest.approx(
-            objective_seq(group, adv, clip).objective, abs=1e-12
+        assert objective("balanced", group, adv, clip).objective == pytest.approx(
+            objective("seq", group, adv, clip).objective, abs=1e-12
         )
 
 
 def test_objective_balanced_degenerate_flag(clip):
     group = make_group([(2, 1.0), (3, 1.0)], eps_var=1e-6)
     adv = normalize_advantages(group)
-    result = objective_balanced(group, adv, clip)
+    result = objective("balanced", group, adv, clip)
     assert result.objective == 0.0
     assert result.degenerate
-    gen = objective_balanced_gen(group, adv, clip)
+    gen = objective("balanced_gen", group, adv, clip)
     assert gen.objective == 0.0 and gen.degenerate
 
 
@@ -194,7 +188,7 @@ def test_objective_balanced_single_sided(clip):
     # term drops with its zero weight, no renormalization of the other side
     group = make_group([(2, 0.0), (4, 0.0), (1, 0.0)])
     adv = AdvantageSet.from_advantages([2.0, 1.0, 0.0])
-    result = objective_balanced(group, adv, clip)
+    result = objective("balanced", group, adv, clip)
     expected = (2 / 3) * (2 * 2.0 + 4 * 1.0) / 6
     assert result.objective == pytest.approx(expected, abs=1e-14)
     assert not result.degenerate
@@ -203,7 +197,7 @@ def test_objective_balanced_single_sided(clip):
 def test_objective_balanced_gen_example(clip):
     group = make_group([(1, 0.0), (2, 0.0), (3, 0.0)])
     adv = AdvantageSet.from_advantages([2.0, 1.0, -3.0])
-    assert objective_balanced_gen(group, adv, clip).objective == pytest.approx(
+    assert objective("balanced_gen", group, adv, clip).objective == pytest.approx(
         0.0, abs=1e-15
     )
     token, seq, balanced, gen = oracle_objectives(group, adv, clip)
@@ -216,14 +210,13 @@ def test_objective_balanced_gen_reduces_to_balanced_on_binary(clip):
         group = random_binary_group(rng)
         adv = normalize_advantages(group)
         assert abs(
-            objective_balanced_gen(group, adv, clip).objective
-            - objective_balanced(group, adv, clip).objective
+            objective("balanced_gen", group, adv, clip).objective
+            - objective("balanced", group, adv, clip).objective
         ) <= 1e-12
 
 
 def test_objectives_match_oracle_on_random_groups(clip):
     rng = np.random.default_rng(8)
-    fns = (objective_token, objective_seq, objective_balanced, objective_balanced_gen)
     for _ in range(100):
         group = random_real_group(rng)
         try:
@@ -231,8 +224,8 @@ def test_objectives_match_oracle_on_random_groups(clip):
         except ValueError:
             continue
         expected = oracle_objectives(group, adv, clip)
-        for fn, want in zip(fns, expected):
-            assert fn(group, adv, clip).objective == pytest.approx(want, abs=1e-11)
+        for rule, want in zip(RULES, expected):
+            assert objective(rule, group, adv, clip).objective == pytest.approx(want, abs=1e-11)
 
 
 def test_all_ratio_one_closed_forms(clip):
@@ -247,16 +240,15 @@ def test_all_ratio_one_closed_forms(clip):
         tbar_pos = sum(lengths[i] for i in adv.pos_indices) / k
         tbar_neg = sum(lengths[i] for i in adv.neg_indices) / (g - k)
         expected = math.sqrt(k * (g - k)) / n * (tbar_pos - tbar_neg)
-        assert objective_token(group, adv, clip).objective == pytest.approx(
+        assert objective("token", group, adv, clip).objective == pytest.approx(
             expected, abs=1e-12
         )
-        assert abs(objective_seq(group, adv, clip).objective) < 1e-13
-        assert abs(objective_balanced(group, adv, clip).objective) < 1e-13
+        assert abs(objective("seq", group, adv, clip).objective) < 1e-13
+        assert abs(objective("balanced", group, adv, clip).objective) < 1e-13
 
 
 def test_permutation_and_token_order_invariance_exact(clip):
     rng = np.random.default_rng(10)
-    fns = (objective_token, objective_seq, objective_balanced, objective_balanced_gen)
     for _ in range(50):
         group = random_binary_group(rng)
         adv = normalize_advantages(group)
@@ -277,10 +269,10 @@ def test_permutation_and_token_order_invariance_exact(clip):
             ),
             0.0,
         )
-        for fn in fns:
-            base = fn(group, adv, clip).objective
-            assert fn(permuted, padv, clip).objective == base
-            assert fn(shuffled, adv, clip).objective == base
+        for rule in RULES:
+            base = objective(rule, group, adv, clip).objective
+            assert objective(rule, permuted, padv, clip).objective == base
+            assert objective(rule, shuffled, adv, clip).objective == base
 
 
 def test_mass_symmetry(clip):
@@ -305,43 +297,58 @@ def test_missing_ratios_rejected(clip):
     )
     adv = normalize_advantages(group)
     with pytest.raises(MissingRatiosError):
-        objective_token(group, adv, clip)
+        objective("token", group, adv, clip)
 
 
 def test_shape_mismatch_rejected(clip):
     group = make_group([(2, 1.0), (1, 0.0)])
     other = AdvantageSet.from_advantages([1.0, -1.0, 0.5])
     with pytest.raises(ValueError):
-        objective_token(group, other, clip)
+        objective("token", group, other, clip)
+
+
+def test_objective_errors_come_in_order(clip):
+    length_only = RolloutGroup(
+        "p0", (Response(None, 1.0, token_count=3), Response(None, 0.0, token_count=5))
+    )
+    with pytest.raises(ValueError, match="advantage set of size 3 does not match group of size 2"):
+        objective("mean", length_only, AdvantageSet.from_advantages([1.0, -1.0, 0.5]), clip)
+    with pytest.raises(MissingRatiosError, match="'p0': response 0 is length-only"):
+        objective("mean", length_only, AdvantageSet.from_advantages([1.0, -1.0]), clip)
+    # two finite negative phi terms whose sum overflows, then one that is -inf
+    huge = make_group([(2, 1.0, 1e308), (1, 0.0)])
+    with pytest.raises(OverflowError, match="the rule sums overflow a float"):
+        objective("mean", huge, AdvantageSet.from_advantages([-1.0, 1.0]), clip)
+    with pytest.raises(OverflowError, match="the rule sums overflow a float"):
+        compute_rule_sums(huge, AdvantageSet.from_advantages([-1.0, 1.0]), clip)
+    infinite = AdvantageSet.from_advantages([-1e300, 1.0])
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="unknown rule 'mean'"):
+            objective("mean", huge, infinite, clip)
+        with pytest.raises(ValueError, match="non-finite token objective for group 'p0'"):
+            objective("token", huge, infinite, clip)
 
 
 def test_gradient_check_smooth(clip):
     rng = np.random.default_rng(12)
-    fns = {
-        "token": objective_token,
-        "seq": objective_seq,
-        "balanced": objective_balanced,
-        "balanced_gen": objective_balanced_gen,
-    }
     for i in range(20):
         group = random_smooth_group(rng, clip)
         adv = normalize_advantages(group)
-        rule = list(fns)[i % 4]
-        result = fns[rule](group, adv, clip)
+        result = objective(RULES[i % 4], group, adv, clip)
         assert gradient_check(result, group, adv, clip, h=1e-6) < 1e-5
 
 
 def test_gradient_check_zero_advantages(clip):
     group = make_group([(2, 1.0), (3, 1.0)], eps_var=1e-6)
     adv = normalize_advantages(group)
-    result = objective_token(group, adv, clip)
+    result = objective("token", group, adv, clip)
     assert gradient_check(result, group, adv, clip, h=1e-6) == 0.0
 
 
 def test_gradient_check_boundary_rejected(clip):
     group = make_group([(1, 1.0, 1.28), (1, 0.0, 1.0)])
     adv = normalize_advantages(group)
-    result = objective_token(group, adv, clip)
+    result = objective("token", group, adv, clip)
     with pytest.raises(BoundaryProximityError) as err:
         gradient_check(result, group, adv, clip, h=1e-6)
     assert err.value.offenders[0][:2] == (0, 0)
@@ -351,11 +358,11 @@ def test_gradients_zero_beyond_clip(clip):
     # positive advantage clipped above, negative clipped below
     group = make_group([(1, 1.0, 2.0), (1, 0.0, 0.5)])
     adv = normalize_advantages(group)
-    result = objective_token(group, adv, clip)
+    result = objective("token", group, adv, clip)
     assert result.grad_ratios[0][0] == 0.0
     assert result.grad_ratios[1][0] == 0.0
     inside = make_group([(1, 1.0, 1.1), (1, 0.0, 0.9)])
-    result2 = objective_token(inside, normalize_advantages(inside), clip)
+    result2 = objective("token", inside, normalize_advantages(inside), clip)
     assert result2.grad_ratios[0][0] == pytest.approx(0.5)  # A=+1 over N=2
     assert result2.grad_ratios[1][0] == pytest.approx(-0.5)
 
@@ -428,25 +435,24 @@ def table_cases(rng):
         yield group, AdvantageSet.from_advantages([0.0] * g)
 
 
-def test_rule_table_matches_chains_and_evaluate_arrays_exactly(clip):
+def test_rule_table_matches_chains_and_objective_exactly(clip):
     rng = np.random.default_rng(21)
     kinds = set()
     for group, adv in table_cases(rng):
         kinds.add((adv.k > 0, len(adv.neg_indices) > 0, len(adv.zero_indices) > 0))
-        arrays = group_ratio_arrays(group)
-        sums = compute_rule_sums(adv, arrays, clip)  # once for all four rules
+        arrays = [np.asarray(r.ratios, dtype=float) for r in group.responses]
+        sums = compute_rule_sums(group, adv, clip)  # once for all four rules
         assert sums == reference_rule_sums(adv, arrays, clip)
         for rule in RULES:
-            objective, degenerate, w_pos, w_neg = rule_terms(rule, sums)
-            value, grads, _, degen = evaluate_arrays(rule, adv, arrays, clip)
+            table, table_degen, _, _ = rule_terms(rule, sums)
+            result = objective(rule, group, adv, clip)
             want, want_degen, _, _ = chain_terms(rule, sums)
-            assert objective == value == want
-            assert degenerate == degen == want_degen
-            table_grads = ratio_gradients(adv, arrays, clip, w_pos, w_neg)
-            for got, ref, want_g in zip(
-                table_grads, grads, chain_gradients(rule, sums, adv, arrays, clip)
-            ):
-                assert np.array_equal(got, ref) and np.array_equal(got, want_g)
+            assert table == result.objective == want
+            assert table_degen == result.degenerate == want_degen
+            want_grads = chain_gradients(rule, sums, adv, arrays, clip)
+            assert len(result.grad_ratios) == len(want_grads)
+            for got, want_g in zip(result.grad_ratios, want_grads):
+                assert got.dtype == want_g.dtype and got.tobytes() == want_g.tobytes()
     # every sign pattern was exercised, the all-zero one included
     assert (False, False, True) in kinds
     assert (True, False, True) in kinds and (False, True, False) in kinds
@@ -454,6 +460,6 @@ def test_rule_table_matches_chains_and_evaluate_arrays_exactly(clip):
 
 def test_rule_terms_rejects_unknown_rule(clip):
     group = make_group([(2, 1.0), (3, 0.0)])
-    sums = compute_rule_sums(normalize_advantages(group), group_ratio_arrays(group), clip)
+    sums = compute_rule_sums(group, normalize_advantages(group), clip)
     with pytest.raises(ValueError, match="unknown rule"):
         rule_terms("mean", sums)

@@ -399,6 +399,15 @@ def test_compare_locked_rollouts(tmp_path, capsys):
         assert [r.mean_reward for r in records] == [r.mean_reward for r in base]
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_refused_arguments_leave_no_out_directory(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, command, "--group-size", "1", "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_compare_shares_rollout_seeds_at_step_zero(tmp_path, capsys):
     # step 0 starts from the same uniform policy in every lineage, and the
     # rollout seed ignores the rule, so step-0 diagnostics coincide

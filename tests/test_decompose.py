@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from grpoagg.aggregate import (
-    objective_balanced,
-    objective_balanced_gen,
-    objective_seq,
-    objective_token,
-)
+from grpoagg.aggregate import objective
 from grpoagg.decompose import (
     LengthStats,
     LengthTally,
@@ -24,13 +19,6 @@ from grpoagg.groups import AdvantageSet, Response, RolloutGroup, normalize_advan
 from grpoagg.verify import random_binary_group
 
 from conftest import make_group
-
-OBJECTIVES = {
-    "token": objective_token,
-    "seq": objective_seq,
-    "balanced": objective_balanced,
-    "balanced_gen": objective_balanced_gen,
-}
 
 
 def test_decompose_token_example(clip):
@@ -83,7 +71,7 @@ def test_reconstruction_identities_random(clip):
         group = random_binary_group(rng)
         adv = normalize_advantages(group)
         for rule in ("token", "seq", "balanced", "balanced_gen"):
-            value = OBJECTIVES[rule](group, adv, clip).objective
+            value = objective(rule, group, adv, clip).objective
             report = decompose(group, adv, clip, rule)
             assert abs(value - report.reconstructed_objective) <= 1e-12
 

@@ -1,10 +1,10 @@
-"""Byte-for-byte output contracts for analyze, simulate and compare.
+"""Byte-for-byte output contracts for verify, analyze, simulate and compare.
 
 The files under ``data/golden`` were written by these exact command lines;
 any change to them must be a deliberate, versioned change of the outputs.
-Each case maps an output file to its golden file. A policy archive is
-compared by its logit array's bytes (golden ``.npy``), because ``np.savez``
-stamps the archive with the time.
+Each case maps an output file (or ``STDOUT``, the command's standard output)
+to its golden file. A policy archive is compared by its logit array's bytes
+(golden ``.npy``), because ``np.savez`` stamps the archive with the time.
 """
 
 from pathlib import Path
@@ -17,11 +17,13 @@ from grpoagg.cli import main
 GOLDEN = Path(__file__).parent / "data" / "golden"
 FAULTY = Path(__file__).parent / "data" / "faulty_rollouts.jsonl"
 RULES = ("token", "seq", "balanced", "balanced_gen")
+STDOUT = "<stdout>"
 
 
 @pytest.mark.parametrize(
     "argv, outputs",
     [
+        (["verify", "--seed", "7"], {STDOUT: "verify_seed7.txt"}),
         (
             ["analyze", "--input", str(FAULTY), "--window", "2"],
             {"analysis.csv": "analysis.csv", "regime.txt": "regime.txt"},
@@ -50,13 +52,15 @@ RULES = ("token", "seq", "balanced", "balanced_gen")
             {"rollouts_balanced.jsonl": "rollouts_balanced.jsonl"},
         ),
     ],
-    ids=["analyze", "simulate", "compare", "compare-locked", "simulate-dump"],
+    ids=["verify", "analyze", "simulate", "compare", "compare-locked", "simulate-dump"],
 )
 def test_outputs_match_golden_bytes(tmp_path, capsys, argv, outputs):
     assert main(argv + ["--out", str(tmp_path)]) == 0
-    capsys.readouterr()
+    stdout = capsys.readouterr().out
     for name, golden in outputs.items():
-        if name.endswith(".npz"):
+        if name == STDOUT:
+            assert stdout.encode() == (GOLDEN / golden).read_bytes(), name
+        elif name.endswith(".npz"):
             with np.load(tmp_path / name) as archive:
                 got = archive["logits"]
             want = np.load(GOLDEN / golden)

@@ -9,9 +9,8 @@ from grpoagg import sim
 from grpoagg.aggregate import (
     RULES,
     ClipConfig,
-    evaluate_arrays,
-    objective_balanced,
-    objective_token,
+    FlatBatch,
+    objective,
     rule_terms,
 )
 from grpoagg.cli import main
@@ -320,8 +319,8 @@ def test_token_vs_balanced_update_reweighting():
     if adv.k == 0 or adv.k == group.size:
         pytest.skip("needs a mixed group for this seed")
     report = decompose(group, adv, clip, "token")
-    tok = objective_token(group, adv, clip)
-    bal = objective_balanced(group, adv, clip)
+    tok = objective("token", group, adv, clip)
+    bal = objective("balanced", group, adv, clip)
     g, n = group.size, group.total_tokens
     for i in range(group.size):
         if i in adv.pos_indices:
@@ -464,7 +463,10 @@ def test_evaluate_batch_one_pass_matches_per_rule_evaluation():
     for rule in RULES:
         ev = evaluate_batch(new_policy, policy, groups, advs, rule, config.clip)
         for r in RULES:
-            values = [evaluate_arrays(r, a, arr, config.clip)[0] for a, arr in zip(advs, arrays)]
+            values = []
+            for a, arr in zip(advs, arrays):
+                batch = FlatBatch((a,), tuple(map(len, arr)), np.concatenate(arr))
+                values.append(rule_terms(r, batch.rule_sums(config.clip)[0])[0])
             assert ev.rule_objectives[r] == fsum(values) / len(values)
 
 
