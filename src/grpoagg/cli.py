@@ -8,7 +8,9 @@ An output that cannot be written (``--out`` names a file, say) is reported as
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 from itertools import chain, islice
 from math import fsum
@@ -307,9 +309,11 @@ def _config_from_args(args, rule: str) -> TrainConfig:
 def _run_one(args, rule: str, tag: str) -> list[MetricRecord]:
     task = _task_from_args(args)
     config = _config_from_args(args, rule)
-    args.out.mkdir(parents=True, exist_ok=True)
+    if args.out.exists() and not args.out.is_dir():  # refused before the run, not after it
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(args.out))
     rollouts_path = args.out / f"rollouts_{tag}.jsonl" if args.dump_rollouts else None
     records, policy = run_training(task, config, rollouts_path=rollouts_path)
+    args.out.mkdir(parents=True, exist_ok=True)  # only once the run has something to write
     np.savez(args.out / f"policy_{tag}.npz", logits=np.asarray(policy.logits))
     return records
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from math import fsum
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .aggregate import RULES, ClipConfig, compute_rule_sums, rule_terms
+from .aggregate import RULES, ClipConfig, RuleSums, compute_rule_sums, rule_terms
 from .groups import AdvantageSet, RolloutGroup, binary_closed_form
 from .rollout_io import MetricRecord
 
@@ -121,7 +121,11 @@ def decompose(
     """
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}; expected one of {RULES}")
-    sums = compute_rule_sums(group, adv, clip)
+    return _report(group, compute_rule_sums(group, adv, clip), rule)
+
+
+def _report(group: RolloutGroup, sums: RuleSums, rule: str) -> DecompositionReport:
+    """``decompose`` of a group whose sign sums are ``sums``."""
     g = group.size
     k = sums.k
     nk = sums.neg_count
@@ -188,8 +192,9 @@ def ba_weight_identity(
     ba_pos = (k / g) * a_pos
     ba_neg = ((g - k) / g) * (-a_neg)
     seq_prefactor = math.sqrt(k * (g - k)) / g
-    report = decompose(group, adv, clip, "balanced")
-    objective = rule_terms("balanced", compute_rule_sums(group, adv, clip))[0]
+    sums = compute_rule_sums(group, adv, clip)
+    report = _report(group, sums, "balanced")
+    objective = rule_terms("balanced", sums)[0]
     reconstructed = seq_prefactor * (report.delta_pos - report.delta_neg)
     match = (
         abs(ba_pos - seq_prefactor) <= IDENTITY_ATOL

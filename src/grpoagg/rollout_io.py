@@ -131,7 +131,8 @@ def format_metrics(records: Iterable[MetricRecord]) -> str:
 
 
 def write_metrics(records: Sequence[MetricRecord], path: str | Path) -> None:
-    """Write records to CSV; records must be ordered by non-decreasing step."""
+    """Write records to CSV, creating its directory; records must be ordered
+    by non-decreasing step."""
     last = None
     for rec in records:
         if last is not None and rec.step < last:
@@ -139,7 +140,9 @@ def write_metrics(records: Sequence[MetricRecord], path: str | Path) -> None:
                 f"records out of order: step {rec.step} after step {last}"
             )
         last = rec.step
-    Path(path).write_text(METRIC_HEADER + format_metrics(records), encoding="utf-8")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(METRIC_HEADER + format_metrics(records), encoding="utf-8")
 
 
 def read_metrics(path: str | Path) -> list[MetricRecord]:
@@ -397,7 +400,9 @@ def group_to_dict(group: RolloutGroup) -> dict:
 
 
 def write_rollouts(groups: Iterable[RolloutGroup], path: str | Path) -> None:
-    """Write groups as canonical JSONL (the read_rollouts round-trip form)."""
+    """Write groups as canonical JSONL (the read_rollouts round-trip form),
+    creating its directory."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         for group in groups:
             fh.write(json.dumps(group_to_dict(group), separators=(",", ":")))

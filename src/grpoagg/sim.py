@@ -14,11 +14,14 @@ Two built-in tasks span the regimes where length structure matters:
   free-length  reward 1 iff the first token matches the prompt's target
                symbol; length carries no signal.
 
-Each outer step snapshots the old policy, samples G responses per prompt,
-and performs gradient ascent on the batch-mean objective of the configured
-aggregation rule. All four rules are evaluated on the same rollouts for
-logging. Sampling is seeded per (seed, step, prompt), so runs are
-deterministic and rule-comparison runs share rollout randomness per step.
+Each outer step samples G responses per prompt once, into flat columns
+(``StepRollouts``) that keep the policy's log-probability table at sampling
+as the old policy, and performs gradient ascent on the batch-mean objective
+of the configured aggregation rule. All four rules are evaluated on the
+same rollouts for logging. Sampling is seeded per (seed, step, prompt), so
+runs are deterministic and rule-comparison runs share rollout randomness
+per step. Response and RolloutGroup records are built only on request
+(``StepRollouts.groups``), for a rollout dump.
 """
 
 from __future__ import annotations
@@ -26,15 +29,15 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from itertools import chain, islice
 from math import fsum
 from typing import Sequence
 
 import numpy as np
 
 from .aggregate import RULES, ClipConfig, FlatBatch, rule_terms
-from .decompose import batch_metrics, length_stats
-from .groups import AdvantageSet, Response, RolloutGroup, normalize_advantages
+from .decompose import batch_metrics, pooled_length_stats
+from .groups import AdvantageSet, Response, RolloutGroup, normalize_advantages, normalize_rewards
 from .rollout_io import MetricRecord, write_metrics, write_rollouts
 
 __all__ = [
@@ -49,6 +52,8 @@ __all__ = [
     "PolicyTable",
     "SimulationError",
     "verify_reward",
+    "StepRollouts",
+    "sample_step",
     "sample_group",
     "evaluate_batch",
     "BatchEval",
@@ -227,11 +232,8 @@ class PolicyTable:
         return np.exp(self.log_probs())
 
 
-def verify_reward(task: TaskSpec, prompt_index: int, tokens: Sequence[int]) -> float:
-    """Deterministic 0/1 reward; malformed responses simply score 0."""
-    tokens = tuple(int(t) for t in tokens)
-    if not 0 <= prompt_index < task.num_prompts:
-        raise ValueError(f"prompt index {prompt_index} out of range")
+def _reward(task: TaskSpec, prompt_index: int, tokens: tuple[int, ...]) -> float:
+    """The reward rule, for a prompt index in range and a tuple of ints."""
     if task.kind == "count":
         n = task.counts[prompt_index]  # type: ignore[index]
         return 1.0 if tokens == (COUNT_SYMBOL,) * n + (EOS_TOKEN,) else 0.0
@@ -239,72 +241,179 @@ def verify_reward(task: TaskSpec, prompt_index: int, tokens: Sequence[int]) -> f
     return 1.0 if tokens and tokens[0] == target else 0.0
 
 
+def verify_reward(task: TaskSpec, prompt_index: int, tokens: Sequence[int]) -> float:
+    """Deterministic 0/1 reward; malformed responses simply score 0."""
+    tokens = tuple(int(t) for t in tokens)
+    if not 0 <= prompt_index < task.num_prompts:
+        raise ValueError(f"prompt index {prompt_index} out of range")
+    return _reward(task, prompt_index, tokens)
+
+
 def rollout_seed(seed: int, step: int, prompt_index: int) -> np.random.SeedSequence:
     """Per-(step, prompt) sampling seed; independent of the aggregation rule."""
     return np.random.SeedSequence([seed, step, prompt_index])
 
 
+@dataclass(frozen=True)
+class StepRollouts:
+    """One step's sampled responses as flat columns, with no per-response record.
+
+    ``log_probs`` is the (prompts, positions, vocab) log-probability table of
+    the policy the responses were sampled from, the old policy of every inner
+    epoch. ``prompts`` and ``sizes`` hold each group's prompt index and
+    response count; ``tokens`` holds every token, ordered by group, then
+    response, then position; ``lengths``, ``rewards`` and ``truncated`` hold
+    each response's. Construction derives each group's token count, each
+    token's (prompt, position, symbol) ``index`` into the table and its
+    sampled log-probability ``logp``, and checks every ``logp`` finite in one
+    pass; when one is not, the step is built as records, so the error is the
+    record validator's.
+    """
+
+    log_probs: np.ndarray
+    prompts: tuple[int, ...]
+    sizes: tuple[int, ...]
+    tokens: np.ndarray
+    lengths: tuple[int, ...]
+    rewards: tuple[float, ...]
+    truncated: tuple[bool, ...]
+    group_tokens: tuple[int, ...] = field(init=False)
+    index: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False)
+    logp: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        group_tokens = []
+        i = 0
+        for size in self.sizes:
+            group_tokens.append(sum(self.lengths[i : i + size]))
+            i += size
+        lengths = np.asarray(self.lengths, dtype=np.intp)
+        positions = np.arange(self.tokens.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        index = (np.repeat(np.asarray(self.prompts, dtype=np.intp), group_tokens), positions, self.tokens)
+        object.__setattr__(self, "group_tokens", tuple(group_tokens))
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "logp", self.log_probs[index])
+        if not np.isfinite(self.logp).all():
+            self.groups()
+            raise ValueError("a sampled log-probability is not finite")
+
+    @classmethod
+    def from_groups(cls, groups: Sequence[RolloutGroup], old: PolicyTable) -> "StepRollouts":
+        """The columns of ``groups``, sampled from ``old``.
+
+        Prompt ids must be integers indexing the policy's prompt axis, as
+        sample_group makes them; the records' own log-probabilities are not
+        read, ``old.log_probs()`` is the sampling table.
+        """
+        responses = [resp for group in groups for resp in group.responses]
+        lengths = tuple(len(resp.tokens) for resp in responses)  # type: ignore[arg-type]
+        return cls(
+            old.log_probs(),
+            tuple(int(group.prompt_id) for group in groups),
+            tuple(group.size for group in groups),
+            np.fromiter(chain.from_iterable(resp.tokens for resp in responses), np.intp, sum(lengths)),
+            lengths,
+            tuple(resp.reward for resp in responses),
+            tuple(resp.truncated for resp in responses),
+        )
+
+    def groups(self, eps_var: float = 0.0) -> list[RolloutGroup]:
+        """The step as records: one group per prompt, its id ``str(prompt)``,
+        each response's logp_new and logp_old both its sampled log-probabilities."""
+        tokens, logp = self.tokens.tolist(), self.logp.tolist()
+        rows = iter(zip(self.lengths, self.rewards, self.truncated))
+        out = []
+        start = 0
+        for prompt, size in zip(self.prompts, self.sizes):
+            responses = []
+            for length, reward, truncated in islice(rows, size):
+                end = start + length
+                lp = tuple(logp[start:end])
+                responses.append(
+                    Response(
+                        tuple(tokens[start:end]), reward, logp_new=lp, logp_old=lp, truncated=truncated
+                    )
+                )
+                start = end
+            out.append(RolloutGroup(str(prompt), tuple(responses), eps_var))
+        return out
+
+
+def sample_step(
+    policy: PolicyTable,
+    task: TaskSpec,
+    prompt_indices: Sequence[int],
+    group_size: int,
+    seeds: Sequence,
+) -> StepRollouts:
+    """Sample G responses for each prompt at temperature 1, as one step's columns.
+
+    Responses without EOS by t_max are truncated and flagged. The policy's
+    log-probabilities are computed once, and that table is the step's old
+    policy too, so a record built from the step has ratios of exactly 1.
+
+    Group j draws its uniforms from ``seeds[j]`` as one block of G * t_max;
+    each token takes the next draw in order, so the rollouts are those of one
+    ``rng.random()`` call per token (the unused tail of the block is
+    discarded with the private generator). The symbol for draw u at position
+    t is the count of cum[t][:V-1] <= u, i.e. ``searchsorted(cum[t], u,
+    side="right")`` clamped to V-1. Extra memory is O(G * t_max) per group
+    plus O(t_max * V) per prompt of the step.
+    """
+    if group_size < 2:
+        raise ValueError("group_size must be >= 2")
+    _check_cells("draws per group (group_size * t_max)", group_size * task.t_max, MAX_STEP_CELLS)
+    shape = (task.num_prompts, task.t_max, task.vocab_size)
+    if policy.logits.shape != shape:
+        raise ValueError(f"policy shape {policy.logits.shape} does not match the task's {shape}")
+    prompts = [int(p) for p in prompt_indices]
+    if len(seeds) != len(prompts):
+        raise ValueError(f"{len(prompts)} prompts but {len(seeds)} seeds")
+    for p in prompts:
+        if not 0 <= p < task.num_prompts:
+            raise ValueError(f"prompt index {p} out of range")
+    lp = policy.log_probs()
+    cums = np.cumsum(np.exp(lp[prompts]), axis=2)[:, :, :-1].tolist()
+    tokens: list[int] = []
+    lengths = []
+    rewards = []
+    truncated = []
+    for p, seed, cum in zip(prompts, seeds, cums):
+        draws = np.random.default_rng(seed).random(group_size * task.t_max).tolist()
+        k = 0
+        for _ in range(group_size):
+            start = len(tokens)
+            for row in cum:
+                v = bisect_right(row, draws[k])
+                k += 1
+                tokens.append(v)
+                if v == EOS_TOKEN:
+                    break
+            response = tuple(tokens[start:])
+            lengths.append(len(response))
+            rewards.append(_reward(task, p, response))
+            truncated.append(v != EOS_TOKEN)
+    return StepRollouts(
+        lp,
+        tuple(prompts),
+        (group_size,) * len(prompts),
+        np.array(tokens, dtype=np.intp),
+        tuple(lengths),
+        tuple(rewards),
+        tuple(truncated),
+    )
+
+
 def sample_group(
     policy: PolicyTable,
-    old: PolicyTable,
     task: TaskSpec,
     prompt_index: int,
     group_size: int,
     seed,
     eps_var: float = 0.0,
 ) -> RolloutGroup:
-    """Sample G responses for one prompt at temperature 1.
-
-    ``old`` must be the snapshot taken at the start of the outer step; at
-    sampling time policy == old, so stored ratios are exactly 1. Responses
-    without EOS by t_max are truncated and flagged. Deterministic given
-    ``seed``.
-
-    The group's uniforms are drawn as one block of G * t_max; each token
-    takes the next draw in order, so the rollouts are those of one
-    ``rng.random()`` call per token (the unused tail of the block is
-    discarded with the private generator). The symbol for draw u at position
-    t is the count of cum[t][:V-1] <= u, i.e. ``searchsorted(cum[t], u,
-    side="right")`` clamped to V-1. Extra memory is O(G * t_max + t_max * V).
-    """
-    if group_size < 2:
-        raise ValueError("group_size must be >= 2")
-    _check_cells("draws per group (group_size * t_max)", group_size * task.t_max, MAX_STEP_CELLS)
-    if policy.logits.shape != old.logits.shape:
-        raise ValueError("policy and old-policy shapes differ")
-    rng = np.random.default_rng(seed)
-    lp_new = policy.log_probs()[prompt_index]
-    lp_old = old.log_probs()[prompt_index]
-    cum = np.cumsum(np.exp(lp_new), axis=1)[: task.t_max, :-1].tolist()
-    draws = rng.random(group_size * task.t_max).tolist()
-    tokens: list[int] = []
-    lengths = []
-    for _ in range(group_size):
-        start = len(tokens)
-        for row in cum:
-            v = bisect_right(row, draws[len(tokens)])
-            tokens.append(v)
-            if v == EOS_TOKEN:
-                break
-        lengths.append(len(tokens) - start)
-    index = (np.array([t for n in lengths for t in range(n)]), np.array(tokens))
-    new, prev = lp_new[index].tolist(), lp_old[index].tolist()
-    responses = []
-    start = 0
-    for n in lengths:
-        end = start + n
-        toks = tokens[start:end]
-        responses.append(
-            Response(
-                tokens=tuple(toks),
-                reward=verify_reward(task, prompt_index, toks),
-                logp_new=tuple(new[start:end]),
-                logp_old=tuple(prev[start:end]),
-                truncated=toks[-1] != EOS_TOKEN,
-            )
-        )
-        start = end
-    return RolloutGroup(str(prompt_index), tuple(responses), eps_var)
+    """sample_step for one prompt, as a record; deterministic given ``seed``."""
+    return sample_step(policy, task, [prompt_index], group_size, [seed]).groups(eps_var)[0]
 
 
 @dataclass(frozen=True)
@@ -320,8 +429,7 @@ class BatchEval:
 
 def evaluate_batch(
     policy: PolicyTable,
-    old: PolicyTable,
-    groups: Sequence[RolloutGroup],
+    rollouts: StepRollouts,
     advs: Sequence[AdvantageSet],
     rule: str,
     clip: ClipConfig,
@@ -330,37 +438,29 @@ def evaluate_batch(
     """Evaluate the batch-mean objective as a function of the policy logits.
 
     Rollout tokens, rewards, and advantages are held fixed; per-token ratios
-    are recomputed from ``policy`` against ``old``. The gradient chains
-    dJ/d rho through rho = pi_new / pi_old into the softmax logits. Groups
-    must carry integer-valued prompt ids indexing the policy's prompt axis,
-    as produced by sample_group.
+    are recomputed from ``policy`` against the rollouts' sampling table. The
+    gradient chains dJ/d rho through rho = pi_new / pi_old into the softmax
+    logits.
 
-    The batch's tokens are laid out flat (group, response, position), so
-    ratios, phi and the gradient chain are each one numpy pass. The logit
-    gradient is one ``np.add.at`` whose entries come in token order, each
-    token's V dense -coeff * pi terms before its +coeff point term: the same
-    additions, in the same order per logit, as a loop over responses.
+    Ratios, phi and the gradient chain are each one numpy pass over the
+    flat tokens. The logit gradient is one ``np.add.at`` whose entries come
+    in token order, each token's V dense -coeff * pi terms before its +coeff
+    point term: the same additions, in the same order per logit, as a loop
+    over responses.
     """
-    if len(groups) != len(advs):
-        raise ValueError(f"{len(groups)} groups but {len(advs)} advantage sets")
+    if len(rollouts.prompts) != len(advs):
+        raise ValueError(f"{len(rollouts.prompts)} groups but {len(advs)} advantage sets")
+    if policy.logits.shape != rollouts.log_probs.shape:
+        raise ValueError("policy and sampling-table shapes differ")
     lp_new = policy.log_probs()
-    lp_old = old.log_probs()
-    responses = [resp for group in groups for resp in group.responses]
-    lengths = [len(resp.tokens) for resp in responses]  # type: ignore[arg-type]
-    tokens = np.fromiter(
-        chain.from_iterable(resp.tokens for resp in responses), np.intp, sum(lengths)
-    )
-    group_tokens = [group.total_tokens for group in groups]
-    prompts = np.repeat([int(group.prompt_id) for group in groups], group_tokens)
-    positions = np.arange(tokens.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    index = (prompts, positions, tokens)
-    batch = FlatBatch(tuple(advs), tuple(lengths), np.exp(lp_new[index] - lp_old[index]))
+    index = rollouts.index
+    batch = FlatBatch(tuple(advs), rollouts.lengths, np.exp(lp_new[index] - rollouts.logp))
     all_sums = batch.rule_sums(clip)
-    for group, sums in zip(groups, all_sums):
+    for prompt, sums in zip(rollouts.prompts, all_sums):
         if sums is None:
-            raise SimulationError(f"rule sums overflow a float for prompt {group.prompt_id}")
+            raise SimulationError(f"rule sums overflow a float for prompt {prompt}")
     terms = [{r: rule_terms(r, sums) for r in RULES} for sums in all_sums]
-    b = len(groups)
+    b = len(advs)
     objectives = {r: fsum(t[r][0] for t in terms) / b for r in RULES}
     total_tokens = sum(s.total_tokens for s in all_sums)
     clipped = sum(s.clipped for s in all_sums)
@@ -370,14 +470,16 @@ def evaluate_batch(
         # dJ/d rho * d rho/d logp_new
         coeff = batch.ratio_gradients(clip, [(w_pos, w_neg) for _, _, w_pos, w_neg in applied])
         coeff *= batch.ratios
+        group_tokens = rollouts.group_tokens
         group_starts = np.cumsum(group_tokens) - group_tokens
         finite = np.logical_and.reduceat(np.isfinite(coeff), group_starts).tolist()
         # groups in order, each one's objective before its gradient
-        for group, (value, *_), ok in zip(groups, applied, finite):
+        for prompt, (value, *_), ok in zip(rollouts.prompts, applied, finite):
             if not math.isfinite(value):
-                raise SimulationError(f"non-finite {rule} objective for prompt {group.prompt_id}")
+                raise SimulationError(f"non-finite {rule} objective for prompt {prompt}")
             if not ok:
-                raise SimulationError(f"non-finite gradient for prompt {group.prompt_id}")
+                raise SimulationError(f"non-finite gradient for prompt {prompt}")
+        prompts, positions, tokens = index
         vocab = policy.vocab_size
         rows = prompts * policy.t_max + positions
         entries = np.empty((tokens.size, vocab + 1), dtype=np.intp)
@@ -401,51 +503,53 @@ def evaluate_batch(
 
 def train_step(
     policy: PolicyTable,
-    old: PolicyTable,
     task: TaskSpec,
     prompt_indices: Sequence[int],
     config: TrainConfig,
     step: int,
-) -> tuple[PolicyTable, list[MetricRecord], list[RolloutGroup]]:
-    """One outer step: sample per-prompt groups, ascend the configured rule.
+) -> tuple[PolicyTable, list[MetricRecord], StepRollouts]:
+    """One outer step: sample the prompts' groups once, ascend the configured rule.
 
-    Emits one MetricRecord per aggregation rule (all four are evaluated on
-    the same rollouts; only ``config.rule`` drives the update). With more
-    than one inner epoch the logged objectives average over epochs.
+    ``policy`` is the step's old policy: its log-probability table, taken at
+    sampling, is the denominator of every inner epoch's ratios. Emits one
+    MetricRecord per aggregation rule (all four are evaluated on the same
+    rollouts; only ``config.rule`` drives the update). With more than one
+    inner epoch the logged objectives average over epochs. Returns the
+    updated policy, the records and the step's rollouts.
     """
-    groups = [
-        sample_group(
-            policy,
-            old,
-            task,
-            p,
-            config.group_size,
-            rollout_seed(config.seed, step, p),
-            config.eps_var,
-        )
-        for p in prompt_indices
+    rollouts = sample_step(
+        policy,
+        task,
+        prompt_indices,
+        config.group_size,
+        [rollout_seed(config.seed, step, p) for p in prompt_indices],
+    )
+    g = config.group_size
+    rewards, lengths = rollouts.rewards, rollouts.lengths
+    advs = [
+        normalize_rewards(rewards[j * g : (j + 1) * g], config.eps_var, str(p))
+        for j, p in enumerate(rollouts.prompts)
     ]
-    advs = [normalize_advantages(g) for g in groups]
     current = policy
     values: dict[str, list[float]] = {r: [] for r in RULES}
     clip_fracs = []
     for _ in range(config.inner_epochs):
-        ev = evaluate_batch(current, old, groups, advs, config.rule, config.clip)
+        ev = evaluate_batch(current, rollouts, advs, config.rule, config.clip)
         for r in RULES:
             values[r].append(ev.rule_objectives[r])
         clip_fracs.append(ev.clip_fraction)
         assert ev.grad_logits is not None
         current = PolicyTable(current.logits + config.learning_rate * ev.grad_logits)
     objectives = {r: fsum(v) / len(v) for r, v in values.items()}
-    records = batch_metrics(
-        step,
-        length_stats(groups, advs),
-        [r.reward for g in groups for r in g.responses],
-        [a.k for a in advs],
-        objectives,
-        fsum(clip_fracs) / len(clip_fracs),
+    stats = pooled_length_stats(
+        lengths,
+        [lengths[j * g + i] for j, adv in enumerate(advs) for i in adv.pos_indices],
+        [lengths[j * g + i] for j, adv in enumerate(advs) for i in adv.neg_indices],
     )
-    return current, records, groups
+    records = batch_metrics(
+        step, stats, rewards, [a.k for a in advs], objectives, fsum(clip_fracs) / len(clip_fracs)
+    )
+    return current, records, rollouts
 
 
 def run_training(
@@ -456,10 +560,11 @@ def run_training(
 ) -> tuple[list[MetricRecord], PolicyTable]:
     """Run the full loop from a uniform policy; returns (records, final policy).
 
-    Optionally writes the metric CSV and a JSONL dump of every sampled group.
-    Raises ValueError before any work when one step's prompts * group_size *
-    t_max * vocab_size exceeds MAX_STEP_CELLS, or that times steps *
-    inner_epochs exceeds MAX_WORK_CELLS.
+    Optionally writes the metric CSV and a JSONL dump of every sampled group
+    (the only use of Response records in a run), each after the last step
+    and creating its directory. Raises ValueError before any work when one step's
+    prompts * group_size * t_max * vocab_size exceeds MAX_STEP_CELLS, or
+    that times steps * inner_epochs exceeds MAX_WORK_CELLS.
     """
     batch = config.prompts_per_batch or task.num_prompts
     step_cells = batch * config.group_size * task.t_max * task.vocab_size
@@ -478,12 +583,12 @@ def run_training(
     dumped: list[RolloutGroup] = []
     for step in range(config.steps):
         prompt_indices = [(step * batch + j) % task.num_prompts for j in range(batch)]
-        old = policy  # policies are immutable, so this reference is the snapshot
-        policy, recs, groups = train_step(policy, old, task, prompt_indices, config, step)
+        policy, recs, rollouts = train_step(policy, task, prompt_indices, config, step)
         records.extend(recs)
         if rollouts_path is not None:
             dumped.extend(
-                replace(g, group_id=f"s{step}-p{g.prompt_id}") for g in groups
+                replace(g, group_id=f"s{step}-p{g.prompt_id}")
+                for g in rollouts.groups(config.eps_var)
             )
     if metrics_path is not None:
         write_metrics(records, metrics_path)
@@ -505,8 +610,9 @@ def logit_gradient_check(
     Rollouts are held fixed; every logit entry is perturbed by +-h. Returns
     the maximum relative error max |analytic - numeric| / max(1, |a|, |n|).
     """
+    rollouts = StepRollouts.from_groups(groups, old)
     advs = [normalize_advantages(g) for g in groups]
-    base = evaluate_batch(policy, old, groups, advs, rule, clip)
+    base = evaluate_batch(policy, rollouts, advs, rule, clip)
     assert base.grad_logits is not None
     max_rel = 0.0
     for idx in np.ndindex(policy.logits.shape):
@@ -515,10 +621,10 @@ def logit_gradient_check(
         minus = policy.logits.copy()
         minus[idx] -= h
         j_plus = evaluate_batch(
-            PolicyTable(plus), old, groups, advs, rule, clip, need_grad=False
+            PolicyTable(plus), rollouts, advs, rule, clip, need_grad=False
         ).objective
         j_minus = evaluate_batch(
-            PolicyTable(minus), old, groups, advs, rule, clip, need_grad=False
+            PolicyTable(minus), rollouts, advs, rule, clip, need_grad=False
         ).objective
         numeric = (j_plus - j_minus) / (2.0 * h)
         analytic = float(base.grad_logits[idx])

@@ -139,7 +139,7 @@ def test_a6_gradient_correctness():
         old = PolicyTable(rng.normal(scale=0.3, size=(2, 5, 3)))
         policy = PolicyTable(old.logits + rng.normal(scale=0.05, size=(2, 5, 3)))
         groups = [
-            sample_group(old, old, task, p, 6, rollout_seed(106, i, p), 1e-6)
+            sample_group(old, task, p, 6, rollout_seed(106, i, p), 1e-6)
             for p in range(2)
         ]
         worst_logit = max(
@@ -177,7 +177,7 @@ def test_a7_sign_length_coupling():
     logits[0, 0, COUNT_SYMBOL] = 50.0  # always start with the count symbol
     logits[0, 2:, COUNT_SYMBOL] = 50.0  # never stop after position 1
     policy = PolicyTable(logits)
-    sampled = sample_group(policy, policy, task, 0, 16, rollout_seed(7, 0, 0))
+    sampled = sample_group(policy, task, 0, 16, rollout_seed(7, 0, 0))
     sadv = normalize_advantages(sampled)
     assert 1 <= sadv.k <= 15
     report = decompose(sampled, sadv, CLIP, "token")

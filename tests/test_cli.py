@@ -278,7 +278,9 @@ def test_analyze_memory_is_set_by_the_window_not_the_log(tmp_path, capsys):
      ["compare", "--steps", "1"]],
     ids=["analyze", "simulate", "compare"],
 )
-def test_out_that_cannot_be_created_is_an_error_line(tmp_path, capsys, argv):
+def test_out_that_cannot_be_created_is_an_error_line(tmp_path, capsys, monkeypatch, argv):
+    # refused before any training: the run would be lost at its end
+    monkeypatch.setattr("grpoagg.cli.run_training", None)
     out = tmp_path / "taken"
     out.write_text("", encoding="utf-8")
     code, _, err = run_cli(capsys, *argv, "--out", str(out))
@@ -405,6 +407,17 @@ def test_refused_arguments_leave_no_out_directory(tmp_path, capsys, command):
     code, _, err = run_cli(capsys, command, "--group-size", "1", "--out", str(out))
     assert code == 2
     assert err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_failed_run_leaves_no_out_directory(tmp_path, capsys, command):
+    # the uniform policy's first groups include an all-wrong one, which
+    # cannot be normalised at eps_var 0
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, command, "--eps-var", "0", "--steps", "5", "--out", str(out))
+    assert code == 2
+    assert err == "error: group '1': all rewards equal (0.0) with eps_var=0\n"
     assert not out.exists()
 
 

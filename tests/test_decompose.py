@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -125,6 +126,16 @@ def test_ba_weight_identity_examples(clip):
     assert ba == pytest.approx(math.sqrt(3.0) / 4.0, abs=1e-15)
     assert seq == pytest.approx(math.sqrt(3.0) / 4.0, abs=1e-15)
     assert match
+
+
+def test_ba_weight_identity_runs_the_sign_sums_once(clip, monkeypatch):
+    module = importlib.import_module("grpoagg.decompose")  # the package's name is the function
+    calls = []
+    sums = module.compute_rule_sums
+    monkeypatch.setattr(module, "compute_rule_sums", lambda *a: calls.append(1) or sums(*a))
+    group = make_group([(2, 1.0), (1, 0.0), (4, 0.0), (2, 0.0)])
+    assert ba_weight_identity(group, normalize_advantages(group), clip)[2]
+    assert len(calls) == 1
 
 
 def test_ba_weight_identity_random(clip):

@@ -14,7 +14,7 @@ from grpoagg.aggregate import (
     rule_terms,
 )
 from grpoagg.cli import main
-from grpoagg.decompose import decompose
+from grpoagg.decompose import batch_metrics, decompose, length_stats
 from grpoagg.groups import AdvantageSet, Response, RolloutGroup, normalize_advantages
 from grpoagg.sim import (
     COUNT_SYMBOL,
@@ -23,6 +23,7 @@ from grpoagg.sim import (
     MAX_WORK_CELLS,
     PolicyTable,
     SimulationError,
+    StepRollouts,
     TaskSpec,
     TrainConfig,
     evaluate_batch,
@@ -30,6 +31,7 @@ from grpoagg.sim import (
     rollout_seed,
     run_training,
     sample_group,
+    sample_step,
     train_step,
     verify_reward,
 )
@@ -121,7 +123,7 @@ def test_size_caps_are_checked_before_allocating(capsys, tmp_path):
         run_training(task, TrainConfig(rule="token", steps=1, prompts_per_batch=huge))
     policy = PolicyTable.uniform(4, 8, 3)
     with pytest.raises(ValueError, match="draws per group"):
-        sample_group(policy, policy, task, 0, huge, rollout_seed(0, 0, 0))
+        sample_group(policy, task, 0, huge, rollout_seed(0, 0, 0))
     for flag in ("--t-max", "--group-size", "--prompts", "--vocab-size"):
         argv = ["simulate", flag, str(huge), "--steps", "1", "--out", str(tmp_path)]
         assert main(argv) == 2
@@ -164,7 +166,7 @@ def test_work_cap_is_checked_before_the_first_step(monkeypatch, capsys, tmp_path
 def test_sample_group_ratios_exactly_one():
     task = count_task()
     policy = PolicyTable.uniform(4, 8, 3)
-    group = sample_group(policy, policy, task, 0, 8, rollout_seed(0, 0, 0), 1e-6)
+    group = sample_group(policy, task, 0, 8, rollout_seed(0, 0, 0), 1e-6)
     assert group.size == 8
     for resp in group.responses:
         assert all(r == 1.0 for r in resp.ratios)
@@ -174,8 +176,8 @@ def test_sample_group_ratios_exactly_one():
 def test_sample_group_deterministic():
     task = count_task()
     policy = PolicyTable.uniform(4, 8, 3)
-    a = sample_group(policy, policy, task, 2, 16, rollout_seed(5, 3, 2), 1e-6)
-    b = sample_group(policy, policy, task, 2, 16, rollout_seed(5, 3, 2), 1e-6)
+    a = sample_group(policy, task, 2, 16, rollout_seed(5, 3, 2), 1e-6)
+    b = sample_group(policy, task, 2, 16, rollout_seed(5, 3, 2), 1e-6)
     assert a == b
 
 
@@ -183,7 +185,7 @@ def test_sample_group_forced_correct_string():
     task = count_task(counts=(3, 1, 2, 4))
     correct = [(COUNT_SYMBOL,) * n + (EOS_TOKEN,) for n in task.counts]
     policy = deterministic_policy(task, correct)
-    group = sample_group(policy, policy, task, 0, 4, rollout_seed(0, 0, 0))
+    group = sample_group(policy, task, 0, 4, rollout_seed(0, 0, 0))
     for resp in group.responses:
         assert resp.reward == 1.0
         assert resp.length == task.counts[0] + 1
@@ -196,7 +198,7 @@ def test_sample_group_truncation_flag():
     logits = np.zeros((4, 8, 3))
     logits[:, :, COUNT_SYMBOL] = 50.0
     policy = PolicyTable(logits)
-    group = sample_group(policy, policy, task, 0, 4, rollout_seed(1, 0, 0))
+    group = sample_group(policy, task, 0, 4, rollout_seed(1, 0, 0))
     for resp in group.responses:
         assert resp.truncated
         assert resp.length == task.t_max
@@ -236,14 +238,117 @@ def test_sample_group_matches_per_token_reference():
             policy = PolicyTable(np.random.default_rng(seed).normal(size=(3, t_max, vocab)))
             for p in range(3):
                 seq = rollout_seed(seed, 1, p)
-                got = sample_group(policy, policy, task, p, group_size, seq, 1e-6)
+                got = sample_group(policy, task, p, group_size, seq, 1e-6)
                 assert got == reference_sample_group(policy, task, p, group_size, seq, 1e-6)
                 ends |= {(r.length == t_max, r.truncated) for r in got.responses}
+            # whole steps, as run_training batches them: fewer prompts per
+            # batch than prompts (the order wraps) and more (prompts repeat)
+            config = TrainConfig(rule="token", steps=1, group_size=group_size, seed=seed)
+            for batch in (2, 3, 5):
+                step = seed + batch
+                prompts = [(step * batch + j) % 3 for j in range(batch)]
+                _, _, rollouts = train_step(policy, task, prompts, config, step)
+                assert rollouts.groups(config.eps_var) == [
+                    reference_sample_group(policy, task, p, group_size, rollout_seed(seed, step, p),
+                                           config.eps_var)
+                    for p in prompts
+                ]
     # EOS before t_max, EOS exactly at position t_max - 1, and truncation all occur
     assert ends == {(False, False), (True, False), (True, True)}
 
 
+def test_sample_step_checks_its_arguments():
+    task = count_task()
+    policy = PolicyTable.uniform(4, 8, 3)
+    seeds = [rollout_seed(0, 0, p) for p in range(2)]
+    with pytest.raises(ValueError, match=r"policy shape \(4, 7, 3\) does not match the task's \(4, 8, 3\)"):
+        sample_step(PolicyTable.uniform(4, 7, 3), task, [0, 1], 4, seeds)
+    with pytest.raises(ValueError, match="prompt index 4 out of range"):
+        sample_step(policy, task, [0, 4], 4, seeds)
+    with pytest.raises(ValueError, match="2 prompts but 1 seeds"):
+        sample_step(policy, task, [0, 1], 4, seeds[:1])
+    with pytest.raises(ValueError, match="group_size must be >= 2"):
+        sample_step(policy, task, [0, 1], 1, seeds)
+
+
+def test_non_finite_sampled_log_prob_raises_the_record_error():
+    # logits of +-1e308 give the last symbol a log-probability of -inf
+    logits = np.zeros((2, 3, 3))
+    logits[1, 1] = (1e308, 0.0, -1e308)
+    with np.errstate(over="ignore"):
+        table = PolicyTable(logits).log_probs()
+    assert table[1, 1, 2] == -math.inf
+    # prompt 1's second response samples that symbol at position 1
+    lengths = (2, 1, 1, 3)
+    tokens = np.array([1, EOS_TOKEN, EOS_TOKEN, EOS_TOKEN, 1, 2, EOS_TOKEN], dtype=np.intp)
+    with pytest.raises(ValueError) as err:
+        StepRollouts(table, (0, 1), (2, 2), tokens, lengths, (0.0,) * 4, (False,) * 4)
+    logp = tuple(table[1, [0, 1, 2], [1, 2, EOS_TOKEN]].tolist())
+    with pytest.raises(ValueError) as record:
+        Response((1, 2, EOS_TOKEN), 0.0, logp_new=logp, logp_old=logp)
+    assert str(err.value) == str(record.value) == "logp_new[1] must be a finite real number, got -inf"
+
+
 # --- training step ---
+
+@pytest.mark.parametrize("inner_epochs", [1, 2])
+def test_train_step_computes_log_probs_once_to_sample_and_once_per_epoch(monkeypatch, inner_epochs):
+    calls = []
+    log_probs = PolicyTable.log_probs
+    monkeypatch.setattr(PolicyTable, "log_probs", lambda self: calls.append(self) or log_probs(self))
+    config = TrainConfig(rule="token", steps=1, learning_rate=0.5, inner_epochs=inner_epochs)
+    policy = PolicyTable.uniform(4, 8, 3)
+    train_step(policy, count_task(), range(4), config, 0)
+    assert len(calls) == 1 + inner_epochs
+    assert calls[:2] == [policy, policy]  # sampling, then the first epoch
+
+
+def test_run_training_builds_records_only_for_a_dump(monkeypatch, tmp_path):
+    built = []
+    post_init = Response.__post_init__
+    monkeypatch.setattr(Response, "__post_init__", lambda self: built.append(1) or post_init(self))
+    config = TrainConfig(rule="balanced", steps=3, group_size=4, seed=1)
+    run_training(count_task(), config, metrics_path=tmp_path / "m.csv")
+    assert built == []
+    run_training(count_task(), config, rollouts_path=tmp_path / "r.jsonl")
+    assert len(built) == 3 * 4 * 4  # steps * prompts * group_size
+
+
+def test_train_step_equals_evaluate_batch_over_its_materialised_groups():
+    # the columnar step against the record path: groups built from the step,
+    # normalised, evaluated epoch by epoch and pooled as before the columns
+    task = count_task(num_prompts=5)
+    config = TrainConfig(rule="balanced_gen", steps=1, group_size=8, learning_rate=2.0, seed=4,
+                         inner_epochs=3)
+    policy = PolicyTable(np.random.default_rng(4).normal(size=(5, 8, 3)))
+    new_policy, records, rollouts = train_step(policy, task, [3, 4, 0], config, 1)
+    groups = rollouts.groups(config.eps_var)
+    rebuilt = StepRollouts.from_groups(groups, policy)
+    for name in ("prompts", "sizes", "lengths", "rewards", "truncated", "group_tokens"):
+        assert getattr(rebuilt, name) == getattr(rollouts, name)
+    assert rebuilt.tokens.tobytes() == rollouts.tokens.tobytes()
+    assert rebuilt.logp.tobytes() == rollouts.logp.tobytes()
+    advs = [normalize_advantages(g) for g in groups]
+    current = policy
+    values = {r: [] for r in RULES}
+    clip_fracs = []
+    for _ in range(config.inner_epochs):
+        ev = evaluate_batch(current, rebuilt, advs, config.rule, config.clip)
+        for r in RULES:
+            values[r].append(ev.rule_objectives[r])
+        clip_fracs.append(ev.clip_fraction)
+        current = PolicyTable(current.logits + config.learning_rate * ev.grad_logits)
+    assert new_policy.logits.tobytes() == current.logits.tobytes()
+    assert fsum(clip_fracs) > 0.0  # later epochs are off-policy
+    assert records == batch_metrics(
+        1,
+        length_stats(groups, advs),
+        [r.reward for g in groups for r in g.responses],
+        [a.k for a in advs],
+        {r: fsum(v) / len(v) for r, v in values.items()},
+        fsum(clip_fracs) / len(clip_fracs),
+    )
+
 
 def test_train_step_zero_advantages_leaves_policy_unchanged():
     task = count_task()
@@ -252,7 +357,7 @@ def test_train_step_zero_advantages_leaves_policy_unchanged():
     logits[:, :, 2] = 50.0
     policy = PolicyTable(logits)
     config = TrainConfig(rule="balanced", steps=1, group_size=8, eps_var=1e-6, seed=0)
-    new_policy, records, groups = train_step(policy, policy, task, range(4), config, 0)
+    new_policy, records, _ = train_step(policy, task, range(4), config, 0)
     assert np.array_equal(new_policy.logits, policy.logits)
     for rec in records:
         assert rec.objective == 0.0
@@ -302,7 +407,8 @@ def test_first_epoch_update_matches_reinforce_oracle(rule):
     policy = PolicyTable(rng.normal(scale=0.4, size=(2, 8, 3)))
     lr = 0.1
     config = TrainConfig(rule=rule, steps=1, group_size=4, learning_rate=lr, seed=9)
-    new_policy, _, groups = train_step(policy, policy, task, range(2), config, 0)
+    new_policy, _, rollouts = train_step(policy, task, range(2), config, 0)
+    groups = rollouts.groups(config.eps_var)
     update = (new_policy.logits - policy.logits) / lr
     oracle = reinforce_oracle_grad(policy.logits, groups, rule, config.eps_var)
     np.testing.assert_allclose(update, oracle, rtol=1e-10, atol=1e-14)
@@ -314,7 +420,7 @@ def test_token_vs_balanced_update_reweighting():
     task = count_task()
     policy = PolicyTable.uniform(4, 8, 3)
     clip = ClipConfig()
-    group = sample_group(policy, policy, task, 0, 16, rollout_seed(3, 0, 0))
+    group = sample_group(policy, task, 0, 16, rollout_seed(3, 0, 0))
     adv = normalize_advantages(group)
     if adv.k == 0 or adv.k == group.size:
         pytest.skip("needs a mixed group for this seed")
@@ -404,7 +510,7 @@ def test_logit_gradient_check_all_rules():
     old = PolicyTable(rng.normal(scale=0.3, size=(2, 5, 3)))
     policy = PolicyTable(old.logits + rng.normal(scale=0.05, size=(2, 5, 3)))
     groups = [
-        sample_group(old, old, task, p, 8, rollout_seed(9, 0, p), 1e-6)
+        sample_group(old, task, p, 8, rollout_seed(9, 0, p), 1e-6)
         for p in range(2)
     ]
     for rule in ("token", "seq", "balanced", "balanced_gen"):
@@ -417,12 +523,12 @@ def test_inner_epochs_move_ratios_off_one():
         rule="balanced", steps=1, group_size=16, learning_rate=0.5, seed=3, inner_epochs=3
     )
     policy = PolicyTable.uniform(4, 8, 3)
-    new_policy, records, groups = train_step(policy, policy, task, range(4), config, 0)
+    new_policy, records, rollouts = train_step(policy, task, range(4), config, 0)
     assert not np.array_equal(new_policy.logits, policy.logits)
     # second and later epochs see off-policy ratios; the logged objective
     # averages over epochs, so it can move away from the on-policy value
-    advs = [normalize_advantages(g) for g in groups]
-    ev = evaluate_batch(new_policy, policy, groups, advs, "balanced", config.clip)
+    advs = [normalize_advantages(g) for g in rollouts.groups(config.eps_var)]
+    ev = evaluate_batch(new_policy, rollouts, advs, "balanced", config.clip)
     assert ev.objective != 0.0
 
 
@@ -430,14 +536,14 @@ def test_evaluate_batch_reports_non_finite_gradient():
     task = count_task(num_prompts=2, counts=(1, 2))
     policy = PolicyTable.uniform(2, 8, 3)
     groups = [
-        sample_group(policy, policy, task, p, 8, rollout_seed(2, 0, p), 1e-6)
+        sample_group(policy, task, p, 8, rollout_seed(2, 0, p), 1e-6)
         for p in range(2)
     ]
     advs = [normalize_advantages(g) for g in groups]
     bad_old = np.zeros((2, 8, 3))
     bad_old[:, :, COUNT_SYMBOL] = -800.0  # ratio exp(~800) overflows
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SimulationError) as err:
-        evaluate_batch(policy, PolicyTable(bad_old), groups, advs, "token", ClipConfig())
+        evaluate_batch(policy, StepRollouts.from_groups(groups, PolicyTable(bad_old)), advs, "token", ClipConfig())
     assert "prompt" in str(err.value)
 
 
@@ -456,12 +562,13 @@ def test_evaluate_batch_one_pass_matches_per_rule_evaluation():
     task = count_task()
     config = TrainConfig(rule="token", steps=1, learning_rate=0.5, seed=5, inner_epochs=2)
     policy = PolicyTable.uniform(4, 8, 3)
-    new_policy, _, groups = train_step(policy, policy, task, range(4), config, 0)
+    new_policy, _, rollouts = train_step(policy, task, range(4), config, 0)
+    groups = rollouts.groups(config.eps_var)
     advs = [normalize_advantages(g) for g in groups]
     lp_new, lp_old = new_policy.log_probs(), policy.log_probs()
     arrays = [policy_ratio_arrays(g, lp_new, lp_old) for g in groups]
     for rule in RULES:
-        ev = evaluate_batch(new_policy, policy, groups, advs, rule, config.clip)
+        ev = evaluate_batch(new_policy, rollouts, advs, rule, config.clip)
         for r in RULES:
             values = []
             for a, arr in zip(advs, arrays):
@@ -509,7 +616,8 @@ def test_evaluate_batch_matches_per_response_reference():
     task = count_task()
     config = TrainConfig(rule="token", steps=1, learning_rate=20.0, seed=8, inner_epochs=2)
     old = PolicyTable.uniform(4, 8, 3)
-    policy, _, groups = train_step(old, old, task, range(4), config, 0)
+    policy, _, rollouts = train_step(old, task, range(4), config, 0)
+    groups = rollouts.groups(config.eps_var)
     advs = [normalize_advantages(g) for g in groups]
     a = advs[0].advantages
     # all rewards equal under the eps_var floor: all-zero advantages, a degenerate group
@@ -525,7 +633,7 @@ def test_evaluate_batch_matches_per_response_reference():
     assert not any(normalize_advantages(flat).advantages)
     for current in (old, policy):  # first epoch (ratios 1) and second (ratios off 1)
         for rule in RULES:
-            ev = evaluate_batch(current, old, groups, advs, rule, config.clip)
+            ev = evaluate_batch(current, StepRollouts.from_groups(groups, old), advs, rule, config.clip)
             objectives, grad, clip_fraction, degenerate = reference_evaluate_batch(
                 current, old, groups, advs, rule, config.clip
             )
