@@ -11,6 +11,7 @@ import argparse
 import errno
 import math
 import os
+import stat
 import sys
 from itertools import chain, islice
 from math import fsum
@@ -146,7 +147,7 @@ def _evaluate(read: list[tuple], clip: ClipConfig, report) -> list[_Evaluated]:
         normalised.append((line_no, prompt_id, lengths, rewards, adv, degenerate, ratios))
     evaluable = [(adv, lengths, ratios) for _, _, lengths, _, adv, _, ratios in normalised if ratios is not None]
     token_lengths = tuple(chain.from_iterable(t for _, t, _ in evaluable))
-    token_ratios = np.fromiter(chain.from_iterable(r for *_, r in evaluable), float, sum(token_lengths))
+    token_ratios = np.concatenate([r for *_, r in evaluable]) if evaluable else np.empty(0)
     batch = FlatBatch(tuple(adv for adv, *_ in evaluable), token_lengths, token_ratios)
     with np.errstate(over="ignore"):
         all_sums = iter(batch.rule_sums(clip))
@@ -309,7 +310,13 @@ def _config_from_args(args, rule: str) -> TrainConfig:
 def _run_one(args, rule: str, tag: str) -> list[MetricRecord]:
     task = _task_from_args(args)
     config = _config_from_args(args, rule)
-    if args.out.exists() and not args.out.is_dir():  # refused before the run, not after it
+    # refused before the run, not after it: stat raises NotADirectoryError
+    # when a parent of --out is a file
+    try:
+        is_dir = stat.S_ISDIR(args.out.stat().st_mode)
+    except FileNotFoundError:
+        is_dir = True  # created once the run has something to write
+    if not is_dir:
         raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(args.out))
     rollouts_path = args.out / f"rollouts_{tag}.jsonl" if args.dump_rollouts else None
     records, policy = run_training(task, config, rollouts_path=rollouts_path)

@@ -13,7 +13,7 @@ Response and RolloutGroup own every record rule: token ids and ``token_count``
 (at most 2**53) are Python or NumPy ints or integral floats, never bools;
 rewards, ratios, log-probabilities and ``eps_var`` are finite Python floats or
 ints or ``np.float64``. A violation is a ValueError naming the field.
-``group_columns`` applies the same rules in bulk, to a group given as plain
+``group_columns`` applies the same rules in bulk, to groups given as plain
 fields, and builds no record.
 
 For binary rewards with ``eps_var = 0`` the advantages have a closed form
@@ -227,21 +227,75 @@ class RolloutGroup:
         return all(r.ratios is not None for r in self.responses)
 
 
-def group_columns(prompt_id, responses, eps_var=0.0, group_id=None) -> tuple | None:
-    """The columns of a group given as plain fields, checked in bulk.
+def group_columns(groups: Sequence[tuple]) -> list[tuple | None]:
+    """The columns of many groups given as plain fields, checked in bulk.
 
-    ``responses`` holds each response's fields as a dict keyed by Response
-    field name (other keys are ignored, an absent field is None, an absent
-    ``truncated`` False). Returns ``(eps_var, rewards, lengths, ratios)`` as
-    RolloutGroup and its Responses would hold them, with ``ratios`` one flat
-    list ordered by response and position, or None for a length-only group.
-    The checks are C-level passes over all of the group's values at once
-    and accept only values every record rule accepts. None means they did
-    not accept every value; build the records then, for the group or its
-    error. Integral-float token ids, a ``token_count`` next to ``tokens`` and
-    ratios next to a logp pair (which need the RATIO_LOGP_RTOL check) always
-    give None. A rule added to Response or RolloutGroup must be added here.
+    Each group is ``(prompt_id, responses, eps_var, group_id)``, with
+    ``responses`` a list holding each response's fields as a dict keyed by
+    Response field name (other keys are ignored, an absent field is None, an
+    absent ``truncated`` False). A group's entry in the returned list is
+    ``(eps_var, rewards, lengths, ratios)`` as RolloutGroup and its
+    Responses would hold them, with ``ratios`` a float64 array ordered by
+    response and position, or None for a length-only group. The entry is
+    None when the checks did not accept every value of the group; build its
+    records then, for the group or its error.
+
+    The checks are C-level passes over a group's values and accept only
+    values every record rule accepts. Every ratio of every group is
+    converted to float64 once, into one array of which each group's
+    ``ratios`` is a view, and checked in one numpy pass: ``0 < r < 2**63``.
+    Rewards, ``eps_var`` and log-probabilities must also be below 2**63 in
+    magnitude, so that no value is one orjson read from an integer beyond
+    64 bits. Integral-float token ids, a ``token_count`` next to ``tokens``
+    and ratios next to a logp pair (which need the RATIO_LOGP_RTOL check)
+    always give None. A rule added to Response or RolloutGroup must be
+    added here.
     """
+    fields = [_group_fields(*group) for group in groups]
+    with_ratios = [f for f in fields if f is not None and f[3] is not None]
+    values = np.fromiter(
+        chain.from_iterable(chain.from_iterable(f[3] for f in with_ratios)),
+        float,
+        sum(sum(f[2]) for f in with_ratios),  # a response with ratios has one per token
+    )
+    ok = None
+    if values.size and not (values.min() > 0.0 and values.max() < _BOUND):
+        ok = (values > 0.0) & (values < _BOUND)  # NaN fails both
+    out: list[tuple | None] = []
+    start = 0
+    for f in fields:
+        if f is not None and f[3] is not None:
+            stop = start + sum(f[2])
+            f = (*f[:3], values[start:stop]) if ok is None or ok[start:stop].all() else None
+            start = stop
+        out.append(f)
+    return out
+
+
+# Bound on the magnitude of every real value group_columns accepts. orjson
+# 3.8 reads an integer literal beyond 64 bits as a float, and such a float
+# is at least 2**63 in magnitude; every other field it keeps is checked to
+# be an int, a bool or a str.
+_BOUND = 2.0**63
+_FLOAT_TYPE = frozenset((float,))
+
+
+def _floats(values: list) -> list | None:
+    """``values`` as floats, or None unless each is a real number a float holds."""
+    if _FLOAT_TYPE.issuperset(map(type, values)):
+        return values
+    if _REAL_TYPES.issuperset(map(type, values)):
+        try:
+            return list(map(float, values))  # json.loads keeps integers of any size
+        except OverflowError:
+            pass
+    return None
+
+
+def _group_fields(prompt_id, responses, eps_var, group_id) -> tuple | None:
+    """One group's ``(eps_var, rewards, lengths, ratio lists)`` with every
+    check of group_columns but the ratios' range, or None; the ratio lists
+    are None for a length-only group."""
     if not (
         type(prompt_id) is str
         and (group_id is None or type(group_id) is str)
@@ -252,7 +306,7 @@ def group_columns(prompt_id, responses, eps_var=0.0, group_id=None) -> tuple | N
     lengths: list[int] = []
     token_lists: list[list] = []
     reals: list[list] = []  # per response with ratios: its ratios, or logp_new and logp_old
-    spans: list[tuple[int, bool]] = []  # per response with ratios: (length, from a logp pair)
+    from_logp: list[bool] = []  # per response with ratios: whether from a logp pair
     length_only = False
     for raw in responses:
         if type(raw) is not dict or type(raw.get("truncated", False)) is not bool:
@@ -280,45 +334,41 @@ def group_columns(prompt_id, responses, eps_var=0.0, group_id=None) -> tuple | N
             ):
                 return None
             reals += (logp_new, logp_old)
-            spans.append((count, True))
+            from_logp.append(True)
         elif ratios is not None:
             if type(ratios) is not list or len(ratios) != count:
                 return None
             reals.append(ratios)
-            spans.append((count, False))
+            from_logp.append(False)
         else:
             length_only = True
-    head = [eps_var, *rewards]
+    head = _floats([eps_var, *rewards])
     if not (
-        _INT_TYPE.issuperset(map(type, chain.from_iterable(token_lists)))
-        and _REAL_TYPES.issuperset(map(type, chain(head, *reals)))
+        head is not None
+        and head[0] >= 0.0
+        and all(map(_BOUND.__gt__, map(abs, head)))
+        and _INT_TYPE.issuperset(map(type, chain.from_iterable(token_lists)))
     ):
         return None
-    try:
-        values = list(map(float, chain(head, *reals)))
-    except OverflowError:
-        return None
-    if not all(map(math.isfinite, values)) or values[0] < 0.0:
-        return None
-    ratios = values[len(head) :]
-    if len(reals) > len(spans):
-        # exp(logp_new - logp_old) exactly as Response derives it
-        given, ratios, at = ratios, [], 0
-        for t, from_logp in spans:
-            if from_logp:
-                try:
-                    ratios += map(math.exp, map(operator.sub, given[at : at + t], given[at + t : at + 2 * t]))
-                except OverflowError:
-                    return None
-                at += 2 * t
-            else:
-                ratios += given[at : at + t]
-                at += t
-        if math.inf in ratios:
+    if not _FLOAT_TYPE.issuperset(map(type, chain.from_iterable(reals))):
+        reals = list(map(_floats, reals))
+        if None in reals:
             return None
-    if ratios and not min(ratios) > 0.0:
-        return None
-    return values[0], values[1 : len(head)], lengths, None if length_only else ratios
+    ratio_lists = []
+    given = iter(reals)
+    for derived in from_logp:
+        ratios = next(given)
+        if derived:
+            logp_old = next(given)
+            # a NaN can hide from min and max, but gives a NaN ratio
+            if not -_BOUND < min(min(ratios), min(logp_old)) <= max(max(ratios), max(logp_old)) < _BOUND:
+                return None
+            try:  # exp(logp_new - logp_old) exactly as Response derives it
+                ratios = list(map(math.exp, map(operator.sub, ratios, logp_old)))
+            except OverflowError:
+                return None
+        ratio_lists.append(ratios)
+    return head[0], head[1:], lengths, None if length_only else ratio_lists
 
 
 @dataclass(frozen=True)

@@ -17,18 +17,25 @@ come back as RecordValidationError naming the line and response.
 
 ``read_rollouts`` yields one validated RolloutGroup per line.
 ``read_group_columns`` yields the same groups as plain columns, one tuple per
-line, for callers that evaluate many groups at once: each line is checked in
-bulk by ``groups.group_columns``, and only a line those checks do not accept
-is parsed by ``parse_rollout_line``, so both readers accept the same groups
-with the same values and report the same errors.
+line, for callers that evaluate many groups at once. It reads the log in
+batches of lines, checks each batch in bulk with ``groups.group_columns``
+(every ratio of the batch converted to float64 and range-checked in one
+numpy pass), and parses only a line those checks do not accept with
+``parse_rollout_line``, so both readers accept the same groups with the same
+values and report the same errors in the same order.
 
 Lines are decoded with ``orjson`` when it is installed and with ``json``
-otherwise, with the same result either way: a line that orjson rejects, or
-that may hold an integer beyond 64 bits (which orjson 3.8 reads as a float)
-or nesting deep enough to reach the interpreter's recursion limit, is
-decoded by ``json.loads``, so every value and every error text is the
-standard library's. orjson is imported on the first decode, not with the
-package.
+otherwise, with the same result either way. ``read_group_columns`` hands a
+line to orjson as raw bytes, with no text decode, when it starts with "{",
+is ASCII and holds fewer than 512 "[" and "{". Every value kept from it is
+type- and range-checked, so a value that orjson reads differently from
+json.loads (an integer beyond 64 bits, which orjson 3.8 reads as a float)
+sends the line to the record parser. Every other line, and every line of the record
+API, is decoded as text by ``_loads``: a line that orjson rejects, or that
+may hold an integer beyond 64 bits or nesting deep enough to reach the
+interpreter's recursion limit, is decoded by ``json.loads``, so every value
+and every error text is the standard library's. orjson is imported on the
+first decode, not with the package.
 
 Metrics go to CSV with a fixed header and floats rendered with 10
 significant digits, so a given record stream always produces byte-identical
@@ -43,6 +50,8 @@ from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .groups import Response, RolloutGroup, group_columns
 
@@ -192,17 +201,23 @@ def _fast_safe(line: str) -> bool:
     return True
 
 
-def _loads(line: str):
-    """``json.loads(line)``, through orjson where that gives the same value."""
+def _orjson():
+    """orjson.loads, or None without orjson."""
     global _fast_loads
     if _fast_loads is _UNRESOLVED:
         try:
             from orjson import loads as _fast_loads
         except ImportError:
             _fast_loads = None
-    if _fast_loads is not None and _fast_safe(line):
+    return _fast_loads
+
+
+def _loads(line: str):
+    """``json.loads(line)``, through orjson where that gives the same value."""
+    fast = _orjson()
+    if fast is not None and _fast_safe(line):
         try:
-            return _fast_loads(line)
+            return fast(line)
         except ValueError:
             pass  # json.loads raises the error whose text is reported
     return json.loads(line)
@@ -284,26 +299,36 @@ def _pass_on(exc: RolloutLogError, on_error: Callable[[RolloutLogError], None] |
     on_error(exc)
 
 
+# Read buffer of a log: a line that fits in it is read in one pass.
+_READ_BUFFER = 1 << 18
+
+
+def _raw_lines(fh) -> Iterator[bytes]:
+    """Each line of a binary file with its end; as in text mode, a line ends
+    at "\\n", "\\r\\n" or a lone "\\r"."""
+    for chunk in fh:
+        if b"\r" in chunk:
+            yield from chunk.splitlines(keepends=True)
+        else:
+            yield chunk  # one line: reading bytes splits at "\\n" alone
+
+
 def _text_lines(path, on_error) -> Iterator[tuple[int, str]]:
     """Each line of a file that is not whitespace only, with its 1-based number.
 
     The file is read as bytes and decoded one line at a time, so a line that
     is not UTF-8 fails alone (MalformedLineError, raised or passed to
-    ``on_error``). As in text mode, a line ends at "\\n", "\\r\\n" or a
-    lone "\\r", and its end is given as "\\n".
+    ``on_error``). A line's end is given as "\\n", as text mode gives it.
     """
-    line_no = 0
-    with open(path, "rb") as fh:
-        for chunk in fh:
-            for raw in chunk.splitlines(keepends=True):
-                line_no += 1
-                try:
-                    line = _decode_line(raw, line_no)
-                except MalformedLineError as exc:
-                    _pass_on(exc, on_error)
-                    continue
-                if line.strip():
-                    yield line_no, line
+    with open(path, "rb", buffering=_READ_BUFFER) as fh:
+        for line_no, raw in enumerate(_raw_lines(fh), 1):
+            try:
+                line = _decode_line(raw, line_no)
+            except MalformedLineError as exc:
+                _pass_on(exc, on_error)
+                continue
+            if not line.isspace():
+                yield line_no, line
 
 
 def _decode_line(raw: bytes, line_no: int) -> str:
@@ -319,6 +344,31 @@ def _decode_line(raw: bytes, line_no: int) -> str:
     return line
 
 
+# read_group_columns checks the lines of about this many bytes at once; a
+# batch holds their bytes and decoded values, and one float64 array of
+# their ratios.
+_BATCH_BYTES = 1 << 14
+
+
+def _raw_batches(fh) -> Iterator[list[tuple[int, bytes]]]:
+    """The lines of a binary file with their 1-based numbers, in lists of
+    at least ``_BATCH_BYTES`` bytes (the last may be shorter or empty). A
+    read error is raised after the list of the lines read before it."""
+    batch: list[tuple[int, bytes]] = []
+    size = 0
+    try:
+        for line in enumerate(_raw_lines(fh), 1):
+            batch.append(line)
+            size += len(line[1])
+            if size >= _BATCH_BYTES:
+                yield batch
+                batch, size = [], 0
+    except OSError:
+        yield batch
+        raise
+    yield batch
+
+
 def read_group_columns(
     path: str | Path,
     default_eps_var: float = 0.0,
@@ -327,38 +377,72 @@ def read_group_columns(
     """Stream a log's valid groups as columns, one tuple per group:
     ``(line_no, prompt_id, eps_var, rewards, lengths, ratios)``.
 
-    ``rewards`` and ``lengths`` are lists, ``ratios`` one flat list ordered
-    by response and position, or None for a length-only group; every value
-    is what the line's RolloutGroup holds. Lines are read, and errors raised
-    or passed to ``on_error``, as ``read_rollouts`` does. A decoded line
-    whose fields ``groups.group_columns`` accepts builds no Response; any
-    other line is parsed by ``parse_rollout_line`` alone, so the values,
-    error texts and line numbers are the record API's. Closing the
-    generator closes the log.
+    ``rewards`` and ``lengths`` are lists, ``ratios`` one float64 array
+    ordered by response and position, or None for a length-only group;
+    every value is what the line's RolloutGroup holds. Lines are read in
+    batches of about 16 KiB and checked a batch at a time by
+    ``groups.group_columns``, which builds no Response; a line it does not
+    accept is parsed from its text by ``parse_rollout_line`` alone, so the
+    values, error texts and line numbers are the record API's. Errors are
+    raised or passed to ``on_error`` in line order, each when the groups of
+    the lines before it have been yielded, and a read error only after
+    them, all as ``read_rollouts`` does. Closing the generator closes the
+    log.
     """
-    for line_no, line in _text_lines(path, on_error):
-        # json.loads' recursion limit counts the caller's frames, so both
-        # decodes of a line run at the same call depth
-        columns = _line_columns(line, default_eps_var)
-        if columns is None:
-            try:
-                group = parse_rollout_line(line, line_no, default_eps_var)
-            except RolloutLogError as exc:
-                _pass_on(exc, on_error)
-                continue
-            ratios = None
-            if group.has_ratios:
-                ratios = list(chain.from_iterable(r.ratios for r in group.responses))
-            columns = group.prompt_id, group.eps_var, list(group.rewards), list(group.lengths), ratios
-        yield (line_no, *columns)
+    with open(path, "rb", buffering=_READ_BUFFER) as fh:
+        for batch in _raw_batches(fh):
+            fast = _orjson()
+            lines = []  # per line: (line_no, raw, fields or None), or its error
+            for line_no, raw in batch:
+                if (
+                    fast is not None
+                    and raw[:1] == b"{"
+                    and raw.isascii()
+                    and raw.count(b"[") + raw.count(b"{") < _MAX_FAST_OPENS
+                ):
+                    fields = _line_fields(fast, raw, default_eps_var)
+                else:
+                    try:
+                        text = _decode_line(raw, line_no)
+                    except MalformedLineError as exc:
+                        lines.append(exc)
+                        continue
+                    if text.isspace():
+                        continue
+                    # json.loads' recursion limit counts the caller's
+                    # frames, so both decodes of a line run at the same
+                    # call depth
+                    fields = _line_fields(_loads, text, default_eps_var)
+                lines.append((line_no, raw, fields))
+            checked = iter(group_columns([line[2] for line in lines if type(line) is tuple and line[2]]))
+            for line in lines:
+                if type(line) is not tuple:
+                    _pass_on(line, on_error)
+                    continue
+                line_no, raw, fields = line
+                columns = fields and next(checked)
+                if columns:
+                    yield line_no, fields[0], *columns
+                    continue
+                try:
+                    group = parse_rollout_line(_decode_line(raw, line_no), line_no, default_eps_var)
+                except RolloutLogError as exc:
+                    _pass_on(exc, on_error)
+                    continue
+                ratios = None
+                if group.has_ratios:
+                    ratios = np.fromiter(
+                        chain.from_iterable(r.ratios for r in group.responses), float, group.total_tokens
+                    )
+                yield line_no, group.prompt_id, group.eps_var, list(group.rewards), list(group.lengths), ratios
 
 
-def _line_columns(line: str, default_eps_var: float) -> tuple | None:
-    """A line's (prompt_id, eps_var, rewards, lengths, ratios), or None unless
-    it decodes to a record of the line format whose fields group_columns
-    accepts."""
+def _line_fields(loads, line: str | bytes, default_eps_var: float) -> tuple | None:
+    """A line's ``(prompt_id, responses, eps_var, group_id)`` as
+    group_columns takes them, or None unless ``loads`` decodes it to an
+    object of the line format."""
     try:
-        obj = _loads(line)
+        obj = loads(line)
     except (ValueError, RecursionError):
         return None
     if type(obj) is not dict:
@@ -367,9 +451,7 @@ def _line_columns(line: str, default_eps_var: float) -> tuple | None:
     responses = obj.get("responses")
     if not (type(version) is int and version == 1 and type(responses) is list):
         return None
-    prompt_id = obj.get("prompt_id")
-    columns = group_columns(prompt_id, responses, obj.get("eps_var", default_eps_var), obj.get("group_id"))
-    return None if columns is None else (prompt_id, *columns)
+    return obj.get("prompt_id"), responses, obj.get("eps_var", default_eps_var), obj.get("group_id")
 
 
 def group_to_dict(group: RolloutGroup) -> dict:

@@ -281,12 +281,13 @@ def test_analyze_memory_is_set_by_the_window_not_the_log(tmp_path, capsys):
 def test_out_that_cannot_be_created_is_an_error_line(tmp_path, capsys, monkeypatch, argv):
     # refused before any training: the run would be lost at its end
     monkeypatch.setattr("grpoagg.cli.run_training", None)
-    out = tmp_path / "taken"
-    out.write_text("", encoding="utf-8")
-    code, _, err = run_cli(capsys, *argv, "--out", str(out))
-    assert code == 1
-    assert err.splitlines()[-1] == f"error: cannot write {out}: File exists"
-    assert all(line.startswith("error: ") for line in err.splitlines())
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    for out, reason in [(taken, "File exists"), (taken / "sub", "Not a directory")]:
+        code, _, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 1
+        assert err.splitlines()[-1] == f"error: cannot write {out}: {reason}"
+        assert all(line.startswith("error: ") for line in err.splitlines())
 
 
 def test_orjson_is_loaded_only_to_decode_a_rollout_log(tmp_path):

@@ -5,6 +5,7 @@ value and with json.loads otherwise. Each case runs under orjson (skipped
 when it is not installed) and under json.loads alone, and is compared with
 json.loads alone. Groups are compared by ``repr``, which shows every float
 by its shortest round-trip form, so equal reprs mean equal bits.
+``read_group_columns`` is compared, line by line, with the record path.
 """
 
 import json
@@ -12,13 +13,15 @@ import math
 import random
 import struct
 from decimal import Decimal
+from itertools import chain
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from grpoagg import rollout_io
 from grpoagg.cli import main
-from grpoagg.rollout_io import RolloutLogError, parse_rollout_line
+from grpoagg.rollout_io import RolloutLogError, parse_rollout_line, read_group_columns, read_rollouts
 
 from conftest import DECODERS, decoding_with, orjson
 
@@ -153,3 +156,133 @@ def test_analyze_outputs_match_across_decoders(tmp_path, capsys, decoder, log):
     if log == "faulty":
         assert got["analysis.csv"] == (GOLDEN / "analysis.csv").read_bytes()
         assert got["regime.txt"] == (GOLDEN / "regime.txt").read_bytes()
+
+
+def group(eps="0.0", reward="1.0", ratio="1.0", logp_new="-0.5", logp_old="-0.25", prompt='"p0"', gid='"g0"') -> str:
+    """A line of three responses with ratios given, from a logp pair, and given."""
+    return (
+        f'{{"v": 1, "group_id": {gid}, "prompt_id": {prompt}, "eps_var": {eps}, "responses": ['
+        f'{{"tokens": [1, 2], "reward": {reward}, "ratios": [{ratio}, 1.1]}}, '
+        f'{{"tokens": [3], "reward": 0.0, "logp_new": [{logp_new}], "logp_old": [{logp_old}]}}, '
+        f'{{"tokens": [4, 5], "reward": 0.5, "ratios": [0.9, 1.0]}}]}}'
+    )
+
+
+# integers from 2**63 in magnitude, some halfway between two floats beyond 2**64
+WIDE_INTS = [str(2**63), str(2**64 - 1), str(2**64), str(2**64 + 2**11), str(2**64 + 2**11 + 1),
+             str(-(2**63) - 1), str(-(2**63)), "9" * 400]
+COLUMN_LINES = (
+    [group(**{field: value}) for field in ("eps", "reward", "ratio", "logp_new", "logp_old")
+     for value in WIDE_INTS + ["1", "0", "-1", "-0.0", "1e19", "5e-324", "NaN", "1e400"]]
+    + [
+        group(logp_new="800", logp_old="-800"),
+        group(logp_new=str(2**64), logp_old=str(2**64)),
+        group(prompt='"\u00e9"'),
+        group(prompt='"\u00e9t\u00e9"', gid='"\u65e5\u672c"'),
+        group(prompt='"\\u00e9"'),
+        group(ratio="true"),
+        group(reward='"1.0"'),
+        group().replace('"v": 1', '"v": 1.0'),
+        " " + group(),
+        "\t" + group(),
+        "\ufeff" + group(),
+        '{"pad": ' + "[" * 600 + "]" * 600 + ", " + group()[1:],
+        '{"pad": ' + "[" * 990 + "]" * 990 + ", " + group()[1:],
+        group().replace('"tokens": [3]', '"tokens": [3], "pad": ' + "{" * 300 + "}" * 300, 1),
+    ]
+)
+
+
+def _column_log(path: Path, source: str) -> Path:
+    """A log of ``source``'s lines; "columns" adds lines that are not UTF-8
+    and lines that end at a lone "\\r" or at "\\r\\n"."""
+    if source in LOGS:
+        return LOGS[source]
+    good = [group(reward=r) for r in ("1.0", "0.0", "0.5", "0.25")]
+    lines = good + (EDGE_LINES if source == "edge" else COLUMN_LINES) + good
+    data = "\n".join(lines).encode("utf-8", "surrogatepass") + b"\n"
+    if source == "columns":
+        for bad in (b"\xed\xa0\x80", b"\xc0\xaf", b"\xff"):  # not UTF-8, inside a string
+            data += group(prompt='"x"').encode().replace(b'"x"', b'"x' + bad + b'"') + b"\n"
+        # a lone "\r" and "\r\n" inside one "\n"-terminated read, and blank lines
+        data += group().encode() + b"\r" + group(reward="0.0").encode() + b"\r\n\r\n \t\n"
+        data += group(reward="0.5").encode()  # no end of line
+    path.write_bytes(data)
+    return path
+
+
+def _events(reader, path: Path) -> list:
+    """Each group a reader yields and each error it passes on, in order; a
+    group as line number, prompt id, eps_var, rewards, lengths, ratio bits."""
+    events: list = []
+
+    def report(exc):
+        events.append(("error", type(exc).__name__, exc.line_no, str(exc)))
+
+    for item in reader(path, 0.0, report):
+        if reader is read_rollouts:
+            flat = list(chain.from_iterable(r.ratios for r in item.responses)) if item.has_ratios else None
+            item = (item.source_line, item.prompt_id, item.eps_var, list(item.rewards), list(item.lengths),
+                    None if flat is None else ("float64", struct.pack(f"={len(flat)}d", *flat)))
+        else:
+            *item, ratios = item
+            item = (*item, None if ratios is None else (ratios.dtype.name, ratios.tobytes()))
+        line_no, prompt_id, eps_var, rewards, lengths, ratios = item
+        events.append(("group", line_no, prompt_id, repr(eps_var), repr(rewards), lengths, ratios))
+    return events
+
+
+def _until_error(reader, path: Path):
+    """The line numbers of the groups a strict reader yields, then its error."""
+    lines = []
+    try:
+        for item in reader(path):
+            lines.append(item.source_line if reader is read_rollouts else item[0])
+    except RolloutLogError as exc:
+        return lines, str(exc)
+    return lines, None
+
+
+@pytest.mark.parametrize("batch_bytes", [1, 300, rollout_io._BATCH_BYTES])
+@pytest.mark.parametrize("decoder", DECODERS)
+@pytest.mark.parametrize("source", ["edge", "columns", "faulty", "golden-dump"])
+def test_group_columns_match_the_record_path(tmp_path, monkeypatch, source, decoder, batch_bytes):
+    # a batch of lines is checked at once; each line must still give the
+    # record path's group or error, in line order
+    monkeypatch.setattr(rollout_io, "_BATCH_BYTES", batch_bytes)
+    path = _column_log(tmp_path / "log.jsonl", source)
+    with decoding_with("stdlib"):
+        want = _events(read_rollouts, path)
+        want_strict = _until_error(read_rollouts, path)
+    with decoding_with(decoder):
+        got = _events(read_group_columns, path)
+        got_strict = _until_error(read_group_columns, path)
+    assert [e[:3] for e in got] == [e[:3] for e in want]
+    for g, w in zip(got, want):
+        assert g == w
+    assert got_strict == want_strict
+    assert any(e[0] == "group" and e[-1] is not None for e in got)
+
+
+def test_group_columns_yield_ratios_as_views_of_one_float64_array(tmp_path):
+    path = tmp_path / "log.jsonl"
+    path.write_text("\n".join([group(), group(ratio="2.5"), record()]) + "\n", encoding="utf-8")
+    (_, *_, first), (_, *_, second), (_, *_, length_only) = read_group_columns(path)
+    assert first.dtype == np.float64 and first.tolist() == [1.0, 1.1, math.exp(-0.25), 0.9, 1.0]
+    assert second[0] == 2.5 and np.shares_memory(first.base, second)
+    assert length_only is None
+
+
+@pytest.mark.parametrize("reader", [read_rollouts, read_group_columns], ids=["records", "columns"])
+def test_a_read_error_comes_after_the_groups_read_before_it(tmp_path, monkeypatch, reader):
+    def failing_lines(fh):
+        yield from (f"{group(reward=r)}\n".encode() for r in ("1.0", "0.0", "0.5"))
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(rollout_io, "_raw_lines", failing_lines)
+    path = tmp_path / "log.jsonl"
+    path.write_text("", encoding="utf-8")
+    read = reader(path)
+    assert len([next(read) for _ in range(3)]) == 3
+    with pytest.raises(OSError, match="Input/output error"):
+        next(read)
