@@ -16,10 +16,12 @@ the weight w_i, which depends on the sign of A_i and, for seq, on T_i:
                                            so non-binary rewards are handled
 
 with N+- the token counts of the positive / negative subsets. All rows read
-the same sign-split sums (``RuleSums``), so a caller computes them once per
-group with ``compute_rule_sums`` (or for a run of groups with one
-``FlatBatch``, whose tokens are laid out flat) and evaluates each row with
-``rule_terms``; ``objective`` does both for one group and one rule.
+the same sign-split sums, so a run of groups is one ``FlatBatch`` of
+columns: its ``rule_sums`` gives every group's sums at once
+(``SumColumns``), and ``rule_table`` evaluates every row of the table for
+all of them as numpy expressions (``rule_terms`` one row).
+``compute_rule_sums`` and ``objective`` are the one-group case, read back as
+Python numbers (``RuleSums``).
 The weight is also dJ/d phi, so dJ/d rho = w_i d phi/d rho, taking the
 unclipped branch at clip ties so the gradient is defined everywhere. An empty
 sign subset simply drops out (its weight already encodes the zero count);
@@ -33,19 +35,20 @@ response.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from math import fsum
-from typing import Callable, Sequence
+from dataclasses import astuple, dataclass, field
+from itertools import chain
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .groups import AdvantageSet, RolloutGroup
+from .groups import AdvantageSet, RolloutGroup, run_fsums
 
 __all__ = [
     "RULES",
     "ClipConfig",
     "AggregationResult",
     "RuleSums",
+    "SumColumns",
     "FlatBatch",
     "MissingRatiosError",
     "BoundaryProximityError",
@@ -53,6 +56,7 @@ __all__ = [
     "objective",
     "gradient_check",
     "compute_rule_sums",
+    "rule_table",
     "rule_terms",
 ]
 
@@ -143,134 +147,183 @@ def phi(ratio: float, advantage: float, clip: ClipConfig) -> float:
     return min(ratio * advantage, clamped * advantage)
 
 
-Weight = Callable[[int], float]
+class SumColumns(NamedTuple):
+    """The RuleSums of a run of groups: each field a numpy column holding
+    one entry per group, in RuleSums' order, then ``ok``, False for a group
+    whose sums overflow a float (its other entries mean nothing)."""
+
+    size: np.ndarray
+    k: np.ndarray
+    neg_count: np.ndarray
+    total_tokens: np.ndarray
+    n_pos: np.ndarray
+    n_neg: np.ndarray
+    pos_phi: np.ndarray
+    neg_phi: np.ndarray
+    pos_seq: np.ndarray
+    neg_seq: np.ndarray
+    m_pos: np.ndarray
+    m_neg: np.ndarray
+    z_pos: np.ndarray
+    z_neg: np.ndarray
+    clipped: np.ndarray
+    ok: np.ndarray
+
+    @classmethod
+    def of(cls, records: Sequence[RuleSums]) -> "SumColumns":
+        """The columns of one-group records."""
+        return cls(*map(np.array, zip(*map(astuple, records))), np.ones(len(records), dtype=bool))
+
+    def record(self, i: int) -> RuleSums | None:
+        """Group ``i``'s sums as Python ints and floats, or None if they overflow."""
+        return RuleSums(*(column[i].item() for column in self[:-1])) if self.ok[i] else None
 
 
 @dataclass(frozen=True)
 class FlatBatch:
-    """The per-token ratios of a run of groups, laid out flat.
+    """A run of groups as columns, its tokens laid out flat.
 
-    Tokens are ordered by group, then response, then position; ``lengths``
-    holds each response's token count in that order and ``advantages`` each
-    token's sequence-level advantage. Every per-token term is one numpy
-    expression over the whole run, and a response is a slice of it.
+    ``advantages`` holds each response's sequence-level advantage and
+    ``lengths`` its token count, ordered by group, then response; ``sizes``
+    holds each group's response count (at least 1); ``ratios`` holds every
+    token's ratio, ordered by group, response, position. Every per-token
+    term is one numpy expression over the run, each sum an exact ``fsum``
+    over a run of it, and every count an integer column operation; no
+    per-group object is built.
     """
 
-    advs: tuple[AdvantageSet, ...]
-    lengths: tuple[int, ...]
+    advantages: np.ndarray
+    sizes: Sequence[int]
+    lengths: Sequence[int]
     ratios: np.ndarray
-    advantages: np.ndarray = field(init=False)
+    token_advantages: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        size = sum(adv.size for adv in self.advs)
-        if len(self.lengths) != size:
-            raise ValueError(f"{len(self.lengths)} ratio arrays for {size} advantages")
-        advantages = np.repeat([a for adv in self.advs for a in adv.advantages], self.lengths)
-        if self.ratios.shape != advantages.shape:
-            raise ValueError(f"{self.ratios.size} ratios for {advantages.size} tokens")
+        advantages = np.asarray(self.advantages, dtype=float)
+        sizes = np.asarray(self.sizes, dtype=np.intp)
+        lengths = np.asarray(self.lengths, dtype=np.intp)
+        responses = np.add.reduce(sizes)
+        if not advantages.shape == lengths.shape == (responses,):
+            raise ValueError(
+                f"{lengths.size} ratio arrays and {advantages.size} advantages for {responses} responses"
+            )
+        token_advantages = np.repeat(advantages, lengths)
+        if self.ratios.shape != token_advantages.shape:
+            raise ValueError(f"{self.ratios.size} ratios for {token_advantages.size} tokens")
         object.__setattr__(self, "advantages", advantages)
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "token_advantages", token_advantages)
 
-    def _groups(self):
-        """Each group's advantage set, response lengths and first token."""
-        i = start = 0
-        for adv in self.advs:
-            lengths = self.lengths[i : i + adv.size]
-            yield adv, lengths, start
-            i += adv.size
-            start += sum(lengths)
+    def rule_sums(self, clip: ClipConfig) -> SumColumns:
+        """Every group's sign sums, from one phi pass over the tokens.
 
-    def rule_sums(self, clip: ClipConfig) -> list[RuleSums | None]:
-        """Each group's sign sums: one phi pass, then an exact fsum per response.
-
-        A group whose sums overflow a float is None in the list.
+        The signed responses are taken positive ones first, then negative
+        ones, each in group order, so that each (group, sign) subset is a
+        run. One ``map(fsum, ...)`` takes each signed response's phi sum,
+        and one per quantity (phi, phi / T, |A| and |A| T) its sums over
+        every run, which are the eight sign-subset sums of every group;
+        ``fsum`` is exact, so the order inside a run does not matter.
+        Counts are integer column operations. A group whose sums overflow
+        a float is not ``ok``.
         """
-        r, a = self.ratios, self.advantages
-        token_phi = np.minimum(r * a, np.clip(r, clip.lower, clip.upper) * a).tolist()
+        r, a = self.ratios, self.token_advantages
+        adv, sizes, lengths = self.advantages, self.sizes, self.lengths
+        n = sizes.size
+        first = np.add.accumulate(sizes) - sizes  # each group's first response
+        ends = np.add.accumulate(lengths)  # each response's token end
+        pos, neg = adv > 0.0, adv < 0.0
+        # per group: positive and negative responses, all tokens, and the
+        # tokens of the positive and of the negative responses
+        columns = np.array([pos, neg, lengths, lengths * pos, lengths * neg])
+        counts = np.add.reduceat(columns, first, axis=1)
+        with np.errstate(over="ignore"):  # a product that overflows is an inf, as in Python
+            token_phi = np.minimum(r * a, r.clip(clip.lower, clip.upper) * a).tolist()
+            signed = np.concatenate((pos.nonzero()[0], neg.nonzero()[0]))
+            t = lengths[signed]
+            stops = ends[signed]
+            phi = run_fsums(token_phi, list(map(slice, (stops - t).tolist(), stops.tolist())))
+            magnitude = np.abs(adv[signed])  # -A exactly, on the negative side
+            quantities = (phi, (np.array(phi) / t).tolist(), magnitude.tolist(), (magnitude * t).tolist())
+        run_lengths = counts[:2].ravel()  # each group's positive run, then each negative one
+        run_ends = np.add.accumulate(run_lengths)
+        runs = list(map(slice, (run_ends - run_lengths).tolist(), run_ends.tolist()))
+        sums = np.array(list(chain.from_iterable(run_fsums(q, runs) for q in quantities)), dtype=float)
+        sums = sums.reshape(8, n)
         # a token counts as clipped when the clamped branch is the strict minimum
-        clipped = ((a > 0.0) & (r > clip.upper)) | ((a < 0.0) & (r < clip.lower))
-        out: list[RuleSums | None] = []
-        for adv, lengths, first in self._groups():
-            phi_sums = []
-            start = first
-            try:
-                for a_i, t in zip(adv.advantages, lengths):
-                    # zero-advantage responses contribute exactly zero everywhere
-                    phi_sums.append(fsum(token_phi[start : start + t]) if a_i != 0.0 else 0.0)
-                    start += t
-                count = int(np.count_nonzero(clipped[first:start]))
-                out.append(_assemble_sums(adv, lengths, phi_sums, count))
-            except OverflowError:
-                out.append(None)
-        return out
+        clipped = np.where(a > 0.0, r > clip.upper, (a < 0.0) & (r < clip.lower))
+        return SumColumns(
+            sizes,
+            *counts,
+            *sums,
+            np.add.reduceat(clipped, (ends - lengths)[first], dtype=np.intp),
+            ~np.logical_or.reduce(np.isnan(sums)),
+        )
 
     def ratio_gradients(
-        self, clip: ClipConfig, weights: Sequence[tuple[Weight, Weight]]
+        self, clip: ClipConfig, w_pos: np.ndarray | None, w_neg: np.ndarray | None
     ) -> np.ndarray:
-        """Flat dJ/d rho = w_i d phi/d rho, given each group's (w_pos, w_neg)."""
-        w = [
-            w_pos(t) if a > 0.0 else w_neg(t) if a < 0.0 else 0.0
-            for (adv, lengths, _), (w_pos, w_neg) in zip(self._groups(), weights)
-            for a, t in zip(adv.advantages, lengths)
-        ]
-        r, a = self.ratios, self.advantages
-        # unclipped branch at ties, hence the inclusive comparisons
-        active = ((a > 0.0) & (r <= clip.upper)) | ((a < 0.0) & (r >= clip.lower))
-        return np.repeat(w, self.lengths) * (a * active)
+        """Flat dJ/d rho = w_i d phi/d rho, given each group's sign weights
+        (w_pos, w_neg) as rule_terms gives them; None, from seq, gives
+        w_i = 1/(G T_i)."""
+        adv, sizes = self.advantages, self.sizes
+        if w_pos is None:
+            w = 1.0 / (np.repeat(sizes, sizes) * self.lengths)
+        else:
+            w = np.where(adv > 0.0, np.repeat(w_pos, sizes), np.repeat(w_neg, sizes))
+        r, a = self.ratios, self.token_advantages
+        # the unclipped branch at ties, hence the inclusive comparisons. The
+        # weights of a group whose sums are ok are finite and at most 1, so
+        # w * A does not overflow, a zero advantage gives a zero of its
+        # sign, and (w * A) * active has the bits of w * (A * active).
+        active = np.where(a > 0.0, r <= clip.upper, r >= clip.lower)
+        return np.repeat(w * adv, self.lengths) * active
 
 
-def _assemble_sums(
-    adv: AdvantageSet, lengths: Sequence[int], phi_sums: Sequence[float], clipped: int
-) -> RuleSums:
-    a = adv.advantages
-    pos, neg = adv.pos_indices, adv.neg_indices
-    return RuleSums(
-        size=adv.size,
-        k=adv.k,
-        neg_count=len(neg),
-        total_tokens=sum(lengths),
-        n_pos=sum(lengths[i] for i in pos),
-        n_neg=sum(lengths[i] for i in neg),
-        pos_phi=fsum(phi_sums[i] for i in pos),
-        neg_phi=fsum(phi_sums[i] for i in neg),
-        pos_seq=fsum(phi_sums[i] / lengths[i] for i in pos),
-        neg_seq=fsum(phi_sums[i] / lengths[i] for i in neg),
-        m_pos=fsum(a[i] for i in pos),
-        m_neg=fsum(-a[i] for i in neg),
-        z_pos=fsum(a[i] * lengths[i] for i in pos),
-        z_neg=fsum(-a[i] * lengths[i] for i in neg),
-        clipped=clipped,
-    )
-
-
-def rule_terms(rule: str, sums: RuleSums) -> tuple[float, bool, Weight, Weight]:
-    """One row of the rule table: (objective, degenerate, w_pos, w_neg).
-
-    ``w_pos(T)`` / ``w_neg(T)`` is dJ/d phi for a token of a length-T
-    response with positive / negative advantage; only seq depends on T.
-    """
+def rule_table(sums: SumColumns, rules: Sequence[str] = RULES) -> dict[str, tuple]:
+    """The rows of ``rules`` in the rule table for a run of groups:
+    ``rule_terms`` of each rule."""
     g = sums.size
-    if rule == "token":
-        w = 1.0 / sums.total_tokens
-        objective = (sums.pos_phi + sums.neg_phi) / sums.total_tokens
-        return objective, False, lambda t: w, lambda t: w
-    if rule == "seq":
-        objective = (sums.pos_seq + sums.neg_seq) / g
-        return objective, False, lambda t: 1.0 / (g * t), lambda t: 1.0 / (g * t)
-    if rule == "balanced":
-        c_pos, c_neg, d_pos, d_neg = sums.k, sums.neg_count, sums.n_pos, sums.n_neg
-    elif rule == "balanced_gen":
-        c_pos, c_neg, d_pos, d_neg = sums.m_pos, sums.m_neg, sums.z_pos, sums.z_neg
-    else:
-        raise ValueError(f"unknown rule {rule!r}; expected one of {RULES}")
-    term_pos = w_pos = term_neg = w_neg = 0.0
-    if sums.k:
-        term_pos = (c_pos / g) * (sums.pos_phi / d_pos)
-        w_pos = (c_pos / g) / d_pos
-    if sums.neg_count:
-        term_neg = (c_neg / g) * (sums.neg_phi / d_neg)
-        w_neg = (c_neg / g) / d_neg
-    degenerate = sums.k == 0 and sums.neg_count == 0
-    return term_pos + term_neg, degenerate, lambda t: w_pos, lambda t: w_neg
+    no_pos, no_neg = sums.k == 0, sums.neg_count == 0
+    table = {}
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is a NaN
+        for rule in rules:
+            if rule == "token":
+                w = 1.0 / sums.total_tokens
+                objective = (sums.pos_phi + sums.neg_phi) / sums.total_tokens
+                table[rule] = (objective, np.zeros(g.size, dtype=bool), w, w)
+                continue
+            if rule == "seq":
+                table[rule] = ((sums.pos_seq + sums.neg_seq) / g, np.zeros(g.size, dtype=bool), None, None)
+                continue
+            if rule == "balanced":
+                c_pos, c_neg, d_pos, d_neg = sums.k, sums.neg_count, sums.n_pos, sums.n_neg
+            elif rule == "balanced_gen":
+                c_pos, c_neg, d_pos, d_neg = sums.m_pos, sums.m_neg, sums.z_pos, sums.z_neg
+            else:
+                raise ValueError(f"unknown rule {rule!r}; expected one of {RULES}")
+            # an empty subset has c = 0 and phi sum 0.0; dividing by 1 in
+            # place of its denominator 0 gives its term and weight exactly 0.0
+            d_pos, d_neg = d_pos + no_pos, d_neg + no_neg
+            c_pos, c_neg = c_pos / g, c_neg / g
+            objective = c_pos * (sums.pos_phi / d_pos) + c_neg * (sums.neg_phi / d_neg)
+            table[rule] = (objective, no_pos & no_neg, c_pos / d_pos, c_neg / d_neg)
+    return table
+
+
+def rule_terms(
+    rule: str, sums: SumColumns
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """One row of the rule table for a run of groups: (objective, degenerate,
+    w_pos, w_neg), each a column with one entry per group.
+
+    ``w_pos`` / ``w_neg`` is dJ/d phi for a token of a response with
+    positive / negative advantage. For seq it is 1/(G T_i), which depends on
+    the response's length T_i, and both are None. Each entry is the float
+    expression of the one-group formula, so an objective that overflows is
+    non-finite, as it is in Python floats; callers check it.
+    """
+    return rule_table(sums, (rule,))[rule]
 
 
 def _group_batch(group: RolloutGroup, adv: AdvantageSet) -> FlatBatch:
@@ -286,12 +339,13 @@ def _group_batch(group: RolloutGroup, adv: AdvantageSet) -> FlatBatch:
                 "objectives need per-token ratios"
             )
     ratios = np.array([r for resp in group.responses for r in resp.ratios], dtype=float)
-    return FlatBatch((adv,), group.lengths, ratios)
+    return FlatBatch(np.array(adv.advantages), (adv.size,), group.lengths, ratios)
 
 
-def _sums(batch: FlatBatch, clip: ClipConfig) -> RuleSums:
-    sums = batch.rule_sums(clip)[0]
-    if sums is None:
+def _sums(batch: FlatBatch, clip: ClipConfig) -> SumColumns:
+    """The sums of a one-group batch; OverflowError where they overflow a float."""
+    sums = batch.rule_sums(clip)
+    if not sums.ok[0]:
         raise OverflowError("the rule sums overflow a float")
     return sums
 
@@ -302,7 +356,7 @@ def compute_rule_sums(group: RolloutGroup, adv: AdvantageSet, clip: ClipConfig) 
     Raises ValueError when ``adv`` does not match the group, MissingRatiosError
     for a length-only group and OverflowError when a sum overflows a float.
     """
-    return _sums(_group_batch(group, adv), clip)
+    return _sums(_group_batch(group, adv), clip).record(0)
 
 
 def objective(
@@ -315,12 +369,12 @@ def objective(
     """
     batch = _group_batch(group, adv)
     value, degenerate, w_pos, w_neg = rule_terms(rule, _sums(batch, clip))
-    if not math.isfinite(value):
+    if not math.isfinite(value[0]):
         raise ValueError(f"non-finite {rule} objective for group {group.prompt_id!r}")
-    flat = batch.ratio_gradients(clip, [(w_pos, w_neg)])
+    flat = batch.ratio_gradients(clip, w_pos, w_neg)
     flat.setflags(write=False)
     grads = tuple(np.split(flat, np.cumsum(batch.lengths[:-1])))
-    return AggregationResult(value, rule, grads, degenerate=degenerate)
+    return AggregationResult(value.item(), rule, grads, degenerate=degenerate.item())
 
 
 def gradient_check(
@@ -360,9 +414,9 @@ def gradient_check(
     for j, (i, t) in enumerate(where):
         orig = ratios[j]
         ratios[j] = orig + h
-        j_plus = rule_terms(result.rule, _sums(batch, clip))[0]
+        j_plus = rule_terms(result.rule, _sums(batch, clip))[0].item()
         ratios[j] = orig - h
-        j_minus = rule_terms(result.rule, _sums(batch, clip))[0]
+        j_minus = rule_terms(result.rule, _sums(batch, clip))[0].item()
         ratios[j] = orig
         numeric = (j_plus - j_minus) / (2.0 * h)
         analytic = float(result.grad_ratios[i][t])

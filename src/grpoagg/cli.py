@@ -13,15 +13,15 @@ import math
 import os
 import stat
 import sys
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from math import fsum
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
-from .aggregate import RULES, ClipConfig, FlatBatch, rule_terms
+from .aggregate import RULES, ClipConfig, FlatBatch, rule_table
 from .decompose import (
     LengthStats,
     LengthTally,
@@ -30,7 +30,7 @@ from .decompose import (
     pooled_mean,
     regime_report,
 )
-from .groups import AdvantageSet, DegenerateGroupError, normalize_rewards
+from .groups import normalize_columns
 from .rollout_io import METRIC_HEADER, MetricRecord, format_metrics, read_group_columns, write_metrics
 from .sim import TASK_KINDS, TaskSpec, TrainConfig, run_training
 from .verify import SUITE, run_suite
@@ -120,80 +120,104 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-class _Evaluated(NamedTuple):
-    """One group of an analyze window, normalised and evaluated."""
+class _Window:
+    """The groups of an analyze window that evaluate, as columns: every
+    response's length and reward, the lengths of the positive and of the
+    negative responses, each group's count of positive responses, each
+    rule's objective of every group with ratios, and their clipped and
+    total tokens."""
 
-    lengths: list[int]
-    rewards: list[float]
-    adv: AdvantageSet
-    terms: tuple | None  # (objective per rule, clipped tokens, tokens); None if length-only
-    degenerate: bool  # all rewards equal at eps_var=0, taken as zero advantage
-
-
-def _evaluate(read: list[tuple], clip: ClipConfig, report) -> list[_Evaluated]:
-    """Groups as read_group_columns yields them, normalised and evaluated, all
-    of them with ratios by one FlatBatch. A group whose normalisation fails
-    or whose objective overflows is passed to ``report`` as (line number,
-    text) and left out."""
-    normalised = []
-    for line_no, prompt_id, eps_var, rewards, lengths, ratios in read:
-        try:
-            adv, degenerate = normalize_rewards(rewards, eps_var, prompt_id), False
-        except DegenerateGroupError:
-            adv, degenerate = AdvantageSet.from_advantages([0.0] * len(rewards)), True
-        except ValueError as exc:
-            report(line_no, f"line {line_no}: {exc}")
-            continue
-        normalised.append((line_no, prompt_id, lengths, rewards, adv, degenerate, ratios))
-    evaluable = [(adv, lengths, ratios) for _, _, lengths, _, adv, _, ratios in normalised if ratios is not None]
-    token_lengths = tuple(chain.from_iterable(t for _, t, _ in evaluable))
-    token_ratios = np.concatenate([r for *_, r in evaluable]) if evaluable else np.empty(0)
-    batch = FlatBatch(tuple(adv for adv, *_ in evaluable), token_lengths, token_ratios)
-    with np.errstate(over="ignore"):
-        all_sums = iter(batch.rule_sums(clip))
-    out = []
-    for line_no, prompt_id, lengths, rewards, adv, degenerate, ratios in normalised:
-        terms = None
-        if ratios is not None:
-            sums = next(all_sums)
-            objectives = sums and [rule_terms(rule, sums)[0] for rule in RULES]
-            if not (objectives and all(map(math.isfinite, objectives))):
-                report(line_no, f"line {line_no}: group {prompt_id!r}: an objective overflows a float")
-                continue
-            terms = (*objectives, sums.clipped, sums.total_tokens)
-        out.append(_Evaluated(lengths, rewards, adv, terms, degenerate))
-    return out
+    def __init__(self) -> None:
+        self.groups = self.degenerate = self.length_only = 0
+        self.lengths: list[int] = []
+        self.pos_lengths: list[int] = []
+        self.neg_lengths: list[int] = []
+        self.rewards: list[float] = []
+        self.ks: list[int] = []
+        self.objectives: list[list[float]] = [[] for _ in RULES]
+        self.clipped = self.tokens = 0
 
 
-def _window_rows(step: int, groups: list[_Evaluated], tally: LengthTally) -> tuple[list[MetricRecord], LengthStats]:
-    """The metric rows and length statistics of a window of evaluated groups.
+def _evaluate(read: list[tuple], clip: ClipConfig, report, window: _Window) -> None:
+    """Add groups as read_group_columns yields them to ``window``, all of
+    them normalised together and all of them with ratios evaluated by one
+    FlatBatch. A group whose normalisation fails or whose objective
+    overflows is passed to ``report`` as (line number, text) and left out; a
+    degenerate group is taken as zero-advantage."""
+    if not read:
+        return
+    line_nos, prompt_ids, eps_vars, rewards, lengths, ratios = zip(*read)
+    sizes = list(map(len, rewards))
+    normalized = normalize_columns(list(chain.from_iterable(rewards)), sizes, eps_vars, prompt_ids)
+    keep = [True] * len(read)
+    for j, text in normalized.errors.items():
+        if j not in normalized.degenerate:
+            report(line_nos[j], f"line {line_nos[j]}: {text}")
+            keep[j] = False
+    evaluable = [k and r is not None for k, r in zip(keep, ratios)]
+    if any(evaluable):
+        batch = FlatBatch(
+            normalized.advantages[np.repeat(evaluable, sizes)],
+            list(compress(sizes, evaluable)),
+            list(chain.from_iterable(compress(lengths, evaluable))),
+            np.concatenate(list(compress(ratios, evaluable))),
+        )
+        sums = batch.rule_sums(clip)
+        table = rule_table(sums)
+        objectives = np.array([table[rule][0] for rule in RULES])
+        finite = sums.ok & np.isfinite(objectives).all(axis=0)
+        if not finite.all():
+            for j, ok in zip(compress(range(len(read)), evaluable), finite.tolist()):
+                if not ok:
+                    text = f"line {line_nos[j]}: group {prompt_ids[j]!r}: an objective overflows a float"
+                    report(line_nos[j], text)
+                    keep[j] = False
+            objectives = objectives[:, finite]
+        for column, values in zip(window.objectives, objectives.tolist()):
+            column += values
+        window.clipped += int(sums.clipped[finite].sum())
+        window.tokens += int(sums.total_tokens[finite].sum())
+    if not any(keep):
+        return
+    advantages = normalized.advantages
+    if not all(keep):
+        advantages = advantages[np.repeat(keep, sizes)]
+        sizes = list(compress(sizes, keep))
+    flat_lengths = list(chain.from_iterable(compress(lengths, keep)))
+    positive = advantages > 0.0
+    window.groups += len(sizes)
+    window.degenerate += len(normalized.degenerate)  # zero advantages never overflow
+    window.length_only += sum(k and r is None for k, r in zip(keep, ratios))
+    window.lengths += flat_lengths
+    window.pos_lengths += compress(flat_lengths, positive.tolist())
+    window.neg_lengths += compress(flat_lengths, (advantages < 0.0).tolist())
+    window.rewards += chain.from_iterable(compress(rewards, keep))
+    window.ks += np.add.reduceat(positive, np.cumsum(sizes) - sizes, dtype=np.intp).tolist()
+
+
+def _window_rows(step: int, window: _Window, tally: LengthTally) -> tuple[list[MetricRecord], LengthStats]:
+    """The metric rows and length statistics of a window.
 
     The window's lengths, pooled and per sign, are also added to ``tally``.
     """
-    lengths = list(chain.from_iterable(g.lengths for g in groups))
-    pos_lengths = [g.lengths[i] for g in groups for i in g.adv.pos_indices]
-    neg_lengths = [g.lengths[i] for g in groups for i in g.adv.neg_indices]
-    tally.add(lengths, pos_lengths, neg_lengths)
-    columns = list(zip(*(g.terms for g in groups if g.terms is not None))) or [()] * (len(RULES) + 2)
-    objectives = {rule: pooled_mean(col) if col else None for rule, col in zip(RULES, columns)}
-    tokens = sum(columns[-1])
-    clip_fraction = sum(columns[-2]) / tokens if tokens else None
-    stats = pooled_length_stats(lengths, pos_lengths, neg_lengths)
-    rewards = list(chain.from_iterable(g.rewards for g in groups))
-    records = batch_metrics(step, stats, rewards, [g.adv.k for g in groups], objectives, clip_fraction)
+    tally.add(window.lengths, window.pos_lengths, window.neg_lengths)
+    objectives = {rule: pooled_mean(col) if col else None for rule, col in zip(RULES, window.objectives)}
+    clip_fraction = window.clipped / window.tokens if window.tokens else None
+    stats = pooled_length_stats(window.lengths, window.pos_lengths, window.neg_lengths)
+    records = batch_metrics(step, stats, window.rewards, window.ks, objectives, clip_fraction)
     return records, stats
 
 
-def _next_window(log: Iterator[tuple], size: int, clip: ClipConfig, report) -> list[_Evaluated]:
+def _next_window(log: Iterator[tuple], size: int, clip: ClipConfig, report) -> _Window:
     """The next ``size`` groups of the log that evaluate; fewer only at its end."""
-    groups: list[_Evaluated] = []
-    while len(groups) < size:
-        want = size - len(groups)
+    window = _Window()
+    while window.groups < size:
+        want = size - window.groups
         read = list(islice(log, want))
-        groups += _evaluate(read, clip, report)
+        _evaluate(read, clip, report, window)
         if len(read) < want:
             break
-    return groups
+    return window
 
 
 def cmd_analyze(args) -> int:
@@ -241,29 +265,29 @@ def cmd_analyze(args) -> int:
     try:
         while True:
             try:
-                groups = _next_window(log, args.window, clip, report)
+                window = _next_window(log, args.window, clip, report)
             except OSError as exc:
                 flush_errors()
                 print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
                 return 1
             flush_errors()
-            if not groups:
+            if not window.groups:
                 break
-            records, stats = _window_rows(len(regime_lines), groups, tally)
+            records, stats = _window_rows(len(regime_lines), window, tally)
             if csv is None:
                 args.out.mkdir(parents=True, exist_ok=True)
                 csv = open(csv_path, "w", encoding="utf-8")
                 csv.write(METRIC_HEADER)
             csv.write(format_metrics(records))
-            degenerate += sum(g.degenerate for g in groups)
-            length_only += sum(g.terms is None for g in groups)
-            groups_read += len(groups)
+            degenerate += window.degenerate
+            length_only += window.length_only
+            groups_read += window.groups
             gap = "n/a" if stats.len_gap is None else f"{stats.len_gap:.4f}"
             regime_lines.append(
-                f"window {len(regime_lines)}: groups={len(groups)} len_cv={stats.len_cv:.4f} "
+                f"window {len(regime_lines)}: groups={window.groups} len_cv={stats.len_cv:.4f} "
                 f"len_gap={gap} regime={regime_report(stats)}"
             )
-            if len(groups) < args.window:
+            if window.groups < args.window:
                 break  # the end of the log
     finally:
         log.close()
@@ -273,8 +297,7 @@ def cmd_analyze(args) -> int:
         print("error: no groups parsed", file=sys.stderr)
         return 1
 
-    if degenerate:
-        print(f"notice: {degenerate} degenerate group(s) treated as zero-advantage")
+    _notice_degenerate(degenerate)
     if length_only:
         print(f"notice: {length_only} length-only group(s); objectives skipped for them")
     regime_lines.append(f"overall: groups={groups_read} regime={regime_report(tally.stats())}")
@@ -307,7 +330,14 @@ def _config_from_args(args, rule: str) -> TrainConfig:
     )
 
 
-def _run_one(args, rule: str, tag: str) -> list[MetricRecord]:
+def _notice_degenerate(count: int) -> None:
+    if count:
+        print(f"notice: {count} degenerate group(s) treated as zero-advantage")
+
+
+def _run_one(args, rule: str, tag: str, degenerate: list[int]) -> list[MetricRecord]:
+    """Train under ``rule``, writing the policy (and the rollouts) under
+    ``tag``; each step's count of degenerate groups is added to ``degenerate``."""
     task = _task_from_args(args)
     config = _config_from_args(args, rule)
     # refused before the run, not after it: stat raises NotADirectoryError
@@ -319,7 +349,9 @@ def _run_one(args, rule: str, tag: str) -> list[MetricRecord]:
     if not is_dir:
         raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(args.out))
     rollouts_path = args.out / f"rollouts_{tag}.jsonl" if args.dump_rollouts else None
-    records, policy = run_training(task, config, rollouts_path=rollouts_path)
+    records, policy = run_training(
+        task, config, rollouts_path=rollouts_path, on_degenerate=degenerate.append
+    )
     args.out.mkdir(parents=True, exist_ok=True)  # only once the run has something to write
     np.savez(args.out / f"policy_{tag}.npz", logits=np.asarray(policy.logits))
     return records
@@ -350,11 +382,13 @@ def _write_comparison(per_rule: dict[str, list[MetricRecord]], path: Path) -> No
 
 
 def cmd_simulate(args) -> int:
+    degenerate: list[int] = []
     try:
-        records = _run_one(args, args.rule, args.rule)
+        records = _run_one(args, args.rule, args.rule, degenerate)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _notice_degenerate(sum(degenerate))
     csv_path = args.out / f"metrics_{args.rule}.csv"
     write_metrics(records, csv_path)
     own = [r for r in records if r.rule == args.rule]
@@ -369,19 +403,21 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     per_rule: dict[str, list[MetricRecord]] = {}
+    degenerate: list[int] = []
     try:
         if args.locked_rollouts:
             # one token-rule lineage; every rule evaluated on its rollouts
-            records = _run_one(args, "token", "locked")
+            records = _run_one(args, "token", "locked", degenerate)
             for rule in RULES:
                 per_rule[rule] = [r for r in records if r.rule == rule]
         else:
             for rule in RULES:
-                records = _run_one(args, rule, rule)
+                records = _run_one(args, rule, rule, degenerate)
                 per_rule[rule] = [r for r in records if r.rule == rule]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _notice_degenerate(sum(degenerate))
     for rule in RULES:
         write_metrics(per_rule[rule], args.out / f"metrics_{rule}.csv")
     cmp_path = args.out / "comparison.csv"

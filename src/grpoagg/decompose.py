@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from math import fsum
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .aggregate import RULES, ClipConfig, RuleSums, compute_rule_sums, rule_terms
+from .aggregate import RULES, ClipConfig, RuleSums, SumColumns, compute_rule_sums, rule_terms
 from .groups import AdvantageSet, RolloutGroup, binary_closed_form
 from .rollout_io import MetricRecord
 
@@ -194,7 +194,7 @@ def ba_weight_identity(
     seq_prefactor = math.sqrt(k * (g - k)) / g
     sums = compute_rule_sums(group, adv, clip)
     report = _report(group, sums, "balanced")
-    objective = rule_terms("balanced", sums)[0]
+    objective = rule_terms("balanced", SumColumns.of([sums]))[0].item()
     reconstructed = seq_prefactor * (report.delta_pos - report.delta_neg)
     match = (
         abs(ba_pos - seq_prefactor) <= IDENTITY_ATOL

@@ -14,7 +14,9 @@ Response and RolloutGroup own every record rule: token ids and ``token_count``
 rewards, ratios, log-probabilities and ``eps_var`` are finite Python floats or
 ints or ``np.float64``. A violation is a ValueError naming the field.
 ``group_columns`` applies the same rules in bulk, to groups given as plain
-fields, and builds no record.
+fields, and builds no record. ``normalize_columns`` normalises a run of
+groups given as a flat reward column, as ``normalize_rewards`` normalises
+one, and builds no AdvantageSet.
 
 For binary rewards with ``eps_var = 0`` the advantages have a closed form
 that depends only on the group size and the number of positive responses:
@@ -27,9 +29,9 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain, repeat
 from math import fsum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,6 +43,8 @@ __all__ = [
     "DegenerateGroupError",
     "normalize_advantages",
     "normalize_rewards",
+    "normalize_columns",
+    "NormalizedColumns",
     "binary_closed_form",
     "RATIO_LOGP_RTOL",
     "MAX_TOKEN_COUNT",
@@ -430,26 +434,106 @@ def normalize_advantages(group: RolloutGroup) -> AdvantageSet:
 
 
 def normalize_rewards(rewards: Sequence[float], eps_var: float, prompt_id: str) -> AdvantageSet:
-    """``normalize_advantages`` of a group given as its reward column.
+    """``normalize_advantages`` of a group given as its reward column: the
+    one-group case of ``normalize_columns``.
 
     ``rewards`` are finite floats and ``eps_var`` a finite float >= 0, as a
     RolloutGroup holds them; ``prompt_id`` names the group in errors.
     """
-    g = len(rewards)
-    if eps_var == 0.0 and all(r == rewards[0] for r in rewards):
-        raise DegenerateGroupError(
-            f"group {prompt_id!r}: all rewards equal ({rewards[0]}) with eps_var=0"
-        )
+    out = normalize_columns(rewards, [len(rewards)], [eps_var], [prompt_id])
+    if out.errors:
+        raise (DegenerateGroupError if out.degenerate else ValueError)(out.errors[0])
+    return AdvantageSet(tuple(out.advantages.tolist()), out.mu.item(), out.sigma.item())
+
+
+class NormalizedColumns(NamedTuple):
+    """The advantages of a run of groups, as ``normalize_columns`` gives them."""
+
+    advantages: np.ndarray  # per response; 0.0 throughout a group in ``errors``
+    mu: np.ndarray  # per group
+    sigma: np.ndarray  # per group
+    errors: dict[int, str]  # group index: the text normalize_rewards raises for it
+    degenerate: list[int]  # the groups in ``errors`` whose error is DegenerateGroupError
+
+
+def normalize_columns(
+    rewards: Sequence[float], sizes: Sequence[int], eps_vars: Sequence[float], prompt_ids: Sequence[str]
+) -> NormalizedColumns:
+    """``normalize_rewards`` of a run of groups at once.
+
+    ``rewards`` holds every group's rewards in order; ``sizes``,
+    ``eps_vars`` and ``prompt_ids`` hold each group's response count (at
+    least 1), variance floor and id. Each advantage has the bits of the
+    Python float expressions ``mu = fsum(group) / g``, ``sigma =
+    sqrt(fsum((r - mu) ** 2) / g + eps_var)`` and ``(r - mu) / sigma``:
+    the group sums are one ``fsum`` per group and the squares Python's
+    ``** 2`` (which is libm's ``pow`` and differs from ``x * x`` in the last
+    bit for about one double in a thousand); every other step is one numpy
+    expression over the run, with the same IEEE operations. A group that
+    normalize_rewards refuses is in ``errors`` with that error's text; its
+    advantages are 0.0, which is how a degenerate group is taken where it
+    is not an error.
+    """
+    ends = list(accumulate(sizes))
+    starts = [0, *ends[:-1]]
+    groups = list(map(slice, starts, ends))
+    size = np.array(sizes, dtype=np.intp)
+    r = np.array(rewards, dtype=float)
+    with np.errstate(all="ignore"):
+        # an overflow or a zero variance gives a sigma that fails the check below
+        mu = np.array(run_fsums(rewards, groups)) / size
+        dev = r - np.repeat(mu, size)
+        deviations = dev.tolist()
+        try:
+            squares = list(map(pow, deviations, repeat(2)))
+        except OverflowError:
+            squares = [_square(d) for d in deviations]
+        sigma = np.sqrt(np.array(run_fsums(squares, groups)) / size + eps_vars)
+        advantages = dev / np.repeat(sigma, size)
+    errors: dict[int, str] = {}
+    degenerate: list[int] = []
+    bad = None
+    if not (np.minimum.reduce(sigma, initial=math.inf) > 0.0
+            and np.maximum.reduce(sigma, initial=0.0) < math.inf):  # a NaN fails too
+        bad = ~((sigma > 0.0) & (sigma < math.inf))
+    if 0.0 in eps_vars:
+        flat = np.equal(eps_vars, 0.0) & (np.maximum.reduceat(r, starts) == np.minimum.reduceat(r, starts))
+        if flat.any():
+            bad = flat if bad is None else bad | flat
+            degenerate = flat.nonzero()[0].tolist()
+    if bad is not None:
+        for j in bad.nonzero()[0].tolist():
+            advantages[starts[j] : ends[j]] = 0.0
+            if j in degenerate:
+                errors[j] = f"group {prompt_ids[j]!r}: all rewards equal ({rewards[starts[j]]}) with eps_var=0"
+            else:
+                errors[j] = f"group {prompt_ids[j]!r}: reward variance is out of float range"
+    return NormalizedColumns(advantages, mu, sigma, errors, degenerate)
+
+
+def _square(x: float) -> float:
+    """``x ** 2``, or inf where that overflows a float."""
     try:
-        mu = fsum(rewards) / g
-        sigma = math.sqrt(fsum((r - mu) ** 2 for r in rewards) / g + eps_var)
-        if not 0.0 < sigma < math.inf:
-            raise OverflowError
+        return x**2
     except OverflowError:
-        raise ValueError(
-            f"group {prompt_id!r}: reward variance is out of float range"
-        ) from None
-    return AdvantageSet(tuple((r - mu) / sigma for r in rewards), mu, sigma)
+        return math.inf
+
+
+def run_fsums(values: Sequence[float], runs: Sequence[slice]) -> list[float]:
+    """``fsum(values[run])`` for each run, one ``map`` over the runs; NaN
+    where a sum overflows a float (an ``fsum`` of finite floats is never
+    NaN otherwise)."""
+    try:
+        return list(map(fsum, map(values.__getitem__, runs)))
+    except OverflowError:
+        return [_fsum_or_nan(values[run]) for run in runs]
+
+
+def _fsum_or_nan(values: Sequence[float]) -> float:
+    try:
+        return fsum(values)
+    except OverflowError:
+        return math.nan
 
 
 def binary_closed_form(group_size: int, k: int) -> tuple[float, float]:

@@ -32,10 +32,13 @@ type- and range-checked, so a value that orjson reads differently from
 json.loads (an integer beyond 64 bits, which orjson 3.8 reads as a float)
 sends the line to the record parser. Every other line, and every line of the record
 API, is decoded as text by ``_loads``: a line that orjson rejects, or that
-may hold an integer beyond 64 bits or nesting deep enough to reach the
-interpreter's recursion limit, is decoded by ``json.loads``, so every value
-and every error text is the standard library's. orjson is imported on the
-first decode, not with the package.
+may hold an integer beyond 64 bits or 512 or more "[" and "{", is decoded by
+``json.loads``, so every value and every error text is the standard
+library's. The one exception is a line nested deeper than ``MAX_NESTING``
+(512) levels outside its strings: it is invalid JSON, "nesting deeper than
+512 levels", whatever the caller's stack depth, where json.loads' own
+recursion limit would count the caller's frames too. orjson is imported on
+the first decode, not with the package.
 
 Metrics go to CSV with a fixed header and floats rendered with 10
 significant digits, so a given record stream always produces byte-identical
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -183,9 +187,14 @@ _LONG_DIGITS = "0" * 19
 # process), while json.loads raises RecursionError once the nesting plus the
 # caller's stack depth passes sys.getrecursionlimit(), 1000 by default.
 # Nesting is at most the number of "[" and "{", so a line with 512 or more
-# of them is left to json.loads; the two agree whenever the caller runs more
-# than 512 frames below the recursion limit.
+# of them is left to json.loads, and json.loads is given no line nested
+# deeper than MAX_NESTING: such a line is invalid JSON ("nesting deeper than
+# 512 levels") at any stack depth of the caller.
 _MAX_FAST_OPENS = 512
+MAX_NESTING = 512
+# A JSON string (its escapes included), or a run of characters that are
+# neither a quote nor a bracket.
+_NOT_BRACKETS = re.compile(r'"(?:[^"\\]|\\.)*"|[^"\[\]{}]+')
 
 
 def _fast_safe(line: str) -> bool:
@@ -213,14 +222,29 @@ def _orjson():
 
 
 def _loads(line: str):
-    """``json.loads(line)``, through orjson where that gives the same value."""
+    """``json.loads(line)``, through orjson where that gives the same value;
+    ValueError for a line nested deeper than MAX_NESTING."""
     fast = _orjson()
     if fast is not None and _fast_safe(line):
         try:
             return fast(line)
         except ValueError:
             pass  # json.loads raises the error whose text is reported
+    if line.count("[") + line.count("{") > MAX_NESTING and _nesting(line) > MAX_NESTING:
+        raise ValueError(f"nesting deeper than {MAX_NESTING} levels")
     return json.loads(line)
+
+
+def _nesting(line: str) -> int:
+    """The deepest nesting of "[" and "{" in ``line``, outside its strings."""
+    depth = deepest = 0
+    for bracket in _NOT_BRACKETS.sub("", line):
+        if bracket in "[{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif bracket in "]}":
+            depth -= 1
+    return deepest
 
 
 def parse_rollout_line(

@@ -29,15 +29,15 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from math import fsum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .aggregate import RULES, ClipConfig, FlatBatch, rule_terms
+from .aggregate import RULES, ClipConfig, FlatBatch, rule_table
 from .decompose import batch_metrics, pooled_length_stats
-from .groups import AdvantageSet, Response, RolloutGroup, normalize_advantages, normalize_rewards
+from .groups import Response, RolloutGroup, normalize_advantages, normalize_columns
 from .rollout_io import MetricRecord, write_metrics, write_rollouts
 
 __all__ = [
@@ -154,9 +154,12 @@ class TrainConfig:
 
     Defaults follow the standard group-relative recipe (group size 16,
     asymmetric 0.2/0.28 clipping); the learning rate is scaled up for the
-    tabular policy, where the LLM-scale 1e-6 would freeze training. A small
-    ``eps_var`` keeps all-correct / all-wrong groups at zero advantage
-    instead of erroring.
+    tabular policy, where the LLM-scale 1e-6 would freeze training. An
+    all-correct / all-wrong group has zero advantage: with ``eps_var > 0``
+    that is its normalised value, and with ``eps_var == 0`` the group is
+    degenerate (sigma would be zero) and is taken as zero-advantage, as
+    ``analyze`` takes it, and counted (``run_training``'s
+    ``on_degenerate``).
     """
 
     rule: str
@@ -430,51 +433,52 @@ class BatchEval:
 def evaluate_batch(
     policy: PolicyTable,
     rollouts: StepRollouts,
-    advs: Sequence[AdvantageSet],
+    advantages: np.ndarray,
     rule: str,
     clip: ClipConfig,
     need_grad: bool = True,
 ) -> BatchEval:
     """Evaluate the batch-mean objective as a function of the policy logits.
 
-    Rollout tokens, rewards, and advantages are held fixed; per-token ratios
-    are recomputed from ``policy`` against the rollouts' sampling table. The
-    gradient chains dJ/d rho through rho = pi_new / pi_old into the softmax
-    logits.
+    Rollout tokens, rewards, and ``advantages`` (one per response, in the
+    rollouts' order) are held fixed; per-token ratios are recomputed from
+    ``policy`` against the rollouts' sampling table. The gradient chains
+    dJ/d rho through rho = pi_new / pi_old into the softmax logits.
 
-    Ratios, phi and the gradient chain are each one numpy pass over the
-    flat tokens. The logit gradient is one ``np.add.at`` whose entries come
-    in token order, each token's V dense -coeff * pi terms before its +coeff
-    point term: the same additions, in the same order per logit, as a loop
-    over responses.
+    The batch is one FlatBatch: ratios, phi and the gradient chain are each
+    one numpy pass over the flat tokens, the rule table is one column per
+    rule, and each response's weight is read from its group's entry. The
+    logit gradient is one ``np.add.at`` whose entries come in token order,
+    each token's V dense -coeff * pi terms before its +coeff point term:
+    the same additions, in the same order per logit, as a loop over
+    responses.
     """
-    if len(rollouts.prompts) != len(advs):
-        raise ValueError(f"{len(rollouts.prompts)} groups but {len(advs)} advantage sets")
+    if len(advantages) != len(rollouts.lengths):
+        raise ValueError(f"{len(rollouts.lengths)} responses but {len(advantages)} advantages")
     if policy.logits.shape != rollouts.log_probs.shape:
         raise ValueError("policy and sampling-table shapes differ")
     lp_new = policy.log_probs()
     index = rollouts.index
-    batch = FlatBatch(tuple(advs), rollouts.lengths, np.exp(lp_new[index] - rollouts.logp))
-    all_sums = batch.rule_sums(clip)
-    for prompt, sums in zip(rollouts.prompts, all_sums):
-        if sums is None:
-            raise SimulationError(f"rule sums overflow a float for prompt {prompt}")
-    terms = [{r: rule_terms(r, sums) for r in RULES} for sums in all_sums]
-    b = len(advs)
-    objectives = {r: fsum(t[r][0] for t in terms) / b for r in RULES}
-    total_tokens = sum(s.total_tokens for s in all_sums)
-    clipped = sum(s.clipped for s in all_sums)
+    batch = FlatBatch(advantages, rollouts.sizes, rollouts.lengths, np.exp(lp_new[index] - rollouts.logp))
+    sums = batch.rule_sums(clip)
+    if not sums.ok.all():
+        prompt = rollouts.prompts[np.flatnonzero(~sums.ok)[0]]
+        raise SimulationError(f"rule sums overflow a float for prompt {prompt}")
+    terms = rule_table(sums)
+    b = len(rollouts.prompts)
+    objectives = {r: fsum(terms[r][0].tolist()) / b for r in RULES}
+    total_tokens = int(np.add.reduce(sums.total_tokens))
+    clipped = int(np.add.reduce(sums.clipped))
     grad = None
     if need_grad:
-        applied = [t[rule] for t in terms]
+        values, _, w_pos, w_neg = terms[rule]
         # dJ/d rho * d rho/d logp_new
-        coeff = batch.ratio_gradients(clip, [(w_pos, w_neg) for _, _, w_pos, w_neg in applied])
+        coeff = batch.ratio_gradients(clip, w_pos, w_neg)
         coeff *= batch.ratios
-        group_tokens = rollouts.group_tokens
-        group_starts = np.cumsum(group_tokens) - group_tokens
+        group_starts = np.add.accumulate(sums.total_tokens) - sums.total_tokens
         finite = np.logical_and.reduceat(np.isfinite(coeff), group_starts).tolist()
         # groups in order, each one's objective before its gradient
-        for prompt, (value, *_), ok in zip(rollouts.prompts, applied, finite):
+        for prompt, value, ok in zip(rollouts.prompts, values.tolist(), finite):
             if not math.isfinite(value):
                 raise SimulationError(f"non-finite {rule} objective for prompt {prompt}")
             if not ok:
@@ -497,7 +501,7 @@ def evaluate_batch(
         grad_logits=grad,
         rule_objectives=objectives,
         clip_fraction=clipped / total_tokens if total_tokens else 0.0,
-        degenerate_groups=sum(int(t[rule][1]) for t in terms),
+        degenerate_groups=int(terms[rule][1].sum()),
     )
 
 
@@ -507,6 +511,7 @@ def train_step(
     prompt_indices: Sequence[int],
     config: TrainConfig,
     step: int,
+    on_degenerate: Callable[[int], None] | None = None,
 ) -> tuple[PolicyTable, list[MetricRecord], StepRollouts]:
     """One outer step: sample the prompts' groups once, ascend the configured rule.
 
@@ -516,6 +521,11 @@ def train_step(
     rollouts; only ``config.rule`` drives the update). With more than one
     inner epoch the logged objectives average over epochs. Returns the
     updated policy, the records and the step's rollouts.
+
+    The groups are normalised together, as columns. A degenerate group (all
+    rewards equal at ``eps_var == 0``) is taken as zero-advantage, and
+    ``on_degenerate`` is called with the step's count of them when it is
+    not 0; a group whose variance overflows raises its ValueError.
     """
     rollouts = sample_step(
         policy,
@@ -524,31 +534,35 @@ def train_step(
         config.group_size,
         [rollout_seed(config.seed, step, p) for p in prompt_indices],
     )
-    g = config.group_size
-    rewards, lengths = rollouts.rewards, rollouts.lengths
-    advs = [
-        normalize_rewards(rewards[j * g : (j + 1) * g], config.eps_var, str(p))
-        for j, p in enumerate(rollouts.prompts)
-    ]
+    rewards, lengths, sizes = rollouts.rewards, rollouts.lengths, rollouts.sizes
+    normalized = normalize_columns(
+        rewards, sizes, [config.eps_var] * len(sizes), list(map(str, rollouts.prompts))
+    )
+    for j, text in normalized.errors.items():
+        if j not in normalized.degenerate:
+            raise ValueError(text)
+    if normalized.degenerate and on_degenerate is not None:
+        on_degenerate(len(normalized.degenerate))
+    advantages = normalized.advantages
     current = policy
     values: dict[str, list[float]] = {r: [] for r in RULES}
     clip_fracs = []
     for _ in range(config.inner_epochs):
-        ev = evaluate_batch(current, rollouts, advs, config.rule, config.clip)
+        ev = evaluate_batch(current, rollouts, advantages, config.rule, config.clip)
         for r in RULES:
             values[r].append(ev.rule_objectives[r])
         clip_fracs.append(ev.clip_fraction)
         assert ev.grad_logits is not None
         current = PolicyTable(current.logits + config.learning_rate * ev.grad_logits)
     objectives = {r: fsum(v) / len(v) for r, v in values.items()}
+    positive = advantages > 0.0
     stats = pooled_length_stats(
         lengths,
-        [lengths[j * g + i] for j, adv in enumerate(advs) for i in adv.pos_indices],
-        [lengths[j * g + i] for j, adv in enumerate(advs) for i in adv.neg_indices],
+        list(compress(lengths, positive.tolist())),
+        list(compress(lengths, (advantages < 0.0).tolist())),
     )
-    records = batch_metrics(
-        step, stats, rewards, [a.k for a in advs], objectives, fsum(clip_fracs) / len(clip_fracs)
-    )
+    ks = np.add.reduce(positive.reshape(len(sizes), config.group_size), axis=1, dtype=np.intp).tolist()
+    records = batch_metrics(step, stats, rewards, ks, objectives, fsum(clip_fracs) / len(clip_fracs))
     return current, records, rollouts
 
 
@@ -557,6 +571,7 @@ def run_training(
     config: TrainConfig,
     metrics_path=None,
     rollouts_path=None,
+    on_degenerate: Callable[[int], None] | None = None,
 ) -> tuple[list[MetricRecord], PolicyTable]:
     """Run the full loop from a uniform policy; returns (records, final policy).
 
@@ -564,7 +579,8 @@ def run_training(
     (the only use of Response records in a run), each after the last step
     and creating its directory. Raises ValueError before any work when one step's
     prompts * group_size * t_max * vocab_size exceeds MAX_STEP_CELLS, or
-    that times steps * inner_epochs exceeds MAX_WORK_CELLS.
+    that times steps * inner_epochs exceeds MAX_WORK_CELLS. ``on_degenerate``
+    is passed to every train_step.
     """
     batch = config.prompts_per_batch or task.num_prompts
     step_cells = batch * config.group_size * task.t_max * task.vocab_size
@@ -583,7 +599,7 @@ def run_training(
     dumped: list[RolloutGroup] = []
     for step in range(config.steps):
         prompt_indices = [(step * batch + j) % task.num_prompts for j in range(batch)]
-        policy, recs, rollouts = train_step(policy, task, prompt_indices, config, step)
+        policy, recs, rollouts = train_step(policy, task, prompt_indices, config, step, on_degenerate)
         records.extend(recs)
         if rollouts_path is not None:
             dumped.extend(
@@ -611,8 +627,8 @@ def logit_gradient_check(
     the maximum relative error max |analytic - numeric| / max(1, |a|, |n|).
     """
     rollouts = StepRollouts.from_groups(groups, old)
-    advs = [normalize_advantages(g) for g in groups]
-    base = evaluate_batch(policy, rollouts, advs, rule, clip)
+    advantages = np.concatenate([normalize_advantages(g).advantages for g in groups])
+    base = evaluate_batch(policy, rollouts, advantages, rule, clip)
     assert base.grad_logits is not None
     max_rel = 0.0
     for idx in np.ndindex(policy.logits.shape):
@@ -621,10 +637,10 @@ def logit_gradient_check(
         minus = policy.logits.copy()
         minus[idx] -= h
         j_plus = evaluate_batch(
-            PolicyTable(plus), rollouts, advs, rule, clip, need_grad=False
+            PolicyTable(plus), rollouts, advantages, rule, clip, need_grad=False
         ).objective
         j_minus = evaluate_batch(
-            PolicyTable(minus), rollouts, advs, rule, clip, need_grad=False
+            PolicyTable(minus), rollouts, advantages, rule, clip, need_grad=False
         ).objective
         numeric = (j_plus - j_minus) / (2.0 * h)
         analytic = float(base.grad_logits[idx])

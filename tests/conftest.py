@@ -1,4 +1,5 @@
 import contextlib
+import math
 from math import fsum
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from grpoagg import rollout_io
 from grpoagg.aggregate import ClipConfig, RuleSums
-from grpoagg.groups import Response, RolloutGroup
+from grpoagg.groups import AdvantageSet, DegenerateGroupError, Response, RolloutGroup
 
 try:
     import orjson
@@ -92,3 +93,68 @@ def reference_rule_sums(adv, ratio_arrays, clip):
         z_neg=fsum(-a[i] * len(ratio_arrays[i]) for i in neg),
         clipped=clipped,
     )
+
+
+def reference_rule_terms(rule, sums):
+    """One row of the rule table for one group, as Python floats:
+    (objective, degenerate, w_pos, w_neg), with w_pos(T) / w_neg(T) the
+    weight of a token of a length-T positive / negative response."""
+    g = sums.size
+    if rule == "token":
+        w = 1.0 / sums.total_tokens
+        objective = (sums.pos_phi + sums.neg_phi) / sums.total_tokens
+        return objective, False, lambda t: w, lambda t: w
+    if rule == "seq":
+        objective = (sums.pos_seq + sums.neg_seq) / g
+        return objective, False, lambda t: 1.0 / (g * t), lambda t: 1.0 / (g * t)
+    if rule == "balanced":
+        c_pos, c_neg, d_pos, d_neg = sums.k, sums.neg_count, sums.n_pos, sums.n_neg
+    else:
+        c_pos, c_neg, d_pos, d_neg = sums.m_pos, sums.m_neg, sums.z_pos, sums.z_neg
+    term_pos = w_pos = term_neg = w_neg = 0.0
+    if sums.k:
+        term_pos = (c_pos / g) * (sums.pos_phi / d_pos)
+        w_pos = (c_pos / g) / d_pos
+    if sums.neg_count:
+        term_neg = (c_neg / g) * (sums.neg_phi / d_neg)
+        w_neg = (c_neg / g) / d_neg
+    degenerate = sums.k == 0 and sums.neg_count == 0
+    return term_pos + term_neg, degenerate, lambda t: w_pos, lambda t: w_neg
+
+
+def reference_ratio_gradients(rule, sums, advantages, ratio_arrays, clip):
+    """Each response's dJ/d rho = w_i d phi/d rho under reference_rule_terms."""
+    _, _, w_pos, w_neg = reference_rule_terms(rule, sums)
+    out = []
+    for arr, a in zip(ratio_arrays, advantages):
+        arr = np.asarray(arr, dtype=float)
+        w = w_pos(len(arr)) if a > 0.0 else w_neg(len(arr)) if a < 0.0 else 0.0
+        active = ((a > 0.0) & (arr <= clip.upper)) | ((a < 0.0) & (arr >= clip.lower))
+        out.append(w * (a * active))
+    return out
+
+
+def reference_normalize(rewards, eps_var, prompt_id):
+    """A group's advantages, one reward at a time, with the library's errors."""
+    g = len(rewards)
+    if eps_var == 0.0 and all(r == rewards[0] for r in rewards):
+        raise DegenerateGroupError(f"group {prompt_id!r}: all rewards equal ({rewards[0]}) with eps_var=0")
+    try:
+        mu = fsum(rewards) / g
+        sigma = math.sqrt(fsum((r - mu) ** 2 for r in rewards) / g + eps_var)
+        if not 0.0 < sigma < math.inf:
+            raise OverflowError
+    except OverflowError:
+        raise ValueError(f"group {prompt_id!r}: reward variance is out of float range") from None
+    return AdvantageSet(tuple((r - mu) / sigma for r in rewards), mu, sigma)
+
+
+def count_constructions(monkeypatch, *classes):
+    """A list that gets each class's name whenever one of ``classes`` is built."""
+    built = []
+    for cls in classes:
+        def init(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            built.append(_cls.__name__)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", init)
+    return built

@@ -8,6 +8,7 @@ from grpoagg.aggregate import (
     BoundaryProximityError,
     ClipConfig,
     MissingRatiosError,
+    SumColumns,
     compute_rule_sums,
     gradient_check,
     objective,
@@ -444,7 +445,7 @@ def test_rule_table_matches_chains_and_objective_exactly(clip):
         sums = compute_rule_sums(group, adv, clip)  # once for all four rules
         assert sums == reference_rule_sums(adv, arrays, clip)
         for rule in RULES:
-            table, table_degen, _, _ = rule_terms(rule, sums)
+            table, table_degen = (c.item() for c in rule_terms(rule, SumColumns.of([sums]))[:2])
             result = objective(rule, group, adv, clip)
             want, want_degen, _, _ = chain_terms(rule, sums)
             assert table == result.objective == want
@@ -462,4 +463,4 @@ def test_rule_terms_rejects_unknown_rule(clip):
     group = make_group([(2, 1.0), (3, 0.0)])
     sums = compute_rule_sums(group, normalize_advantages(group), clip)
     with pytest.raises(ValueError, match="unknown rule"):
-        rule_terms("mean", sums)
+        rule_terms("mean", SumColumns.of([sums]))

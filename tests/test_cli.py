@@ -9,8 +9,13 @@ from pathlib import Path
 import pytest
 
 import grpoagg
+from grpoagg import sim
 from grpoagg.cli import main
-from grpoagg.rollout_io import METRIC_FIELDS, read_metrics
+from grpoagg.aggregate import RuleSums
+from grpoagg.groups import AdvantageSet, Response, RolloutGroup
+from grpoagg.rollout_io import METRIC_FIELDS, read_metrics, read_rollouts
+
+from conftest import count_constructions
 
 DATA = Path(__file__).parent / "data"
 
@@ -101,6 +106,22 @@ def test_analyze_windowing(tmp_path, capsys):
     assert all(r.objective is not None for r in records)
     assert (tmp_path / "regime.txt").exists()
     assert "overall:" in out
+
+
+def test_analyze_builds_no_per_group_record(tmp_path, capsys, monkeypatch):
+    # clean groups, a length-only one and a degenerate one are normalised
+    # and evaluated as columns
+    log = tmp_path / "log.jsonl"
+    write_log(log, 10)
+    with open(log, "a", encoding="utf-8") as fh:
+        for responses in ([{"token_count": 3, "reward": 1.0}, {"token_count": 2, "reward": 0.0}],
+                          [{"tokens": [1, 0], "reward": 0.5, "ratios": [1.0, 1.2]}] * 2):
+            fh.write(json.dumps({"prompt_id": "q", "responses": responses}) + "\n")
+    built = count_constructions(monkeypatch, AdvantageSet, RuleSums, Response, RolloutGroup)
+    code, out, err = run_cli(capsys, "analyze", "--input", str(log), "--window", "4", "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert "notice: 1 degenerate group(s)" in out and "notice: 1 length-only group(s)" in out
+    assert built == []
 
 
 def test_analyze_length_only(tmp_path, capsys):
@@ -412,14 +433,41 @@ def test_refused_arguments_leave_no_out_directory(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])
-def test_failed_run_leaves_no_out_directory(tmp_path, capsys, command):
-    # the uniform policy's first groups include an all-wrong one, which
-    # cannot be normalised at eps_var 0
+def test_failed_run_leaves_no_out_directory(tmp_path, capsys, monkeypatch, command):
+    # rewards of 0 and 1e308 in one group: its reward variance overflows, so
+    # the first step cannot normalise it
+    reward = sim._reward
+    monkeypatch.setattr(sim, "_reward", lambda *args: 1e308 * reward(*args))
     out = tmp_path / "out"
-    code, _, err = run_cli(capsys, command, "--eps-var", "0", "--steps", "5", "--out", str(out))
+    code, _, err = run_cli(capsys, command, "--steps", "5", "--out", str(out))
     assert code == 2
-    assert err == "error: group '1': all rewards equal (0.0) with eps_var=0\n"
+    assert err == "error: group '0': reward variance is out of float range\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_degenerate_groups_are_zero_advantage_in_every_command(tmp_path, capsys, command):
+    # at eps_var 0 an all-wrong group is degenerate; the run takes it as
+    # zero-advantage and counts it, as analyze does for the same groups
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(
+        capsys, command, "--eps-var", "0", "--steps", "5", "--dump-rollouts", "--out", str(out)
+    )
+    assert code == 0 and err == ""
+    flat = 0
+    for dump in sorted(out.glob("rollouts_*.jsonl")):
+        groups = list(read_rollouts(dump))
+        assert all(g.eps_var == 0.0 for g in groups)
+        equal = sum(len(set(g.rewards)) == 1 for g in groups)
+        code, analyzed, _ = run_cli(capsys, "analyze", "--input", str(dump), "--out", str(tmp_path / dump.stem))
+        assert code == 0
+        assert f"notice: {equal} degenerate group(s) treated as zero-advantage" in analyzed.splitlines()
+        flat += equal
+    assert flat > 0
+    assert stdout.splitlines()[0] == f"notice: {flat} degenerate group(s) treated as zero-advantage"
+    # with the default floor no group is degenerate, and no notice is printed
+    code, stdout, _ = run_cli(capsys, command, "--steps", "5", "--out", str(tmp_path / "floor"))
+    assert code == 0 and "notice" not in stdout
 
 
 def test_compare_shares_rollout_seeds_at_step_zero(tmp_path, capsys):

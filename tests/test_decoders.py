@@ -88,6 +88,29 @@ def test_lines_decode_as_with_json_loads(decoder, source):
         assert g == w, line[:80]
 
 
+def _at_depth(frames: int, fn):
+    """``fn()`` called ``frames`` frames deeper than this call."""
+    return fn() if frames == 0 else _at_depth(frames - 1, fn)
+
+
+@pytest.mark.parametrize("decoder", DECODERS)
+def test_nesting_limit_does_not_depend_on_the_callers_stack_depth(decoder):
+    # json.loads' own recursion limit counts the caller's frames; the
+    # nesting limit of 512 levels does not
+    body = record()[1:]
+    too_deep = '{"pad": ' + "[" * 985 + "]" * 985 + ", " + body
+    over = '{"pad": ' + "[" * 512 + "]" * 512 + ", " + body  # 513 levels
+    at_limit = '{"pad": ' + "[" * 511 + "]" * 511 + ", " + body  # 512 levels
+    in_strings = '{"pad": ["' + "[{" * 600 + '", "\\"' + "[" * 600 + '"], ' + body
+    error = ("error", "MalformedLineError", 7, "line 7: invalid JSON: nesting deeper than 512 levels")
+    with decoding_with(decoder):
+        for frames in (0, 5, 10, 100):
+            assert _at_depth(frames, lambda: outcome(too_deep)) == error
+            assert _at_depth(frames, lambda: outcome(over)) == error
+            for line in (at_limit, in_strings):
+                assert _at_depth(frames, lambda: outcome(line)) == outcome(record())
+
+
 @pytest.mark.parametrize("decoder", DECODERS)
 def test_integers_beyond_64_bits_stay_exact(decoder):
     with decoding_with(decoder):

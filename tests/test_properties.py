@@ -27,7 +27,14 @@ from hypothesis import given, settings, strategies as st
 from grpoagg.aggregate import RULES, ClipConfig, FlatBatch, compute_rule_sums, rule_terms
 from grpoagg.cli import main
 from grpoagg.decompose import length_stats, pooled_mean, regime_report
-from grpoagg.groups import AdvantageSet, DegenerateGroupError, RolloutGroup, normalize_advantages
+from grpoagg.groups import (
+    AdvantageSet,
+    DegenerateGroupError,
+    RolloutGroup,
+    normalize_advantages,
+    normalize_columns,
+    normalize_rewards,
+)
 from grpoagg.rollout_io import (
     METRIC_HEADER,
     MetricRecord,
@@ -36,7 +43,14 @@ from grpoagg.rollout_io import (
     parse_rollout_line,
 )
 
-from conftest import AVAILABLE_DECODERS, decoding_with, reference_rule_sums
+from conftest import (
+    AVAILABLE_DECODERS,
+    decoding_with,
+    reference_normalize,
+    reference_ratio_gradients,
+    reference_rule_sums,
+    reference_rule_terms,
+)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -179,7 +193,7 @@ def reference_analyze(lines: list[str], window: int, out: Path) -> dict:
                 try:
                     with np.errstate(over="ignore"):
                         sums = compute_rule_sums(group, adv, clip)
-                    objectives = [rule_terms(rule, sums)[0] for rule in RULES]
+                    objectives = [reference_rule_terms(rule, sums)[0] for rule in RULES]
                     if not all(map(math.isfinite, objectives)):
                         raise OverflowError
                 except OverflowError:
@@ -353,14 +367,122 @@ def outcome(fn, *args):
 def test_rule_sums_equal_the_per_response_fsum_reference(group):
     adv, arrays = group
     clip = ClipConfig()
-    batch = FlatBatch((adv,), tuple(map(len, arrays)), np.concatenate(arrays))
+    batch = FlatBatch(adv.advantages, (adv.size,), tuple(map(len, arrays)), np.concatenate(arrays))
     with np.errstate(over="ignore"):
-        got = outcome(lambda: batch.rule_sums(clip)[0])
+        got = outcome(lambda: batch.rule_sums(clip).record(0))
         want = outcome(reference_rule_sums, adv, arrays, clip)
     if got is None:  # the core's mark for sums that overflow a float
         assert type(want) is tuple and want[0] is OverflowError
     else:
         assert got == want
+
+
+# advantages of every magnitude; in one group of four also values whose
+# sums overflow a float. A ratio of 1e300 times such an advantage is an inf.
+group_advantages = st.just(0.0) | st.floats(-1e300, 1e300, allow_nan=False)
+extreme_advantages = group_advantages | st.sampled_from([1e308, -1.7e308])
+group_ratios = ratios | st.just(1e300)
+
+
+@st.composite
+def sign_runs(draw):
+    """1 to 20 groups: mixed, single-sign and all-zero advantages, each
+    response with its ratio array."""
+    groups = []
+    for _ in range(draw(st.integers(1, 20))):
+        g = draw(st.integers(1, 64))
+        values = draw(st.sampled_from([group_advantages] * 3 + [extreme_advantages]))
+        advantages = draw(st.lists(values, min_size=g, max_size=g))
+        kind = draw(st.sampled_from(["mixed", "mixed", "positive", "negative", "zero"]))
+        if kind != "mixed":
+            sign = {"positive": 1.0, "negative": -1.0, "zero": 0.0}[kind]
+            advantages = [sign * abs(a) for a in advantages]
+        arrays = [np.array(draw(st.lists(group_ratios, min_size=1, max_size=6))) for _ in range(g)]
+        groups.append((AdvantageSet.from_advantages(advantages), arrays))
+    return groups
+
+
+def bits(x: float) -> str:
+    return repr(float(x))  # tells -0.0 from 0.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(groups=sign_runs())
+def test_flat_batch_columns_equal_the_per_group_reference(groups):
+    clip = ClipConfig()
+    arrays = [arr for _, group_arrays in groups for arr in group_arrays]
+    batch = FlatBatch(
+        np.concatenate([adv.advantages for adv, _ in groups]),
+        [adv.size for adv, _ in groups],
+        [len(arr) for arr in arrays],
+        np.concatenate(arrays),
+    )
+    sums = batch.rule_sums(clip)
+    terms = {rule: rule_terms(rule, sums) for rule in RULES}
+    grads = {rule: batch.ratio_gradients(clip, *terms[rule][2:]) for rule in RULES}
+    start = 0
+    for i, (adv, group_arrays) in enumerate(groups):
+        stop = start + sum(map(len, group_arrays))
+        with np.errstate(all="ignore"):
+            want = outcome(reference_rule_sums, adv, group_arrays, clip)
+        got = sums.record(i)
+        if got is None:  # exactly where the reference overflows
+            assert type(want) is tuple and want[0] is OverflowError
+            start = stop
+            continue
+        assert repr(got) == repr(want)
+        for rule in RULES:
+            objective, degenerate, w_pos, w_neg = terms[rule]
+            ref_objective, ref_degenerate, ref_pos, ref_neg = reference_rule_terms(rule, want)
+            assert bits(objective[i]) == bits(ref_objective)
+            assert degenerate[i] == ref_degenerate
+            if w_pos is not None:  # seq's weight is per response, in its gradient
+                assert (bits(w_pos[i]), bits(w_neg[i])) == (bits(ref_pos(1)), bits(ref_neg(1)))
+            with np.errstate(all="ignore"):
+                ref_grads = reference_ratio_gradients(rule, want, adv.advantages, group_arrays, clip)
+            assert grads[rule][start:stop].tobytes() == np.concatenate(ref_grads).tobytes()
+        start = stop
+
+
+@st.composite
+def reward_runs(draw):
+    """1 to 20 groups of rewards, some all equal, with their variance floors."""
+    groups = []
+    for _ in range(draw(st.integers(1, 20))):
+        g = draw(st.integers(1, 64))
+        if draw(st.booleans()):
+            values = [draw(rewards)] * g
+        else:
+            values = draw(st.lists(rewards, min_size=g, max_size=g))
+        groups.append((values, draw(eps_vars)))
+    return groups
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(groups=reward_runs())
+def test_normalize_columns_equal_the_per_group_reference(groups):
+    got = normalize_columns(
+        [r for values, _ in groups for r in values],
+        [len(values) for values, _ in groups],
+        [eps for _, eps in groups],
+        [f"p{j}" for j in range(len(groups))],
+    )
+    start = 0
+    for j, (values, eps) in enumerate(groups):
+        stop = start + len(values)
+        want = outcome(reference_normalize, values, eps, f"p{j}")
+        library = outcome(normalize_rewards, values, eps, f"p{j}")
+        if type(want) is tuple:  # the error and its text
+            assert library == want
+            assert got.errors[j] == want[1]
+            assert (j in got.degenerate) == (want[0] is DegenerateGroupError)
+            assert not got.advantages[start:stop].any()
+        else:
+            assert j not in got.errors
+            assert list(map(bits, got.advantages[start:stop])) == list(map(bits, want.advantages))
+            assert list(map(bits, library.advantages)) == list(map(bits, want.advantages))
+            assert (bits(got.mu[j]), bits(got.sigma[j])) == (bits(want.mu), bits(want.sigma))
+        start = stop
 
 
 # tiny sizes, next to values every check must refuse; a huge size is always

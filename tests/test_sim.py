@@ -10,8 +10,8 @@ from grpoagg.aggregate import (
     RULES,
     ClipConfig,
     FlatBatch,
+    RuleSums,
     objective,
-    rule_terms,
 )
 from grpoagg.cli import main
 from grpoagg.decompose import batch_metrics, decompose, length_stats
@@ -36,7 +36,12 @@ from grpoagg.sim import (
     verify_reward,
 )
 
-from conftest import reference_rule_sums
+from conftest import count_constructions, reference_rule_sums, reference_rule_terms
+
+
+def flat_advantages(advs):
+    """Each response's advantage, in order, as evaluate_batch takes them."""
+    return np.concatenate([adv.advantages for adv in advs])
 
 
 def policy_ratio_arrays(group, lp_new, lp_old):
@@ -314,6 +319,15 @@ def test_run_training_builds_records_only_for_a_dump(monkeypatch, tmp_path):
     assert len(built) == 3 * 4 * 4  # steps * prompts * group_size
 
 
+def test_train_step_builds_no_per_group_record(monkeypatch):
+    # two epochs, and a degenerate group at eps_var 0, all as columns
+    built = count_constructions(monkeypatch, AdvantageSet, RuleSums, Response, RolloutGroup)
+    config = TrainConfig(rule="balanced_gen", steps=1, group_size=8, eps_var=0.0, seed=1, inner_epochs=2)
+    counts = []
+    train_step(PolicyTable.uniform(4, 8, 3), count_task(), range(4), config, 0, counts.append)
+    assert counts and built == []
+
+
 def test_train_step_equals_evaluate_batch_over_its_materialised_groups():
     # the columnar step against the record path: groups built from the step,
     # normalised, evaluated epoch by epoch and pooled as before the columns
@@ -333,7 +347,7 @@ def test_train_step_equals_evaluate_batch_over_its_materialised_groups():
     values = {r: [] for r in RULES}
     clip_fracs = []
     for _ in range(config.inner_epochs):
-        ev = evaluate_batch(current, rebuilt, advs, config.rule, config.clip)
+        ev = evaluate_batch(current, rebuilt, flat_advantages(advs), config.rule, config.clip)
         for r in RULES:
             values[r].append(ev.rule_objectives[r])
         clip_fracs.append(ev.clip_fraction)
@@ -528,7 +542,7 @@ def test_inner_epochs_move_ratios_off_one():
     # second and later epochs see off-policy ratios; the logged objective
     # averages over epochs, so it can move away from the on-policy value
     advs = [normalize_advantages(g) for g in rollouts.groups(config.eps_var)]
-    ev = evaluate_batch(new_policy, rollouts, advs, "balanced", config.clip)
+    ev = evaluate_batch(new_policy, rollouts, flat_advantages(advs), "balanced", config.clip)
     assert ev.objective != 0.0
 
 
@@ -543,7 +557,7 @@ def test_evaluate_batch_reports_non_finite_gradient():
     bad_old = np.zeros((2, 8, 3))
     bad_old[:, :, COUNT_SYMBOL] = -800.0  # ratio exp(~800) overflows
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SimulationError) as err:
-        evaluate_batch(policy, StepRollouts.from_groups(groups, PolicyTable(bad_old)), advs, "token", ClipConfig())
+        evaluate_batch(policy, StepRollouts.from_groups(groups, PolicyTable(bad_old)), flat_advantages(advs), "token", ClipConfig())
     assert "prompt" in str(err.value)
 
 
@@ -568,12 +582,12 @@ def test_evaluate_batch_one_pass_matches_per_rule_evaluation():
     lp_new, lp_old = new_policy.log_probs(), policy.log_probs()
     arrays = [policy_ratio_arrays(g, lp_new, lp_old) for g in groups]
     for rule in RULES:
-        ev = evaluate_batch(new_policy, rollouts, advs, rule, config.clip)
+        ev = evaluate_batch(new_policy, rollouts, flat_advantages(advs), rule, config.clip)
         for r in RULES:
             values = []
             for a, arr in zip(advs, arrays):
-                batch = FlatBatch((a,), tuple(map(len, arr)), np.concatenate(arr))
-                values.append(rule_terms(r, batch.rule_sums(config.clip)[0])[0])
+                batch = FlatBatch(a.advantages, (a.size,), tuple(map(len, arr)), np.concatenate(arr))
+                values.append(reference_rule_terms(r, batch.rule_sums(config.clip).record(0))[0])
             assert ev.rule_objectives[r] == fsum(values) / len(values)
 
 
@@ -589,8 +603,8 @@ def reference_evaluate_batch(policy, old, groups, advs, rule, clip):
         arrays = policy_ratio_arrays(group, lp_new, lp_old)
         sums = reference_rule_sums(adv, arrays, clip)
         for r in RULES:
-            values[r].append(rule_terms(r, sums)[0])
-        _, degen, w_pos, w_neg = rule_terms(rule, sums)
+            values[r].append(reference_rule_terms(r, sums)[0])
+        _, degen, w_pos, w_neg = reference_rule_terms(rule, sums)
         clipped += sums.clipped
         tokens += sums.total_tokens
         degenerate += int(degen)
@@ -633,7 +647,7 @@ def test_evaluate_batch_matches_per_response_reference():
     assert not any(normalize_advantages(flat).advantages)
     for current in (old, policy):  # first epoch (ratios 1) and second (ratios off 1)
         for rule in RULES:
-            ev = evaluate_batch(current, StepRollouts.from_groups(groups, old), advs, rule, config.clip)
+            ev = evaluate_batch(current, StepRollouts.from_groups(groups, old), flat_advantages(advs), rule, config.clip)
             objectives, grad, clip_fraction, degenerate = reference_evaluate_batch(
                 current, old, groups, advs, rule, config.clip
             )
