@@ -13,11 +13,11 @@ import math
 import os
 import stat
 import sys
-from itertools import chain, compress, islice
+from itertools import accumulate, chain, compress
 from math import fsum
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,123 +120,140 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-class _Window:
-    """The groups of an analyze window that evaluate, as columns: every
-    response's length and reward, the lengths of the positive and of the
-    negative responses, each group's count of positive responses, each
-    rule's objective of every group with ratios, and their clipped and
-    total tokens."""
-
-    def __init__(self) -> None:
-        self.groups = self.degenerate = self.length_only = 0
-        self.lengths: list[int] = []
-        self.pos_lengths: list[int] = []
-        self.neg_lengths: list[int] = []
-        self.rewards: list[float] = []
-        self.ks: list[int] = []
-        self.objectives: list[list[float]] = [[] for _ in RULES]
-        self.clipped = self.tokens = 0
+# cmd_analyze reads and evaluates a log in chunks of whole windows of lines
+# that hold at least this many tokens (or the rest of the log). Peak memory
+# grows with it: on groups of 8 responses of 1-15 tokens, 8,192 adds under
+# 1 MB of peak RSS to one-window chunks, and 32,768 adds 5 MB.
+_CHUNK_TOKENS = 8192
 
 
-def _evaluate(read: list[tuple], clip: ClipConfig, report, window: _Window) -> None:
-    """Add groups as read_group_columns yields them to ``window``, all of
-    them normalised together and all of them with ratios evaluated by one
+class _Chunk(NamedTuple):
+    """The groups of a chunk that evaluate, as columns. Per response: its
+    length, reward and whether its advantage is positive or negative. Per
+    group: its first response (``starts`` has one entry more), count of
+    positive responses, each rule's objective (a row per rule, NaN for a
+    length-only group), clipped and total tokens, and whether it is
+    degenerate or length-only."""
+
+    lengths: np.ndarray
+    rewards: np.ndarray
+    positive: np.ndarray
+    negative: np.ndarray
+    starts: list[int]
+    ks: np.ndarray
+    objectives: np.ndarray
+    clipped: np.ndarray
+    tokens: np.ndarray
+    degenerate: np.ndarray
+    length_only: np.ndarray
+
+
+def _evaluate(read: list[tuple], clip: ClipConfig, report) -> tuple[_Chunk, list[int]]:
+    """The columns of the groups of ``read`` (as read_group_columns yields
+    them) that evaluate, and their indices in ``read``: all of them
+    normalised together and all of them with ratios evaluated by one
     FlatBatch. A group whose normalisation fails or whose objective
     overflows is passed to ``report`` as (line number, text) and left out; a
     degenerate group is taken as zero-advantage."""
-    if not read:
-        return
     line_nos, prompt_ids, eps_vars, rewards, lengths, ratios = zip(*read)
     sizes = list(map(len, rewards))
-    normalized = normalize_columns(list(chain.from_iterable(rewards)), sizes, eps_vars, prompt_ids)
-    keep = [True] * len(read)
+    flat_rewards = list(chain.from_iterable(rewards))
+    normalized = normalize_columns(flat_rewards, sizes, eps_vars, prompt_ids)
+    keep = np.ones(len(read), dtype=bool)
     for j, text in normalized.errors.items():
         if j not in normalized.degenerate:
             report(line_nos[j], f"line {line_nos[j]}: {text}")
             keep[j] = False
-    evaluable = [k and r is not None for k, r in zip(keep, ratios)]
-    if any(evaluable):
+    length_only = np.array([r is None for r in ratios])
+    evaluable = keep & ~length_only
+    objectives = np.full((len(RULES), len(read)), np.nan)
+    clipped, tokens = np.zeros((2, len(read)), dtype=np.intp)
+    if evaluable.any():
+        take = evaluable.tolist()
         batch = FlatBatch(
             normalized.advantages[np.repeat(evaluable, sizes)],
-            list(compress(sizes, evaluable)),
-            list(chain.from_iterable(compress(lengths, evaluable))),
-            np.concatenate(list(compress(ratios, evaluable))),
+            list(compress(sizes, take)),
+            list(chain.from_iterable(compress(lengths, take))),
+            np.concatenate(list(compress(ratios, take))),
         )
         sums = batch.rule_sums(clip)
         table = rule_table(sums)
-        objectives = np.array([table[rule][0] for rule in RULES])
-        finite = sums.ok & np.isfinite(objectives).all(axis=0)
-        if not finite.all():
-            for j, ok in zip(compress(range(len(read)), evaluable), finite.tolist()):
-                if not ok:
-                    text = f"line {line_nos[j]}: group {prompt_ids[j]!r}: an objective overflows a float"
-                    report(line_nos[j], text)
-                    keep[j] = False
-            objectives = objectives[:, finite]
-        for column, values in zip(window.objectives, objectives.tolist()):
-            column += values
-        window.clipped += int(sums.clipped[finite].sum())
-        window.tokens += int(sums.total_tokens[finite].sum())
-    if not any(keep):
-        return
-    advantages = normalized.advantages
-    if not all(keep):
-        advantages = advantages[np.repeat(keep, sizes)]
-        sizes = list(compress(sizes, keep))
-    flat_lengths = list(chain.from_iterable(compress(lengths, keep)))
+        objectives[:, evaluable] = [table[rule][0] for rule in RULES]
+        clipped[evaluable], tokens[evaluable] = sums.clipped, sums.total_tokens
+        overflows = evaluable & ~np.isfinite(objectives).all(axis=0)
+        overflows[evaluable] |= ~sums.ok
+        for j in overflows.nonzero()[0].tolist():
+            report(line_nos[j], f"line {line_nos[j]}: group {prompt_ids[j]!r}: an objective overflows a float")
+        keep &= ~overflows
+    degenerate = np.zeros(len(read), dtype=bool)
+    degenerate[normalized.degenerate] = True  # zero advantages never overflow
+    per_response = np.repeat(keep, sizes)
+    advantages = normalized.advantages[per_response]
+    kept_sizes = list(compress(sizes, keep.tolist()))
+    starts = [0, *accumulate(kept_sizes)]
     positive = advantages > 0.0
-    window.groups += len(sizes)
-    window.degenerate += len(normalized.degenerate)  # zero advantages never overflow
-    window.length_only += sum(k and r is None for k, r in zip(keep, ratios))
-    window.lengths += flat_lengths
-    window.pos_lengths += compress(flat_lengths, positive.tolist())
-    window.neg_lengths += compress(flat_lengths, (advantages < 0.0).tolist())
-    window.rewards += chain.from_iterable(compress(rewards, keep))
-    window.ks += np.add.reduceat(positive, np.cumsum(sizes) - sizes, dtype=np.intp).tolist()
+    chunk = _Chunk(
+        np.fromiter(chain.from_iterable(compress(lengths, keep.tolist())), np.intp, starts[-1]),
+        np.array(flat_rewards)[per_response],
+        positive,
+        advantages < 0.0,
+        starts,
+        np.add.reduceat(positive, starts[:-1], dtype=np.intp) if kept_sizes else np.zeros(0, np.intp),
+        objectives[:, keep],
+        clipped[keep],
+        tokens[keep],
+        degenerate[keep],
+        length_only[keep],
+    )
+    return chunk, keep.nonzero()[0].tolist()
 
 
-def _window_rows(step: int, window: _Window, tally: LengthTally) -> tuple[list[MetricRecord], LengthStats]:
-    """The metric rows and length statistics of a window.
+def _window_rows(
+    step: int, chunk: _Chunk, first: int, end: int, tally: LengthTally
+) -> tuple[list[MetricRecord], LengthStats]:
+    """The metric rows and length statistics of the window of a chunk's
+    groups ``first`` to ``end`` (exclusive), cut from its columns.
 
     The window's lengths, pooled and per sign, are also added to ``tally``.
     """
-    tally.add(window.lengths, window.pos_lengths, window.neg_lengths)
-    objectives = {rule: pooled_mean(col) if col else None for rule, col in zip(RULES, window.objectives)}
-    clip_fraction = window.clipped / window.tokens if window.tokens else None
-    stats = pooled_length_stats(window.lengths, window.pos_lengths, window.neg_lengths)
-    records = batch_metrics(step, stats, window.rewards, window.ks, objectives, clip_fraction)
+    responses = slice(chunk.starts[first], chunk.starts[end])
+    lengths = chunk.lengths[responses]
+    pos_lengths = lengths[chunk.positive[responses]].tolist()
+    neg_lengths = lengths[chunk.negative[responses]].tolist()
+    lengths = lengths.tolist()
+    tally.add(lengths, pos_lengths, neg_lengths)
+    evaluated = chunk.objectives[:, first:end][:, ~chunk.length_only[first:end]].tolist()
+    objectives = {rule: pooled_mean(col) if col else None for rule, col in zip(RULES, evaluated)}
+    tokens = int(chunk.tokens[first:end].sum())
+    clip_fraction = int(chunk.clipped[first:end].sum()) / tokens if tokens else None
+    stats = pooled_length_stats(lengths, pos_lengths, neg_lengths)
+    rewards = chunk.rewards[responses].tolist()
+    records = batch_metrics(step, stats, rewards, chunk.ks[first:end].tolist(), objectives, clip_fraction)
     return records, stats
 
 
-def _next_window(log: Iterator[tuple], size: int, clip: ClipConfig, report) -> _Window:
-    """The next ``size`` groups of the log that evaluate; fewer only at its end."""
-    window = _Window()
-    while window.groups < size:
-        want = size - window.groups
-        read = list(islice(log, want))
-        _evaluate(read, clip, report, window)
-        if len(read) < want:
-            break
-    return window
-
-
 def cmd_analyze(args) -> int:
-    """Analyze a rollout log one window of ``--window`` groups at a time.
+    """Analyze a rollout log a chunk of whole windows of ``--window`` groups
+    at a time.
 
     read_group_columns reads the log as columns, checking each line in bulk
-    and re-checking only exceptional lines with the record validator. Each
-    window's groups are normalised and evaluated together, by one FlatBatch;
-    a group whose normalisation fails or whose objective overflows is
-    reported and dropped, and the window is refilled from the following
-    lines, so it holds the first ``--window`` groups that evaluate. A full
-    window's rows go to ``analysis.csv`` and its groups are dropped, so
-    memory is set by ``--window`` and not by the length of the log: across
-    windows only the regime lines and the counts of each response length
-    (for the ``overall:`` line) are kept. A line yields at most one error;
-    a window's ``error: line N:`` lines go to stderr in line order before its
-    rows are written. Notices and regime lines go to stdout after the read.
-    Nothing is written, and ``--out`` is not created, when no group parses;
-    a read error after the first window leaves the rows written so far.
+    and re-checking only exceptional lines with the record validator. A
+    chunk holds the groups its first window still needs, then whole windows
+    of lines until it has read ``_CHUNK_TOKENS`` tokens or the log ends. Its
+    groups are normalised and evaluated together, by one FlatBatch; a group
+    whose normalisation fails or whose objective overflows is reported and
+    dropped, so a window holds the first ``--window`` groups that evaluate,
+    and the groups of an unfinished window start the next chunk. Each
+    complete window is cut from the chunk's columns and its rows go to
+    ``analysis.csv``, and the chunk is dropped, so memory is set by
+    ``--window`` and the chunk budget and not by the length of the log:
+    across chunks only the regime lines and the counts of each response
+    length (for the ``overall:`` line) are kept. A line yields at most one
+    error; a chunk's ``error: line N:`` lines go to stderr in line order
+    before its rows are written. Notices and regime lines go to stdout after
+    the read. Nothing is written, and ``--out`` is not created, when no
+    group parses; a read error ends the run after the rows of every window
+    that the lines read before it complete.
     """
     clip = _clip_from_args(args)
     if args.window < 1:
@@ -261,34 +278,47 @@ def cmd_analyze(args) -> int:
     tally = LengthTally()
     degenerate = length_only = groups_read = 0
     regime_lines: list[str] = []
+    pending: list[tuple] = []  # the groups of an unfinished window that evaluate
     csv = None
     try:
         while True:
+            read, tokens, ended, failure = pending, 0, True, None
             try:
-                window = _next_window(log, args.window, clip, report)
+                for group in log:
+                    read.append(group)
+                    tokens += sum(group[4])
+                    if tokens >= _CHUNK_TOKENS and len(read) % args.window == 0:
+                        ended = False
+                        break
             except OSError as exc:
-                flush_errors()
-                print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-                return 1
+                failure = exc
+            chunk, kept = _evaluate(read, clip, report) if read else (None, [])
             flush_errors()
-            if not window.groups:
+            # the groups of complete windows, and at the end of the log the rest
+            done = len(kept) if ended and failure is None else len(kept) - len(kept) % args.window
+            pending = [read[j] for j in kept[done:]]  # evaluated again with the next chunk
+            for first in range(0, done, args.window):
+                end = min(first + args.window, done)
+                records, stats = _window_rows(len(regime_lines), chunk, first, end, tally)
+                if csv is None:
+                    args.out.mkdir(parents=True, exist_ok=True)
+                    csv = open(csv_path, "w", encoding="utf-8")
+                    csv.write(METRIC_HEADER)
+                csv.write(format_metrics(records))
+                gap = "n/a" if stats.len_gap is None else f"{stats.len_gap:.4f}"
+                regime_lines.append(
+                    f"window {len(regime_lines)}: groups={end - first} len_cv={stats.len_cv:.4f} "
+                    f"len_gap={gap} regime={regime_report(stats)}"
+                )
+            if done:
+                degenerate += int(chunk.degenerate[:done].sum())
+                length_only += int(chunk.length_only[:done].sum())
+                groups_read += done
+            if failure is not None:
+                print(f"error: cannot read {args.input}: {failure}", file=sys.stderr)
+                return 1
+            if ended:
                 break
-            records, stats = _window_rows(len(regime_lines), window, tally)
-            if csv is None:
-                args.out.mkdir(parents=True, exist_ok=True)
-                csv = open(csv_path, "w", encoding="utf-8")
-                csv.write(METRIC_HEADER)
-            csv.write(format_metrics(records))
-            degenerate += window.degenerate
-            length_only += window.length_only
-            groups_read += window.groups
-            gap = "n/a" if stats.len_gap is None else f"{stats.len_gap:.4f}"
-            regime_lines.append(
-                f"window {len(regime_lines)}: groups={window.groups} len_cv={stats.len_cv:.4f} "
-                f"len_gap={gap} regime={regime_report(stats)}"
-            )
-            if window.groups < args.window:
-                break  # the end of the log
     finally:
         log.close()
         if csv is not None:

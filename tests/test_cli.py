@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 import grpoagg
-from grpoagg import sim
+from grpoagg import cli, rollout_io, sim
 from grpoagg.cli import main
-from grpoagg.aggregate import RuleSums
+from grpoagg.aggregate import FlatBatch, RuleSums
 from grpoagg.groups import AdvantageSet, Response, RolloutGroup
 from grpoagg.rollout_io import METRIC_FIELDS, read_metrics, read_rollouts
 
@@ -290,6 +290,100 @@ def test_analyze_memory_is_set_by_the_window_not_the_log(tmp_path, capsys):
 
     peak(4)  # first-call allocations (imports, caches) out of the way
     assert peak(96) <= 1.25 * peak(24)
+
+
+def test_analyze_read_error_mid_log_keeps_the_windows_read_before_it(tmp_path, capsys, monkeypatch):
+    # the lines read before the error complete three windows of two groups;
+    # their rows are written, the seventh group is not, and no regime.txt is
+    log = tmp_path / "log.jsonl"
+    write_log(log, 7)
+    lines = log.read_bytes().splitlines(keepends=True)
+    six = tmp_path / "six.jsonl"
+    six.write_bytes(b"".join(lines[:6]))
+    code, _, _ = run_cli(capsys, "analyze", "--input", str(six), "--window", "2", "--out", str(tmp_path / "six"))
+    assert code == 0
+
+    def raw_lines(fh):
+        yield from lines
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(rollout_io, "_raw_lines", raw_lines)
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "analyze", "--input", str(log), "--window", "2", "--out", str(out))
+    assert code == 1
+    assert err.splitlines()[-1] == f"error: cannot read {log}: [Errno 5] Input/output error"
+    assert (out / "analysis.csv").read_bytes() == (tmp_path / "six" / "analysis.csv").read_bytes()
+    assert len((out / "analysis.csv").read_text(encoding="utf-8").splitlines()) == 1 + 3 * 4
+    assert not (out / "regime.txt").exists()
+
+
+def _refill_log(path):
+    """A log of about 12,000 tokens in which some groups fail normalisation
+    or overflow an objective, so windows are refilled from later lines; one
+    group is degenerate and one length-only."""
+    rng = random.Random(3)
+    lines = []
+    for i in range(120):
+        if i % 7 == 3:  # the reward variance overflows
+            responses = [{"token_count": 1, "reward": 1e308}, {"token_count": 1, "reward": -1e308}]
+        elif i % 11 == 5:  # nine positives and one negative: a huge ratio overflows phi
+            responses = [{"tokens": [1, 0], "reward": 1.0, "ratios": [1.0, 0.9]}] * 9
+            responses.append({"tokens": [1], "reward": 0.0, "ratios": [1e308]})
+        elif i == 40:
+            responses = [{"token_count": 30, "reward": 0.5}, {"token_count": 9, "reward": 0.0}]
+        else:
+            responses = []
+            for _ in range(rng.randrange(2, 5)):
+                n = rng.randrange(20, 60)
+                responses.append({"tokens": [rng.randrange(3) for _ in range(n)],
+                                  "reward": 1.0 if i == 61 else float(rng.random() < 0.5),
+                                  "ratios": [rng.uniform(0.7, 1.4) for _ in range(n)]})
+        lines.append(json.dumps({"prompt_id": f"p{i}", "responses": responses}) + "\n")
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+@pytest.mark.parametrize("window", [1, 3, 16])
+@pytest.mark.parametrize("log_name", ["faulty", "refill"])
+def test_analyze_outputs_do_not_depend_on_the_chunk_budget(tmp_path, capsys, monkeypatch, window, log_name):
+    log = DATA / "faulty_rollouts.jsonl"
+    if log_name == "refill":
+        log = tmp_path / "refill.jsonl"
+        _refill_log(log)
+    out = tmp_path / "out"
+    results = []
+    for budget in (cli._CHUNK_TOKENS, 1, 2**62):
+        monkeypatch.setattr(cli, "_CHUNK_TOKENS", budget)
+        code, stdout, stderr = run_cli(capsys, "analyze", "--input", str(log), "--window", str(window),
+                                       "--out", str(out))
+        assert code == 0
+        results.append(((out / "analysis.csv").read_bytes(), (out / "regime.txt").read_bytes(), stdout, stderr))
+    assert results[1] == results[0] and results[2] == results[0]
+    if log_name == "refill":
+        assert results[0][3].count("\n") == 26  # 17 normalisation and 9 objective errors
+
+
+def test_analyze_evaluates_many_windows_per_batch(tmp_path, capsys, monkeypatch):
+    # 64 groups of 8 short responses hold fewer tokens than one chunk, so
+    # their 16 windows are normalised and evaluated by one FlatBatch
+    rng = random.Random(1)
+    lines = []
+    for i in range(64):
+        responses = []
+        for _ in range(8):
+            n = rng.randrange(1, 16)
+            responses.append({"tokens": [rng.randrange(3) for _ in range(n)],
+                              "reward": float(rng.random() < 0.5),
+                              "ratios": [rng.uniform(0.8, 1.2) for _ in range(n)]})
+        lines.append(json.dumps({"prompt_id": f"p{i}", "responses": responses}) + "\n")
+    log = tmp_path / "log.jsonl"
+    log.write_text("".join(lines), encoding="utf-8")
+    calls = []
+    rule_sums = FlatBatch.rule_sums
+    monkeypatch.setattr(FlatBatch, "rule_sums", lambda self, clip: calls.append(1) or rule_sums(self, clip))
+    code, out, err = run_cli(capsys, "analyze", "--input", str(log), "--window", "4", "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert "window 15:" in out and "window 16:" not in out
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
