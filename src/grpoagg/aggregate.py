@@ -18,10 +18,10 @@ the weight w_i, which depends on the sign of A_i and, for seq, on T_i:
 with N+- the token counts of the positive / negative subsets. All rows read
 the same sign-split sums, so a run of groups is one ``FlatBatch`` of
 columns: its ``rule_sums`` gives every group's sums at once
-(``SumColumns``), and ``rule_table`` evaluates every row of the table for
-all of them as numpy expressions (``rule_terms`` one row).
-``compute_rule_sums`` and ``objective`` are the one-group case, read back as
-Python numbers (``RuleSums``).
+(``SumColumns``), and ``rule_table`` evaluates rows of the table for all of
+them as numpy expressions. ``compute_rule_sums`` and ``objective`` are the
+one-group case: a one-row ``SumColumns``, and its row of the table read back
+as Python numbers.
 The weight is also dJ/d phi, so dJ/d rho = w_i d phi/d rho, taking the
 unclipped branch at clip ties so the gradient is defined everywhere. An empty
 sign subset simply drops out (its weight already encodes the zero count);
@@ -35,7 +35,7 @@ response.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple, Sequence
 
@@ -47,7 +47,6 @@ __all__ = [
     "RULES",
     "ClipConfig",
     "AggregationResult",
-    "RuleSums",
     "SumColumns",
     "FlatBatch",
     "MissingRatiosError",
@@ -57,7 +56,6 @@ __all__ = [
     "gradient_check",
     "compute_rule_sums",
     "rule_table",
-    "rule_terms",
 ]
 
 RULES = ("token", "seq", "balanced", "balanced_gen")
@@ -111,33 +109,6 @@ class AggregationResult:
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
-class RuleSums:
-    """Sign-partitioned sums shared by the objectives and their decompositions.
-
-    ``pos_phi`` / ``neg_phi`` are the raw phi sums over the positive /
-    negative subsets; ``pos_seq`` / ``neg_seq`` sum the per-response token
-    means instead. ``m_pos``/``m_neg`` are the advantage masses and
-    ``z_pos``/``z_neg`` the advantage-weighted token masses.
-    """
-
-    size: int
-    k: int
-    neg_count: int
-    total_tokens: int
-    n_pos: int
-    n_neg: int
-    pos_phi: float
-    neg_phi: float
-    pos_seq: float
-    neg_seq: float
-    m_pos: float
-    m_neg: float
-    z_pos: float
-    z_neg: float
-    clipped: int
-
-
 def phi(ratio: float, advantage: float, clip: ClipConfig) -> float:
     """Clipped token contribution min(rho*A, clamp(rho)*A) for one token."""
     ratio = float(ratio)
@@ -148,9 +119,15 @@ def phi(ratio: float, advantage: float, clip: ClipConfig) -> float:
 
 
 class SumColumns(NamedTuple):
-    """The RuleSums of a run of groups: each field a numpy column holding
-    one entry per group, in RuleSums' order, then ``ok``, False for a group
-    whose sums overflow a float (its other entries mean nothing)."""
+    """The sign-partitioned sums of a run of groups, a numpy column entry per
+    group: the counts of responses (``size``, ``k`` positive, ``neg_count``
+    negative) and of their tokens (``total_tokens``, ``n_pos``, ``n_neg``);
+    the phi sums ``pos_phi`` / ``neg_phi`` over the positive / negative
+    subsets and ``pos_seq`` / ``neg_seq`` of the per-response token means;
+    the advantage masses ``m_pos`` / ``m_neg`` and advantage-weighted token
+    masses ``z_pos`` / ``z_neg``; the ``clipped`` token count; and ``ok``,
+    False for a group whose sums overflow a float (its other entries mean
+    nothing)."""
 
     size: np.ndarray
     k: np.ndarray
@@ -168,15 +145,6 @@ class SumColumns(NamedTuple):
     z_neg: np.ndarray
     clipped: np.ndarray
     ok: np.ndarray
-
-    @classmethod
-    def of(cls, records: Sequence[RuleSums]) -> "SumColumns":
-        """The columns of one-group records."""
-        return cls(*map(np.array, zip(*map(astuple, records))), np.ones(len(records), dtype=bool))
-
-    def record(self, i: int) -> RuleSums | None:
-        """Group ``i``'s sums as Python ints and floats, or None if they overflow."""
-        return RuleSums(*(column[i].item() for column in self[:-1])) if self.ok[i] else None
 
 
 @dataclass(frozen=True)
@@ -264,7 +232,7 @@ class FlatBatch:
         self, clip: ClipConfig, w_pos: np.ndarray | None, w_neg: np.ndarray | None
     ) -> np.ndarray:
         """Flat dJ/d rho = w_i d phi/d rho, given each group's sign weights
-        (w_pos, w_neg) as rule_terms gives them; None, from seq, gives
+        (w_pos, w_neg) as rule_table gives them; None, from seq, gives
         w_i = 1/(G T_i)."""
         adv, sizes = self.advantages, self.sizes
         if w_pos is None:
@@ -281,8 +249,16 @@ class FlatBatch:
 
 
 def rule_table(sums: SumColumns, rules: Sequence[str] = RULES) -> dict[str, tuple]:
-    """The rows of ``rules`` in the rule table for a run of groups:
-    ``rule_terms`` of each rule."""
+    """The rows of ``rules`` in the rule table for a run of groups: each
+    rule's (objective, degenerate, w_pos, w_neg), each a column with one
+    entry per group.
+
+    ``w_pos`` / ``w_neg`` is dJ/d phi for a token of a response with
+    positive / negative advantage. For seq it is 1/(G T_i), which depends on
+    the response's length T_i, and both are None. Each entry is the float
+    expression of the one-group formula, so an objective that overflows is
+    non-finite, as it is in Python floats; callers check it.
+    """
     g = sums.size
     no_pos, no_neg = sums.k == 0, sums.neg_count == 0
     table = {}
@@ -311,21 +287,6 @@ def rule_table(sums: SumColumns, rules: Sequence[str] = RULES) -> dict[str, tupl
     return table
 
 
-def rule_terms(
-    rule: str, sums: SumColumns
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """One row of the rule table for a run of groups: (objective, degenerate,
-    w_pos, w_neg), each a column with one entry per group.
-
-    ``w_pos`` / ``w_neg`` is dJ/d phi for a token of a response with
-    positive / negative advantage. For seq it is 1/(G T_i), which depends on
-    the response's length T_i, and both are None. Each entry is the float
-    expression of the one-group formula, so an objective that overflows is
-    non-finite, as it is in Python floats; callers check it.
-    """
-    return rule_table(sums, (rule,))[rule]
-
-
 def _group_batch(group: RolloutGroup, adv: AdvantageSet) -> FlatBatch:
     """The one-group FlatBatch of ``group`` under ``adv``, on a fresh ratio copy."""
     if adv.size != group.size:
@@ -350,13 +311,13 @@ def _sums(batch: FlatBatch, clip: ClipConfig) -> SumColumns:
     return sums
 
 
-def compute_rule_sums(group: RolloutGroup, adv: AdvantageSet, clip: ClipConfig) -> RuleSums:
-    """Accumulate the sign-partitioned phi sums every rule is built from.
+def compute_rule_sums(group: RolloutGroup, adv: AdvantageSet, clip: ClipConfig) -> SumColumns:
+    """The sign-partitioned phi sums every rule is built from, as one row.
 
     Raises ValueError when ``adv`` does not match the group, MissingRatiosError
     for a length-only group and OverflowError when a sum overflows a float.
     """
-    return _sums(_group_batch(group, adv), clip).record(0)
+    return _sums(_group_batch(group, adv), clip)
 
 
 def objective(
@@ -368,7 +329,7 @@ def objective(
     a non-finite objective. The gradient arrays are read-only.
     """
     batch = _group_batch(group, adv)
-    value, degenerate, w_pos, w_neg = rule_terms(rule, _sums(batch, clip))
+    value, degenerate, w_pos, w_neg = rule_table(_sums(batch, clip), (rule,))[rule]
     if not math.isfinite(value[0]):
         raise ValueError(f"non-finite {rule} objective for group {group.prompt_id!r}")
     flat = batch.ratio_gradients(clip, w_pos, w_neg)
@@ -414,9 +375,9 @@ def gradient_check(
     for j, (i, t) in enumerate(where):
         orig = ratios[j]
         ratios[j] = orig + h
-        j_plus = rule_terms(result.rule, _sums(batch, clip))[0].item()
+        j_plus = rule_table(_sums(batch, clip), (result.rule,))[result.rule][0].item()
         ratios[j] = orig - h
-        j_minus = rule_terms(result.rule, _sums(batch, clip))[0].item()
+        j_minus = rule_table(_sums(batch, clip), (result.rule,))[result.rule][0].item()
         ratios[j] = orig
         numeric = (j_plus - j_minus) / (2.0 * h)
         analytic = float(result.grad_ratios[i][t])

@@ -26,14 +26,14 @@ from .decompose import (
     LengthStats,
     LengthTally,
     batch_metrics,
-    pooled_length_stats,
+    length_stats,
     pooled_mean,
     regime_report,
 )
 from .groups import normalize_columns
 from .rollout_io import METRIC_HEADER, MetricRecord, format_metrics, read_group_columns, write_metrics
 from .sim import TASK_KINDS, TaskSpec, TrainConfig, run_training
-from .verify import SUITE, run_suite
+from .verify import run_suite
 
 __all__ = ["main", "build_parser"]
 
@@ -104,19 +104,8 @@ def _clip_from_args(args) -> ClipConfig:
 
 
 def cmd_verify(args) -> int:
-    try:
-        clip = _clip_from_args(args)
-        if args.inject_fault is not None and args.inject_fault not in {
-            c.name for c in SUITE
-        }:
-            print(f"error: unknown identity {args.inject_fault!r}", file=sys.stderr)
-            return 2
-        ok = run_suite(
-            seed=args.seed, clip=clip, inject_fault=args.inject_fault, stream=sys.stdout
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # run_suite raises its ValueErrors (exit 2) before it prints anything
+    ok = run_suite(args.seed, _clip_from_args(args), args.inject_fault, sys.stdout)
     return 0 if ok else 1
 
 
@@ -226,7 +215,7 @@ def _window_rows(
     objectives = {rule: pooled_mean(col) if col else None for rule, col in zip(RULES, evaluated)}
     tokens = int(chunk.tokens[first:end].sum())
     clip_fraction = int(chunk.clipped[first:end].sum()) / tokens if tokens else None
-    stats = pooled_length_stats(lengths, pos_lengths, neg_lengths)
+    stats = length_stats(lengths, pos_lengths, neg_lengths)
     rewards = chunk.rewards[responses].tolist()
     records = batch_metrics(step, stats, rewards, chunk.ks[first:end].tolist(), objectives, clip_fraction)
     return records, stats

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from math import fsum
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .aggregate import RULES, ClipConfig, RuleSums, SumColumns, compute_rule_sums, rule_terms
+from .aggregate import RULES, ClipConfig, SumColumns, compute_rule_sums, rule_table
 from .groups import AdvantageSet, RolloutGroup, binary_closed_form
 from .rollout_io import MetricRecord
 
@@ -39,7 +39,6 @@ __all__ = [
     "decompose",
     "ba_weight_identity",
     "length_stats",
-    "pooled_length_stats",
     "pooled_mean",
     "batch_metrics",
     "regime_report",
@@ -124,8 +123,9 @@ def decompose(
     return _report(group, compute_rule_sums(group, adv, clip), rule)
 
 
-def _report(group: RolloutGroup, sums: RuleSums, rule: str) -> DecompositionReport:
-    """``decompose`` of a group whose sign sums are ``sums``."""
+def _report(group: RolloutGroup, sums: SumColumns, rule: str) -> DecompositionReport:
+    """``decompose`` of a group whose one-row sign sums are ``sums``."""
+    sums = SumColumns._make(column.item() for column in sums)  # the row as Python numbers
     g = group.size
     k = sums.k
     nk = sums.neg_count
@@ -194,7 +194,7 @@ def ba_weight_identity(
     seq_prefactor = math.sqrt(k * (g - k)) / g
     sums = compute_rule_sums(group, adv, clip)
     report = _report(group, sums, "balanced")
-    objective = rule_terms("balanced", SumColumns.of([sums]))[0].item()
+    objective = rule_table(sums, ("balanced",))["balanced"][0].item()
     reconstructed = seq_prefactor * (report.delta_pos - report.delta_neg)
     match = (
         abs(ba_pos - seq_prefactor) <= IDENTITY_ATOL
@@ -207,7 +207,7 @@ def ba_weight_identity(
 class LengthTally:
     """Counts of response lengths, pooled and per advantage sign.
 
-    ``stats`` gives exactly what pooled_length_stats gives over every length
+    ``stats`` gives exactly what length_stats gives over every length
     added: the statistics are ``fsum``s, whose value does not depend on the
     order of their terms. A tally takes memory of the order of the number of
     distinct lengths, however many lengths it has seen.
@@ -219,13 +219,13 @@ class LengthTally:
         self.neg: Counter[int] = Counter()
 
     def add(self, lengths: Iterable[int], pos_lengths: Iterable[int], neg_lengths: Iterable[int]) -> None:
-        """Count a batch's lengths, as passed to pooled_length_stats."""
+        """Count a batch's lengths, as passed to length_stats."""
         self.all.update(lengths)
         self.pos.update(pos_lengths)
         self.neg.update(neg_lengths)
 
     def stats(self) -> LengthStats:
-        return pooled_length_stats(_Counted(self.all), _Counted(self.pos), _Counted(self.neg))
+        return length_stats(_Counted(self.all), _Counted(self.pos), _Counted(self.neg))
 
 
 class _Counted:
@@ -241,11 +241,12 @@ class _Counted:
         return self.counts.elements()
 
 
-def pooled_length_stats(
+def length_stats(
     lengths: Collection[int], pos_lengths: Collection[int], neg_lengths: Collection[int]
 ) -> LengthStats:
-    """Length statistics of every response length and of the positive /
-    negative responses' lengths; each is iterated more than once."""
+    """Pooled length statistics (CV from the population variance) of every
+    response length and of the positive / negative responses' lengths; each
+    is iterated more than once."""
     n = len(lengths)
     if not n:
         raise ValueError("length_stats needs a non-empty batch")
@@ -259,29 +260,6 @@ def pooled_length_stats(
         else None
     )
     return LengthStats(mean_len, len_cv, tbar_pos, tbar_neg, len_gap)
-
-
-def length_stats(
-    groups: Sequence[RolloutGroup], advs: Sequence[AdvantageSet]
-) -> LengthStats:
-    """Pooled length statistics over a batch of groups.
-
-    Lengths are pooled over every response; Tbar+- pool over all
-    sign-classified responses in the batch. CV uses the population variance.
-    """
-    if len(groups) != len(advs):
-        raise ValueError(f"{len(groups)} groups but {len(advs)} advantage sets")
-    lengths: list[int] = []
-    pos_lengths: list[int] = []
-    neg_lengths: list[int] = []
-    for group, adv in zip(groups, advs):
-        if adv.size != group.size:
-            raise ValueError("advantage set does not match group")
-        gl = group.lengths
-        lengths.extend(gl)
-        pos_lengths.extend(gl[i] for i in adv.pos_indices)
-        neg_lengths.extend(gl[i] for i in adv.neg_indices)
-    return pooled_length_stats(lengths, pos_lengths, neg_lengths)
 
 
 def pooled_mean(values: Sequence[float]) -> float:

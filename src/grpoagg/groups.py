@@ -15,7 +15,7 @@ rewards, ratios, log-probabilities and ``eps_var`` are finite Python floats or
 ints or ``np.float64``. A violation is a ValueError naming the field.
 ``group_columns`` applies the same rules in bulk, to groups given as plain
 fields, and builds no record. ``normalize_columns`` normalises a run of
-groups given as a flat reward column, as ``normalize_rewards`` normalises
+groups given as a flat reward column, as ``normalize_advantages`` normalises
 one, and builds no AdvantageSet.
 
 For binary rewards with ``eps_var = 0`` the advantages have a closed form
@@ -42,7 +42,6 @@ __all__ = [
     "AdvantageSet",
     "DegenerateGroupError",
     "normalize_advantages",
-    "normalize_rewards",
     "normalize_columns",
     "NormalizedColumns",
     "binary_closed_form",
@@ -429,18 +428,10 @@ def normalize_advantages(group: RolloutGroup) -> AdvantageSet:
     identical (sigma would be zero). With ``eps_var > 0`` such groups yield
     all-zero advantages instead. Raises ValueError naming the group when the
     reward sum or variance overflows a float, or the variance underflows to 0.
+    The one-group case of ``normalize_columns``.
     """
-    return normalize_rewards(group.rewards, group.eps_var, group.prompt_id)
-
-
-def normalize_rewards(rewards: Sequence[float], eps_var: float, prompt_id: str) -> AdvantageSet:
-    """``normalize_advantages`` of a group given as its reward column: the
-    one-group case of ``normalize_columns``.
-
-    ``rewards`` are finite floats and ``eps_var`` a finite float >= 0, as a
-    RolloutGroup holds them; ``prompt_id`` names the group in errors.
-    """
-    out = normalize_columns(rewards, [len(rewards)], [eps_var], [prompt_id])
+    rewards = group.rewards
+    out = normalize_columns(rewards, [len(rewards)], [group.eps_var], [group.prompt_id])
     if out.errors:
         raise (DegenerateGroupError if out.degenerate else ValueError)(out.errors[0])
     return AdvantageSet(tuple(out.advantages.tolist()), out.mu.item(), out.sigma.item())
@@ -452,14 +443,14 @@ class NormalizedColumns(NamedTuple):
     advantages: np.ndarray  # per response; 0.0 throughout a group in ``errors``
     mu: np.ndarray  # per group
     sigma: np.ndarray  # per group
-    errors: dict[int, str]  # group index: the text normalize_rewards raises for it
+    errors: dict[int, str]  # group index: the text normalize_advantages raises for it
     degenerate: list[int]  # the groups in ``errors`` whose error is DegenerateGroupError
 
 
 def normalize_columns(
     rewards: Sequence[float], sizes: Sequence[int], eps_vars: Sequence[float], prompt_ids: Sequence[str]
 ) -> NormalizedColumns:
-    """``normalize_rewards`` of a run of groups at once.
+    """``normalize_advantages`` of a run of groups at once.
 
     ``rewards`` holds every group's rewards in order; ``sizes``,
     ``eps_vars`` and ``prompt_ids`` hold each group's response count (at
@@ -470,7 +461,7 @@ def normalize_columns(
     ``** 2`` (which is libm's ``pow`` and differs from ``x * x`` in the last
     bit for about one double in a thousand); every other step is one numpy
     expression over the run, with the same IEEE operations. A group that
-    normalize_rewards refuses is in ``errors`` with that error's text; its
+    normalize_advantages refuses is in ``errors`` with that error's text; its
     advantages are 0.0, which is how a degenerate group is taken where it
     is not an error.
     """

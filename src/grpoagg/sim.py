@@ -29,15 +29,15 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from itertools import chain, compress, islice
+from itertools import compress, islice
 from math import fsum
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .aggregate import RULES, ClipConfig, FlatBatch, rule_table
-from .decompose import batch_metrics, pooled_length_stats
-from .groups import Response, RolloutGroup, normalize_advantages, normalize_columns
+from .decompose import batch_metrics, length_stats
+from .groups import Response, RolloutGroup, normalize_columns
 from .rollout_io import MetricRecord, write_metrics, write_rollouts
 
 __all__ = [
@@ -300,26 +300,6 @@ class StepRollouts:
             self.groups()
             raise ValueError("a sampled log-probability is not finite")
 
-    @classmethod
-    def from_groups(cls, groups: Sequence[RolloutGroup], old: PolicyTable) -> "StepRollouts":
-        """The columns of ``groups``, sampled from ``old``.
-
-        Prompt ids must be integers indexing the policy's prompt axis, as
-        sample_group makes them; the records' own log-probabilities are not
-        read, ``old.log_probs()`` is the sampling table.
-        """
-        responses = [resp for group in groups for resp in group.responses]
-        lengths = tuple(len(resp.tokens) for resp in responses)  # type: ignore[arg-type]
-        return cls(
-            old.log_probs(),
-            tuple(int(group.prompt_id) for group in groups),
-            tuple(group.size for group in groups),
-            np.fromiter(chain.from_iterable(resp.tokens for resp in responses), np.intp, sum(lengths)),
-            lengths,
-            tuple(resp.reward for resp in responses),
-            tuple(resp.truncated for resp in responses),
-        )
-
     def groups(self, eps_var: float = 0.0) -> list[RolloutGroup]:
         """The step as records: one group per prompt, its id ``str(prompt)``,
         each response's logp_new and logp_old both its sampled log-probabilities."""
@@ -556,7 +536,7 @@ def train_step(
         current = PolicyTable(current.logits + config.learning_rate * ev.grad_logits)
     objectives = {r: fsum(v) / len(v) for r, v in values.items()}
     positive = advantages > 0.0
-    stats = pooled_length_stats(
+    stats = length_stats(
         lengths,
         list(compress(lengths, positive.tolist())),
         list(compress(lengths, (advantages < 0.0).tolist())),
@@ -615,19 +595,18 @@ def run_training(
 
 def logit_gradient_check(
     policy: PolicyTable,
-    old: PolicyTable,
-    groups: Sequence[RolloutGroup],
+    rollouts: StepRollouts,
+    advantages: np.ndarray,
     rule: str,
     clip: ClipConfig,
     h: float = 1e-4,
 ) -> float:
     """Central-difference check of the end-to-end d objective / d logits.
 
-    Rollouts are held fixed; every logit entry is perturbed by +-h. Returns
-    the maximum relative error max |analytic - numeric| / max(1, |a|, |n|).
+    ``rollouts`` and ``advantages`` are held fixed, as evaluate_batch takes
+    them; every logit entry is perturbed by +-h. Returns the maximum
+    relative error max |analytic - numeric| / max(1, |a|, |n|).
     """
-    rollouts = StepRollouts.from_groups(groups, old)
-    advantages = np.concatenate([normalize_advantages(g).advantages for g in groups])
     base = evaluate_batch(policy, rollouts, advantages, rule, clip)
     assert base.grad_logits is not None
     max_rel = 0.0

@@ -269,7 +269,9 @@ def _check_length_diagnostics(rng: np.random.Generator, clip: ClipConfig) -> flo
         0.0,
     )
     adv = normalize_advantages(group)
-    stats = length_stats([group], [adv])
+    stats = length_stats(
+        lengths, [lengths[i] for i in adv.pos_indices], [lengths[i] for i in adv.neg_indices]
+    )
     err = max(
         abs(stats.mean_len - 2.0),
         abs(stats.len_cv - math.sqrt(1.5) / 2.0),
@@ -369,12 +371,21 @@ def run_suite(
     inject_fault: str | None = None,
     stream: TextIO | None = None,
 ) -> bool:
-    """Run every identity check; print one line per check; True iff all pass."""
+    """Run every identity check; print one line per check; True iff all pass.
+
+    Raises ValueError, before printing anything, for an unknown
+    ``inject_fault`` or a clip band too narrow for random_smooth_group.
+    """
     missing = REQUIRED_OPERATIONS - covered_operations()
     if missing:
         raise AssertionError(f"suite manifest does not cover: {sorted(missing)}")
     if inject_fault is not None and inject_fault not in {c.name for c in SUITE}:
         raise ValueError(f"unknown identity {inject_fault!r}")
+    if not clip.lower + 0.05 < clip.upper - 0.05:  # random_smooth_group's ratio range
+        raise ValueError(
+            f"clip band ({clip.clip_low:g},{clip.clip_high:g}) is too narrow: the gradient check draws "
+            "ratios 0.05 inside it, so clip_low + clip_high must exceed 0.1"
+        )
 
     def emit(text: str) -> None:
         if stream is not None:

@@ -1,12 +1,13 @@
 import contextlib
 import math
 from math import fsum
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from grpoagg import rollout_io
-from grpoagg.aggregate import ClipConfig, RuleSums
+from grpoagg.aggregate import ClipConfig
 from grpoagg.groups import AdvantageSet, DegenerateGroupError, Response, RolloutGroup
 
 try:
@@ -55,6 +56,43 @@ def make_group(specs, eps_var=0.0, prompt_id="p0"):
     return RolloutGroup(prompt_id, responses, eps_var)
 
 
+class RefSums(NamedTuple):
+    """One group's sign sums as Python numbers, in SumColumns' field order."""
+
+    size: int
+    k: int
+    neg_count: int
+    total_tokens: int
+    n_pos: int
+    n_neg: int
+    pos_phi: float
+    neg_phi: float
+    pos_seq: float
+    neg_seq: float
+    m_pos: float
+    m_neg: float
+    z_pos: float
+    z_neg: float
+    clipped: int
+
+
+def sums_row(sums, i=0):
+    """Group ``i`` of a SumColumns as a RefSums, or None where its sums overflow."""
+    return RefSums(*(column[i].item() for column in sums[:-1])) if sums.ok[i] else None
+
+
+def length_columns(groups, advs):
+    """Every response length of ``groups`` and the positive / negative
+    responses' lengths under ``advs``, as length_stats takes them."""
+    lengths, pos_lengths, neg_lengths = [], [], []
+    for group, adv in zip(groups, advs, strict=True):
+        gl = group.lengths
+        lengths.extend(gl)
+        pos_lengths.extend(gl[i] for i in adv.pos_indices)
+        neg_lengths.extend(gl[i] for i in adv.neg_indices)
+    return lengths, pos_lengths, neg_lengths
+
+
 def reference_rule_sums(adv, ratio_arrays, clip):
     """The sign sums one response at a time: a phi array and an fsum each."""
     sums = {1: [], -1: []}
@@ -76,7 +114,7 @@ def reference_rule_sums(adv, ratio_arrays, clip):
         tokens[sign] += len(arr)
     pos, neg = adv.pos_indices, adv.neg_indices
     a = adv.advantages
-    return RuleSums(
+    return RefSums(
         size=adv.size,
         k=len(pos),
         neg_count=len(neg),

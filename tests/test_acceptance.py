@@ -17,6 +17,7 @@ from grpoagg.decompose import ba_weight_identity, decompose
 from grpoagg.groups import (
     binary_closed_form,
     normalize_advantages,
+    normalize_columns,
 )
 from grpoagg.rollout_io import (
     RolloutLogError,
@@ -35,6 +36,7 @@ from grpoagg.sim import (
     rollout_seed,
     run_training,
     sample_group,
+    sample_step,
     verify_reward,
 )
 from grpoagg.verify import random_binary_group, random_real_group, random_smooth_group
@@ -138,13 +140,11 @@ def test_a6_gradient_correctness():
     for i in range(40):
         old = PolicyTable(rng.normal(scale=0.3, size=(2, 5, 3)))
         policy = PolicyTable(old.logits + rng.normal(scale=0.05, size=(2, 5, 3)))
-        groups = [
-            sample_group(old, task, p, 6, rollout_seed(106, i, p), 1e-6)
-            for p in range(2)
-        ]
+        rollouts = sample_step(old, task, [0, 1], 6, [rollout_seed(106, i, p) for p in range(2)])
+        advantages = normalize_columns(rollouts.rewards, rollouts.sizes, [1e-6] * 2, ["0", "1"]).advantages
         worst_logit = max(
             worst_logit,
-            logit_gradient_check(policy, old, groups, rules[i % 4], CLIP, h=1e-4),
+            logit_gradient_check(policy, rollouts, advantages, rules[i % 4], CLIP, h=1e-4),
         )
     elapsed = time.perf_counter() - start
     assert worst_ratio <= 1e-5

@@ -13,7 +13,7 @@ from grpoagg.aggregate import (
     gradient_check,
     objective,
     phi,
-    rule_terms,
+    rule_table,
 )
 from grpoagg.groups import (
     AdvantageSet,
@@ -23,7 +23,7 @@ from grpoagg.groups import (
 )
 from grpoagg.verify import random_binary_group, random_real_group, random_smooth_group
 
-from conftest import make_group, reference_rule_sums
+from conftest import RefSums, make_group, reference_rule_sums, sums_row
 
 
 # --- independent oracle: literal formulas, plain python loops ---
@@ -443,14 +443,15 @@ def test_rule_table_matches_chains_and_objective_exactly(clip):
         kinds.add((adv.k > 0, len(adv.neg_indices) > 0, len(adv.zero_indices) > 0))
         arrays = [np.asarray(r.ratios, dtype=float) for r in group.responses]
         sums = compute_rule_sums(group, adv, clip)  # once for all four rules
-        assert sums == reference_rule_sums(adv, arrays, clip)
+        row = sums_row(sums)
+        assert row == reference_rule_sums(adv, arrays, clip)
         for rule in RULES:
-            table, table_degen = (c.item() for c in rule_terms(rule, SumColumns.of([sums]))[:2])
+            table, table_degen = (c.item() for c in rule_table(sums, (rule,))[rule][:2])
             result = objective(rule, group, adv, clip)
-            want, want_degen, _, _ = chain_terms(rule, sums)
+            want, want_degen, _, _ = chain_terms(rule, row)
             assert table == result.objective == want
             assert table_degen == result.degenerate == want_degen
-            want_grads = chain_gradients(rule, sums, adv, arrays, clip)
+            want_grads = chain_gradients(rule, row, adv, arrays, clip)
             assert len(result.grad_ratios) == len(want_grads)
             for got, want_g in zip(result.grad_ratios, want_grads):
                 assert got.dtype == want_g.dtype and got.tobytes() == want_g.tobytes()
@@ -459,8 +460,17 @@ def test_rule_table_matches_chains_and_objective_exactly(clip):
     assert (True, False, True) in kinds and (False, True, False) in kinds
 
 
-def test_rule_terms_rejects_unknown_rule(clip):
+def test_rule_table_rejects_unknown_rule(clip):
     group = make_group([(2, 1.0), (3, 0.0)])
     sums = compute_rule_sums(group, normalize_advantages(group), clip)
     with pytest.raises(ValueError, match="unknown rule"):
-        rule_terms("mean", SumColumns.of([sums]))
+        rule_table(sums, ("mean",))
+
+
+def test_compute_rule_sums_is_one_row_of_sum_columns(clip):
+    # the reference's fields are the columns' fields, minus ``ok``
+    assert RefSums._fields == SumColumns._fields[:-1]
+    group = make_group([(2, 1.0), (3, 0.0)])
+    sums = compute_rule_sums(group, normalize_advantages(group), clip)
+    assert type(sums) is SumColumns
+    assert all(column.shape == (1,) for column in sums) and sums.ok[0]

@@ -11,7 +11,8 @@ import pytest
 import grpoagg
 from grpoagg import cli, rollout_io, sim
 from grpoagg.cli import main
-from grpoagg.aggregate import FlatBatch, RuleSums
+from grpoagg.aggregate import FlatBatch
+from grpoagg.decompose import length_stats
 from grpoagg.groups import AdvantageSet, Response, RolloutGroup
 from grpoagg.rollout_io import METRIC_FIELDS, read_metrics, read_rollouts
 
@@ -35,13 +36,6 @@ def test_verify_default_passes(capsys):
     assert out.count("PASS") == 13
 
 
-def test_verify_deterministic_report_bytes(capsys):
-    code1, out1, _ = run_cli(capsys, "verify", "--seed", "7")
-    code2, out2, _ = run_cli(capsys, "verify", "--seed", "7")
-    assert code1 == code2 == 0
-    assert out1 == out2
-
-
 def test_verify_injected_fault_exits_one(capsys):
     code, out, _ = run_cli(capsys, "verify", "--inject-fault", "mass_symmetry")
     assert code == 1
@@ -49,9 +43,19 @@ def test_verify_injected_fault_exits_one(capsys):
 
 
 def test_verify_unknown_fault_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "verify", "--inject-fault", "nope")
-    assert code == 2
-    assert "unknown identity" in err
+    code, out, err = run_cli(capsys, "verify", "--inject-fault", "nope")
+    assert (code, out, err) == (2, "", "error: unknown identity 'nope'\n")
+
+
+def test_verify_narrow_clip_band_is_usage_error(capsys):
+    # the gradient check draws ratios 0.05 inside the band, which needs a
+    # band wider than 0.1; refused before the header is printed
+    code, out, err = run_cli(capsys, "verify", "--clip-low", "0.01", "--clip-high", "0.01")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: clip band (0.01,0.01) is too narrow: the gradient check draws ratios 0.05 inside it, "
+        "so clip_low + clip_high must exceed 0.1\n"
+    )
 
 
 def test_unknown_flag_rejected():
@@ -60,14 +64,15 @@ def test_unknown_flag_rejected():
     assert exc.value.code == 2
 
 
-def test_module_entry_point():
+def test_module_entry_point(tmp_path):
     proc = subprocess.run(
-        [sys.executable, "-m", "grpoagg.cli", "verify", "--seed", "0"],
+        [sys.executable, "-m", "grpoagg.cli", "analyze", "--input", str(DATA / "faulty_rollouts.jsonl"),
+         "--out", str(tmp_path)],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0
-    assert "all passed" in proc.stdout
+    assert "wrote" in proc.stdout
 
 
 # --- analyze ---
@@ -117,11 +122,45 @@ def test_analyze_builds_no_per_group_record(tmp_path, capsys, monkeypatch):
         for responses in ([{"token_count": 3, "reward": 1.0}, {"token_count": 2, "reward": 0.0}],
                           [{"tokens": [1, 0], "reward": 0.5, "ratios": [1.0, 1.2]}] * 2):
             fh.write(json.dumps({"prompt_id": "q", "responses": responses}) + "\n")
-    built = count_constructions(monkeypatch, AdvantageSet, RuleSums, Response, RolloutGroup)
+    built = count_constructions(monkeypatch, AdvantageSet, Response, RolloutGroup)
     code, out, err = run_cli(capsys, "analyze", "--input", str(log), "--window", "4", "--out", str(tmp_path))
     assert (code, err) == (0, "")
     assert "notice: 1 degenerate group(s)" in out and "notice: 1 length-only group(s)" in out
     assert built == []
+
+
+def count_calls(monkeypatch, fn):
+    """A list that gets an entry per call of ``fn``, replaced in every
+    grpoagg module that holds it, so callers that imported it by name count."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "grpoagg" or name.startswith("grpoagg."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("window", [1, 4, 10])
+def test_analyze_computes_length_stats_once_per_window_and_overall(tmp_path, capsys, monkeypatch, window):
+    log = tmp_path / "log.jsonl"
+    write_log(log, 10)  # ten groups that all evaluate
+    calls = count_calls(monkeypatch, length_stats)
+    code, _, err = run_cli(capsys, "analyze", "--input", str(log), "--window", str(window), "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert len(calls) == -(-10 // window) + 1
+
+
+def test_simulate_computes_length_stats_once_per_step(tmp_path, capsys, monkeypatch):
+    calls = count_calls(monkeypatch, length_stats)
+    code, _, _ = run_cli(capsys, "simulate", "--steps", "3", "--group-size", "4", "--out", str(tmp_path))
+    assert code == 0
+    assert len(calls) == 3
 
 
 def test_analyze_length_only(tmp_path, capsys):

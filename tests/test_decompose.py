@@ -19,7 +19,7 @@ from grpoagg.decompose import (
 from grpoagg.groups import AdvantageSet, Response, RolloutGroup, normalize_advantages
 from grpoagg.verify import random_binary_group
 
-from conftest import make_group
+from conftest import length_columns, make_group
 
 
 def test_decompose_token_example(clip):
@@ -163,7 +163,7 @@ def test_ba_weight_identity_rejects_degenerate_subset(clip):
 def test_length_stats_example(clip):
     group = make_group([(2, 1.0), (4, 1.0), (1, 0.0), (1, 0.0)])
     adv = normalize_advantages(group)
-    stats = length_stats([group], [adv])
+    stats = length_stats(*length_columns([group], [adv]))
     assert stats.mean_len == 2.0
     assert stats.len_cv == pytest.approx(math.sqrt(1.5) / 2.0, abs=1e-15)
     assert stats.tbar_pos == 3.0 and stats.tbar_neg == 1.0
@@ -173,7 +173,7 @@ def test_length_stats_example(clip):
 def test_length_stats_uniform_lengths(clip):
     group = make_group([(3, 1.0), (3, 0.0), (3, 1.0), (3, 0.0)])
     adv = normalize_advantages(group)
-    stats = length_stats([group], [adv])
+    stats = length_stats(*length_columns([group], [adv]))
     assert stats.len_cv == 0.0
     assert stats.len_gap == 0.0
 
@@ -181,15 +181,15 @@ def test_length_stats_uniform_lengths(clip):
 def test_length_stats_pooling_idempotent(clip):
     group = make_group([(2, 1.0), (4, 1.0), (1, 0.0), (1, 0.0)])
     adv = normalize_advantages(group)
-    single = length_stats([group], [adv])
-    double = length_stats([group, group], [adv, adv])
+    single = length_stats(*length_columns([group], [adv]))
+    double = length_stats(*length_columns([group, group], [adv, adv]))
     assert single == double
 
 
 def test_length_stats_absent_gap():
     group = make_group([(2, 1.0), (4, 1.0)], eps_var=1e-6)
     adv = normalize_advantages(group)
-    stats = length_stats([group], [adv])
+    stats = length_stats(*length_columns([group], [adv]))
     assert stats.tbar_pos is None and stats.tbar_neg is None
     assert stats.len_gap is None
 
@@ -210,7 +210,7 @@ def test_length_tally_gives_length_stats_bits():
     for group, adv in zip(groups, advs):
         lengths = group.lengths
         tally.add(lengths, [lengths[i] for i in adv.pos_indices], [lengths[i] for i in adv.neg_indices])
-    assert repr(tally.stats()) == repr(length_stats(groups, advs))
+    assert repr(tally.stats()) == repr(length_stats(*length_columns(groups, advs)))
     with pytest.raises(ValueError, match="non-empty"):
         LengthTally().stats()
 
@@ -220,7 +220,7 @@ def test_len_gap_invariant_under_integer_length_scaling(clip):
     for _ in range(50):
         group = random_binary_group(rng, max_len=6)
         adv = normalize_advantages(group)
-        base = length_stats([group], [adv])
+        base = length_stats(*length_columns([group], [adv]))
         factor = int(rng.integers(2, 5))
         scaled = make_group(
             [
@@ -229,7 +229,7 @@ def test_len_gap_invariant_under_integer_length_scaling(clip):
             ]
         )
         sadv = normalize_advantages(scaled)
-        sstats = length_stats([scaled], [sadv])
+        sstats = length_stats(*length_columns([scaled], [sadv]))
         assert sstats.len_gap == pytest.approx(base.len_gap, abs=1e-12)
 
 

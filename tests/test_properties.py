@@ -17,6 +17,7 @@ import tempfile
 import warnings
 from math import fsum
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from grpoagg.aggregate import RULES, ClipConfig, FlatBatch, compute_rule_sums, rule_terms
+from grpoagg.aggregate import RULES, ClipConfig, FlatBatch, compute_rule_sums, rule_table
 from grpoagg.cli import main
 from grpoagg.decompose import length_stats, pooled_mean, regime_report
 from grpoagg.groups import (
@@ -33,7 +34,6 @@ from grpoagg.groups import (
     RolloutGroup,
     normalize_advantages,
     normalize_columns,
-    normalize_rewards,
 )
 from grpoagg.rollout_io import (
     METRIC_HEADER,
@@ -46,10 +46,12 @@ from grpoagg.rollout_io import (
 from conftest import (
     AVAILABLE_DECODERS,
     decoding_with,
+    length_columns,
     reference_normalize,
     reference_ratio_gradients,
     reference_rule_sums,
     reference_rule_terms,
+    sums_row,
 )
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
@@ -192,7 +194,7 @@ def reference_analyze(lines: list[str], window: int, out: Path) -> dict:
             if group.has_ratios:
                 try:
                     with np.errstate(over="ignore"):
-                        sums = compute_rule_sums(group, adv, clip)
+                        sums = sums_row(compute_rule_sums(group, adv, clip))
                     objectives = [reference_rule_terms(rule, sums)[0] for rule in RULES]
                     if not all(map(math.isfinite, objectives)):
                         raise OverflowError
@@ -220,7 +222,7 @@ def reference_analyze(lines: list[str], window: int, out: Path) -> dict:
         groups, advs, terms = zip(*batch)
         evaluated = [t for t in terms if t is not None]
         tokens = sum(t[2] for t in evaluated)
-        stats = length_stats(groups, advs)
+        stats = length_stats(*length_columns(groups, advs))
         rows += [
             MetricRecord(
                 step, rule, objective, None if objective is None else -objective,
@@ -238,7 +240,7 @@ def reference_analyze(lines: list[str], window: int, out: Path) -> dict:
         regime.append(f"window {step}: groups={len(groups)} len_cv={stats.len_cv:.4f} "
                       f"len_gap={gap} regime={regime_report(stats)}\n")
     groups, advs, _ = zip(*(g for batch in windows for g in batch))
-    regime.append(f"overall: groups={len(groups)} regime={regime_report(length_stats(groups, advs))}\n")
+    regime.append(f"overall: groups={len(groups)} regime={regime_report(length_stats(*length_columns(groups, advs)))}\n")
     notices = []
     if degenerate:
         notices.append(f"notice: {degenerate} degenerate group(s) treated as zero-advantage\n")
@@ -369,7 +371,7 @@ def test_rule_sums_equal_the_per_response_fsum_reference(group):
     clip = ClipConfig()
     batch = FlatBatch(adv.advantages, (adv.size,), tuple(map(len, arrays)), np.concatenate(arrays))
     with np.errstate(over="ignore"):
-        got = outcome(lambda: batch.rule_sums(clip).record(0))
+        got = outcome(lambda: sums_row(batch.rule_sums(clip)))
         want = outcome(reference_rule_sums, adv, arrays, clip)
     if got is None:  # the core's mark for sums that overflow a float
         assert type(want) is tuple and want[0] is OverflowError
@@ -418,14 +420,14 @@ def test_flat_batch_columns_equal_the_per_group_reference(groups):
         np.concatenate(arrays),
     )
     sums = batch.rule_sums(clip)
-    terms = {rule: rule_terms(rule, sums) for rule in RULES}
+    terms = rule_table(sums)
     grads = {rule: batch.ratio_gradients(clip, *terms[rule][2:]) for rule in RULES}
     start = 0
     for i, (adv, group_arrays) in enumerate(groups):
         stop = start + sum(map(len, group_arrays))
         with np.errstate(all="ignore"):
             want = outcome(reference_rule_sums, adv, group_arrays, clip)
-        got = sums.record(i)
+        got = sums_row(sums, i)
         if got is None:  # exactly where the reference overflows
             assert type(want) is tuple and want[0] is OverflowError
             start = stop
@@ -471,7 +473,8 @@ def test_normalize_columns_equal_the_per_group_reference(groups):
     for j, (values, eps) in enumerate(groups):
         stop = start + len(values)
         want = outcome(reference_normalize, values, eps, f"p{j}")
-        library = outcome(normalize_rewards, values, eps, f"p{j}")
+        # the one-group normaliser reads only these fields, so any size goes
+        library = outcome(normalize_advantages, SimpleNamespace(rewards=values, eps_var=eps, prompt_id=f"p{j}"))
         if type(want) is tuple:  # the error and its text
             assert library == want
             assert got.errors[j] == want[1]

@@ -10,12 +10,11 @@ from grpoagg.aggregate import (
     RULES,
     ClipConfig,
     FlatBatch,
-    RuleSums,
     objective,
 )
 from grpoagg.cli import main
 from grpoagg.decompose import batch_metrics, decompose, length_stats
-from grpoagg.groups import AdvantageSet, Response, RolloutGroup, normalize_advantages
+from grpoagg.groups import AdvantageSet, Response, RolloutGroup, normalize_advantages, normalize_columns
 from grpoagg.sim import (
     COUNT_SYMBOL,
     EOS_TOKEN,
@@ -36,12 +35,28 @@ from grpoagg.sim import (
     verify_reward,
 )
 
-from conftest import count_constructions, reference_rule_sums, reference_rule_terms
+from conftest import count_constructions, length_columns, reference_rule_sums, reference_rule_terms, sums_row
 
 
 def flat_advantages(advs):
     """Each response's advantage, in order, as evaluate_batch takes them."""
     return np.concatenate([adv.advantages for adv in advs])
+
+
+def rollouts_of(groups, old):
+    """The StepRollouts of ``groups``, sampled from ``old``: each prompt id
+    an integer indexing the policy's prompt axis, as sample_group makes
+    them; the records' own log-probabilities are not read."""
+    responses = [resp for group in groups for resp in group.responses]
+    return StepRollouts(
+        old.log_probs(),
+        tuple(int(group.prompt_id) for group in groups),
+        tuple(group.size for group in groups),
+        np.array([t for resp in responses for t in resp.tokens], dtype=np.intp),
+        tuple(resp.length for resp in responses),
+        tuple(resp.reward for resp in responses),
+        tuple(resp.truncated for resp in responses),
+    )
 
 
 def policy_ratio_arrays(group, lp_new, lp_old):
@@ -321,7 +336,7 @@ def test_run_training_builds_records_only_for_a_dump(monkeypatch, tmp_path):
 
 def test_train_step_builds_no_per_group_record(monkeypatch):
     # two epochs, and a degenerate group at eps_var 0, all as columns
-    built = count_constructions(monkeypatch, AdvantageSet, RuleSums, Response, RolloutGroup)
+    built = count_constructions(monkeypatch, AdvantageSet, Response, RolloutGroup)
     config = TrainConfig(rule="balanced_gen", steps=1, group_size=8, eps_var=0.0, seed=1, inner_epochs=2)
     counts = []
     train_step(PolicyTable.uniform(4, 8, 3), count_task(), range(4), config, 0, counts.append)
@@ -337,7 +352,7 @@ def test_train_step_equals_evaluate_batch_over_its_materialised_groups():
     policy = PolicyTable(np.random.default_rng(4).normal(size=(5, 8, 3)))
     new_policy, records, rollouts = train_step(policy, task, [3, 4, 0], config, 1)
     groups = rollouts.groups(config.eps_var)
-    rebuilt = StepRollouts.from_groups(groups, policy)
+    rebuilt = rollouts_of(groups, policy)
     for name in ("prompts", "sizes", "lengths", "rewards", "truncated", "group_tokens"):
         assert getattr(rebuilt, name) == getattr(rollouts, name)
     assert rebuilt.tokens.tobytes() == rollouts.tokens.tobytes()
@@ -356,7 +371,7 @@ def test_train_step_equals_evaluate_batch_over_its_materialised_groups():
     assert fsum(clip_fracs) > 0.0  # later epochs are off-policy
     assert records == batch_metrics(
         1,
-        length_stats(groups, advs),
+        length_stats(*length_columns(groups, advs)),
         [r.reward for g in groups for r in g.responses],
         [a.k for a in advs],
         {r: fsum(v) / len(v) for r, v in values.items()},
@@ -523,12 +538,10 @@ def test_logit_gradient_check_all_rules():
     clip = ClipConfig()
     old = PolicyTable(rng.normal(scale=0.3, size=(2, 5, 3)))
     policy = PolicyTable(old.logits + rng.normal(scale=0.05, size=(2, 5, 3)))
-    groups = [
-        sample_group(old, task, p, 8, rollout_seed(9, 0, p), 1e-6)
-        for p in range(2)
-    ]
+    rollouts = sample_step(old, task, [0, 1], 8, [rollout_seed(9, 0, p) for p in range(2)])
+    advantages = normalize_columns(rollouts.rewards, rollouts.sizes, [1e-6] * 2, ["0", "1"]).advantages
     for rule in ("token", "seq", "balanced", "balanced_gen"):
-        assert logit_gradient_check(policy, old, groups, rule, clip, h=1e-4) < 1e-4
+        assert logit_gradient_check(policy, rollouts, advantages, rule, clip, h=1e-4) < 1e-4
 
 
 def test_inner_epochs_move_ratios_off_one():
@@ -557,7 +570,7 @@ def test_evaluate_batch_reports_non_finite_gradient():
     bad_old = np.zeros((2, 8, 3))
     bad_old[:, :, COUNT_SYMBOL] = -800.0  # ratio exp(~800) overflows
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SimulationError) as err:
-        evaluate_batch(policy, StepRollouts.from_groups(groups, PolicyTable(bad_old)), flat_advantages(advs), "token", ClipConfig())
+        evaluate_batch(policy, rollouts_of(groups, PolicyTable(bad_old)), flat_advantages(advs), "token", ClipConfig())
     assert "prompt" in str(err.value)
 
 
@@ -587,7 +600,7 @@ def test_evaluate_batch_one_pass_matches_per_rule_evaluation():
             values = []
             for a, arr in zip(advs, arrays):
                 batch = FlatBatch(a.advantages, (a.size,), tuple(map(len, arr)), np.concatenate(arr))
-                values.append(reference_rule_terms(r, batch.rule_sums(config.clip).record(0))[0])
+                values.append(reference_rule_terms(r, sums_row(batch.rule_sums(config.clip)))[0])
             assert ev.rule_objectives[r] == fsum(values) / len(values)
 
 
@@ -647,7 +660,7 @@ def test_evaluate_batch_matches_per_response_reference():
     assert not any(normalize_advantages(flat).advantages)
     for current in (old, policy):  # first epoch (ratios 1) and second (ratios off 1)
         for rule in RULES:
-            ev = evaluate_batch(current, StepRollouts.from_groups(groups, old), flat_advantages(advs), rule, config.clip)
+            ev = evaluate_batch(current, rollouts_of(groups, old), flat_advantages(advs), rule, config.clip)
             objectives, grad, clip_fraction, degenerate = reference_evaluate_batch(
                 current, old, groups, advs, rule, config.clip
             )
