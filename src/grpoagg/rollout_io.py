@@ -15,30 +15,29 @@ objective evaluation. The parser checks only the line format; every field
 rule belongs to ``groups.Response`` and ``groups.RolloutGroup``, whose errors
 come back as RecordValidationError naming the line and response.
 
-``read_rollouts`` yields one validated RolloutGroup per line.
-``read_group_columns`` yields the same groups as plain columns, one tuple per
-line, for callers that evaluate many groups at once. It reads the log in
-batches of lines, checks each batch in bulk with ``groups.group_columns``
-(every ratio of the batch converted to float64 and range-checked in one
-numpy pass), and parses only a line those checks do not accept with
-``parse_rollout_line``, so both readers accept the same groups with the same
-values and report the same errors in the same order.
+``read_rollouts`` yields one validated RolloutGroup per line; it is the
+exact reference reader. ``read_group_columns`` is the fast one: it yields
+the same groups as plain columns, one tuple per line, for callers that
+evaluate many groups at once. It reads the log in batches of lines, checks
+each batch in bulk with ``groups.group_columns`` (every ratio of the batch
+converted to float64 and range-checked in one numpy pass), and parses only a
+line those checks do not accept with ``parse_rollout_line``, so both readers
+accept the same groups with the same values and report the same errors in
+the same order.
 
-Lines are decoded with ``orjson`` when it is installed and with ``json``
-otherwise, with the same result either way. ``read_group_columns`` hands a
-line to orjson as raw bytes, with no text decode, when it starts with "{",
-is ASCII and holds fewer than 512 "[" and "{". Every value kept from it is
+Each reader has one decode path. The bulk check decodes a line with fewer
+than 512 "[" and "{" from its raw bytes: with ``orjson`` when it is
+installed (imported on the first decode, not with the package) and with
+``json.loads`` of its UTF-8 text otherwise. Every value kept from it is
 type- and range-checked, so a value that orjson reads differently from
 json.loads (an integer beyond 64 bits, which orjson 3.8 reads as a float)
-sends the line to the record parser. Every other line, and every line of the record
-API, is decoded as text by ``_loads``: a line that orjson rejects, or that
-may hold an integer beyond 64 bits or 512 or more "[" and "{", is decoded by
-``json.loads``, so every value and every error text is the standard
-library's. The one exception is a line nested deeper than ``MAX_NESTING``
-(512) levels outside its strings: it is invalid JSON, "nesting deeper than
-512 levels", whatever the caller's stack depth, where json.loads' own
-recursion limit would count the caller's frames too. orjson is imported on
-the first decode, not with the package.
+sends the line to the record parser, as does any line the bulk check does
+not accept. The record parser decodes with ``json.loads`` alone, so every
+value and every error text is the standard library's. The one exception is
+a line nested deeper than ``MAX_NESTING`` (512) levels outside its strings:
+it is invalid JSON, "nesting deeper than 512 levels", whatever the caller's
+stack depth, where json.loads' own recursion limit would count the caller's
+frames too.
 
 Metrics go to CSV with a fixed header and floats rendered with 10
 significant digits, so a given record stream always produces byte-identical
@@ -178,36 +177,17 @@ def read_metrics(path: str | Path) -> list[MetricRecord]:
 # decode so that importing the package never loads orjson.
 _UNRESOLVED = object()
 _fast_loads = _UNRESOLVED
-# In the mask every ASCII digit is "0" and every "{" is "[". A run of 19
-# digits (>= 10**18) that does not follow a digit or "." may be an integer
-# beyond 64 bits, which orjson 3.8 reads as a float instead of an int.
-_MASK = str.maketrans("123456789{", "000000000[")
-_LONG_DIGITS = "0" * 19
 # orjson 3.8 has no nesting limit (a line nested ~10**5 deep crashes the
 # process), while json.loads raises RecursionError once the nesting plus the
 # caller's stack depth passes sys.getrecursionlimit(), 1000 by default.
-# Nesting is at most the number of "[" and "{", so a line with 512 or more
-# of them is left to json.loads, and json.loads is given no line nested
-# deeper than MAX_NESTING: such a line is invalid JSON ("nesting deeper than
-# 512 levels") at any stack depth of the caller.
-_MAX_FAST_OPENS = 512
+# Nesting is at most the number of "[" and "{", so the bulk check decodes no
+# line with MAX_NESTING or more of them, and the record parser gives
+# json.loads no line nested deeper than MAX_NESTING: such a line is invalid
+# JSON ("nesting deeper than 512 levels") at any stack depth of the caller.
 MAX_NESTING = 512
 # A JSON string (its escapes included), or a run of characters that are
 # neither a quote nor a bracket.
 _NOT_BRACKETS = re.compile(r'"(?:[^"\\]|\\.)*"|[^"\[\]{}]+')
-
-
-def _fast_safe(line: str) -> bool:
-    """True when orjson gives json.loads' result for ``line`` or raises."""
-    mask = line.translate(_MASK)
-    if mask.count("[") >= _MAX_FAST_OPENS:
-        return False
-    at = mask.find(_LONG_DIGITS)
-    while at >= 0:
-        if at == 0 or mask[at - 1] not in "0.":
-            return False
-        at = mask.find(_LONG_DIGITS, at + 1)
-    return True
 
 
 def _orjson():
@@ -221,18 +201,8 @@ def _orjson():
     return _fast_loads
 
 
-def _loads(line: str):
-    """``json.loads(line)``, through orjson where that gives the same value;
-    ValueError for a line nested deeper than MAX_NESTING."""
-    fast = _orjson()
-    if fast is not None and _fast_safe(line):
-        try:
-            return fast(line)
-        except ValueError:
-            pass  # json.loads raises the error whose text is reported
-    if line.count("[") + line.count("{") > MAX_NESTING and _nesting(line) > MAX_NESTING:
-        raise ValueError(f"nesting deeper than {MAX_NESTING} levels")
-    return json.loads(line)
+def _stdlib_loads(raw: bytes):
+    return json.loads(raw.decode("utf-8"))
 
 
 def _nesting(line: str) -> int:
@@ -257,7 +227,9 @@ def parse_rollout_line(
     any error raised.
     """
     try:
-        obj = _loads(line)
+        if line.count("[") + line.count("{") > MAX_NESTING and _nesting(line) > MAX_NESTING:
+            raise ValueError(f"nesting deeper than {MAX_NESTING} levels")
+        obj = json.loads(line)
     except (ValueError, RecursionError) as exc:
         raise MalformedLineError(f"line {line_no}: invalid JSON: {exc}", line_no) from exc
     if not isinstance(obj, dict):
@@ -303,18 +275,20 @@ def read_rollouts(
     """Stream validated groups from a JSONL file, one group per line.
 
     Only the current line and its group are held, so a caller that drops
-    each group in turn reads a log of any length in bounded memory. Lines
-    are read as ``_text_lines`` reads them. An invalid line raises
+    each group in turn reads a log of any length in bounded memory. Each
+    line is read as ``_parse_raw`` reads it. An invalid line raises
     MalformedLineError / RecordValidationError with its 1-based line number
     or, when ``on_error`` is given, is passed to it and skipped.
     """
-    for line_no, line in _text_lines(path, on_error):
-        try:
-            group = parse_rollout_line(line, line_no, default_eps_var)
-        except RolloutLogError as exc:
-            _pass_on(exc, on_error)
-            continue
-        yield group
+    with open(path, "rb", buffering=_READ_BUFFER) as fh:
+        for line_no, raw in enumerate(_raw_lines(fh), 1):
+            try:
+                group = _parse_raw(raw, line_no, default_eps_var)
+            except RolloutLogError as exc:
+                _pass_on(exc, on_error)
+                continue
+            if group is not None:
+                yield group
 
 
 def _pass_on(exc: RolloutLogError, on_error: Callable[[RolloutLogError], None] | None) -> None:
@@ -337,22 +311,12 @@ def _raw_lines(fh) -> Iterator[bytes]:
             yield chunk  # one line: reading bytes splits at "\\n" alone
 
 
-def _text_lines(path, on_error) -> Iterator[tuple[int, str]]:
-    """Each line of a file that is not whitespace only, with its 1-based number.
-
-    The file is read as bytes and decoded one line at a time, so a line that
-    is not UTF-8 fails alone (MalformedLineError, raised or passed to
-    ``on_error``). A line's end is given as "\\n", as text mode gives it.
-    """
-    with open(path, "rb", buffering=_READ_BUFFER) as fh:
-        for line_no, raw in enumerate(_raw_lines(fh), 1):
-            try:
-                line = _decode_line(raw, line_no)
-            except MalformedLineError as exc:
-                _pass_on(exc, on_error)
-                continue
-            if not line.isspace():
-                yield line_no, line
+def _parse_raw(raw: bytes, line_no: int, default_eps_var: float) -> RolloutGroup | None:
+    """``parse_rollout_line`` of one raw line, or None for a line that is
+    whitespace only. A line that is not UTF-8 fails alone
+    (MalformedLineError), and its end is given as "\\n", as text mode gives it."""
+    line = _decode_line(raw, line_no)
+    return None if line.isspace() else parse_rollout_line(line, line_no, default_eps_var)
 
 
 def _decode_line(raw: bytes, line_no: int) -> str:
@@ -406,52 +370,32 @@ def read_group_columns(
     every value is what the line's RolloutGroup holds. Lines are read in
     batches of about 16 KiB and checked a batch at a time by
     ``groups.group_columns``, which builds no Response; a line it does not
-    accept is parsed from its text by ``parse_rollout_line`` alone, so the
-    values, error texts and line numbers are the record API's. Errors are
-    raised or passed to ``on_error`` in line order, each when the groups of
-    the lines before it have been yielded, and a read error only after
-    them, all as ``read_rollouts`` does. Closing the generator closes the
-    log.
+    accept is parsed alone by ``_parse_raw``, so the values, error texts and
+    line numbers are the record API's. Errors are raised or passed to
+    ``on_error`` in line order, each when the groups of the lines before it
+    have been yielded, and a read error only after them, all as
+    ``read_rollouts`` does. Closing the generator closes the log.
     """
     with open(path, "rb", buffering=_READ_BUFFER) as fh:
+        loads = _orjson() or _stdlib_loads
         for batch in _raw_batches(fh):
-            fast = _orjson()
-            lines = []  # per line: (line_no, raw, fields or None), or its error
-            for line_no, raw in batch:
-                if (
-                    fast is not None
-                    and raw[:1] == b"{"
-                    and raw.isascii()
-                    and raw.count(b"[") + raw.count(b"{") < _MAX_FAST_OPENS
-                ):
-                    fields = _line_fields(fast, raw, default_eps_var)
-                else:
-                    try:
-                        text = _decode_line(raw, line_no)
-                    except MalformedLineError as exc:
-                        lines.append(exc)
-                        continue
-                    if text.isspace():
-                        continue
-                    # json.loads' recursion limit counts the caller's
-                    # frames, so both decodes of a line run at the same
-                    # call depth
-                    fields = _line_fields(_loads, text, default_eps_var)
-                lines.append((line_no, raw, fields))
-            checked = iter(group_columns([line[2] for line in lines if type(line) is tuple and line[2]]))
-            for line in lines:
-                if type(line) is not tuple:
-                    _pass_on(line, on_error)
-                    continue
-                line_no, raw, fields = line
+            lines = [
+                (line_no, raw, _line_fields(loads, raw, default_eps_var)
+                 if raw.count(b"[") + raw.count(b"{") < MAX_NESTING else None)
+                for line_no, raw in batch
+            ]
+            checked = iter(group_columns([fields for _, _, fields in lines if fields]))
+            for line_no, raw, fields in lines:
                 columns = fields and next(checked)
                 if columns:
                     yield line_no, fields[0], *columns
                     continue
                 try:
-                    group = parse_rollout_line(_decode_line(raw, line_no), line_no, default_eps_var)
+                    group = _parse_raw(raw, line_no, default_eps_var)
                 except RolloutLogError as exc:
                     _pass_on(exc, on_error)
+                    continue
+                if group is None:
                     continue
                 ratios = None
                 if group.has_ratios:
@@ -461,12 +405,12 @@ def read_group_columns(
                 yield line_no, group.prompt_id, group.eps_var, list(group.rewards), list(group.lengths), ratios
 
 
-def _line_fields(loads, line: str | bytes, default_eps_var: float) -> tuple | None:
-    """A line's ``(prompt_id, responses, eps_var, group_id)`` as
+def _line_fields(loads, raw: bytes, default_eps_var: float) -> tuple | None:
+    """A raw line's ``(prompt_id, responses, eps_var, group_id)`` as
     group_columns takes them, or None unless ``loads`` decodes it to an
     object of the line format."""
     try:
-        obj = loads(line)
+        obj = loads(raw)
     except (ValueError, RecursionError):
         return None
     if type(obj) is not dict:

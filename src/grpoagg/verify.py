@@ -365,6 +365,12 @@ def covered_operations() -> frozenset[str]:
     return frozenset(ops)
 
 
+# The gradient check's finite-difference error grows about linearly with its
+# ratios, up to 1 + clip_high: 6.7e-08 at worst over seeds 0-9 at 1e4, over
+# 100x under its 1e-5 tolerance; at 1e17 it fails spuriously.
+MAX_CLIP_HIGH = 1e4
+
+
 def run_suite(
     seed: int = 0,
     clip: ClipConfig = ClipConfig(),
@@ -374,7 +380,8 @@ def run_suite(
     """Run every identity check; print one line per check; True iff all pass.
 
     Raises ValueError, before printing anything, for an unknown
-    ``inject_fault`` or a clip band too narrow for random_smooth_group.
+    ``inject_fault``, a clip band too narrow for random_smooth_group or a
+    ``clip_high`` above MAX_CLIP_HIGH.
     """
     missing = REQUIRED_OPERATIONS - covered_operations()
     if missing:
@@ -386,6 +393,14 @@ def run_suite(
             f"clip band ({clip.clip_low:g},{clip.clip_high:g}) is too narrow: the gradient check draws "
             "ratios 0.05 inside it, so clip_low + clip_high must exceed 0.1"
         )
+    if clip.clip_high > MAX_CLIP_HIGH:
+        raise ValueError(
+            f"clip band ({clip.clip_low:g},{clip.clip_high:g}) is too wide: the gradient check's finite "
+            f"differences lose precision at large ratios, so clip_high must be at most {MAX_CLIP_HIGH:g}"
+        )
+    hint = f"grpoagg verify --seed {seed} --clip-low {clip.clip_low!r} --clip-high {clip.clip_high!r}"
+    if inject_fault is not None:
+        hint += f" --inject-fault {inject_fault}"
 
     def emit(text: str) -> None:
         if stream is not None:
@@ -405,7 +420,7 @@ def run_suite(
             f"max_err={err:.3e} tol={check.tolerance:g}"
         )
         if not ok:
-            emit(f"  reproduce with: grpoagg verify --seed {seed}")
+            emit(f"  reproduce with: {hint}")
     emit(
         f"{sum(1 for _ in SUITE)} identities checked: "
         + ("all passed" if all_ok else "FAILURES PRESENT")

@@ -15,7 +15,8 @@ try:
 except ImportError:
     orjson = None
 
-# The two line decoders of rollout_io, for pytest.mark.parametrize.
+# The two decoders of rollout_io's bulk check (read_group_columns), for
+# pytest.mark.parametrize; the record path decodes with json.loads alone.
 DECODERS = [
     pytest.param("orjson", marks=pytest.mark.skipif(orjson is None, reason="orjson is not installed")),
     "stdlib",
@@ -25,7 +26,7 @@ AVAILABLE_DECODERS = ("stdlib",) if orjson is None else ("orjson", "stdlib")
 
 @contextlib.contextmanager
 def decoding_with(decoder: str):
-    """Decode rollout lines with orjson ("orjson") or with json.loads alone ("stdlib")."""
+    """Decode the bulk check's lines with orjson ("orjson") or with json.loads ("stdlib")."""
     saved = rollout_io._fast_loads
     rollout_io._fast_loads = orjson.loads if decoder == "orjson" else None
     try:

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -56,6 +57,32 @@ def test_verify_narrow_clip_band_is_usage_error(capsys):
         "error: clip band (0.01,0.01) is too narrow: the gradient check draws ratios 0.05 inside it, "
         "so clip_low + clip_high must exceed 0.1\n"
     )
+
+
+@pytest.mark.parametrize("high", ["1e17", "1e308"])
+def test_verify_clip_high_above_the_ceiling_is_usage_error(capsys, high):
+    # beyond 1e4 the gradient check's finite differences fail spuriously
+    # (1e17) or its sums overflow (1e308); refused before the header
+    code, out, err = run_cli(capsys, "verify", "--clip-high", high)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: clip band (0.2,{float(high):g}) is too wide: the gradient check's finite differences "
+        "lose precision at large ratios, so clip_high must be at most 10000\n"
+    )
+
+
+def test_verify_failure_hint_reproduces_the_failure(capsys):
+    argv = ["verify", "--seed", "3", "--clip-low", "0.1", "--clip-high", str(0.1 + 0.2),
+            "--inject-fault", "mass_symmetry"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    hints = [line for line in out.splitlines() if line.startswith("  reproduce with: grpoagg ")]
+    assert len(hints) == 1
+    hint = shlex.split(hints[0].removeprefix("  reproduce with: grpoagg "))
+    assert hint[hint.index("--clip-high") + 1] == "0.30000000000000004"
+    again = run_cli(capsys, *hint)
+    assert again == (1, out, "")
+    assert out.splitlines()[0] == "identity suite: seed=3 clip=(0.1,0.3)"
 
 
 def test_unknown_flag_rejected():
@@ -457,6 +484,24 @@ def test_orjson_is_loaded_only_to_decode_a_rollout_log(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_analyze_without_orjson_writes_the_golden_outputs(tmp_path):
+    # a fresh process in which orjson cannot be imported
+    code = (
+        "import sys\n"
+        "sys.modules['orjson'] = None\n"
+        "from grpoagg import cli, rollout_io\n"
+        "assert cli.main(['analyze', '--input', sys.argv[1], '--window', '2', '--out', sys.argv[2]]) == 0\n"
+        "assert rollout_io._fast_loads is None\n"
+    )
+    src = str(Path(grpoagg.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-c", code, str(DATA / "faulty_rollouts.jsonl"), str(tmp_path)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("analysis.csv", "regime.txt"):
+        assert (tmp_path / name).read_bytes() == (DATA / "golden" / name).read_bytes(), name
 
 
 # --- simulate / compare ---

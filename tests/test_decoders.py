@@ -1,11 +1,13 @@
-"""The two line decoders give the same groups, the same errors and the same outputs.
+"""The two bulk-check decoders give the same groups, the same errors and the same outputs.
 
-``parse_rollout_line`` decodes with orjson where that gives json.loads'
-value and with json.loads otherwise. Each case runs under orjson (skipped
-when it is not installed) and under json.loads alone, and is compared with
-json.loads alone. Groups are compared by ``repr``, which shows every float
-by its shortest round-trip form, so equal reprs mean equal bits.
-``read_group_columns`` is compared, line by line, with the record path.
+``parse_rollout_line``, the record path, decodes with json.loads alone and
+is the reference; its cases run under either bulk decoder setting, which it
+must ignore. ``read_group_columns`` decodes a line from its raw bytes
+with orjson or, without it, with json.loads; each of its cases runs under
+orjson (skipped when it is not installed) and under json.loads alone, and
+is compared, line by line, with the record path. Groups are compared by
+``repr``, which shows every float by its shortest round-trip form, so equal
+reprs mean equal bits.
 """
 
 import json
@@ -76,16 +78,34 @@ def outcome(line: str, line_no: int = 7):
     return "group", repr(group)
 
 
+NESTING_ERROR = ("error", "MalformedLineError", 7, "line 7: invalid JSON: nesting deeper than 512 levels")
+
+
 @pytest.mark.parametrize("decoder", DECODERS)
 @pytest.mark.parametrize("source", ["edge", "faulty", "golden-dump"])
 def test_lines_decode_as_with_json_loads(decoder, source):
+    # a line's group or error is that of json.loads' value of it, re-encoded,
+    # and its JSON error is json.loads' own, whichever bulk decoder is set
     lines = EDGE_LINES if source == "edge" else LOGS[source].read_text(encoding="utf-8").splitlines()
-    with decoding_with("stdlib"):
-        want = [outcome(line) for line in lines]
     with decoding_with(decoder):
-        got = [outcome(line) for line in lines]
-    for line, g, w in zip(lines, got, want):
-        assert g == w, line[:80]
+        for line in lines:
+            try:
+                want = outcome(json.dumps(json.loads(line)))
+            except ValueError as exc:
+                want = ("error", "MalformedLineError", 7, f"line 7: invalid JSON: {exc}")
+            except RecursionError:
+                want = NESTING_ERROR
+            assert outcome(line) == want, line[:80]
+
+
+def test_the_record_path_does_not_use_the_bulk_decoder(monkeypatch):
+    def refuse(line):
+        raise AssertionError("the record path called the bulk decoder")
+
+    with decoding_with("stdlib"):
+        want = [outcome(line) for line in EDGE_LINES]
+    monkeypatch.setattr(rollout_io, "_fast_loads", refuse)
+    assert [outcome(line) for line in EDGE_LINES] == want
 
 
 def _at_depth(frames: int, fn):
@@ -102,11 +122,10 @@ def test_nesting_limit_does_not_depend_on_the_callers_stack_depth(decoder):
     over = '{"pad": ' + "[" * 512 + "]" * 512 + ", " + body  # 513 levels
     at_limit = '{"pad": ' + "[" * 511 + "]" * 511 + ", " + body  # 512 levels
     in_strings = '{"pad": ["' + "[{" * 600 + '", "\\"' + "[" * 600 + '"], ' + body
-    error = ("error", "MalformedLineError", 7, "line 7: invalid JSON: nesting deeper than 512 levels")
     with decoding_with(decoder):
         for frames in (0, 5, 10, 100):
-            assert _at_depth(frames, lambda: outcome(too_deep)) == error
-            assert _at_depth(frames, lambda: outcome(over)) == error
+            assert _at_depth(frames, lambda: outcome(too_deep)) == NESTING_ERROR
+            assert _at_depth(frames, lambda: outcome(over)) == NESTING_ERROR
             for line in (at_limit, in_strings):
                 assert _at_depth(frames, lambda: outcome(line)) == outcome(record())
 
@@ -148,8 +167,7 @@ def _draw_decimals(rng: random.Random, n: int) -> list[str]:
 @pytest.mark.skipif(orjson is None, reason="orjson is not installed")
 def test_floats_decode_bitwise_as_with_json_loads():
     text = "[" + ",".join(_draw_decimals(random.Random(0), 20000)) + "]"
-    assert rollout_io._fast_safe(text)
-    got, want = orjson.loads(text), json.loads(text)
+    got, want = orjson.loads(text.encode()), json.loads(text)
     assert len(got) == len(want)
     assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in want]
 
@@ -285,6 +303,17 @@ def test_group_columns_match_the_record_path(tmp_path, monkeypatch, source, deco
         assert g == w
     assert got_strict == want_strict
     assert any(e[0] == "group" and e[-1] is not None for e in got)
+
+
+@pytest.mark.parametrize("decoder", DECODERS)
+def test_a_non_ascii_line_is_accepted_in_bulk(tmp_path, monkeypatch, decoder):
+    calls = []
+    monkeypatch.setattr(rollout_io, "parse_rollout_line", lambda *args: calls.append(args))
+    path = tmp_path / "log.jsonl"
+    path.write_text(group(prompt='"\u00e9t\u00e9"') + "\n", encoding="utf-8")
+    with decoding_with(decoder):
+        (line_no, prompt_id, *_), = read_group_columns(path)
+    assert (line_no, prompt_id, calls) == (1, "\u00e9t\u00e9", [])
 
 
 def test_group_columns_yield_ratios_as_views_of_one_float64_array(tmp_path):
