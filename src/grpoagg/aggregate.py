@@ -41,7 +41,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .groups import AdvantageSet, RolloutGroup, run_fsums
+from .groups import RolloutGroup, _reals, run_fsums
 
 __all__ = [
     "RULES",
@@ -287,11 +287,14 @@ def rule_table(sums: SumColumns, rules: Sequence[str] = RULES) -> dict[str, tupl
     return table
 
 
-def _group_batch(group: RolloutGroup, adv: AdvantageSet) -> FlatBatch:
-    """The one-group FlatBatch of ``group`` under ``adv``, on a fresh ratio copy."""
-    if adv.size != group.size:
+def _group_batch(group: RolloutGroup, advantages: Sequence[float]) -> FlatBatch:
+    """The one-group FlatBatch of ``group`` under ``advantages``, on a fresh
+    ratio copy. Each advantage must be a finite real, so that no NaN reads as
+    a zero advantage."""
+    advantages = _reals(advantages, "advantages")
+    if len(advantages) != group.size:
         raise ValueError(
-            f"advantage set of size {adv.size} does not match group of size {group.size}"
+            f"advantage set of size {len(advantages)} does not match group of size {group.size}"
         )
     for i, resp in enumerate(group.responses):
         if resp.ratios is None:
@@ -300,7 +303,7 @@ def _group_batch(group: RolloutGroup, adv: AdvantageSet) -> FlatBatch:
                 "objectives need per-token ratios"
             )
     ratios = np.array([r for resp in group.responses for r in resp.ratios], dtype=float)
-    return FlatBatch(np.array(adv.advantages), (adv.size,), group.lengths, ratios)
+    return FlatBatch(np.array(advantages), (group.size,), group.lengths, ratios)
 
 
 def _sums(batch: FlatBatch, clip: ClipConfig) -> SumColumns:
@@ -311,24 +314,26 @@ def _sums(batch: FlatBatch, clip: ClipConfig) -> SumColumns:
     return sums
 
 
-def compute_rule_sums(group: RolloutGroup, adv: AdvantageSet, clip: ClipConfig) -> SumColumns:
+def compute_rule_sums(group: RolloutGroup, advantages: Sequence[float], clip: ClipConfig) -> SumColumns:
     """The sign-partitioned phi sums every rule is built from, as one row.
 
-    Raises ValueError when ``adv`` does not match the group, MissingRatiosError
-    for a length-only group and OverflowError when a sum overflows a float.
+    ``advantages`` holds each response's advantage, as normalize_advantages
+    gives them. Raises ValueError when one is not a finite real or their
+    count is not the group's size, MissingRatiosError for a length-only group
+    and OverflowError when a sum overflows a float.
     """
-    return _sums(_group_batch(group, adv), clip)
+    return _sums(_group_batch(group, advantages), clip)
 
 
 def objective(
-    rule: str, group: RolloutGroup, adv: AdvantageSet, clip: ClipConfig
+    rule: str, group: RolloutGroup, advantages: Sequence[float], clip: ClipConfig
 ) -> AggregationResult:
     """One group's objective under ``rule`` (a row of the table) and its dJ/d rho.
 
     Raises as compute_rule_sums does, then ValueError for an unknown rule or
     a non-finite objective. The gradient arrays are read-only.
     """
-    batch = _group_batch(group, adv)
+    batch = _group_batch(group, advantages)
     value, degenerate, w_pos, w_neg = rule_table(_sums(batch, clip), (rule,))[rule]
     if not math.isfinite(value[0]):
         raise ValueError(f"non-finite {rule} objective for group {group.prompt_id!r}")
@@ -341,7 +346,7 @@ def objective(
 def gradient_check(
     result: AggregationResult,
     group: RolloutGroup,
-    adv: AdvantageSet,
+    advantages: Sequence[float],
     clip: ClipConfig,
     h: float = 1e-5,
 ) -> float:
@@ -353,7 +358,7 @@ def gradient_check(
     """
     if h <= 0.0:
         raise ValueError("h must be > 0")
-    batch = _group_batch(group, adv)
+    batch = _group_batch(group, advantages)
     if len(result.grad_ratios) != len(batch.lengths) or any(
         gr.shape != (t,) for gr, t in zip(result.grad_ratios, batch.lengths)
     ):

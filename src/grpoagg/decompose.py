@@ -27,14 +27,13 @@ from math import fsum
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .aggregate import RULES, ClipConfig, SumColumns, compute_rule_sums, rule_table
-from .groups import AdvantageSet, RolloutGroup, binary_closed_form
+from .groups import RolloutGroup, binary_closed_form
 from .rollout_io import MetricRecord
 
 __all__ = [
     "DecompositionReport",
     "LengthStats",
     "LengthTally",
-    "RegimeThresholds",
     "NonBinaryRewardError",
     "decompose",
     "ba_weight_identity",
@@ -46,6 +45,9 @@ __all__ = [
 
 # Reconstruction / prefactor agreement tolerance for the exact identities.
 IDENTITY_ATOL = 1e-12
+# regime_report's cutoffs on the length CV and the absolute length gap.
+REGIME_CV = 0.5
+REGIME_GAP = 0.2
 
 
 class NonBinaryRewardError(ValueError):
@@ -87,14 +89,6 @@ class LengthStats:
     len_gap: float | None
 
 
-@dataclass(frozen=True)
-class RegimeThresholds:
-    """Cutoffs used by regime_report; artifact knobs, purely advisory."""
-
-    cv: float = 0.5
-    gap: float = 0.2
-
-
 def _require_binary(group: RolloutGroup, rule: str) -> None:
     if group.eps_var != 0.0:
         raise NonBinaryRewardError(
@@ -110,7 +104,7 @@ def _require_binary(group: RolloutGroup, rule: str) -> None:
 
 
 def decompose(
-    group: RolloutGroup, adv: AdvantageSet, clip: ClipConfig, rule: str
+    group: RolloutGroup, advantages: Sequence[float], clip: ClipConfig, rule: str
 ) -> DecompositionReport:
     """Compute the sign-split factors of ``rule`` and reassemble its objective.
 
@@ -120,7 +114,7 @@ def decompose(
     """
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}; expected one of {RULES}")
-    return _report(group, compute_rule_sums(group, adv, clip), rule)
+    return _report(group, compute_rule_sums(group, advantages, clip), rule)
 
 
 def _report(group: RolloutGroup, sums: SumColumns, rule: str) -> DecompositionReport:
@@ -172,7 +166,7 @@ def _report(group: RolloutGroup, sums: SumColumns, rule: str) -> DecompositionRe
 
 
 def ba_weight_identity(
-    group: RolloutGroup, adv: AdvantageSet, clip: ClipConfig
+    group: RolloutGroup, advantages: Sequence[float], clip: ClipConfig
 ) -> tuple[float, float, bool]:
     """Check that balanced aggregation induces the seq inter-sign prefactor.
 
@@ -182,17 +176,17 @@ def ba_weight_identity(
     with agreement asserted to 1e-12.
     """
     _require_binary(group, "balanced")
-    if adv.size != group.size:
+    if len(advantages) != group.size:
         raise ValueError("advantage set does not match group")
+    sums = compute_rule_sums(group, advantages, clip)
     g = group.size
-    k = adv.k
-    if k == 0 or len(adv.neg_indices) == 0:
+    k = sums.k.item()
+    if k == 0 or sums.neg_count.item() == 0:
         raise ValueError(f"degenerate subset: k={k} of {g} responses positive")
     a_pos, a_neg = binary_closed_form(g, k)
     ba_pos = (k / g) * a_pos
     ba_neg = ((g - k) / g) * (-a_neg)
     seq_prefactor = math.sqrt(k * (g - k)) / g
-    sums = compute_rule_sums(group, adv, clip)
     report = _report(group, sums, "balanced")
     objective = rule_table(sums, ("balanced",))["balanced"][0].item()
     reconstructed = seq_prefactor * (report.delta_pos - report.delta_neg)
@@ -305,19 +299,18 @@ def batch_metrics(
     ]
 
 
-def regime_report(
-    stats: LengthStats, thresholds: RegimeThresholds = RegimeThresholds()
-) -> str:
+def regime_report(stats: LengthStats) -> str:
     """Advisory label for which aggregation rule the batch favors.
 
-    High length CV with a mild gap favors token aggregation; low CV with a
-    large gap favors sequence aggregation; anything else (including an
-    undefined gap) is "mixed".
+    High length CV (above REGIME_CV) with a mild gap favors token
+    aggregation; low CV with a large gap (above REGIME_GAP in magnitude)
+    favors sequence aggregation; anything else (including an undefined gap)
+    is "mixed".
     """
     if stats.len_gap is None:
         return "mixed"
-    high_cv = stats.len_cv > thresholds.cv
-    high_gap = abs(stats.len_gap) > thresholds.gap
+    high_cv = stats.len_cv > REGIME_CV
+    high_gap = abs(stats.len_gap) > REGIME_GAP
     if high_cv and not high_gap:
         return "favors-token"
     if high_gap and not high_cv:

@@ -15,8 +15,9 @@ rewards, ratios, log-probabilities and ``eps_var`` are finite Python floats or
 ints or ``np.float64``. A violation is a ValueError naming the field.
 ``group_columns`` applies the same rules in bulk, to groups given as plain
 fields, and builds no record. ``normalize_columns`` normalises a run of
-groups given as a flat reward column, as ``normalize_advantages`` normalises
-one, and builds no AdvantageSet.
+groups given as a flat reward column; ``normalize_advantages`` is its
+one-group case. Either way a group's advantages are a float64 column, one
+entry per response.
 
 For binary rewards with ``eps_var = 0`` the advantages have a closed form
 that depends only on the group size and the number of positive responses:
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from math import fsum
 from typing import NamedTuple, Sequence
@@ -39,7 +40,6 @@ __all__ = [
     "Response",
     "RolloutGroup",
     "group_columns",
-    "AdvantageSet",
     "DegenerateGroupError",
     "normalize_advantages",
     "normalize_columns",
@@ -374,55 +374,8 @@ def _group_fields(prompt_id, responses, eps_var, group_id) -> tuple | None:
     return head[0], head[1:], lengths, None if length_only else ratio_lists
 
 
-@dataclass(frozen=True)
-class AdvantageSet:
-    """Normalized advantages plus the sign partition of a group.
-
-    ``pos_indices`` / ``neg_indices`` are derived from the advantages: they
-    list the responses with strictly positive / negative advantage; any
-    remaining indices have advantage exactly zero.
-    """
-
-    advantages: tuple[float, ...]
-    mu: float
-    sigma: float
-    pos_indices: tuple[int, ...] = field(init=False)
-    neg_indices: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        advantages = _reals(self.advantages, "advantages")
-        object.__setattr__(self, "advantages", advantages)
-        if not math.isfinite(self.mu):
-            raise ValueError("mu must be finite")
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError(f"sigma must be finite and > 0, got {self.sigma!r}")
-        pos = tuple(i for i, a in enumerate(advantages) if a > 0.0)
-        neg = tuple(i for i, a in enumerate(advantages) if a < 0.0)
-        object.__setattr__(self, "pos_indices", pos)
-        object.__setattr__(self, "neg_indices", neg)
-
-    @classmethod
-    def from_advantages(cls, values) -> "AdvantageSet":
-        """Build a set directly from advantage values (mu=0, sigma=1)."""
-        return cls(values, 0.0, 1.0)
-
-    @property
-    def size(self) -> int:
-        return len(self.advantages)
-
-    @property
-    def k(self) -> int:
-        """Number of positive-advantage responses."""
-        return len(self.pos_indices)
-
-    @property
-    def zero_indices(self) -> tuple[int, ...]:
-        excluded = set(self.pos_indices) | set(self.neg_indices)
-        return tuple(i for i in range(self.size) if i not in excluded)
-
-
-def normalize_advantages(group: RolloutGroup) -> AdvantageSet:
-    """Normalize group rewards into advantages and partition by sign.
+def normalize_advantages(group: RolloutGroup) -> np.ndarray:
+    """The group's advantages: one float64 entry per response, in order.
 
     Raises DegenerateGroupError when ``eps_var == 0`` and every reward is
     identical (sigma would be zero). With ``eps_var > 0`` such groups yield
@@ -434,7 +387,7 @@ def normalize_advantages(group: RolloutGroup) -> AdvantageSet:
     out = normalize_columns(rewards, [len(rewards)], [group.eps_var], [group.prompt_id])
     if out.errors:
         raise (DegenerateGroupError if out.degenerate else ValueError)(out.errors[0])
-    return AdvantageSet(tuple(out.advantages.tolist()), out.mu.item(), out.sigma.item())
+    return out.advantages
 
 
 class NormalizedColumns(NamedTuple):

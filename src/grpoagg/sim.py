@@ -169,7 +169,6 @@ class TrainConfig:
     clip: ClipConfig = field(default_factory=ClipConfig)
     eps_var: float = 1e-6
     seed: int = 0
-    prompts_per_batch: int | None = None
     inner_epochs: int = 1
 
     def __post_init__(self) -> None:
@@ -185,8 +184,6 @@ class TrainConfig:
             raise ValueError("eps_var must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.prompts_per_batch is not None and self.prompts_per_batch < 1:
-            raise ValueError("prompts_per_batch must be >= 1")
         if self.inner_epochs < 1:
             raise ValueError("inner_epochs must be >= 1")
 
@@ -562,8 +559,7 @@ def run_training(
     that times steps * inner_epochs exceeds MAX_WORK_CELLS. ``on_degenerate``
     is passed to every train_step.
     """
-    batch = config.prompts_per_batch or task.num_prompts
-    step_cells = batch * config.group_size * task.t_max * task.vocab_size
+    step_cells = task.num_prompts * config.group_size * task.t_max * task.vocab_size
     _check_cells(
         "step cells (prompts per batch * group_size * t_max * vocab_size)",
         step_cells,
@@ -578,8 +574,7 @@ def run_training(
     records: list[MetricRecord] = []
     dumped: list[RolloutGroup] = []
     for step in range(config.steps):
-        prompt_indices = [(step * batch + j) % task.num_prompts for j in range(batch)]
-        policy, recs, rollouts = train_step(policy, task, prompt_indices, config, step, on_degenerate)
+        policy, recs, rollouts = train_step(policy, task, range(task.num_prompts), config, step, on_degenerate)
         records.extend(recs)
         if rollouts_path is not None:
             dumped.extend(

@@ -8,7 +8,7 @@ import pytest
 
 from grpoagg import rollout_io
 from grpoagg.aggregate import ClipConfig
-from grpoagg.groups import AdvantageSet, DegenerateGroupError, Response, RolloutGroup
+from grpoagg.groups import DegenerateGroupError, Response, RolloutGroup
 
 try:
     import orjson
@@ -84,39 +84,40 @@ def sums_row(sums, i=0):
 
 def length_columns(groups, advs):
     """Every response length of ``groups`` and the positive / negative
-    responses' lengths under ``advs``, as length_stats takes them."""
+    responses' lengths under ``advs`` (each group's advantages), as
+    length_stats takes them."""
     lengths, pos_lengths, neg_lengths = [], [], []
     for group, adv in zip(groups, advs, strict=True):
-        gl = group.lengths
-        lengths.extend(gl)
-        pos_lengths.extend(gl[i] for i in adv.pos_indices)
-        neg_lengths.extend(gl[i] for i in adv.neg_indices)
+        lengths.extend(group.lengths)
+        pos_lengths.extend(t for t, a in zip(group.lengths, adv, strict=True) if a > 0.0)
+        neg_lengths.extend(t for t, a in zip(group.lengths, adv, strict=True) if a < 0.0)
     return lengths, pos_lengths, neg_lengths
 
 
-def reference_rule_sums(adv, ratio_arrays, clip):
+def reference_rule_sums(advantages, ratio_arrays, clip):
     """The sign sums one response at a time: a phi array and an fsum each."""
+    a = np.asarray(advantages, dtype=float).tolist()
     sums = {1: [], -1: []}
     seq = {1: [], -1: []}
     tokens = {1: 0, -1: 0}
     clipped = 0
-    for arr, a in zip(ratio_arrays, adv.advantages):
+    for arr, x in zip(ratio_arrays, a):
         arr = np.asarray(arr, dtype=float)
-        if a > 0.0:
+        if x > 0.0:
             clipped += int(np.count_nonzero(arr > clip.upper))
-        elif a < 0.0:
+        elif x < 0.0:
             clipped += int(np.count_nonzero(arr < clip.lower))
         else:
             continue
-        sign = 1 if a > 0.0 else -1
-        s = fsum(np.minimum(arr * a, np.clip(arr, clip.lower, clip.upper) * a))
+        sign = 1 if x > 0.0 else -1
+        s = fsum(np.minimum(arr * x, np.clip(arr, clip.lower, clip.upper) * x))
         sums[sign].append(s)
         seq[sign].append(s / len(arr))
         tokens[sign] += len(arr)
-    pos, neg = adv.pos_indices, adv.neg_indices
-    a = adv.advantages
+    pos = [i for i, x in enumerate(a) if x > 0.0]
+    neg = [i for i, x in enumerate(a) if x < 0.0]
     return RefSums(
-        size=adv.size,
+        size=len(a),
         k=len(pos),
         neg_count=len(neg),
         total_tokens=sum(len(arr) for arr in ratio_arrays),
@@ -173,6 +174,14 @@ def reference_ratio_gradients(rule, sums, advantages, ratio_arrays, clip):
     return out
 
 
+class RefNormalized(NamedTuple):
+    """One group's advantages with its mean and sigma, as Python floats."""
+
+    advantages: tuple
+    mu: float
+    sigma: float
+
+
 def reference_normalize(rewards, eps_var, prompt_id):
     """A group's advantages, one reward at a time, with the library's errors."""
     g = len(rewards)
@@ -185,7 +194,7 @@ def reference_normalize(rewards, eps_var, prompt_id):
             raise OverflowError
     except OverflowError:
         raise ValueError(f"group {prompt_id!r}: reward variance is out of float range") from None
-    return AdvantageSet(tuple((r - mu) / sigma for r in rewards), mu, sigma)
+    return RefNormalized(tuple((r - mu) / sigma for r in rewards), mu, sigma)
 
 
 def count_constructions(monkeypatch, *classes):

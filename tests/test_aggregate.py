@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from grpoagg.aggregate import (
     phi,
     rule_table,
 )
+from grpoagg.decompose import ba_weight_identity, decompose
 from grpoagg.groups import (
-    AdvantageSet,
     Response,
     RolloutGroup,
     normalize_advantages,
@@ -35,13 +36,15 @@ def oracle_phi(rho, a, clip):
 
 def oracle_objectives(group, adv, clip):
     g = group.size
+    adv = [float(a) for a in adv]
     per_resp = []
-    for resp, a in zip(group.responses, adv.advantages):
+    for resp, a in zip(group.responses, adv):
         per_resp.append([oracle_phi(r, a, clip) for r in resp.ratios])
     n = sum(len(p) for p in per_resp)
     token = sum(sum(p) for p in per_resp) / n
     seq = sum(sum(p) / len(p) for p in per_resp) / g
-    pos, neg = adv.pos_indices, adv.neg_indices
+    pos = [i for i, a in enumerate(adv) if a > 0.0]
+    neg = [i for i, a in enumerate(adv) if a < 0.0]
     n_pos = sum(len(per_resp[i]) for i in pos)
     n_neg = sum(len(per_resp[i]) for i in neg)
     balanced = 0.0
@@ -49,10 +52,10 @@ def oracle_objectives(group, adv, clip):
         balanced += (len(pos) / g) * sum(sum(per_resp[i]) for i in pos) / n_pos
     if neg:
         balanced += (len(neg) / g) * sum(sum(per_resp[i]) for i in neg) / n_neg
-    m_pos = sum(adv.advantages[i] for i in pos)
-    m_neg = sum(-adv.advantages[i] for i in neg)
-    z_pos = sum(adv.advantages[i] * len(per_resp[i]) for i in pos)
-    z_neg = sum(-adv.advantages[i] * len(per_resp[i]) for i in neg)
+    m_pos = sum(adv[i] for i in pos)
+    m_neg = sum(-adv[i] for i in neg)
+    z_pos = sum(adv[i] * len(per_resp[i]) for i in pos)
+    z_neg = sum(-adv[i] * len(per_resp[i]) for i in neg)
     gen = 0.0
     if pos:
         gen += (m_pos / g) / z_pos * sum(sum(per_resp[i]) for i in pos)
@@ -115,7 +118,7 @@ def test_objective_token_unclipped_band_mean(clip):
         adv = normalize_advantages(group)
         expected = sum(
             r * a
-            for resp, a in zip(group.responses, adv.advantages)
+            for resp, a in zip(group.responses, adv.tolist())
             for r in resp.ratios
         ) / group.total_tokens
         assert objective("token", group, adv, clip).objective == pytest.approx(
@@ -188,7 +191,7 @@ def test_objective_balanced_single_sided(clip):
     # constructed advantage set with an empty negative subset: the negative
     # term drops with its zero weight, no renormalization of the other side
     group = make_group([(2, 0.0), (4, 0.0), (1, 0.0)])
-    adv = AdvantageSet.from_advantages([2.0, 1.0, 0.0])
+    adv = [2.0, 1.0, 0.0]
     result = objective("balanced", group, adv, clip)
     expected = (2 / 3) * (2 * 2.0 + 4 * 1.0) / 6
     assert result.objective == pytest.approx(expected, abs=1e-14)
@@ -197,7 +200,7 @@ def test_objective_balanced_single_sided(clip):
 
 def test_objective_balanced_gen_example(clip):
     group = make_group([(1, 0.0), (2, 0.0), (3, 0.0)])
-    adv = AdvantageSet.from_advantages([2.0, 1.0, -3.0])
+    adv = [2.0, 1.0, -3.0]
     assert objective("balanced_gen", group, adv, clip).objective == pytest.approx(
         0.0, abs=1e-15
     )
@@ -234,12 +237,12 @@ def test_all_ratio_one_closed_forms(clip):
     for _ in range(100):
         group = random_binary_group(rng, ratio_low=1.0, ratio_high=1.0)
         adv = normalize_advantages(group)
-        k = adv.k
+        k = int(np.count_nonzero(adv > 0.0))
         g = group.size
         n = group.total_tokens
-        lengths = group.lengths
-        tbar_pos = sum(lengths[i] for i in adv.pos_indices) / k
-        tbar_neg = sum(lengths[i] for i in adv.neg_indices) / (g - k)
+        lengths = np.array(group.lengths)
+        tbar_pos = lengths[adv > 0.0].sum() / k
+        tbar_neg = lengths[adv < 0.0].sum() / (g - k)
         expected = math.sqrt(k * (g - k)) / n * (tbar_pos - tbar_neg)
         assert objective("token", group, adv, clip).objective == pytest.approx(
             expected, abs=1e-12
@@ -257,7 +260,7 @@ def test_permutation_and_token_order_invariance_exact(clip):
         permuted = RolloutGroup(
             "p0", tuple(group.responses[i] for i in perm), 0.0
         )
-        padv = AdvantageSet.from_advantages([adv.advantages[i] for i in perm])
+        padv = adv[perm]
         shuffled = RolloutGroup(
             "p0",
             tuple(
@@ -284,9 +287,9 @@ def test_mass_symmetry(clip):
             adv = normalize_advantages(group)
         except ValueError:
             continue
-        m_pos = math.fsum(adv.advantages[i] for i in adv.pos_indices)
-        m_neg = math.fsum(-adv.advantages[i] for i in adv.neg_indices)
-        half = 0.5 * math.fsum(abs(a) for a in adv.advantages)
+        m_pos = math.fsum(adv[adv > 0.0])
+        m_neg = math.fsum(-adv[adv < 0.0])
+        half = 0.5 * math.fsum(abs(adv))
         assert abs(m_pos - m_neg) < 1e-10
         assert abs(m_pos - half) < 1e-10
 
@@ -303,9 +306,31 @@ def test_missing_ratios_rejected(clip):
 
 def test_shape_mismatch_rejected(clip):
     group = make_group([(2, 1.0), (1, 0.0)])
-    other = AdvantageSet.from_advantages([1.0, -1.0, 0.5])
     with pytest.raises(ValueError):
-        objective("token", group, other, clip)
+        objective("token", group, [1.0, -1.0, 0.5], clip)
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "0.5", None, 1j])
+def test_one_group_calls_reject_an_advantage_that_is_not_a_finite_real(clip, bad, as_array):
+    # a NaN fails both ``> 0`` and ``< 0``, so unchecked it would drop out of
+    # both sign subsets as if it were a zero advantage
+    group = make_group([(2, 1.0, 1.1), (1, 0.0, 0.9), (3, 0.0, 1.05)])
+    good = normalize_advantages(group)
+    result = objective("token", group, good, clip)
+    advantages = [*good.tolist()[:2], bad]
+    if as_array:
+        advantages = np.array(advantages, dtype=float if isinstance(bad, float) else object)
+    calls = [
+        lambda: objective("token", group, advantages, clip),
+        lambda: compute_rule_sums(group, advantages, clip),
+        lambda: decompose(group, advantages, clip, "balanced"),
+        lambda: gradient_check(result, group, advantages, clip),
+        lambda: ba_weight_identity(group, advantages, clip),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape("advantages[2]")):
+            call()
 
 
 def test_objective_errors_come_in_order(clip):
@@ -313,16 +338,16 @@ def test_objective_errors_come_in_order(clip):
         "p0", (Response(None, 1.0, token_count=3), Response(None, 0.0, token_count=5))
     )
     with pytest.raises(ValueError, match="advantage set of size 3 does not match group of size 2"):
-        objective("mean", length_only, AdvantageSet.from_advantages([1.0, -1.0, 0.5]), clip)
+        objective("mean", length_only, [1.0, -1.0, 0.5], clip)
     with pytest.raises(MissingRatiosError, match="'p0': response 0 is length-only"):
-        objective("mean", length_only, AdvantageSet.from_advantages([1.0, -1.0]), clip)
+        objective("mean", length_only, [1.0, -1.0], clip)
     # two finite negative phi terms whose sum overflows, then one that is -inf
     huge = make_group([(2, 1.0, 1e308), (1, 0.0)])
     with pytest.raises(OverflowError, match="the rule sums overflow a float"):
-        objective("mean", huge, AdvantageSet.from_advantages([-1.0, 1.0]), clip)
+        objective("mean", huge, [-1.0, 1.0], clip)
     with pytest.raises(OverflowError, match="the rule sums overflow a float"):
-        compute_rule_sums(huge, AdvantageSet.from_advantages([-1.0, 1.0]), clip)
-    infinite = AdvantageSet.from_advantages([-1e300, 1.0])
+        compute_rule_sums(huge, [-1.0, 1.0], clip)
+    infinite = [-1e300, 1.0]
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="unknown rule 'mean'"):
             objective("mean", huge, infinite, clip)
@@ -403,7 +428,7 @@ def chain_terms(rule, s):
 def chain_gradients(rule, s, adv, arrays, clip):
     _, _, w_pos, w_neg = chain_terms(rule, s)
     out = []
-    for arr, a in zip(arrays, adv.advantages):
+    for arr, a in zip(arrays, np.asarray(adv, dtype=float).tolist()):
         if rule == "token":
             w = 1.0 / s.total_tokens
         elif rule == "seq":
@@ -426,21 +451,21 @@ def table_cases(rng):
         group = random_binary_group(rng)
         yield group, normalize_advantages(group)
         group = random_real_group(rng)
-        adv = normalize_advantages(group)
-        yield group, adv
-        a = adv.advantages
+        a = normalize_advantages(group)
+        yield group, a
         g = group.size
-        yield group, AdvantageSet.from_advantages([x if i % 3 else 0.0 for i, x in enumerate(a)])
-        yield group, AdvantageSet.from_advantages([abs(x) if i % 2 else 0.0 for i, x in enumerate(a)])
-        yield group, AdvantageSet.from_advantages([-abs(x) for x in a])
-        yield group, AdvantageSet.from_advantages([0.0] * g)
+        yield group, [x if i % 3 else 0.0 for i, x in enumerate(a.tolist())]
+        yield group, [abs(x) if i % 2 else 0.0 for i, x in enumerate(a.tolist())]
+        yield group, -abs(a)
+        yield group, [0.0] * g
 
 
 def test_rule_table_matches_chains_and_objective_exactly(clip):
     rng = np.random.default_rng(21)
     kinds = set()
     for group, adv in table_cases(rng):
-        kinds.add((adv.k > 0, len(adv.neg_indices) > 0, len(adv.zero_indices) > 0))
+        signs = np.sign(adv)
+        kinds.add((1.0 in signs, -1.0 in signs, 0.0 in signs))
         arrays = [np.asarray(r.ratios, dtype=float) for r in group.responses]
         sums = compute_rule_sums(group, adv, clip)  # once for all four rules
         row = sums_row(sums)

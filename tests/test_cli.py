@@ -14,7 +14,7 @@ from grpoagg import cli, rollout_io, sim
 from grpoagg.cli import main
 from grpoagg.aggregate import FlatBatch
 from grpoagg.decompose import length_stats
-from grpoagg.groups import AdvantageSet, Response, RolloutGroup
+from grpoagg.groups import Response, RolloutGroup
 from grpoagg.rollout_io import METRIC_FIELDS, read_metrics, read_rollouts
 
 from conftest import count_constructions
@@ -149,7 +149,7 @@ def test_analyze_builds_no_per_group_record(tmp_path, capsys, monkeypatch):
         for responses in ([{"token_count": 3, "reward": 1.0}, {"token_count": 2, "reward": 0.0}],
                           [{"tokens": [1, 0], "reward": 0.5, "ratios": [1.0, 1.2]}] * 2):
             fh.write(json.dumps({"prompt_id": "q", "responses": responses}) + "\n")
-    built = count_constructions(monkeypatch, AdvantageSet, Response, RolloutGroup)
+    built = count_constructions(monkeypatch, Response, RolloutGroup)
     code, out, err = run_cli(capsys, "analyze", "--input", str(log), "--window", "4", "--out", str(tmp_path))
     assert (code, err) == (0, "")
     assert "notice: 1 degenerate group(s)" in out and "notice: 1 length-only group(s)" in out

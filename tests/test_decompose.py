@@ -9,14 +9,13 @@ from grpoagg.decompose import (
     LengthStats,
     LengthTally,
     NonBinaryRewardError,
-    RegimeThresholds,
     ba_weight_identity,
     decompose,
     length_stats,
     pooled_mean,
     regime_report,
 )
-from grpoagg.groups import AdvantageSet, Response, RolloutGroup, normalize_advantages
+from grpoagg.groups import Response, RolloutGroup, normalize_advantages
 from grpoagg.verify import random_binary_group
 
 from conftest import length_columns, make_group
@@ -46,8 +45,7 @@ def test_decompose_seq_example(clip):
 
 def test_decompose_gen_example(clip):
     group = make_group([(1, 0.0), (2, 0.0), (3, 0.0)])
-    adv = AdvantageSet.from_advantages([2.0, 1.0, -3.0])
-    report = decompose(group, adv, clip, "balanced_gen")
+    report = decompose(group, [2.0, 1.0, -3.0], clip, "balanced_gen")
     assert report.m_pos == 3.0 and report.m_neg == 3.0
     assert report.z_pos == 4.0 and report.z_neg == 9.0
     assert report.reconstructed_objective == pytest.approx(0.0, abs=1e-14)
@@ -91,9 +89,9 @@ def test_token_counts_partition_with_zero_advantages(clip):
     # and its tokens count toward N but toward neither sign subset
     group = make_group([(2, 0.0), (3, 1.0), (4, 2.0)])
     adv = normalize_advantages(group)
-    assert adv.zero_indices == (1,)
+    assert (adv == 0.0).nonzero()[0].tolist() == [1]
     report = decompose(group, adv, clip, "balanced_gen")
-    zero_tokens = sum(group.lengths[i] for i in adv.zero_indices)
+    zero_tokens = group.lengths[1]
     assert report.n_pos + report.n_neg + zero_tokens == group.total_tokens
     assert report.n_pos == 4 and report.n_neg == 2 and zero_tokens == 3
 
@@ -155,9 +153,8 @@ def test_ba_weight_identity_rejects_non_binary(clip):
 
 def test_ba_weight_identity_rejects_degenerate_subset(clip):
     group = make_group([(1, 1.0), (2, 0.0)])
-    one_sided = AdvantageSet.from_advantages([2.0, 1.0])  # no negatives
     with pytest.raises(ValueError, match="degenerate subset"):
-        ba_weight_identity(group, one_sided, clip)
+        ba_weight_identity(group, [2.0, 1.0], clip)  # no negatives
 
 
 def test_length_stats_example(clip):
@@ -208,8 +205,7 @@ def test_length_tally_gives_length_stats_bits():
     advs = [normalize_advantages(g) for g in groups]
     tally = LengthTally()
     for group, adv in zip(groups, advs):
-        lengths = group.lengths
-        tally.add(lengths, [lengths[i] for i in adv.pos_indices], [lengths[i] for i in adv.neg_indices])
+        tally.add(*length_columns([group], [adv]))
     assert repr(tally.stats()) == repr(length_stats(*length_columns(groups, advs)))
     with pytest.raises(ValueError, match="non-empty"):
         LengthTally().stats()
@@ -234,12 +230,15 @@ def test_len_gap_invariant_under_integer_length_scaling(clip):
 
 
 def test_regime_report_examples():
-    thresholds = RegimeThresholds(cv=0.5, gap=0.2)
-    assert regime_report(LengthStats(1.0, 0.9, 1.0, 1.0, 0.05), thresholds) == "favors-token"
-    assert regime_report(LengthStats(1.0, 0.1, 1.0, 1.0, 0.6), thresholds) == "favors-seq"
-    assert regime_report(LengthStats(1.0, 0.0, 1.0, 1.0, 0.0), thresholds) == "mixed"
-    assert regime_report(LengthStats(1.0, 0.9, 1.0, 1.0, 0.6), thresholds) == "mixed"
-    assert regime_report(LengthStats(1.0, 0.9, None, None, None), thresholds) == "mixed"
+    assert regime_report(LengthStats(1.0, 0.9, 1.0, 1.0, 0.05)) == "favors-token"
+    assert regime_report(LengthStats(1.0, 0.1, 1.0, 1.0, 0.6)) == "favors-seq"
+    assert regime_report(LengthStats(1.0, 0.0, 1.0, 1.0, 0.0)) == "mixed"
+    assert regime_report(LengthStats(1.0, 0.9, 1.0, 1.0, 0.6)) == "mixed"
+    assert regime_report(LengthStats(1.0, 0.9, None, None, None)) == "mixed"
+    # the cutoffs are 0.5 on the CV and 0.2 on |len_gap|, both strict
+    assert regime_report(LengthStats(1.0, 0.5, 1.0, 1.0, -0.2)) == "mixed"
+    assert regime_report(LengthStats(1.0, 0.5000001, 1.0, 1.0, 0.2)) == "favors-token"
+    assert regime_report(LengthStats(1.0, 0.5, 1.0, 1.0, -0.2000001)) == "favors-seq"
 
 
 def test_pooled_mean_is_fsum_mean_unless_the_sum_overflows():

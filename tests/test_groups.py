@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from grpoagg.aggregate import compute_rule_sums
 from grpoagg.groups import (
-    AdvantageSet,
     DegenerateGroupError,
     Response,
     RolloutGroup,
     binary_closed_form,
     normalize_advantages,
+    normalize_columns,
 )
 
 from conftest import make_group
@@ -19,31 +20,30 @@ def test_normalize_single_positive():
     group = make_group([(1, 1.0), (1, 0.0), (1, 0.0), (1, 0.0)])
     adv = normalize_advantages(group)
     root3 = math.sqrt(3.0)
-    assert adv.advantages[0] == pytest.approx(root3, abs=1e-12)
-    for a in adv.advantages[1:]:
+    assert type(adv) is np.ndarray and adv.dtype == np.float64 and adv.shape == (4,)
+    assert adv[0] == pytest.approx(root3, abs=1e-12)
+    for a in adv[1:]:
         assert a == pytest.approx(-1.0 / root3, abs=1e-12)
-    assert adv.k == 1
-    assert adv.pos_indices == (0,)
-    assert adv.neg_indices == (1, 2, 3)
+    assert (adv > 0.0).nonzero()[0].tolist() == [0]
+    assert (adv < 0.0).nonzero()[0].tolist() == [1, 2, 3]
 
 
 def test_normalize_all_equal_with_floor_gives_zeros():
     group = make_group([(1, 1.0)] * 4, eps_var=1e-6)
     adv = normalize_advantages(group)
-    assert adv.advantages == (0.0, 0.0, 0.0, 0.0)
-    assert adv.pos_indices == ()
-    assert adv.neg_indices == ()
-    assert adv.zero_indices == (0, 1, 2, 3)
+    assert list(map(repr, adv.tolist())) == ["0.0"] * 4  # +0.0, in neither sign subset
 
 
 def test_normalize_hand_computed_sigma():
     # rewards [2, 1, -3]: mu = 0, sigma = sqrt(14/3)
     group = make_group([(1, 2.0), (1, 1.0), (1, -3.0)])
     adv = normalize_advantages(group)
+    columns = normalize_columns(group.rewards, [3], [0.0], ["p0"])
     sigma = math.sqrt(14.0 / 3.0)
-    assert adv.mu == pytest.approx(0.0, abs=1e-15)
-    assert adv.sigma == pytest.approx(sigma, abs=1e-15)
-    for a, r in zip(adv.advantages, (2.0, 1.0, -3.0)):
+    assert columns.mu[0] == pytest.approx(0.0, abs=1e-15)
+    assert columns.sigma[0] == pytest.approx(sigma, abs=1e-15)
+    assert adv.tobytes() == columns.advantages.tobytes()
+    for a, r in zip(adv, (2.0, 1.0, -3.0)):
         assert a == pytest.approx(r / sigma, abs=1e-14)
 
 
@@ -60,8 +60,8 @@ def test_normalize_sum_and_sum_of_squares():
         rewards = rng.normal(size=g)
         group = make_group([(1, r) for r in rewards])
         adv = normalize_advantages(group)
-        assert abs(math.fsum(adv.advantages)) < 1e-10
-        assert math.fsum(a * a for a in adv.advantages) == pytest.approx(g, abs=1e-8)
+        assert abs(math.fsum(adv)) < 1e-10
+        assert math.fsum(a * a for a in adv) == pytest.approx(g, abs=1e-8)
 
 
 def test_binary_closed_form_values():
@@ -88,7 +88,7 @@ def test_normalize_matches_closed_form_on_random_binary():
         group = make_group([(1, r) for r in rewards])
         adv = normalize_advantages(group)
         pos, neg = binary_closed_form(g, k)
-        for a, r in zip(adv.advantages, rewards):
+        for a, r in zip(adv, rewards):
             assert abs(a - (pos if r == 1.0 else neg)) < 1e-10
 
 
@@ -102,7 +102,7 @@ def test_shift_and_scale_invariance():
         lam = float(rng.uniform(0.01, 100.0))
         shifted = normalize_advantages(make_group([(1, r + c) for r in rewards]))
         scaled = normalize_advantages(make_group([(1, r * lam) for r in rewards]))
-        for a, b, s in zip(base.advantages, shifted.advantages, scaled.advantages):
+        for a, b, s in zip(base, shifted, scaled):
             assert abs(a - b) < 1e-10
             assert abs(a - s) < 1e-10
 
@@ -111,7 +111,7 @@ def test_variance_floor_shrinks_advantages():
     rewards = (1.0, 0.0, 0.0, 2.0, -1.0)
     exact = normalize_advantages(make_group([(1, r) for r in rewards]))
     floored = normalize_advantages(make_group([(1, r) for r in rewards], eps_var=0.5))
-    for a, b in zip(exact.advantages, floored.advantages):
+    for a, b in zip(exact, floored):
         if a != 0.0:
             assert abs(b) < abs(a)
 
@@ -157,12 +157,11 @@ def test_group_validation():
         RolloutGroup("p", (one, one), eps_var=-1.0)
 
 
-def test_advantage_set_partition_consistency():
-    adv = AdvantageSet.from_advantages([2.0, 0.0, -2.0])
-    assert adv.pos_indices == (0,)
-    assert adv.neg_indices == (2,)
-    assert adv.zero_indices == (1,)
-    assert adv.k == 1
+def test_advantage_set_partition_consistency(clip):
+    # a zero advantage is in neither sign subset, as counts and as tokens
+    sums = compute_rule_sums(make_group([(1, 0.0), (2, 0.0), (4, 0.0)]), [2.0, 0.0, -2.0], clip)
+    assert (sums.k.item(), sums.neg_count.item()) == (1, 1)
+    assert (sums.n_pos.item(), sums.n_neg.item(), sums.total_tokens.item()) == (1, 4, 7)
 
 
 HUGE = 10**400  # an exact JSON integer far beyond float range

@@ -29,7 +29,6 @@ from grpoagg.aggregate import RULES, ClipConfig, FlatBatch, compute_rule_sums, r
 from grpoagg.cli import main
 from grpoagg.decompose import length_stats, pooled_mean, regime_report
 from grpoagg.groups import (
-    AdvantageSet,
     DegenerateGroupError,
     RolloutGroup,
     normalize_advantages,
@@ -41,6 +40,7 @@ from grpoagg.rollout_io import (
     RolloutLogError,
     format_metrics,
     parse_rollout_line,
+    read_group_columns,
 )
 
 from conftest import (
@@ -155,20 +155,39 @@ def render(record, cut: bool) -> str:
 @SETTINGS
 @given(record=records(), cut=cuts, line_no=st.integers(1, 10**6))
 def test_parse_returns_a_group_or_a_rollout_log_error(record, cut, line_no):
-    # under every available decoder, with the same group or error text
-    outcomes = []
-    for decoder in AVAILABLE_DECODERS:
-        with decoding_with(decoder):
-            try:
-                group = parse_rollout_line(render(record, cut), line_no)
-            except RolloutLogError as exc:
-                assert exc.line_no == line_no
-                assert str(exc).startswith(f"line {line_no}:")
-                outcomes.append((type(exc), str(exc)))
+    # the record path gives a group or an error naming the line; read as the
+    # first line of a log under every available decoder, the line gives that
+    # group's columns, ratio bits included, or that error
+    line = render(record, cut) + "\n"
+    error = ratios = None
+    try:
+        group = parse_rollout_line(line, line_no)
+    except RolloutLogError as exc:
+        assert exc.line_no == line_no
+        assert str(exc).startswith(prefix := f"line {line_no}:")
+        error = (type(exc), 1, "line 1:" + str(exc)[len(prefix):])
+    else:
+        assert isinstance(group, RolloutGroup)
+        if group.has_ratios:
+            ratios = np.array([r for resp in group.responses for r in resp.ratios], dtype=float)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.jsonl"
+        path.write_text(line, encoding="utf-8")
+        for decoder in AVAILABLE_DECODERS:
+            errors = []
+            with decoding_with(decoder):
+                columns = list(read_group_columns(path, on_error=errors.append))
+            if error is not None:
+                assert columns == [] and [(type(e), e.line_no, str(e)) for e in errors] == [error], decoder
+                continue
+            assert errors == [] and len(columns) == 1, decoder
+            *fields, got = columns[0]
+            want = [1, group.prompt_id, group.eps_var, list(group.rewards), list(group.lengths)]
+            assert repr(fields) == repr(want), decoder
+            if ratios is None:
+                assert got is None, decoder
             else:
-                assert isinstance(group, RolloutGroup)
-                outcomes.append(repr(group))
-    assert outcomes.count(outcomes[0]) == len(outcomes)
+                assert got.dtype == np.float64 and got.tobytes() == ratios.tobytes(), decoder
 
 
 def reference_analyze(lines: list[str], window: int, out: Path) -> dict:
@@ -189,7 +208,7 @@ def reference_analyze(lines: list[str], window: int, out: Path) -> dict:
             try:
                 adv, zero = normalize_advantages(group), False
             except DegenerateGroupError:
-                adv, zero = AdvantageSet.from_advantages([0.0] * group.size), True
+                adv, zero = [0.0] * group.size, True
             terms = None
             if group.has_ratios:
                 try:
@@ -228,7 +247,7 @@ def reference_analyze(lines: list[str], window: int, out: Path) -> dict:
                 step, rule, objective, None if objective is None else -objective,
                 stats.len_cv, stats.len_gap, stats.tbar_pos, stats.tbar_neg,
                 pooled_mean([r.reward for g in groups for r in g.responses]),
-                fsum(a.k for a in advs) / len(advs),
+                fsum(sum(a > 0.0 for a in adv) for adv in advs) / len(advs),
                 sum(t[1] for t in evaluated) / tokens if tokens else None,
             )
             for rule, objective in (
@@ -352,7 +371,7 @@ ratios = st.floats(1e-300, 1e300) | st.sampled_from([0.8, 1.0, 1.28])
 def sign_groups(draw):
     g = draw(st.integers(2, 64))
     advantages = st.just(0.0) | st.floats(-1e300, 1e300, allow_nan=False)
-    adv = AdvantageSet.from_advantages(draw(st.lists(advantages, min_size=g, max_size=g)))
+    adv = draw(st.lists(advantages, min_size=g, max_size=g))
     arrays = [np.array(draw(st.lists(ratios, min_size=1, max_size=6))) for _ in range(g)]
     return adv, arrays
 
@@ -369,7 +388,7 @@ def outcome(fn, *args):
 def test_rule_sums_equal_the_per_response_fsum_reference(group):
     adv, arrays = group
     clip = ClipConfig()
-    batch = FlatBatch(adv.advantages, (adv.size,), tuple(map(len, arrays)), np.concatenate(arrays))
+    batch = FlatBatch(adv, (len(adv),), tuple(map(len, arrays)), np.concatenate(arrays))
     with np.errstate(over="ignore"):
         got = outcome(lambda: sums_row(batch.rule_sums(clip)))
         want = outcome(reference_rule_sums, adv, arrays, clip)
@@ -400,7 +419,7 @@ def sign_runs(draw):
             sign = {"positive": 1.0, "negative": -1.0, "zero": 0.0}[kind]
             advantages = [sign * abs(a) for a in advantages]
         arrays = [np.array(draw(st.lists(group_ratios, min_size=1, max_size=6))) for _ in range(g)]
-        groups.append((AdvantageSet.from_advantages(advantages), arrays))
+        groups.append((advantages, arrays))
     return groups
 
 
@@ -414,8 +433,8 @@ def test_flat_batch_columns_equal_the_per_group_reference(groups):
     clip = ClipConfig()
     arrays = [arr for _, group_arrays in groups for arr in group_arrays]
     batch = FlatBatch(
-        np.concatenate([adv.advantages for adv, _ in groups]),
-        [adv.size for adv, _ in groups],
+        np.concatenate([adv for adv, _ in groups]),
+        [len(adv) for adv, _ in groups],
         [len(arr) for arr in arrays],
         np.concatenate(arrays),
     )
@@ -441,7 +460,7 @@ def test_flat_batch_columns_equal_the_per_group_reference(groups):
             if w_pos is not None:  # seq's weight is per response, in its gradient
                 assert (bits(w_pos[i]), bits(w_neg[i])) == (bits(ref_pos(1)), bits(ref_neg(1)))
             with np.errstate(all="ignore"):
-                ref_grads = reference_ratio_gradients(rule, want, adv.advantages, group_arrays, clip)
+                ref_grads = reference_ratio_gradients(rule, want, adv, group_arrays, clip)
             assert grads[rule][start:stop].tobytes() == np.concatenate(ref_grads).tobytes()
         start = stop
 
@@ -476,14 +495,14 @@ def test_normalize_columns_equal_the_per_group_reference(groups):
         # the one-group normaliser reads only these fields, so any size goes
         library = outcome(normalize_advantages, SimpleNamespace(rewards=values, eps_var=eps, prompt_id=f"p{j}"))
         if type(want) is tuple:  # the error and its text
-            assert library == want
+            assert type(library) is tuple and library == want
             assert got.errors[j] == want[1]
             assert (j in got.degenerate) == (want[0] is DegenerateGroupError)
             assert not got.advantages[start:stop].any()
         else:
             assert j not in got.errors
             assert list(map(bits, got.advantages[start:stop])) == list(map(bits, want.advantages))
-            assert list(map(bits, library.advantages)) == list(map(bits, want.advantages))
+            assert type(library) is np.ndarray and list(map(bits, library)) == list(map(bits, want.advantages))
             assert (bits(got.mu[j]), bits(got.sigma[j])) == (bits(want.mu), bits(want.sigma))
         start = stop
 
