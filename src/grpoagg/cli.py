@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification or validation failure, 2 usage error.
 An output that cannot be written (``--out`` names a file, say) is reported as
-``error: cannot write <path>: <reason>`` with exit code 1.
+``error: cannot write <path>: <reason>`` with exit code 1; verify writes only
+to stdout, so its path is ``<stdout>``.
 """
 
 from __future__ import annotations
@@ -48,31 +49,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, eps_default: float) -> None:
-        p.add_argument("--seed", type=int, default=0, help="RNG seed")
-        p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-        p.add_argument(
-            "--eps-var",
-            type=float,
-            default=eps_default,
-            help="variance floor inside the advantage normalizer",
-        )
+    def add_clip(p: argparse.ArgumentParser) -> None:
         p.add_argument("--clip-low", type=float, default=0.2, help="lower clip width")
         p.add_argument("--clip-high", type=float, default=0.28, help="upper clip width")
 
+    seed = dict(type=int, default=0, help="RNG seed")
+    out = dict(type=Path, default=Path("."), help="output directory")
+    eps_var = dict(type=float, help="variance floor inside the advantage normalizer")
+
     p_verify = sub.add_parser("verify", help="run the identity suite")
-    add_common(p_verify, 0.0)
+    p_verify.add_argument("--seed", **seed)
+    add_clip(p_verify)
     p_verify.add_argument("--inject-fault", default=None, help=argparse.SUPPRESS)
 
     p_analyze = sub.add_parser("analyze", help="analyze a JSONL rollout log")
-    add_common(p_analyze, 0.0)
+    p_analyze.add_argument("--out", **out)
+    p_analyze.add_argument("--eps-var", default=0.0, **eps_var)
+    add_clip(p_analyze)
     p_analyze.add_argument("--input", type=Path, required=True, help="JSONL rollout log")
     p_analyze.add_argument(
         "--window", type=int, default=16, help="groups per pooled metrics window"
     )
 
     def add_sim_flags(p: argparse.ArgumentParser) -> None:
-        add_common(p, 1e-6)
+        p.add_argument("--seed", **seed)
+        p.add_argument("--out", **out)
+        p.add_argument("--eps-var", default=1e-6, **eps_var)
+        add_clip(p)
         p.add_argument("--task", choices=TASK_KINDS, default="count")
         p.add_argument("--steps", type=int, default=200)
         p.add_argument("--group-size", type=int, default=16)
@@ -469,7 +472,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # every read error is reported where it happens
-        print(f"error: cannot write {exc.filename or args.out}: {exc.strerror or exc}", file=sys.stderr)
+        target = exc.filename or getattr(args, "out", "<stdout>")  # verify writes only to stdout
+        print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

@@ -176,8 +176,6 @@ def ba_weight_identity(
     with agreement asserted to 1e-12.
     """
     _require_binary(group, "balanced")
-    if len(advantages) != group.size:
-        raise ValueError("advantage set does not match group")
     sums = compute_rule_sums(group, advantages, clip)
     g = group.size
     k = sums.k.item()

@@ -92,18 +92,18 @@ def _check_cells(what: str, cells: int, cap: int) -> None:
 class TaskSpec:
     """A toy verifiable-reward task instance.
 
-    ``counts`` (count task) and ``targets`` (free-length task) default to a
-    deterministic per-prompt assignment; pass them explicitly to control
-    difficulty. ``num_prompts * t_max * vocab_size`` is at most
-    MAX_POLICY_CELLS.
+    Each prompt's answer is fixed by its index i: the count task wants
+    ``counts[i] = i % (t_max - 1) + 1`` copies of symbol 1, and the
+    free-length task wants first symbol ``targets[i] = 1 + i % (vocab_size - 1)``.
+    ``num_prompts * t_max * vocab_size`` is at most MAX_POLICY_CELLS.
     """
 
     kind: str
     vocab_size: int = 3
     t_max: int = 8
     num_prompts: int = 4
-    counts: tuple[int, ...] | None = None
-    targets: tuple[int, ...] | None = None
+    counts: tuple[int, ...] = field(init=False)
+    targets: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.kind not in TASK_KINDS:
@@ -119,33 +119,9 @@ class TaskSpec:
             self.num_prompts * self.t_max * self.vocab_size,
             MAX_POLICY_CELLS,
         )
-        if self.kind == "count":
-            counts = self.counts
-            if counts is None:
-                counts = tuple(i % (self.t_max - 1) + 1 for i in range(self.num_prompts))
-            counts = tuple(int(c) for c in counts)
-            if len(counts) != self.num_prompts:
-                raise ValueError("counts must have one entry per prompt")
-            for c in counts:
-                if not 1 <= c <= self.t_max - 1:
-                    raise ValueError(
-                        f"count {c} out of range [1, {self.t_max - 1}] "
-                        "(the correct string must fit with its EOS)"
-                    )
-            object.__setattr__(self, "counts", counts)
-        else:
-            targets = self.targets
-            if targets is None:
-                targets = tuple(
-                    1 + i % (self.vocab_size - 1) for i in range(self.num_prompts)
-                )
-            targets = tuple(int(t) for t in targets)
-            if len(targets) != self.num_prompts:
-                raise ValueError("targets must have one entry per prompt")
-            for t in targets:
-                if not 1 <= t <= self.vocab_size - 1:
-                    raise ValueError(f"target symbol {t} out of vocab (non-EOS)")
-            object.__setattr__(self, "targets", targets)
+        prompts = range(self.num_prompts)
+        object.__setattr__(self, "counts", tuple(i % (self.t_max - 1) + 1 for i in prompts))
+        object.__setattr__(self, "targets", tuple(1 + i % (self.vocab_size - 1) for i in prompts))
 
 
 @dataclass(frozen=True)
@@ -235,9 +211,9 @@ class PolicyTable:
 def _reward(task: TaskSpec, prompt_index: int, tokens: tuple[int, ...]) -> float:
     """The reward rule, for a prompt index in range and a tuple of ints."""
     if task.kind == "count":
-        n = task.counts[prompt_index]  # type: ignore[index]
+        n = task.counts[prompt_index]
         return 1.0 if tokens == (COUNT_SYMBOL,) * n + (EOS_TOKEN,) else 0.0
-    target = task.targets[prompt_index]  # type: ignore[index]
+    target = task.targets[prompt_index]
     return 1.0 if tokens and tokens[0] == target else 0.0
 
 
@@ -404,7 +380,6 @@ class BatchEval:
     grad_logits: np.ndarray | None
     rule_objectives: dict[str, float]
     clip_fraction: float
-    degenerate_groups: int
 
 
 def evaluate_batch(
@@ -478,7 +453,6 @@ def evaluate_batch(
         grad_logits=grad,
         rule_objectives=objectives,
         clip_fraction=clipped / total_tokens if total_tokens else 0.0,
-        degenerate_groups=int(terms[rule][1].sum()),
     )
 
 
@@ -561,7 +535,7 @@ def run_training(
     """
     step_cells = task.num_prompts * config.group_size * task.t_max * task.vocab_size
     _check_cells(
-        "step cells (prompts per batch * group_size * t_max * vocab_size)",
+        "step cells (prompts * group_size * t_max * vocab_size)",
         step_cells,
         MAX_STEP_CELLS,
     )

@@ -1,10 +1,9 @@
 """Seeded identity suite behind ``grpoagg verify``.
 
-Each check draws random instances from a shared generator, evaluates one of
-the algebraic identities the aggregation rules must satisfy, and reports the
-maximum observed error against a fixed tolerance. The suite manifest records
-which exported operations each check exercises; together they must cover the
-whole group-model / aggregation / decomposition surface.
+Each check draws random instances from its own seeded generator, evaluates
+one of the algebraic identities the advantage normaliser, the aggregation
+rules and their decompositions must satisfy, and reports the maximum observed
+error against a fixed tolerance.
 """
 
 from __future__ import annotations
@@ -29,27 +28,11 @@ from .groups import Response, RolloutGroup, binary_closed_form, normalize_advant
 __all__ = [
     "IdentityCheck",
     "SUITE",
-    "REQUIRED_OPERATIONS",
-    "covered_operations",
     "run_suite",
     "random_binary_group",
     "random_real_group",
     "random_smooth_group",
 ]
-
-REQUIRED_OPERATIONS = frozenset(
-    {
-        "normalize_advantages",
-        "binary_closed_form",
-        "phi",
-        "objective",
-        "gradient_check",
-        "decompose",
-        "ba_weight_identity",
-        "length_stats",
-        "regime_report",
-    }
-)
 
 
 def _response(rng: np.random.Generator, reward: float, length: int, lo: float, hi: float) -> Response:
@@ -117,7 +100,6 @@ def random_smooth_group(
 @dataclass(frozen=True)
 class IdentityCheck:
     name: str
-    operations: tuple[str, ...]
     tolerance: float
     run: Callable[[np.random.Generator, ClipConfig], float]
 
@@ -287,79 +269,20 @@ def _check_length_diagnostics(rng: np.random.Generator, clip: ClipConfig) -> flo
 
 
 SUITE: tuple[IdentityCheck, ...] = (
-    IdentityCheck(
-        "closed_form_advantages",
-        ("normalize_advantages", "binary_closed_form"),
-        1e-10,
-        _check_closed_form,
-    ),
-    IdentityCheck(
-        "reward_shift_scale_invariance",
-        ("normalize_advantages",),
-        1e-10,
-        _check_shift_scale,
-    ),
-    IdentityCheck("clipped_term_concavity", ("phi",), 1e-12, _check_phi_values),
-    IdentityCheck(
-        "token_decomposition",
-        ("objective", "decompose"),
-        1e-12,
-        _reconstruction("token"),
-    ),
-    IdentityCheck(
-        "seq_decomposition",
-        ("objective", "decompose"),
-        1e-12,
-        _reconstruction("seq"),
-    ),
-    IdentityCheck(
-        "balanced_decomposition",
-        ("objective", "decompose"),
-        1e-12,
-        _reconstruction("balanced"),
-    ),
-    IdentityCheck(
-        "generalized_decomposition",
-        ("objective", "decompose"),
-        1e-12,
-        _reconstruction("balanced_gen"),
-    ),
-    IdentityCheck(
-        "ba_weight_identity", ("ba_weight_identity",), 1e-12, _check_ba_weights
-    ),
-    IdentityCheck(
-        "generalized_binary_reduction",
-        ("objective",),
-        1e-12,
-        _check_gen_reduction,
-    ),
-    IdentityCheck("mass_symmetry", ("decompose",), 1e-10, _check_mass_symmetry),
-    IdentityCheck(
-        "ratio_gradient_check",
-        ("gradient_check", "objective"),
-        1e-5,
-        _check_gradients,
-    ),
-    IdentityCheck(
-        "permutation_invariance",
-        ("objective",),
-        0.0,
-        _check_permutation,
-    ),
-    IdentityCheck(
-        "length_diagnostics",
-        ("length_stats", "regime_report"),
-        1e-12,
-        _check_length_diagnostics,
-    ),
+    IdentityCheck("closed_form_advantages", 1e-10, _check_closed_form),
+    IdentityCheck("reward_shift_scale_invariance", 1e-10, _check_shift_scale),
+    IdentityCheck("clipped_term_concavity", 1e-12, _check_phi_values),
+    IdentityCheck("token_decomposition", 1e-12, _reconstruction("token")),
+    IdentityCheck("seq_decomposition", 1e-12, _reconstruction("seq")),
+    IdentityCheck("balanced_decomposition", 1e-12, _reconstruction("balanced")),
+    IdentityCheck("generalized_decomposition", 1e-12, _reconstruction("balanced_gen")),
+    IdentityCheck("ba_weight_identity", 1e-12, _check_ba_weights),
+    IdentityCheck("generalized_binary_reduction", 1e-12, _check_gen_reduction),
+    IdentityCheck("mass_symmetry", 1e-10, _check_mass_symmetry),
+    IdentityCheck("ratio_gradient_check", 1e-5, _check_gradients),
+    IdentityCheck("permutation_invariance", 0.0, _check_permutation),
+    IdentityCheck("length_diagnostics", 1e-12, _check_length_diagnostics),
 )
-
-
-def covered_operations() -> frozenset[str]:
-    ops: set[str] = set()
-    for check in SUITE:
-        ops.update(check.operations)
-    return frozenset(ops)
 
 
 # The gradient check's finite-difference error grows about linearly with its
@@ -380,9 +303,6 @@ def run_suite(
     ``inject_fault``, a clip band too narrow for random_smooth_group or a
     ``clip_high`` above MAX_CLIP_HIGH.
     """
-    missing = REQUIRED_OPERATIONS - covered_operations()
-    if missing:
-        raise AssertionError(f"suite manifest does not cover: {sorted(missing)}")
     if inject_fault is not None and inject_fault not in {c.name for c in SUITE}:
         raise ValueError(f"unknown identity {inject_fault!r}")
     if not clip.lower + 0.05 < clip.upper - 0.05:  # random_smooth_group's ratio range

@@ -136,7 +136,7 @@ def test_a6_gradient_correctness():
         result = objective(rules[i % 4], group, adv, CLIP)
         worst_ratio = max(worst_ratio, gradient_check(result, group, adv, CLIP, h=1e-6))
     worst_logit = 0.0
-    task = TaskSpec("count", vocab_size=3, t_max=5, num_prompts=2, counts=(1, 2))
+    task = TaskSpec("count", vocab_size=3, t_max=5, num_prompts=2)
     for i in range(40):
         old = PolicyTable(rng.normal(scale=0.3, size=(2, 5, 3)))
         policy = PolicyTable(old.logits + rng.normal(scale=0.05, size=(2, 5, 3)))
@@ -172,7 +172,7 @@ def test_a7_sign_length_coupling():
 
     # the same regime realized by the count task: correct answers stop at
     # n+1 tokens while over-generating failures run to t_max
-    task = TaskSpec("count", vocab_size=3, t_max=8, num_prompts=1, counts=(1,))
+    task = TaskSpec("count", vocab_size=3, t_max=8, num_prompts=1)
     logits = np.zeros((1, 8, 3))
     logits[0, 0, COUNT_SYMBOL] = 50.0  # always start with the count symbol
     logits[0, 2:, COUNT_SYMBOL] = 50.0  # never stop after position 1

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import random
@@ -89,6 +90,33 @@ def test_unknown_flag_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--input", "log.jsonl", "--seed", "1"],
+        ["verify", "--eps-var", "0"],
+        ["verify", "--out", "d"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+def test_verify_stdout_write_error_is_one_line(monkeypatch, capsys):
+    class Full:
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    code = main(["verify"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: cannot write <stdout>: {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_module_entry_point(tmp_path):
@@ -607,6 +635,17 @@ def test_refused_arguments_leave_no_out_directory(tmp_path, capsys, command):
     code, _, err = run_cli(capsys, command, "--group-size", "1", "--out", str(out))
     assert code == 2
     assert err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_oversized_prompts_error_names_the_step_cells(tmp_path, capsys):
+    # 10,923 prompts at the default G16/T8/V3 is the smallest step over the cap
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "simulate", "--prompts", "10923", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == (
+        "error: step cells (prompts * group_size * t_max * vocab_size) is 4194432, above the cap of 4194304\n"
+    )
     assert not out.exists()
 
 

@@ -151,6 +151,13 @@ def test_ba_weight_identity_rejects_non_binary(clip):
         ba_weight_identity(group, adv, clip)
 
 
+def test_ba_weight_identity_size_mismatch_has_the_shared_text(clip):
+    group = make_group([(1, 1.0), (2, 0.0)])
+    with pytest.raises(ValueError) as exc:
+        ba_weight_identity(group, [1.0, -1.0, 0.0], clip)
+    assert str(exc.value) == "advantage set of size 3 does not match group of size 2"
+
+
 def test_ba_weight_identity_rejects_degenerate_subset(clip):
     group = make_group([(1, 1.0), (2, 0.0)])
     with pytest.raises(ValueError, match="degenerate subset"):

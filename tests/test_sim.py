@@ -88,21 +88,22 @@ def deterministic_policy(task, strings):
 # --- task and reward ---
 
 def test_verify_reward_count():
-    task = count_task(counts=(3, 1, 2, 4))
+    task = count_task()  # prompt 2 wants 3 copies of the symbol
     a, e = COUNT_SYMBOL, EOS_TOKEN
-    assert verify_reward(task, 0, (a, a, a, e)) == 1.0
-    assert verify_reward(task, 0, (a, a, e)) == 0.0
-    assert verify_reward(task, 0, (a, a, a, a, e)) == 0.0
-    assert verify_reward(task, 0, (a, a, a)) == 0.0  # truncated, no EOS
-    assert verify_reward(task, 0, (e,)) == 0.0
+    assert verify_reward(task, 2, (a, a, a, e)) == 1.0
+    assert verify_reward(task, 2, (a, a, e)) == 0.0
+    assert verify_reward(task, 2, (a, a, a, a, e)) == 0.0
+    assert verify_reward(task, 2, (a, a, a)) == 0.0  # truncated, no EOS
+    assert verify_reward(task, 2, (e,)) == 0.0
 
 
 def test_verify_reward_free_length():
-    task = TaskSpec("free-length", vocab_size=4, t_max=6, num_prompts=2, targets=(2, 3))
-    assert verify_reward(task, 0, (2, 1, 1, 1, EOS_TOKEN)) == 1.0
-    assert verify_reward(task, 0, (2,)) == 1.0
-    assert verify_reward(task, 0, (3, EOS_TOKEN)) == 0.0
-    assert verify_reward(task, 1, (3, 2, 2)) == 1.0
+    task = TaskSpec("free-length", vocab_size=4, t_max=6, num_prompts=3)
+    assert task.targets == (1, 2, 3)
+    assert verify_reward(task, 1, (2, 1, 1, 1, EOS_TOKEN)) == 1.0
+    assert verify_reward(task, 1, (2,)) == 1.0
+    assert verify_reward(task, 1, (3, EOS_TOKEN)) == 0.0
+    assert verify_reward(task, 2, (3, 2, 2)) == 1.0
 
 
 def test_task_spec_validation():
@@ -110,10 +111,8 @@ def test_task_spec_validation():
         TaskSpec("bogus")
     with pytest.raises(ValueError):
         TaskSpec("count", vocab_size=1)
-    with pytest.raises(ValueError):
-        TaskSpec("count", t_max=4, counts=(4, 1, 1, 1))  # no room for EOS
-    with pytest.raises(ValueError):
-        TaskSpec("free-length", vocab_size=3, targets=(0, 1, 1, 1))  # EOS target
+    with pytest.raises(TypeError):
+        TaskSpec("count", counts=(1,))  # the per-prompt answers are not settable
     task = count_task(t_max=8, num_prompts=4)
     assert task.counts == (1, 2, 3, 4)
 
@@ -200,13 +199,13 @@ def test_sample_group_deterministic():
 
 
 def test_sample_group_forced_correct_string():
-    task = count_task(counts=(3, 1, 2, 4))
+    task = count_task()
     correct = [(COUNT_SYMBOL,) * n + (EOS_TOKEN,) for n in task.counts]
     policy = deterministic_policy(task, correct)
-    group = sample_group(policy, task, 0, 4, rollout_seed(0, 0, 0))
+    group = sample_group(policy, task, 2, 4, rollout_seed(0, 0, 2))
     for resp in group.responses:
         assert resp.reward == 1.0
-        assert resp.length == task.counts[0] + 1
+        assert resp.length == task.counts[2] + 1 == 4
         assert not resp.truncated
 
 
@@ -429,7 +428,7 @@ def reinforce_oracle_grad(logits, groups, rule, eps_var):
 
 @pytest.mark.parametrize("rule", ["token", "seq", "balanced"])
 def test_first_epoch_update_matches_reinforce_oracle(rule):
-    task = count_task(num_prompts=2, counts=(1, 2))
+    task = count_task(num_prompts=2)
     rng = np.random.default_rng(17)
     policy = PolicyTable(rng.normal(scale=0.4, size=(2, 8, 3)))
     lr = 0.1
@@ -532,7 +531,7 @@ def test_count_task_induces_positive_length_gap():
 
 def test_logit_gradient_check_all_rules():
     rng = np.random.default_rng(5)
-    task = count_task(num_prompts=2, t_max=5, counts=(1, 2))
+    task = count_task(num_prompts=2, t_max=5)
     clip = ClipConfig()
     old = PolicyTable(rng.normal(scale=0.3, size=(2, 5, 3)))
     policy = PolicyTable(old.logits + rng.normal(scale=0.05, size=(2, 5, 3)))
@@ -558,7 +557,7 @@ def test_inner_epochs_move_ratios_off_one():
 
 
 def test_evaluate_batch_reports_non_finite_gradient():
-    task = count_task(num_prompts=2, counts=(1, 2))
+    task = count_task(num_prompts=2)
     policy = PolicyTable.uniform(2, 8, 3)
     groups = [
         sample_group(policy, task, p, 8, rollout_seed(2, 0, p), 1e-6)
@@ -664,6 +663,5 @@ def test_evaluate_batch_matches_per_response_reference():
             )
             assert ev.rule_objectives == objectives and ev.objective == objectives[rule]
             assert ev.clip_fraction == clip_fraction
-            assert ev.degenerate_groups == degenerate
             assert ev.grad_logits.tobytes() == grad.tobytes()
     assert clip_fraction > 0.0 and degenerate >= 1
