@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 verification or validation failure, 2 usage error.
 An output that cannot be written (``--out`` names a file, say) is reported as
-``error: cannot write <path>: <reason>`` with exit code 1; verify writes only
-to stdout, so its path is ``<stdout>``.
+``error: cannot write <path>: <reason>`` with exit code 1; for stdout the path
+is ``<stdout>``. analyze, simulate and compare write all their files before
+their first stdout line.
 """
 
 from __future__ import annotations
@@ -228,12 +229,13 @@ def cmd_analyze(args) -> int:
     """Analyze a rollout log a chunk of whole windows of ``--window`` groups
     at a time.
 
-    read_group_columns reads the log as columns, checking each line in bulk
-    and re-checking only exceptional lines with the record validator. A
-    chunk holds the groups its first window still needs, then whole windows
-    of lines until it has read ``_CHUNK_TOKENS`` tokens or the log ends. Its
-    groups are normalised and evaluated together, by one FlatBatch; a group
-    whose normalisation fails or whose objective overflows is reported and
+    read_group_columns reads the log as columns, checking each line as it
+    is read and re-checking only exceptional lines with the record
+    validator, so the chunk is the one batch of this path. A chunk holds
+    the groups its first window still needs, then whole windows of lines
+    until it has read ``_CHUNK_TOKENS`` tokens or the log ends. Its groups
+    are normalised and evaluated together, by one FlatBatch; a group whose
+    normalisation fails or whose objective overflows is reported and
     dropped, so a window holds the first ``--window`` groups that evaluate,
     and the groups of an unfinished window start the next chunk. Each
     complete window is cut from the chunk's columns and its rows go to
@@ -242,10 +244,10 @@ def cmd_analyze(args) -> int:
     across chunks only the regime lines and the counts of each response
     length (for the ``overall:`` line) are kept. A line yields at most one
     error; a chunk's ``error: line N:`` lines go to stderr in line order
-    before its rows are written. Notices and regime lines go to stdout after
-    the read. Nothing is written, and ``--out`` is not created, when no
-    group parses; a read error ends the run after the rows of every window
-    that the lines read before it complete.
+    before its rows are written. Notices and regime lines go to stdout once
+    ``regime.txt`` is written. Nothing is written, and ``--out`` is not
+    created, when no group parses; a read error ends the run after the rows
+    of every window that the lines read before it complete.
     """
     clip = _clip_from_args(args)
     if args.window < 1:
@@ -319,14 +321,12 @@ def cmd_analyze(args) -> int:
         print("error: no groups parsed", file=sys.stderr)
         return 1
 
-    _notice_degenerate(degenerate)
-    if length_only:
-        print(f"notice: {length_only} length-only group(s); objectives skipped for them")
     regime_lines.append(f"overall: groups={groups_read} regime={regime_report(tally.stats())}")
     regime_path.write_text("\n".join(regime_lines) + "\n", encoding="utf-8")
-    for line in regime_lines:
-        print(line)
-    print(f"wrote {csv_path} and {regime_path}")
+    notices = _degenerate_notice(degenerate)
+    if length_only:
+        notices.append(f"notice: {length_only} length-only group(s); objectives skipped for them")
+    _print_stdout([*notices, *regime_lines, f"wrote {csv_path} and {regime_path}"])
     return 0
 
 
@@ -352,9 +352,16 @@ def _config_from_args(args, rule: str) -> TrainConfig:
     )
 
 
-def _notice_degenerate(count: int) -> None:
-    if count:
-        print(f"notice: {count} degenerate group(s) treated as zero-advantage")
+def _degenerate_notice(count: int) -> list[str]:
+    return [f"notice: {count} degenerate group(s) treated as zero-advantage"] if count else []
+
+
+def _print_stdout(lines: list[str]) -> None:
+    """Print ``lines`` to stdout; a failed write is an OSError naming ``<stdout>``."""
+    try:
+        print(*lines, sep="\n")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror or str(exc), "<stdout>") from exc
 
 
 def _run_one(args, rule: str, tag: str, degenerate: list[int]) -> list[MetricRecord]:
@@ -410,16 +417,16 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _notice_degenerate(sum(degenerate))
     csv_path = args.out / f"metrics_{args.rule}.csv"
     write_metrics(records, csv_path)
+    lines = _degenerate_notice(sum(degenerate))
     own = [r for r in records if r.rule == args.rule]
     if own:
-        print(
+        lines.append(
             f"{args.rule}: {len(own)} steps, final mean_reward="
             f"{own[-1].mean_reward:.4f} final pg_loss={own[-1].pg_loss:.6g}"
         )
-    print(f"wrote {csv_path}")
+    _print_stdout([*lines, f"wrote {csv_path}"])
     return 0
 
 
@@ -439,21 +446,21 @@ def cmd_compare(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _notice_degenerate(sum(degenerate))
     for rule in RULES:
         write_metrics(per_rule[rule], args.out / f"metrics_{rule}.csv")
     cmp_path = args.out / "comparison.csv"
     _write_comparison(per_rule, cmp_path)
+    lines = _degenerate_notice(sum(degenerate))
     for rule in RULES:
         recs = per_rule[rule]
         tail = recs[-min(100, len(recs)) :]
         mean_loss = fsum(r.pg_loss for r in tail) / len(tail) if tail else 0.0
         final_reward = recs[-1].mean_reward if recs else float("nan")
-        print(
+        lines.append(
             f"{rule:>12}: final mean_reward={final_reward:.4f} "
             f"tail mean pg_loss={mean_loss:.6g}"
         )
-    print(f"wrote {cmp_path} and per-rule metrics_<rule>.csv")
+    _print_stdout([*lines, f"wrote {cmp_path} and per-rule metrics_<rule>.csv"])
     return 0
 
 

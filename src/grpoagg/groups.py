@@ -13,8 +13,9 @@ Response and RolloutGroup own every record rule: token ids and ``token_count``
 (at most 2**53) are Python or NumPy ints or integral floats, never bools;
 rewards, ratios, log-probabilities and ``eps_var`` are finite Python floats or
 ints or ``np.float64``. A violation is a ValueError naming the field.
-``group_columns`` applies the same rules in bulk, to groups given as plain
-fields, and builds no record. ``normalize_columns`` normalises a run of
+``group_columns`` applies the same rules to one group given as plain fields,
+as a log line is read, builds no record and turns the group's ratios into
+one float64 array of its own. ``normalize_columns`` normalises a run of
 groups given as a flat reward column; ``normalize_advantages`` is its
 one-group case. Either way a group's advantages are a float64 column, one
 entry per response.
@@ -230,51 +231,6 @@ class RolloutGroup:
         return all(r.ratios is not None for r in self.responses)
 
 
-def group_columns(groups: Sequence[tuple]) -> list[tuple | None]:
-    """The columns of many groups given as plain fields, checked in bulk.
-
-    Each group is ``(prompt_id, responses, eps_var, group_id)``, with
-    ``responses`` a list holding each response's fields as a dict keyed by
-    Response field name (other keys are ignored, an absent field is None, an
-    absent ``truncated`` False). A group's entry in the returned list is
-    ``(eps_var, rewards, lengths, ratios)`` as RolloutGroup and its
-    Responses would hold them, with ``ratios`` a float64 array ordered by
-    response and position, or None for a length-only group. The entry is
-    None when the checks did not accept every value of the group; build its
-    records then, for the group or its error.
-
-    The checks are C-level passes over a group's values and accept only
-    values every record rule accepts. Every ratio of every group is
-    converted to float64 once, into one array of which each group's
-    ``ratios`` is a view, and checked in one numpy pass: ``0 < r < 2**63``.
-    Rewards, ``eps_var`` and log-probabilities must also be below 2**63 in
-    magnitude, so that no value is one orjson read from an integer beyond
-    64 bits. Integral-float token ids, a ``token_count`` next to ``tokens``
-    and ratios next to a logp pair (which need the RATIO_LOGP_RTOL check)
-    always give None. A rule added to Response or RolloutGroup must be
-    added here.
-    """
-    fields = [_group_fields(*group) for group in groups]
-    with_ratios = [f for f in fields if f is not None and f[3] is not None]
-    values = np.fromiter(
-        chain.from_iterable(chain.from_iterable(f[3] for f in with_ratios)),
-        float,
-        sum(sum(f[2]) for f in with_ratios),  # a response with ratios has one per token
-    )
-    ok = None
-    if values.size and not (values.min() > 0.0 and values.max() < _BOUND):
-        ok = (values > 0.0) & (values < _BOUND)  # NaN fails both
-    out: list[tuple | None] = []
-    start = 0
-    for f in fields:
-        if f is not None and f[3] is not None:
-            stop = start + sum(f[2])
-            f = (*f[:3], values[start:stop]) if ok is None or ok[start:stop].all() else None
-            start = stop
-        out.append(f)
-    return out
-
-
 # Bound on the magnitude of every real value group_columns accepts. orjson
 # 3.8 reads an integer literal beyond 64 bits as a float, and such a float
 # is at least 2**63 in magnitude; every other field it keeps is checked to
@@ -295,10 +251,27 @@ def _floats(values: list) -> list | None:
     return None
 
 
-def _group_fields(prompt_id, responses, eps_var, group_id) -> tuple | None:
-    """One group's ``(eps_var, rewards, lengths, ratio lists)`` with every
-    check of group_columns but the ratios' range, or None; the ratio lists
-    are None for a length-only group."""
+def group_columns(prompt_id, responses, eps_var, group_id) -> tuple | None:
+    """The columns of one group given as plain fields, or None.
+
+    ``responses`` is a list holding each response's fields as a dict keyed
+    by Response field name (other keys are ignored, an absent field is None,
+    an absent ``truncated`` False). The columns are ``(eps_var, rewards,
+    lengths, ratios)`` as RolloutGroup and its Responses would hold them,
+    with ``ratios`` one float64 array of the group's own, ordered by
+    response and position, or None for a length-only group. None means the
+    checks did not accept every value of the group; build its records then,
+    for the group or its error.
+
+    The checks are C-level passes over the group's values and accept only
+    values every record rule accepts. The ratios are converted to float64
+    once and checked in one min/max pass: ``0 < r < 2**63``. Rewards,
+    ``eps_var`` and log-probabilities must also be below 2**63 in magnitude,
+    so that no value is one orjson read from an integer beyond 64 bits.
+    Integral-float token ids, a ``token_count`` next to ``tokens`` and
+    ratios next to a logp pair (which need the RATIO_LOGP_RTOL check) always
+    give None. A rule added to Response or RolloutGroup must be added here.
+    """
     if not (
         type(prompt_id) is str
         and (group_id is None or type(group_id) is str)
@@ -371,7 +344,10 @@ def _group_fields(prompt_id, responses, eps_var, group_id) -> tuple | None:
             except OverflowError:
                 return None
         ratio_lists.append(ratios)
-    return head[0], head[1:], lengths, None if length_only else ratio_lists
+    ratios = np.fromiter(chain.from_iterable(ratio_lists), float, sum(map(len, ratio_lists)))
+    if ratios.size and not (ratios.min() > 0.0 and ratios.max() < _BOUND):  # NaN fails both
+        return None
+    return head[0], head[1:], lengths, None if length_only else ratios
 
 
 def normalize_advantages(group: RolloutGroup) -> np.ndarray:

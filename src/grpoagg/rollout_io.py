@@ -18,20 +18,19 @@ come back as RecordValidationError naming the line and response.
 ``read_rollouts`` yields one validated RolloutGroup per line; it is the
 exact reference reader. ``read_group_columns`` is the fast one: it yields
 the same groups as plain columns, one tuple per line, for callers that
-evaluate many groups at once. It reads the log in batches of lines, checks
-each batch in bulk with ``groups.group_columns`` (every ratio of the batch
-converted to float64 and range-checked in one numpy pass), and parses only a
-line those checks do not accept with ``parse_rollout_line``, so both readers
-accept the same groups with the same values and report the same errors in
-the same order.
+evaluate many groups at once. It checks each line as it is read with
+``groups.group_columns``, which turns the line's ratios into one float64
+array of its own, and parses only a line those checks do not accept with
+``parse_rollout_line``, so both readers accept the same groups with the same
+values and report the same errors in the same order.
 
-Each reader has one decode path. The bulk check decodes a line with fewer
+Each reader has one decode path. The fast check decodes a line with fewer
 than 512 "[" and "{" from its raw bytes: with ``orjson`` when it is
 installed (imported on the first decode, not with the package) and with
 ``json.loads`` of its UTF-8 text otherwise. Every value kept from it is
 type- and range-checked, so a value that orjson reads differently from
 json.loads (an integer beyond 64 bits, which orjson 3.8 reads as a float)
-sends the line to the record parser, as does any line the bulk check does
+sends the line to the record parser, as does any line the fast check does
 not accept. The record parser decodes with ``json.loads`` alone, so every
 value and every error text is the standard library's. The one exception is
 a line nested deeper than ``MAX_NESTING`` (512) levels outside its strings:
@@ -46,6 +45,7 @@ output.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
@@ -180,7 +180,7 @@ _fast_loads = _UNRESOLVED
 # orjson 3.8 has no nesting limit (a line nested ~10**5 deep crashes the
 # process), while json.loads raises RecursionError once the nesting plus the
 # caller's stack depth passes sys.getrecursionlimit(), 1000 by default.
-# Nesting is at most the number of "[" and "{", so the bulk check decodes no
+# Nesting is at most the number of "[" and "{", so the fast check decodes no
 # line with MAX_NESTING or more of them, and the record parser gives
 # json.loads no line nested deeper than MAX_NESTING: such a line is invalid
 # JSON ("nesting deeper than 512 levels") at any stack depth of the caller.
@@ -280,7 +280,7 @@ def read_rollouts(
     MalformedLineError / RecordValidationError with its 1-based line number
     or, when ``on_error`` is given, is passed to it and skipped.
     """
-    with open(path, "rb", buffering=_READ_BUFFER) as fh:
+    with _open_log(path) as fh:
         for line_no, raw in enumerate(_raw_lines(fh), 1):
             try:
                 group = _parse_raw(raw, line_no, default_eps_var)
@@ -299,6 +299,13 @@ def _pass_on(exc: RolloutLogError, on_error: Callable[[RolloutLogError], None] |
 
 # Read buffer of a log: a line that fits in it is read in one pass.
 _READ_BUFFER = 1 << 18
+
+
+def _open_log(path: str | Path) -> io.BufferedReader:
+    """The log opened for reading bytes through a ``_READ_BUFFER``-byte
+    buffer; unlike ``open``, which reads a buffering of 1 as line buffering,
+    every size is taken as bytes."""
+    return io.BufferedReader(open(path, "rb", buffering=0), _READ_BUFFER)
 
 
 def _raw_lines(fh) -> Iterator[bytes]:
@@ -332,31 +339,6 @@ def _decode_line(raw: bytes, line_no: int) -> str:
     return line
 
 
-# read_group_columns checks the lines of about this many bytes at once; a
-# batch holds their bytes and decoded values, and one float64 array of
-# their ratios.
-_BATCH_BYTES = 1 << 14
-
-
-def _raw_batches(fh) -> Iterator[list[tuple[int, bytes]]]:
-    """The lines of a binary file with their 1-based numbers, in lists of
-    at least ``_BATCH_BYTES`` bytes (the last may be shorter or empty). A
-    read error is raised after the list of the lines read before it."""
-    batch: list[tuple[int, bytes]] = []
-    size = 0
-    try:
-        for line in enumerate(_raw_lines(fh), 1):
-            batch.append(line)
-            size += len(line[1])
-            if size >= _BATCH_BYTES:
-                yield batch
-                batch, size = [], 0
-    except OSError:
-        yield batch
-        raise
-    yield batch
-
-
 def read_group_columns(
     path: str | Path,
     default_eps_var: float = 0.0,
@@ -365,44 +347,38 @@ def read_group_columns(
     """Stream a log's valid groups as columns, one tuple per group:
     ``(line_no, prompt_id, eps_var, rewards, lengths, ratios)``.
 
-    ``rewards`` and ``lengths`` are lists, ``ratios`` one float64 array
-    ordered by response and position, or None for a length-only group;
-    every value is what the line's RolloutGroup holds. Lines are read in
-    batches of about 16 KiB and checked a batch at a time by
-    ``groups.group_columns``, which builds no Response; a line it does not
-    accept is parsed alone by ``_parse_raw``, so the values, error texts and
-    line numbers are the record API's. Errors are raised or passed to
-    ``on_error`` in line order, each when the groups of the lines before it
-    have been yielded, and a read error only after them, all as
+    ``rewards`` and ``lengths`` are lists, ``ratios`` one float64 array of
+    the group's own, ordered by response and position, or None for a
+    length-only group; every value is what the line's RolloutGroup holds.
+    Each line is checked as it is read, by ``groups.group_columns``, which
+    builds no Response; a line it does not accept is parsed alone by
+    ``_parse_raw``, so the values, error texts and line numbers are the
+    record API's. Only the current line is held. Errors are raised or
+    passed to ``on_error`` in line order, each when the groups of the lines
+    before it have been yielded, and a read error only after them, all as
     ``read_rollouts`` does. Closing the generator closes the log.
     """
-    with open(path, "rb", buffering=_READ_BUFFER) as fh:
+    with _open_log(path) as fh:
         loads = _orjson() or _stdlib_loads
-        for batch in _raw_batches(fh):
-            lines = [
-                (line_no, raw, _line_fields(loads, raw, default_eps_var)
-                 if raw.count(b"[") + raw.count(b"{") < MAX_NESTING else None)
-                for line_no, raw in batch
-            ]
-            checked = iter(group_columns([fields for _, _, fields in lines if fields]))
-            for line_no, raw, fields in lines:
-                columns = fields and next(checked)
-                if columns:
-                    yield line_no, fields[0], *columns
-                    continue
-                try:
-                    group = _parse_raw(raw, line_no, default_eps_var)
-                except RolloutLogError as exc:
-                    _pass_on(exc, on_error)
-                    continue
-                if group is None:
-                    continue
-                ratios = None
-                if group.has_ratios:
-                    ratios = np.fromiter(
-                        chain.from_iterable(r.ratios for r in group.responses), float, group.total_tokens
-                    )
-                yield line_no, group.prompt_id, group.eps_var, list(group.rewards), list(group.lengths), ratios
+        for line_no, raw in enumerate(_raw_lines(fh), 1):
+            fields = raw.count(b"[") + raw.count(b"{") < MAX_NESTING and _line_fields(loads, raw, default_eps_var)
+            columns = fields and group_columns(*fields)
+            if columns:
+                yield line_no, fields[0], *columns
+                continue
+            try:
+                group = _parse_raw(raw, line_no, default_eps_var)
+            except RolloutLogError as exc:
+                _pass_on(exc, on_error)
+                continue
+            if group is None:
+                continue
+            ratios = None
+            if group.has_ratios:
+                ratios = np.fromiter(
+                    chain.from_iterable(r.ratios for r in group.responses), float, group.total_tokens
+                )
+            yield line_no, group.prompt_id, group.eps_var, list(group.rewards), list(group.lengths), ratios
 
 
 def _line_fields(loads, raw: bytes, default_eps_var: float) -> tuple | None:

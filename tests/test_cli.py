@@ -107,16 +107,52 @@ def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
     assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
-def test_verify_stdout_write_error_is_one_line(monkeypatch, capsys):
-    class Full:
-        def write(self, text):
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+class FullStdout:
+    """A stdout on a full disk."""
 
-    monkeypatch.setattr(sys, "stdout", Full())
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+STDOUT_FULL = f"error: cannot write <stdout>: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_verify_stdout_write_error_is_one_line(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", FullStdout())
     code = main(["verify"])
     err = capsys.readouterr().err
     assert code == 1
-    assert err == f"error: cannot write <stdout>: {os.strerror(errno.ENOSPC)}\n"
+    assert err == STDOUT_FULL
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "--input", str(DATA / "faulty_rollouts.jsonl")],
+     ["simulate", "--eps-var", "0", "--steps", "3"],
+     ["compare", "--eps-var", "0", "--steps", "3"]],
+    ids=["analyze", "simulate", "compare"],
+)
+def test_a_full_stdout_loses_no_file_and_names_stdout(tmp_path, capsys, monkeypatch, argv):
+    # every file is written before the first stdout line, which here is a notice
+    code, out, want_err = run_cli(capsys, *argv, "--out", str(tmp_path / "want"))
+    assert code == 0 and out.startswith("notice: ")
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    code = main([*argv, "--out", str(tmp_path / "got")])
+    assert (code, capsys.readouterr().err) == (1, want_err + STDOUT_FULL)
+    want = sorted(path.name for path in (tmp_path / "want").iterdir())
+    assert sorted(path.name for path in (tmp_path / "got").iterdir()) == want
+    for name in want:
+        assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes(), name
+
+
+def test_a_full_disk_still_names_out(tmp_path, capsys, monkeypatch):
+    # a failed file write carries no file name either
+    def full(self, *args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(Path, "write_text", full)
+    code, out, err = run_cli(capsys, "simulate", "--steps", "1", "--out", str(tmp_path))
+    assert (code, out, err) == (1, "", f"error: cannot write {tmp_path}: {os.strerror(errno.ENOSPC)}\n")
 
 
 def test_module_entry_point(tmp_path):

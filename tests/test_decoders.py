@@ -231,6 +231,8 @@ COLUMN_LINES = (
         '{"pad": ' + "[" * 990 + "]" * 990 + ", " + group()[1:],
         group().replace('"tokens": [3]', '"tokens": [3], "pad": ' + "{" * 300 + "}" * 300, 1),
     ]
+    # a length-only group whose other responses carry ratios the record rules refuse
+    + [group(ratio=value).replace(', "ratios": [0.9, 1.0]', "") for value in ("0.0", "-1.0", "NaN")]
 )
 
 
@@ -284,13 +286,13 @@ def _until_error(reader, path: Path):
     return lines, None
 
 
-@pytest.mark.parametrize("batch_bytes", [1, 300, rollout_io._BATCH_BYTES])
+@pytest.mark.parametrize("read_buffer", [1, 300, 16384])
 @pytest.mark.parametrize("decoder", DECODERS)
 @pytest.mark.parametrize("source", ["edge", "columns", "faulty", "golden-dump"])
-def test_group_columns_match_the_record_path(tmp_path, monkeypatch, source, decoder, batch_bytes):
-    # a batch of lines is checked at once; each line must still give the
-    # record path's group or error, in line order
-    monkeypatch.setattr(rollout_io, "_BATCH_BYTES", batch_bytes)
+def test_group_columns_match_the_record_path(tmp_path, monkeypatch, source, decoder, read_buffer):
+    # each line must give the record path's group or error, in line order,
+    # whether it spans many refills of the read buffer or fits in one
+    monkeypatch.setattr(rollout_io, "_READ_BUFFER", read_buffer)
     path = _column_log(tmp_path / "log.jsonl", source)
     with decoding_with("stdlib"):
         want = _events(read_rollouts, path)
@@ -316,13 +318,64 @@ def test_a_non_ascii_line_is_accepted_in_bulk(tmp_path, monkeypatch, decoder):
     assert (line_no, prompt_id, calls) == (1, "\u00e9t\u00e9", [])
 
 
-def test_group_columns_yield_ratios_as_views_of_one_float64_array(tmp_path):
+def test_group_columns_yield_each_lines_ratios_as_one_float64_array(tmp_path):
     path = tmp_path / "log.jsonl"
     path.write_text("\n".join([group(), group(ratio="2.5"), record()]) + "\n", encoding="utf-8")
     (_, *_, first), (_, *_, second), (_, *_, length_only) = read_group_columns(path)
     assert first.dtype == np.float64 and first.tolist() == [1.0, 1.1, math.exp(-0.25), 0.9, 1.0]
-    assert second[0] == 2.5 and np.shares_memory(first.base, second)
+    assert second.dtype == np.float64 and second[0] == 2.5 and not np.shares_memory(first, second)
     assert length_only is None
+
+
+def _wide_ints_one_ulp_off(raw: bytes):
+    """json.loads of ``raw``, except that an integer literal from 2**63 in
+    magnitude up to the float range reads as the float one ulp beyond
+    ``float(int)``, away from zero: a decoder that the 2**63 bound of the
+    fast check must send to the record path."""
+    def parse_int(text: str):
+        value = int(text)
+        if abs(value) < 2**63:
+            return value
+        try:
+            wide = float(value)
+        except OverflowError:
+            return value
+        return math.nextafter(wide, math.copysign(math.inf, wide))
+
+    return json.loads(raw, parse_int=parse_int)
+
+
+def test_a_wide_integer_read_as_another_float_goes_to_the_record_path(tmp_path, monkeypatch):
+    # orjson 3.8 rounds such integers as float(int) does, so only a decoder
+    # that reads them otherwise shows that the bound is applied
+    good = [group(reward=r) for r in ("1.0", "0.0", "0.5", "0.25")]
+    wide = [group(**{field: value}) for field in ("eps", "reward", "ratio", "logp_new", "logp_old")
+            for value in WIDE_INTS]
+    path = tmp_path / "log.jsonl"
+    path.write_text("\n".join(good + wide + good) + "\n", encoding="utf-8")
+    with decoding_with("stdlib"):
+        want = _events(read_rollouts, path)
+    monkeypatch.setattr(rollout_io, "_fast_loads", _wide_ints_one_ulp_off)
+    assert _events(read_group_columns, path) == want
+    assert sum(e[0] == "group" for e in want) > len(good) * 2  # some wide values are valid
+
+
+def test_the_column_reader_holds_one_line_at_a_time(tmp_path, monkeypatch):
+    taken = []
+    raw_lines = rollout_io._raw_lines
+
+    def counted(fh):
+        for line in raw_lines(fh):
+            taken.append(line)
+            yield line
+
+    monkeypatch.setattr(rollout_io, "_raw_lines", counted)
+    path = tmp_path / "log.jsonl"
+    path.write_text("\n".join(group(reward=r) for r in ("1.0", "0.0", "0.5")) + "\n", encoding="utf-8")
+    read = read_group_columns(path)
+    assert next(read)[0] == 1
+    assert len(taken) == 1
+    read.close()
 
 
 @pytest.mark.parametrize("reader", [read_rollouts, read_group_columns], ids=["records", "columns"])
