@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 verification or validation failure, 2 usage error.
 An output that cannot be written (``--out`` names a file, say) is reported as
-``error: cannot write <path>: <reason>`` with exit code 1; for stdout the path
-is ``<stdout>``. analyze, simulate and compare write all their files before
-their first stdout line.
+``error: cannot write <path>: <reason>`` with exit code 1; for stdout, also
+when it fails only at its final flush, the path is ``<stdout>``. analyze,
+simulate and compare write all their files before their first stdout line.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the identity suite")
     p_verify.add_argument("--seed", **seed)
     add_clip(p_verify)
-    p_verify.add_argument("--inject-fault", default=None, help=argparse.SUPPRESS)
 
     p_analyze = sub.add_parser("analyze", help="analyze a JSONL rollout log")
     p_analyze.add_argument("--out", **out)
@@ -109,7 +108,8 @@ def _clip_from_args(args) -> ClipConfig:
 
 def cmd_verify(args) -> int:
     # run_suite raises its ValueErrors (exit 2) before it prints anything
-    ok = run_suite(args.seed, _clip_from_args(args), args.inject_fault, sys.stdout)
+    ok = run_suite(args.seed, _clip_from_args(args), sys.stdout)
+    sys.stdout.flush()  # a failed write is main's <stdout> error, not one at exit
     return 0 if ok else 1
 
 
@@ -251,11 +251,9 @@ def cmd_analyze(args) -> int:
     """
     clip = _clip_from_args(args)
     if args.window < 1:
-        print("error: --window must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--window must be >= 1")
     if not (math.isfinite(args.eps_var) and args.eps_var >= 0.0):
-        print(f"error: --eps-var must be finite and >= 0, got {args.eps_var!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--eps-var must be finite and >= 0, got {args.eps_var!r}")
     errors: list[tuple[int, str]] = []
 
     def report(line_no: int, text: str) -> None:
@@ -360,8 +358,21 @@ def _print_stdout(lines: list[str]) -> None:
     """Print ``lines`` to stdout; a failed write is an OSError naming ``<stdout>``."""
     try:
         print(*lines, sep="\n")
+        sys.stdout.flush()
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror or str(exc), "<stdout>") from exc
+
+
+def _drop_stdout() -> None:
+    """Point a failed stdout's file descriptor, if it has one, at os.devnull,
+    so that its flush at interpreter exit does not fail too."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _run_one(args, rule: str, tag: str, degenerate: list[int]) -> list[MetricRecord]:
@@ -386,37 +397,20 @@ def _run_one(args, rule: str, tag: str, degenerate: list[int]) -> list[MetricRec
     return records
 
 def _write_comparison(per_rule: dict[str, list[MetricRecord]], path: Path) -> None:
-    header = ["step"]
-    for rule in RULES:
-        header += [f"{rule}_objective", f"{rule}_pg_loss", f"{rule}_mean_reward"]
-    steps = sorted({rec.step for recs in per_rule.values() for rec in recs})
-    by_step = {
-        rule: {rec.step: rec for rec in recs} for rule, recs in per_rule.items()
-    }
-    lines = [",".join(header)]
-    for step in steps:
-        row = [str(step)]
-        for rule in RULES:
-            rec = by_step[rule].get(step)
-            if rec is None:
-                row += ["", "", ""]
-            else:
-                row += [
-                    f"{rec.objective:.10g}",
-                    f"{rec.pg_loss:.10g}",
-                    f"{rec.mean_reward:.10g}",
-                ]
+    """One row per step; every rule has a record of each step, in step order."""
+    header = (f"{rule}_{column}" for rule in RULES for column in ("objective", "pg_loss", "mean_reward"))
+    lines = [",".join(["step", *header])]
+    for recs in zip(*(per_rule[rule] for rule in RULES)):
+        row = [str(recs[0].step)]
+        for rec in recs:
+            row += [f"{rec.objective:.10g}", f"{rec.pg_loss:.10g}", f"{rec.mean_reward:.10g}"]
         lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def cmd_simulate(args) -> int:
     degenerate: list[int] = []
-    try:
-        records = _run_one(args, args.rule, args.rule, degenerate)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    records = _run_one(args, args.rule, args.rule, degenerate)
     csv_path = args.out / f"metrics_{args.rule}.csv"
     write_metrics(records, csv_path)
     lines = _degenerate_notice(sum(degenerate))
@@ -433,19 +427,11 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     per_rule: dict[str, list[MetricRecord]] = {}
     degenerate: list[int] = []
-    try:
-        if args.locked_rollouts:
-            # one token-rule lineage; every rule evaluated on its rollouts
-            records = _run_one(args, "token", "locked", degenerate)
-            for rule in RULES:
-                per_rule[rule] = [r for r in records if r.rule == rule]
-        else:
-            for rule in RULES:
-                records = _run_one(args, rule, rule, degenerate)
-                per_rule[rule] = [r for r in records if r.rule == rule]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # with --locked-rollouts, one token-rule lineage and every rule evaluated on its rollouts
+    locked = _run_one(args, "token", "locked", degenerate) if args.locked_rollouts else None
+    for rule in RULES:
+        records = _run_one(args, rule, rule, degenerate) if locked is None else locked
+        per_rule[rule] = [r for r in records if r.rule == rule]
     for rule in RULES:
         write_metrics(per_rule[rule], args.out / f"metrics_{rule}.csv")
     cmp_path = args.out / "comparison.csv"
@@ -480,6 +466,8 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:  # every read error is reported where it happens
         target = exc.filename or getattr(args, "out", "<stdout>")  # verify writes only to stdout
+        if target == "<stdout>":
+            _drop_stdout()
         print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
         return 1
 

@@ -35,10 +35,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .aggregate import RULES, ClipConfig, FlatBatch, rule_table
+from .aggregate import RULES, ClipConfig, FlatBatch, _central_difference, rule_table
 from .decompose import batch_metrics, length_stats
 from .groups import Response, RolloutGroup, normalize_columns
-from .rollout_io import MetricRecord, write_metrics, write_rollouts
+from .rollout_io import MetricRecord, write_rollouts
 
 __all__ = [
     "EOS_TOKEN",
@@ -188,10 +188,6 @@ class PolicyTable:
         return cls(np.zeros((num_prompts, t_max, vocab_size)))
 
     @property
-    def num_prompts(self) -> int:
-        return self.logits.shape[0]
-
-    @property
     def t_max(self) -> int:
         return self.logits.shape[1]
 
@@ -203,9 +199,6 @@ class PolicyTable:
         m = self.logits.max(axis=-1, keepdims=True)
         lse = m + np.log(np.exp(self.logits - m).sum(axis=-1, keepdims=True))
         return self.logits - lse
-
-    def probs(self) -> np.ndarray:
-        return np.exp(self.log_probs())
 
 
 def _reward(task: TaskSpec, prompt_index: int, tokens: tuple[int, ...]) -> float:
@@ -520,15 +513,15 @@ def train_step(
 def run_training(
     task: TaskSpec,
     config: TrainConfig,
-    metrics_path=None,
     rollouts_path=None,
     on_degenerate: Callable[[int], None] | None = None,
 ) -> tuple[list[MetricRecord], PolicyTable]:
-    """Run the full loop from a uniform policy; returns (records, final policy).
+    """Run ``config.steps`` steps over every prompt of ``task`` from a
+    uniform policy; returns (records, final policy), four records per step.
 
-    Optionally writes the metric CSV and a JSONL dump of every sampled group
-    (the only use of Response records in a run), each after the last step
-    and creating its directory. Raises ValueError before any work when one step's
+    With ``rollouts_path``, writes a JSONL dump of every sampled group (the
+    only use of Response records in a run) after the last step, creating its
+    directory. Raises ValueError before any work when one step's
     prompts * group_size * t_max * vocab_size exceeds MAX_STEP_CELLS, or
     that times steps * inner_epochs exceeds MAX_WORK_CELLS. ``on_degenerate``
     is passed to every train_step.
@@ -555,8 +548,6 @@ def run_training(
                 replace(g, group_id=f"s{step}-p{g.prompt_id}")
                 for g in rollouts.groups(config.eps_var)
             )
-    if metrics_path is not None:
-        write_metrics(records, metrics_path)
     if rollouts_path is not None:
         write_rollouts(dumped, rollouts_path)
     return records, policy
@@ -568,30 +559,19 @@ def logit_gradient_check(
     advantages: np.ndarray,
     rule: str,
     clip: ClipConfig,
-    h: float = 1e-4,
 ) -> float:
     """Central-difference check of the end-to-end d objective / d logits.
 
     ``rollouts`` and ``advantages`` are held fixed, as evaluate_batch takes
-    them; every logit entry is perturbed by +-h. Returns the maximum
+    them; every logit entry is perturbed by +-1e-4. Returns the maximum
     relative error max |analytic - numeric| / max(1, |a|, |n|).
     """
     base = evaluate_batch(policy, rollouts, advantages, rule, clip)
     assert base.grad_logits is not None
-    max_rel = 0.0
-    for idx in np.ndindex(policy.logits.shape):
-        plus = policy.logits.copy()
-        plus[idx] += h
-        minus = policy.logits.copy()
-        minus[idx] -= h
-        j_plus = evaluate_batch(
-            PolicyTable(plus), rollouts, advantages, rule, clip, need_grad=False
-        ).objective
-        j_minus = evaluate_batch(
-            PolicyTable(minus), rollouts, advantages, rule, clip, need_grad=False
-        ).objective
-        numeric = (j_plus - j_minus) / (2.0 * h)
-        analytic = float(base.grad_logits[idx])
-        rel = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
-        max_rel = max(max_rel, rel)
-    return max_rel
+    logits = policy.logits.copy()
+    return _central_difference(
+        logits,
+        lambda: evaluate_batch(PolicyTable(logits), rollouts, advantages, rule, clip, need_grad=False).objective,
+        base.grad_logits.ravel().tolist(),
+        1e-4,
+    )

@@ -43,15 +43,19 @@ def _response(rng: np.random.Generator, reward: float, length: int, lo: float, h
     )
 
 
+# random_smooth_group draws every ratio this far inside the clip band
+SMOOTH_MARGIN = 0.05
+
+
 def random_binary_group(
     rng: np.random.Generator,
     max_group: int = 16,
     max_len: int = 10,
     ratio_low: float = 0.6,
     ratio_high: float = 1.6,
-    eps_var: float = 0.0,
 ) -> RolloutGroup:
-    """Random 0/1-reward group with 1 <= k <= G-1 and random lengths/ratios."""
+    """Random 0/1-reward group with 1 <= k <= G-1 and random lengths/ratios,
+    at eps_var 0."""
     g = int(rng.integers(2, max_group + 1))
     k = int(rng.integers(1, g))
     rewards = np.zeros(g)
@@ -60,41 +64,23 @@ def random_binary_group(
         _response(rng, r, int(rng.integers(1, max_len + 1)), ratio_low, ratio_high)
         for r in rewards
     )
-    return RolloutGroup("p0", responses, eps_var)
-
-
-def random_real_group(
-    rng: np.random.Generator,
-    max_group: int = 16,
-    max_len: int = 10,
-    ratio_low: float = 0.6,
-    ratio_high: float = 1.6,
-) -> RolloutGroup:
-    """Random continuous-reward group (no sign-subset guarantees beyond G>=2)."""
-    g = int(rng.integers(2, max_group + 1))
-    rewards = rng.normal(size=g)
-    responses = tuple(
-        _response(rng, r, int(rng.integers(1, max_len + 1)), ratio_low, ratio_high)
-        for r in rewards
-    )
     return RolloutGroup("p0", responses, 0.0)
 
 
-def random_smooth_group(
-    rng: np.random.Generator,
-    clip: ClipConfig,
-    max_group: int = 8,
-    max_len: int = 6,
-    margin: float = 0.05,
-) -> RolloutGroup:
-    """Binary group with all ratios at least ``margin`` inside the clip band."""
-    return random_binary_group(
-        rng,
-        max_group=max_group,
-        max_len=max_len,
-        ratio_low=clip.lower + margin,
-        ratio_high=clip.upper - margin,
-    )
+def random_real_group(rng: np.random.Generator) -> RolloutGroup:
+    """Random group of 2-16 responses of 1-10 tokens with standard normal
+    rewards and ratios in [0.6, 1.6), at eps_var 0 (no sign-subset
+    guarantees)."""
+    g = int(rng.integers(2, 17))
+    rewards = rng.normal(size=g)
+    responses = tuple(_response(rng, r, int(rng.integers(1, 11)), 0.6, 1.6) for r in rewards)
+    return RolloutGroup("p0", responses, 0.0)
+
+
+def random_smooth_group(rng: np.random.Generator, clip: ClipConfig) -> RolloutGroup:
+    """Binary group of 2-8 responses of 1-6 tokens with all ratios
+    SMOOTH_MARGIN inside the clip band."""
+    return random_binary_group(rng, 8, 6, clip.lower + SMOOTH_MARGIN, clip.upper - SMOOTH_MARGIN)
 
 
 @dataclass(frozen=True)
@@ -119,10 +105,7 @@ def _check_shift_scale(rng: np.random.Generator, clip: ClipConfig) -> float:
     err = 0.0
     for _ in range(200):
         group = random_real_group(rng)
-        try:
-            adv = normalize_advantages(group)
-        except ValueError:
-            continue
+        adv = normalize_advantages(group)
         c = float(rng.normal()) * 3.0
         lam = float(rng.uniform(0.1, 5.0))
         shifted = RolloutGroup(
@@ -203,10 +186,7 @@ def _check_mass_symmetry(rng: np.random.Generator, clip: ClipConfig) -> float:
     err = 0.0
     for _ in range(300):
         group = random_real_group(rng)
-        try:
-            adv = normalize_advantages(group)
-        except ValueError:
-            continue
+        adv = normalize_advantages(group)
         report = decompose(group, adv, clip, "balanced_gen")
         half = 0.5 * sum(map(abs, adv.tolist()))
         err = max(err, abs(report.m_pos - report.m_neg), abs(report.m_pos - half))
@@ -291,24 +271,18 @@ SUITE: tuple[IdentityCheck, ...] = (
 MAX_CLIP_HIGH = 1e4
 
 
-def run_suite(
-    seed: int = 0,
-    clip: ClipConfig = ClipConfig(),
-    inject_fault: str | None = None,
-    stream: TextIO | None = None,
-) -> bool:
-    """Run every identity check; print one line per check; True iff all pass.
+def run_suite(seed: int, clip: ClipConfig, stream: TextIO) -> bool:
+    """Run every identity check, each from its own generator seeded by
+    ``seed`` and its index; write one line per check to ``stream``; True
+    iff all pass.
 
-    Raises ValueError, before printing anything, for an unknown
-    ``inject_fault``, a clip band too narrow for random_smooth_group or a
-    ``clip_high`` above MAX_CLIP_HIGH.
+    Raises ValueError, before writing anything, for a clip band too narrow
+    for random_smooth_group or a ``clip_high`` above MAX_CLIP_HIGH.
     """
-    if inject_fault is not None and inject_fault not in {c.name for c in SUITE}:
-        raise ValueError(f"unknown identity {inject_fault!r}")
-    if not clip.lower + 0.05 < clip.upper - 0.05:  # random_smooth_group's ratio range
+    if not clip.lower + SMOOTH_MARGIN < clip.upper - SMOOTH_MARGIN:
         raise ValueError(
             f"clip band ({clip.clip_low:g},{clip.clip_high:g}) is too narrow: the gradient check draws "
-            "ratios 0.05 inside it, so clip_low + clip_high must exceed 0.1"
+            f"ratios {SMOOTH_MARGIN:g} inside it, so clip_low + clip_high must exceed {2 * SMOOTH_MARGIN:g}"
         )
     if clip.clip_high > MAX_CLIP_HIGH:
         raise ValueError(
@@ -316,30 +290,15 @@ def run_suite(
             f"differences lose precision at large ratios, so clip_high must be at most {MAX_CLIP_HIGH:g}"
         )
     hint = f"grpoagg verify --seed {seed} --clip-low {clip.clip_low!r} --clip-high {clip.clip_high!r}"
-    if inject_fault is not None:
-        hint += f" --inject-fault {inject_fault}"
-
-    def emit(text: str) -> None:
-        if stream is not None:
-            stream.write(text + "\n")
-
-    emit(f"identity suite: seed={seed} clip=({clip.clip_low:g},{clip.clip_high:g})")
+    stream.write(f"identity suite: seed={seed} clip=({clip.clip_low:g},{clip.clip_high:g})\n")
     all_ok = True
     for index, check in enumerate(SUITE):
         rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
         err = check.run(rng, clip)
-        if inject_fault == check.name:
-            err = math.inf
         ok = err <= check.tolerance
         all_ok &= ok
-        emit(
-            f"{'PASS' if ok else 'FAIL'} {check.name:<32} "
-            f"max_err={err:.3e} tol={check.tolerance:g}"
-        )
+        stream.write(f"{'PASS' if ok else 'FAIL'} {check.name:<32} max_err={err:.3e} tol={check.tolerance:g}\n")
         if not ok:
-            emit(f"  reproduce with: {hint}")
-    emit(
-        f"{sum(1 for _ in SUITE)} identities checked: "
-        + ("all passed" if all_ok else "FAILURES PRESENT")
-    )
+            stream.write(f"  reproduce with: {hint}\n")
+    stream.write(f"{len(SUITE)} identities checked: " + ("all passed\n" if all_ok else "FAILURES PRESENT\n"))
     return all_ok

@@ -1,12 +1,13 @@
 import contextlib
 import math
+from dataclasses import replace
 from math import fsum
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from grpoagg import rollout_io
+from grpoagg import rollout_io, verify
 from grpoagg.aggregate import ClipConfig
 from grpoagg.groups import DegenerateGroupError, Response, RolloutGroup
 
@@ -206,3 +207,13 @@ def count_constructions(monkeypatch, *classes):
             _init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", init)
     return built
+
+
+def fail_check(monkeypatch, name):
+    """Make the verify suite's check ``name`` report an infinite error."""
+    assert name in {check.name for check in verify.SUITE}
+    monkeypatch.setattr(
+        verify,
+        "SUITE",
+        tuple(replace(c, run=lambda rng, clip: math.inf) if c.name == name else c for c in verify.SUITE),
+    )

@@ -144,7 +144,7 @@ def test_a6_gradient_correctness():
         advantages = normalize_columns(rollouts.rewards, rollouts.sizes, [1e-6] * 2, ["0", "1"]).advantages
         worst_logit = max(
             worst_logit,
-            logit_gradient_check(policy, rollouts, advantages, rules[i % 4], CLIP, h=1e-4),
+            logit_gradient_check(policy, rollouts, advantages, rules[i % 4], CLIP),
         )
     elapsed = time.perf_counter() - start
     assert worst_ratio <= 1e-5

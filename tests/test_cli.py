@@ -18,7 +18,7 @@ from grpoagg.decompose import length_stats
 from grpoagg.groups import Response, RolloutGroup
 from grpoagg.rollout_io import METRIC_FIELDS, read_metrics, read_rollouts
 
-from conftest import count_constructions
+from conftest import count_constructions, fail_check
 
 DATA = Path(__file__).parent / "data"
 
@@ -38,15 +38,11 @@ def test_verify_default_passes(capsys):
     assert out.count("PASS") == 13
 
 
-def test_verify_injected_fault_exits_one(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--inject-fault", "mass_symmetry")
+def test_verify_injected_fault_exits_one(capsys, monkeypatch):
+    fail_check(monkeypatch, "mass_symmetry")
+    code, out, _ = run_cli(capsys, "verify")
     assert code == 1
     assert "FAIL mass_symmetry" in out
-
-
-def test_verify_unknown_fault_is_usage_error(capsys):
-    code, out, err = run_cli(capsys, "verify", "--inject-fault", "nope")
-    assert (code, out, err) == (2, "", "error: unknown identity 'nope'\n")
 
 
 def test_verify_narrow_clip_band_is_usage_error(capsys):
@@ -72,9 +68,9 @@ def test_verify_clip_high_above_the_ceiling_is_usage_error(capsys, high):
     )
 
 
-def test_verify_failure_hint_reproduces_the_failure(capsys):
-    argv = ["verify", "--seed", "3", "--clip-low", "0.1", "--clip-high", str(0.1 + 0.2),
-            "--inject-fault", "mass_symmetry"]
+def test_verify_failure_hint_reproduces_the_failure(capsys, monkeypatch):
+    fail_check(monkeypatch, "mass_symmetry")  # still in place when the hint runs again
+    argv = ["verify", "--seed", "3", "--clip-low", "0.1", "--clip-high", str(0.1 + 0.2)]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 1
     hints = [line for line in out.splitlines() if line.startswith("  reproduce with: grpoagg ")]
@@ -98,6 +94,7 @@ def test_unknown_flag_rejected():
         ["analyze", "--input", "log.jsonl", "--seed", "1"],
         ["verify", "--eps-var", "0"],
         ["verify", "--out", "d"],
+        ["verify", "--inject-fault", "mass_symmetry"],
     ],
 )
 def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
@@ -143,6 +140,28 @@ def test_a_full_stdout_loses_no_file_and_names_stdout(tmp_path, capsys, monkeypa
     assert sorted(path.name for path in (tmp_path / "got").iterdir()) == want
     for name in want:
         assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes(), name
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"],
+     ["analyze", "--input", str(DATA / "golden" / "rollouts_balanced.jsonl"), "--out"],
+     ["simulate", "--steps", "3", "--out"]],
+    ids=["verify", "analyze", "simulate"],
+)
+def test_a_stdout_that_fails_at_its_final_flush_is_one_error_line(tmp_path, argv):
+    # a block-buffered stdout (PYTHONUNBUFFERED unset) first fails when it is
+    # flushed; that failure too is main's, not one at interpreter exit
+    if argv[-1] == "--out":
+        argv = [*argv, str(tmp_path)]
+    src = str(Path(grpoagg.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "grpoagg.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (1, STDOUT_FULL)
 
 
 def test_a_full_disk_still_names_out(tmp_path, capsys, monkeypatch):
@@ -618,6 +637,13 @@ def test_simulate_deterministic(tmp_path, capsys):
     assert (tmp_path / "a" / "metrics_balanced.csv").read_bytes() == (
         tmp_path / "b" / "metrics_balanced.csv"
     ).read_bytes()
+
+
+def test_compare_zero_steps_header_only(tmp_path, capsys):
+    code, _, _ = run_cli(capsys, "compare", "--steps", "0", "--out", str(tmp_path))
+    assert code == 0
+    header = ",".join(f"{r}_objective,{r}_pg_loss,{r}_mean_reward" for r in cli.RULES)
+    assert (tmp_path / "comparison.csv").read_text(encoding="utf-8") == f"step,{header}\n"
 
 
 def test_compare_file_contract(tmp_path, capsys):

@@ -15,6 +15,7 @@ from grpoagg.aggregate import (
 from grpoagg.cli import main
 from grpoagg.decompose import batch_metrics, decompose, length_stats
 from grpoagg.groups import Response, RolloutGroup, normalize_advantages, normalize_columns
+from grpoagg.rollout_io import write_metrics
 from grpoagg.sim import (
     COUNT_SYMBOL,
     EOS_TOKEN,
@@ -325,7 +326,7 @@ def test_run_training_builds_records_only_for_a_dump(monkeypatch, tmp_path):
     post_init = Response.__post_init__
     monkeypatch.setattr(Response, "__post_init__", lambda self: built.append(1) or post_init(self))
     config = TrainConfig(rule="balanced", steps=3, group_size=4, seed=1)
-    run_training(count_task(), config, metrics_path=tmp_path / "m.csv")
+    run_training(count_task(), config)
     assert built == []
     run_training(count_task(), config, rollouts_path=tmp_path / "r.jsonl")
     assert len(built) == 3 * 4 * 4  # steps * prompts * group_size
@@ -470,7 +471,8 @@ def test_run_training_zero_steps(tmp_path):
     task = count_task()
     config = TrainConfig(rule="balanced", steps=0)
     csv = tmp_path / "m.csv"
-    records, policy = run_training(task, config, metrics_path=csv)
+    records, policy = run_training(task, config)
+    write_metrics(records, csv)
     assert records == []
     assert np.array_equal(policy.logits, np.zeros((4, 8, 3)))
     assert len(csv.read_text(encoding="utf-8").splitlines()) == 1
@@ -479,8 +481,10 @@ def test_run_training_zero_steps(tmp_path):
 def test_run_training_deterministic_stream(tmp_path):
     task = count_task()
     config = TrainConfig(rule="balanced", steps=20, group_size=8, learning_rate=0.5, seed=13)
-    rec1, pol1 = run_training(task, config, metrics_path=tmp_path / "a.csv")
-    rec2, pol2 = run_training(task, config, metrics_path=tmp_path / "b.csv")
+    rec1, pol1 = run_training(task, config)
+    rec2, pol2 = run_training(task, config)
+    write_metrics(rec1, tmp_path / "a.csv")
+    write_metrics(rec2, tmp_path / "b.csv")
     assert rec1 == rec2
     assert np.array_equal(pol1.logits, pol2.logits)
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
@@ -538,7 +542,7 @@ def test_logit_gradient_check_all_rules():
     rollouts = sample_step(old, task, [0, 1], 8, [rollout_seed(9, 0, p) for p in range(2)])
     advantages = normalize_columns(rollouts.rewards, rollouts.sizes, [1e-6] * 2, ["0", "1"]).advantages
     for rule in ("token", "seq", "balanced", "balanced_gen"):
-        assert logit_gradient_check(policy, rollouts, advantages, rule, clip, h=1e-4) < 1e-4
+        assert logit_gradient_check(policy, rollouts, advantages, rule, clip) < 1e-4
 
 
 def test_inner_epochs_move_ratios_off_one():
@@ -577,7 +581,7 @@ def test_policy_table_invariants():
     with pytest.raises(ValueError):
         PolicyTable(np.full((1, 2, 3), np.nan))
     policy = PolicyTable(np.random.default_rng(0).normal(size=(2, 4, 5)))
-    assert np.allclose(policy.probs().sum(axis=-1), 1.0, atol=1e-12)
+    assert np.allclose(np.exp(policy.log_probs()).sum(axis=-1), 1.0, atol=1e-12)
     with pytest.raises(ValueError):
         policy.logits[0, 0, 0] = 1.0  # read-only
 

@@ -1,6 +1,9 @@
 import io
 
+from grpoagg.aggregate import ClipConfig
 from grpoagg.verify import SUITE, run_suite
+
+from conftest import fail_check
 
 
 def test_suite_names_unique():
@@ -10,15 +13,16 @@ def test_suite_names_unique():
 
 def test_run_suite_passes_and_is_deterministic():
     out1, out2 = io.StringIO(), io.StringIO()
-    assert run_suite(seed=3, stream=out1)
-    assert run_suite(seed=3, stream=out2)
+    assert run_suite(3, ClipConfig(), out1)
+    assert run_suite(3, ClipConfig(), out2)
     assert out1.getvalue() == out2.getvalue()
     assert out1.getvalue().count("PASS") == len(SUITE)
 
 
-def test_run_suite_fault_injection():
+def test_run_suite_fault_injection(monkeypatch):
+    fail_check(monkeypatch, "token_decomposition")
     out = io.StringIO()
-    assert not run_suite(seed=0, inject_fault="token_decomposition", stream=out)
+    assert not run_suite(0, ClipConfig(), out)
     text = out.getvalue()
     assert "FAIL token_decomposition" in text
     assert text.count("\nFAIL ") == 1
