@@ -154,9 +154,8 @@ def _evaluate(read: list[tuple], clip: ClipConfig, report) -> tuple[_Chunk, list
     normalized = normalize_columns(flat_rewards, sizes, eps_vars, prompt_ids)
     keep = np.ones(len(read), dtype=bool)
     for j, text in normalized.errors.items():
-        if j not in normalized.degenerate:
-            report(line_nos[j], f"line {line_nos[j]}: {text}")
-            keep[j] = False
+        report(line_nos[j], f"line {line_nos[j]}: {text}")
+        keep[j] = False
     length_only = np.array([r is None for r in ratios])
     evaluable = keep & ~length_only
     objectives = np.full((len(RULES), len(read)), np.nan)
@@ -437,15 +436,13 @@ def cmd_compare(args) -> int:
     cmp_path = args.out / "comparison.csv"
     _write_comparison(per_rule, cmp_path)
     lines = _degenerate_notice(sum(degenerate))
-    for rule in RULES:
-        recs = per_rule[rule]
-        tail = recs[-min(100, len(recs)) :]
-        mean_loss = fsum(r.pg_loss for r in tail) / len(tail) if tail else 0.0
-        final_reward = recs[-1].mean_reward if recs else float("nan")
-        lines.append(
-            f"{rule:>12}: final mean_reward={final_reward:.4f} "
-            f"tail mean pg_loss={mean_loss:.6g}"
-        )
+    for rule, recs in per_rule.items():
+        if recs:  # as in simulate, a rule with no step prints no line
+            tail = recs[-100:]
+            lines.append(
+                f"{rule:>12}: final mean_reward={recs[-1].mean_reward:.4f} "
+                f"tail mean pg_loss={fsum(r.pg_loss for r in tail) / len(tail):.6g}"
+            )
     _print_stdout([*lines, f"wrote {cmp_path} and per-rule metrics_<rule>.csv"])
     return 0
 

@@ -16,9 +16,9 @@ ints or ``np.float64``. A violation is a ValueError naming the field.
 ``group_columns`` applies the same rules to one group given as plain fields,
 as a log line is read, builds no record and turns the group's ratios into
 one float64 array of its own. ``normalize_columns`` normalises a run of
-groups given as a flat reward column; ``normalize_advantages`` is its
-one-group case. Either way a group's advantages are a float64 column, one
-entry per response.
+groups given as a flat reward column and decides which of them are refused;
+``normalize_advantages`` is its one-group case. Either way a group's
+advantages are a float64 column, one entry per response.
 
 For binary rewards with ``eps_var = 0`` the advantages have a closed form
 that depends only on the group size and the number of positive responses:
@@ -361,19 +361,19 @@ def normalize_advantages(group: RolloutGroup) -> np.ndarray:
     """
     rewards = group.rewards
     out = normalize_columns(rewards, [len(rewards)], [group.eps_var], [group.prompt_id])
+    if out.degenerate:
+        raise DegenerateGroupError(f"group {group.prompt_id!r}: all rewards equal ({rewards[0]}) with eps_var=0")
     if out.errors:
-        raise (DegenerateGroupError if out.degenerate else ValueError)(out.errors[0])
+        raise ValueError(out.errors[0])
     return out.advantages
 
 
 class NormalizedColumns(NamedTuple):
     """The advantages of a run of groups, as ``normalize_columns`` gives them."""
 
-    advantages: np.ndarray  # per response; 0.0 throughout a group in ``errors``
-    mu: np.ndarray  # per group
-    sigma: np.ndarray  # per group
-    errors: dict[int, str]  # group index: the text normalize_advantages raises for it
-    degenerate: list[int]  # the groups in ``errors`` whose error is DegenerateGroupError
+    advantages: np.ndarray  # per response; 0.0 throughout a group in ``errors`` or ``degenerate``
+    errors: dict[int, str]  # the groups a caller refuses (index: text), whose variance is out of float range
+    degenerate: list[int]  # the groups, none in ``errors``, whose rewards are all equal at eps_var 0
 
 
 def normalize_columns(
@@ -389,10 +389,14 @@ def normalize_columns(
     the group sums are one ``fsum`` per group and the squares Python's
     ``** 2`` (which is libm's ``pow`` and differs from ``x * x`` in the last
     bit for about one double in a thousand); every other step is one numpy
-    expression over the run, with the same IEEE operations. A group that
-    normalize_advantages refuses is in ``errors`` with that error's text; its
-    advantages are 0.0, which is how a degenerate group is taken where it
-    is not an error.
+    expression over the run, with the same IEEE operations.
+
+    This decides which groups are refused. A group whose rewards are all
+    equal at ``eps_var`` 0 is ``degenerate`` (normalize_advantages raises
+    DegenerateGroupError for it; a run of groups takes it as
+    zero-advantage); any other group whose sigma is not a positive float is
+    in ``errors`` with the text normalize_advantages raises for it, and is
+    refused. Both get advantages 0.0.
     """
     ends = list(accumulate(sizes))
     starts = [0, *ends[:-1]]
@@ -412,23 +416,17 @@ def normalize_columns(
         advantages = dev / np.repeat(sigma, size)
     errors: dict[int, str] = {}
     degenerate: list[int] = []
-    bad = None
-    if not (np.minimum.reduce(sigma, initial=math.inf) > 0.0
-            and np.maximum.reduce(sigma, initial=0.0) < math.inf):  # a NaN fails too
-        bad = ~((sigma > 0.0) & (sigma < math.inf))
     if 0.0 in eps_vars:
         flat = np.equal(eps_vars, 0.0) & (np.maximum.reduceat(r, starts) == np.minimum.reduceat(r, starts))
-        if flat.any():
-            bad = flat if bad is None else bad | flat
-            degenerate = flat.nonzero()[0].tolist()
-    if bad is not None:
-        for j in bad.nonzero()[0].tolist():
-            advantages[starts[j] : ends[j]] = 0.0
-            if j in degenerate:
-                errors[j] = f"group {prompt_ids[j]!r}: all rewards equal ({rewards[starts[j]]}) with eps_var=0"
-            else:
+        degenerate = flat.nonzero()[0].tolist()
+    if not (np.minimum.reduce(sigma, initial=math.inf) > 0.0
+            and np.maximum.reduce(sigma, initial=0.0) < math.inf):  # a NaN fails too
+        for j in (~((sigma > 0.0) & (sigma < math.inf))).nonzero()[0].tolist():
+            if j not in degenerate:
                 errors[j] = f"group {prompt_ids[j]!r}: reward variance is out of float range"
-    return NormalizedColumns(advantages, mu, sigma, errors, degenerate)
+    for j in chain(errors, degenerate):
+        advantages[starts[j] : ends[j]] = 0.0
+    return NormalizedColumns(advantages, errors, degenerate)
 
 
 def _square(x: float) -> float:

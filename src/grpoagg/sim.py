@@ -482,9 +482,8 @@ def train_step(
     normalized = normalize_columns(
         rewards, sizes, [config.eps_var] * len(sizes), list(map(str, rollouts.prompts))
     )
-    for j, text in normalized.errors.items():
-        if j not in normalized.degenerate:
-            raise ValueError(text)
+    if normalized.errors:
+        raise ValueError(next(iter(normalized.errors.values())))
     if normalized.degenerate and on_degenerate is not None:
         on_degenerate(len(normalized.degenerate))
     advantages = normalized.advantages

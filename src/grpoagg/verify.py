@@ -3,27 +3,24 @@
 Each check draws random instances from its own seeded generator, evaluates
 one of the algebraic identities the advantage normaliser, the aggregation
 rules and their decompositions must satisfy, and reports the maximum observed
-error against a fixed tolerance.
+error against a fixed tolerance. A check draws all of its groups first, then
+evaluates them as one batch: one ``normalize_columns`` and one ``FlatBatch``.
+The one-group API (``decompose``, ``ba_weight_identity``, ``gradient_check``)
+is still called per group, by the checks of those functions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
-from typing import Callable, TextIO
+from itertools import accumulate, chain, compress
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-from .aggregate import RULES, ClipConfig, gradient_check, objective, phi
-from .decompose import (
-    LengthStats,
-    ba_weight_identity,
-    decompose,
-    length_stats,
-    regime_report,
-)
-from .groups import Response, RolloutGroup, binary_closed_form, normalize_advantages
+from .aggregate import RULES, ClipConfig, FlatBatch, SumColumns, gradient_check, objective, phi, rule_table
+from .decompose import LengthStats, ba_weight_identity, decompose, length_stats, regime_report
+from .groups import Response, RolloutGroup, binary_closed_form, normalize_advantages, normalize_columns
 
 __all__ = [
     "IdentityCheck",
@@ -90,42 +87,50 @@ class IdentityCheck:
     run: Callable[[np.random.Generator, ClipConfig], float]
 
 
+def _advantages(rewards: list[Sequence[float]]) -> list[np.ndarray]:
+    """Each drawn group's advantages at eps_var 0, given its rewards, all
+    from one normalize_columns. Raises ValueError if a group is refused or
+    degenerate."""
+    sizes = list(map(len, rewards))
+    out = normalize_columns(list(chain.from_iterable(rewards)), sizes, [0.0] * len(sizes), ["p0"] * len(sizes))
+    if out.errors or out.degenerate:
+        raise ValueError(f"drawn groups {sorted([*out.errors, *out.degenerate])} do not normalise")
+    return np.split(out.advantages, list(accumulate(sizes[:-1])))
+
+
+def _table(groups: list[RolloutGroup], advantages: list[np.ndarray], clip: ClipConfig) -> tuple[SumColumns, dict]:
+    """The sign sums and rule table of ``groups`` under their advantages (an
+    array per group), evaluated as one FlatBatch."""
+    lengths = [t for group in groups for t in group.lengths]
+    ratios = np.array([r for group in groups for resp in group.responses for r in resp.ratios])
+    sums = FlatBatch(np.concatenate(advantages), [g.size for g in groups], lengths, ratios).rule_sums(clip)
+    return sums, rule_table(sums)
+
+
+def _max_error(got, want) -> float:
+    """The largest |got - want| over aligned entries, 0.0 for none."""
+    return float(np.max(np.abs(np.subtract(got, want)), initial=0.0))
+
+
 def _check_closed_form(rng: np.random.Generator, clip: ClipConfig) -> float:
-    err = 0.0
-    for _ in range(300):
-        group = random_binary_group(rng, max_group=32)
-        adv = normalize_advantages(group)
+    groups = [random_binary_group(rng, max_group=32) for _ in range(300)]
+    advs = _advantages([g.rewards for g in groups])
+    want = []
+    for group, adv in zip(groups, advs):
         pos, neg = binary_closed_form(group.size, int(np.count_nonzero(adv > 0.0)))
-        for a, r in zip(adv.tolist(), group.rewards):
-            err = max(err, abs(a - (pos if r == 1.0 else neg)))
-    return err
+        want += [pos if r == 1.0 else neg for r in group.rewards]
+    return _max_error(np.concatenate(advs), want)
 
 
 def _check_shift_scale(rng: np.random.Generator, clip: ClipConfig) -> float:
-    err = 0.0
+    rewards, shifted, scaled = [], [], []
     for _ in range(200):
-        group = random_real_group(rng)
-        adv = normalize_advantages(group)
-        c = float(rng.normal()) * 3.0
-        lam = float(rng.uniform(0.1, 5.0))
-        shifted = RolloutGroup(
-            group.prompt_id,
-            tuple(
-                Response(r.tokens, r.reward + c, r.ratios) for r in group.responses
-            ),
-            0.0,
-        )
-        scaled = RolloutGroup(
-            group.prompt_id,
-            tuple(
-                Response(r.tokens, r.reward * lam, r.ratios) for r in group.responses
-            ),
-            0.0,
-        )
-        for other in (normalize_advantages(shifted), normalize_advantages(scaled)):
-            for a, b in zip(adv.tolist(), other.tolist()):
-                err = max(err, abs(a - b))
-    return err
+        rewards.append(random_real_group(rng).rewards)
+        c, lam = float(rng.normal()) * 3.0, float(rng.uniform(0.1, 5.0))
+        shifted.append([r + c for r in rewards[-1]])
+        scaled.append([r * lam for r in rewards[-1]])
+    advs = _advantages(rewards + shifted + scaled)
+    return _max_error(np.concatenate(advs[:200] * 2), np.concatenate(advs[200:]))
 
 
 def _check_phi_values(rng: np.random.Generator, clip: ClipConfig) -> float:
@@ -147,14 +152,10 @@ def _check_phi_values(rng: np.random.Generator, clip: ClipConfig) -> float:
 
 def _reconstruction(rule: str):
     def run(rng: np.random.Generator, clip: ClipConfig) -> float:
-        err = 0.0
-        for _ in range(300):
-            group = random_binary_group(rng)
-            adv = normalize_advantages(group)
-            value = objective(rule, group, adv, clip).objective
-            report = decompose(group, adv, clip, rule)
-            err = max(err, abs(value - report.reconstructed_objective))
-        return err
+        groups = [random_binary_group(rng) for _ in range(300)]
+        advs = _advantages([g.rewards for g in groups])
+        reconstructed = [decompose(g, adv, clip, rule).reconstructed_objective for g, adv in zip(groups, advs)]
+        return _max_error(_table(groups, advs, clip)[1][rule][0], reconstructed)
 
     return run
 
@@ -172,25 +173,17 @@ def _check_ba_weights(rng: np.random.Generator, clip: ClipConfig) -> float:
 
 
 def _check_gen_reduction(rng: np.random.Generator, clip: ClipConfig) -> float:
-    err = 0.0
-    for _ in range(300):
-        group = random_binary_group(rng)
-        adv = normalize_advantages(group)
-        j_gen = objective("balanced_gen", group, adv, clip).objective
-        j_ba = objective("balanced", group, adv, clip).objective
-        err = max(err, abs(j_gen - j_ba))
-    return err
+    groups = [random_binary_group(rng) for _ in range(300)]
+    table = _table(groups, _advantages([g.rewards for g in groups]), clip)[1]
+    return _max_error(table["balanced_gen"][0], table["balanced"][0])
 
 
 def _check_mass_symmetry(rng: np.random.Generator, clip: ClipConfig) -> float:
-    err = 0.0
-    for _ in range(300):
-        group = random_real_group(rng)
-        adv = normalize_advantages(group)
-        report = decompose(group, adv, clip, "balanced_gen")
-        half = 0.5 * sum(map(abs, adv.tolist()))
-        err = max(err, abs(report.m_pos - report.m_neg), abs(report.m_pos - half))
-    return err
+    groups = [random_real_group(rng) for _ in range(300)]
+    advs = _advantages([g.rewards for g in groups])
+    sums = _table(groups, advs, clip)[0]
+    half = [0.5 * sum(map(abs, adv.tolist())) for adv in advs]
+    return max(_max_error(sums.m_pos, sums.m_neg), _max_error(sums.m_pos, half))
 
 
 def _check_gradients(rng: np.random.Generator, clip: ClipConfig) -> float:
@@ -205,19 +198,15 @@ def _check_gradients(rng: np.random.Generator, clip: ClipConfig) -> float:
 
 def _check_permutation(rng: np.random.Generator, clip: ClipConfig) -> float:
     # fsum-based accumulation makes these bit-exact, hence tolerance 0.
-    err = 0.0
+    groups, perms = [], []
     for _ in range(100):
-        group = random_binary_group(rng)
-        adv = normalize_advantages(group)
-        perm = rng.permutation(group.size)
-        pgroup = RolloutGroup(
-            group.prompt_id, tuple(group.responses[i] for i in perm), 0.0
-        )
-        padv = adv[perm]
-        for rule in RULES:
-            base = objective(rule, group, adv, clip).objective
-            err = max(err, abs(base - objective(rule, pgroup, padv, clip).objective))
-    return err
+        groups.append(random_binary_group(rng))
+        perms.append(rng.permutation(groups[-1].size))
+    advs = _advantages([g.rewards for g in groups])
+    # the permuted copies follow the groups and carry their advantages permuted, not renormalised
+    copies = [RolloutGroup("p0", tuple(g.responses[i] for i in perm), 0.0) for g, perm in zip(groups, perms)]
+    table = _table(groups + copies, advs + [adv[perm] for adv, perm in zip(advs, perms)], clip)[1]
+    return max(_max_error(table[rule][0][:100], table[rule][0][100:]) for rule in RULES)
 
 
 def _check_length_diagnostics(rng: np.random.Generator, clip: ClipConfig) -> float:

@@ -640,8 +640,10 @@ def test_simulate_deterministic(tmp_path, capsys):
 
 
 def test_compare_zero_steps_header_only(tmp_path, capsys):
-    code, _, _ = run_cli(capsys, "compare", "--steps", "0", "--out", str(tmp_path))
+    code, out, _ = run_cli(capsys, "compare", "--steps", "0", "--out", str(tmp_path))
     assert code == 0
+    # as simulate --steps 0, no rule line: no step has a reward or a loss to print
+    assert out == f"wrote {tmp_path / 'comparison.csv'} and per-rule metrics_<rule>.csv\n"
     header = ",".join(f"{r}_objective,{r}_pg_loss,{r}_mean_reward" for r in cli.RULES)
     assert (tmp_path / "comparison.csv").read_text(encoding="utf-8") == f"step,{header}\n"
 

@@ -24,6 +24,8 @@ STDOUT = "<stdout>"
     "argv, outputs",
     [
         (["verify", "--seed", "7"], {STDOUT: "verify_seed7.txt"}),
+        (["verify", "--seed", "0"], {STDOUT: "verify_seed0.txt"}),
+        (["verify", "--seed", "3", "--clip-low", "0.1", "--clip-high", "0.5"], {STDOUT: "verify_seed3_band.txt"}),
         (
             ["analyze", "--input", str(FAULTY), "--window", "2"],
             {"analysis.csv": "analysis.csv", "regime.txt": "regime.txt"},
@@ -52,7 +54,10 @@ STDOUT = "<stdout>"
             {"rollouts_balanced.jsonl": "rollouts_balanced.jsonl"},
         ),
     ],
-    ids=["verify", "analyze", "simulate", "compare", "compare-locked", "simulate-dump"],
+    ids=[
+        "verify", "verify-seed0", "verify-seed3-band",
+        "analyze", "simulate", "compare", "compare-locked", "simulate-dump",
+    ],
 )
 def test_outputs_match_golden_bytes(tmp_path, capsys, argv, outputs):
     if set(outputs) != {STDOUT}:

@@ -40,8 +40,6 @@ def test_normalize_hand_computed_sigma():
     adv = normalize_advantages(group)
     columns = normalize_columns(group.rewards, [3], [0.0], ["p0"])
     sigma = math.sqrt(14.0 / 3.0)
-    assert columns.mu[0] == pytest.approx(0.0, abs=1e-15)
-    assert columns.sigma[0] == pytest.approx(sigma, abs=1e-15)
     assert adv.tobytes() == columns.advantages.tobytes()
     for a, r in zip(adv, (2.0, 1.0, -3.0)):
         assert a == pytest.approx(r / sigma, abs=1e-14)
@@ -51,6 +49,23 @@ def test_normalize_degenerate_raises():
     group = make_group([(1, 0.5)] * 3)
     with pytest.raises(DegenerateGroupError):
         normalize_advantages(group)
+
+
+def test_normalize_columns_refuses_an_overflowing_variance_and_flags_a_degenerate_group():
+    # group "d" is all equal at eps_var 0 (its mean overflows too); the
+    # variance of group "v" overflows
+    columns = normalize_columns([1e308, 1e308, 1e308, -1e308], [2, 2], [0.0, 0.0], ["d", "v"])
+    assert columns.degenerate == [0]
+    assert columns.errors == {1: "group 'v': reward variance is out of float range"}
+    assert columns.advantages.tolist() == [0.0] * 4
+    # the one-group normaliser raises the same class and text for each
+    with pytest.raises(DegenerateGroupError) as degenerate:
+        normalize_advantages(make_group([(1, 1e308)] * 2, prompt_id="d"))
+    assert str(degenerate.value) == "group 'd': all rewards equal (1e+308) with eps_var=0"
+    with pytest.raises(ValueError) as refused:
+        normalize_advantages(make_group([(1, 1e308), (1, -1e308)], prompt_id="v"))
+    assert type(refused.value) is ValueError
+    assert str(refused.value) == "group 'v': reward variance is out of float range"
 
 
 def test_normalize_sum_and_sum_of_squares():

@@ -496,14 +496,16 @@ def test_normalize_columns_equal_the_per_group_reference(groups):
         library = outcome(normalize_advantages, SimpleNamespace(rewards=values, eps_var=eps, prompt_id=f"p{j}"))
         if type(want) is tuple:  # the error and its text
             assert type(library) is tuple and library == want
-            assert got.errors[j] == want[1]
-            assert (j in got.degenerate) == (want[0] is DegenerateGroupError)
+            # a degenerate group is flagged, any other error refuses the group; never both
+            if want[0] is DegenerateGroupError:
+                assert j in got.degenerate and j not in got.errors
+            else:
+                assert got.errors[j] == want[1] and j not in got.degenerate
             assert not got.advantages[start:stop].any()
         else:
-            assert j not in got.errors
+            assert j not in got.errors and j not in got.degenerate
             assert list(map(bits, got.advantages[start:stop])) == list(map(bits, want.advantages))
             assert type(library) is np.ndarray and list(map(bits, library)) == list(map(bits, want.advantages))
-            assert (bits(got.mu[j]), bits(got.sigma[j])) == (bits(want.mu), bits(want.sigma))
         start = stop
 
 
