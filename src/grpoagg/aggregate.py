@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -186,14 +185,14 @@ class FlatBatch:
     def rule_sums(self, clip: ClipConfig) -> SumColumns:
         """Every group's sign sums, from one phi pass over the tokens.
 
-        The signed responses are taken positive ones first, then negative
-        ones, each in group order, so that each (group, sign) subset is a
-        run. One ``map(fsum, ...)`` takes each signed response's phi sum,
-        and one per quantity (phi, phi / T, |A| and |A| T) its sums over
-        every run, which are the eight sign-subset sums of every group;
-        ``fsum`` is exact, so the order inside a run does not matter.
-        Counts are integer column operations. A group whose sums overflow
-        a float is not ``ok``.
+        One ``run_fsums`` walk of the token column takes every response's
+        phi sum. The signed responses are taken positive ones first, then
+        negative ones, each in group order, so that each (group, sign)
+        subset is a run, and one more walk, of phi, phi / T, |A| and |A| T
+        stacked as one column, takes the eight sign-subset sums of every
+        group; ``fsum`` is exact, so the order inside a run does not
+        matter. Counts are integer column operations. A group whose sums
+        overflow a float is not ``ok``.
         """
         r, a = self.ratios, self.token_advantages
         adv, sizes, lengths = self.advantages, self.sizes, self.lengths
@@ -206,18 +205,15 @@ class FlatBatch:
         columns = np.array([pos, neg, lengths, lengths * pos, lengths * neg])
         counts = np.add.reduceat(columns, first, axis=1)
         with np.errstate(over="ignore"):  # a product that overflows is an inf, as in Python
-            token_phi = np.minimum(r * a, r.clip(clip.lower, clip.upper) * a).tolist()
+            token_phi = np.minimum(r * a, r.clip(clip.lower, clip.upper) * a)
             signed = np.concatenate((pos.nonzero()[0], neg.nonzero()[0]))
+            # a zero-advantage response's phi is 0 (NaN at an infinite ratio): its sum never raises
+            phi = np.array(run_fsums(memoryview(token_phi), lengths.tolist()))[signed]
             t = lengths[signed]
-            stops = ends[signed]
-            phi = run_fsums(token_phi, list(map(slice, (stops - t).tolist(), stops.tolist())))
             magnitude = np.abs(adv[signed])  # -A exactly, on the negative side
-            quantities = (phi, (np.array(phi) / t).tolist(), magnitude.tolist(), (magnitude * t).tolist())
-        run_lengths = counts[:2].ravel()  # each group's positive run, then each negative one
-        run_ends = np.add.accumulate(run_lengths)
-        runs = list(map(slice, (run_ends - run_lengths).tolist(), run_ends.tolist()))
-        sums = np.array(list(chain.from_iterable(run_fsums(q, runs) for q in quantities)), dtype=float)
-        sums = sums.reshape(8, n)
+            quantities = np.concatenate((phi, phi / t, magnitude, magnitude * t))
+        run_lengths = counts[:2].ravel().tolist()  # each group's positive run, then each negative one
+        sums = np.array(run_fsums(memoryview(quantities), run_lengths * 4)).reshape(8, n)
         # a token counts as clipped when the clamped branch is the strict minimum
         clipped = np.where(a > 0.0, r > clip.upper, (a < 0.0) & (r < clip.lower))
         return SumColumns(

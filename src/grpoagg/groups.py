@@ -31,7 +31,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from math import fsum
 from typing import NamedTuple, Sequence
 
@@ -400,19 +400,18 @@ def normalize_columns(
     """
     ends = list(accumulate(sizes))
     starts = [0, *ends[:-1]]
-    groups = list(map(slice, starts, ends))
     size = np.array(sizes, dtype=np.intp)
     r = np.array(rewards, dtype=float)
     with np.errstate(all="ignore"):
         # an overflow or a zero variance gives a sigma that fails the check below
-        mu = np.array(run_fsums(rewards, groups)) / size
+        mu = np.array(run_fsums(rewards, sizes)) / size
         dev = r - np.repeat(mu, size)
         deviations = dev.tolist()
         try:
             squares = list(map(pow, deviations, repeat(2)))
         except OverflowError:
             squares = [_square(d) for d in deviations]
-        sigma = np.sqrt(np.array(run_fsums(squares, groups)) / size + eps_vars)
+        sigma = np.sqrt(np.array(run_fsums(squares, sizes)) / size + eps_vars)
         advantages = dev / np.repeat(sigma, size)
     errors: dict[int, str] = {}
     degenerate: list[int] = []
@@ -437,14 +436,16 @@ def _square(x: float) -> float:
         return math.inf
 
 
-def run_fsums(values: Sequence[float], runs: Sequence[slice]) -> list[float]:
-    """``fsum(values[run])`` for each run, one ``map`` over the runs; NaN
-    where a sum overflows a float (an ``fsum`` of finite floats is never
-    NaN otherwise)."""
+def run_fsums(values: Sequence[float], lengths: Sequence[int]) -> list[float]:
+    """The ``fsum`` of each run of ``values``, the runs ``lengths`` long and
+    in order, from one iterator: no run is sliced or copied, and an empty
+    run sums to 0.0. NaN where a sum overflows a float (an ``fsum`` of
+    finite floats is never NaN otherwise); ``values`` must be re-iterable,
+    as that case walks it again, reading each run whole before its sum."""
     try:
-        return list(map(fsum, map(values.__getitem__, runs)))
+        return list(map(fsum, map(islice, repeat(iter(values)), lengths)))
     except OverflowError:
-        return [_fsum_or_nan(values[run]) for run in runs]
+        return list(map(_fsum_or_nan, map(list, map(islice, repeat(iter(values)), lengths))))
 
 
 def _fsum_or_nan(values: Sequence[float]) -> float:

@@ -175,16 +175,9 @@ def reference_ratio_gradients(rule, sums, advantages, ratio_arrays, clip):
     return out
 
 
-class RefNormalized(NamedTuple):
-    """One group's advantages with its mean and sigma, as Python floats."""
-
-    advantages: tuple
-    mu: float
-    sigma: float
-
-
 def reference_normalize(rewards, eps_var, prompt_id):
-    """A group's advantages, one reward at a time, with the library's errors."""
+    """A group's advantages as a list of Python floats, one reward at a
+    time, with the library's errors (a caught error reads as a tuple)."""
     g = len(rewards)
     if eps_var == 0.0 and all(r == rewards[0] for r in rewards):
         raise DegenerateGroupError(f"group {prompt_id!r}: all rewards equal ({rewards[0]}) with eps_var=0")
@@ -195,7 +188,7 @@ def reference_normalize(rewards, eps_var, prompt_id):
             raise OverflowError
     except OverflowError:
         raise ValueError(f"group {prompt_id!r}: reward variance is out of float range") from None
-    return RefNormalized(tuple((r - mu) / sigma for r in rewards), mu, sigma)
+    return [(r - mu) / sigma for r in rewards]
 
 
 def count_constructions(monkeypatch, *classes):

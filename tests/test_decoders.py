@@ -318,6 +318,38 @@ def test_a_non_ascii_line_is_accepted_in_bulk(tmp_path, monkeypatch, decoder):
     assert (line_no, prompt_id, calls) == (1, "\u00e9t\u00e9", [])
 
 
+def _padded(brackets: int) -> str:
+    """``group()`` with exactly ``brackets`` "[" and "{" bytes: openers alone
+    inside a string value, the rest nested 100 deep in an ignored key."""
+    in_string = brackets - (group().count("[") + group().count("{")) - 100
+    pad = "[{" * (in_string // 2) + "[" * (in_string % 2)
+    return '{"pad": "' + pad + '", "deep": ' + "[" * 100 + "]" * 100 + ", " + group()[1:]
+
+
+@pytest.mark.parametrize("decoder", DECODERS)
+def test_the_bulk_decoder_takes_lines_below_the_nesting_limit_alone(tmp_path, decoder):
+    # the guard counts every "[" and "{" byte, those in strings included,
+    # and hands the bulk decoder only a line with fewer than MAX_NESTING
+    below, at = _padded(rollout_io.MAX_NESTING - 1), _padded(rollout_io.MAX_NESTING)
+    assert [line.count("[") + line.count("{") for line in (below, at)] == [511, 512]
+    path = tmp_path / "log.jsonl"
+    path.write_text(below + "\n" + at + "\n", encoding="utf-8")
+    with decoding_with("stdlib"):
+        want = _events(read_rollouts, path)
+    decoded = []
+    with decoding_with(decoder):
+        bulk = rollout_io._orjson() or rollout_io._stdlib_loads
+
+        def recorder(raw):
+            decoded.append(raw)
+            return bulk(raw)
+
+        rollout_io._fast_loads = recorder  # decoding_with restores it
+        got = _events(read_group_columns, path)
+    assert decoded == [below.encode() + b"\n"]
+    assert got == want and [e[:2] for e in got] == [("group", 1), ("group", 2)]
+
+
 def test_group_columns_yield_each_lines_ratios_as_one_float64_array(tmp_path):
     path = tmp_path / "log.jsonl"
     path.write_text("\n".join([group(), group(ratio="2.5"), record()]) + "\n", encoding="utf-8")

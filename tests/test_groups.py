@@ -11,6 +11,7 @@ from grpoagg.groups import (
     binary_closed_form,
     normalize_advantages,
     normalize_columns,
+    run_fsums,
 )
 
 from conftest import make_group
@@ -256,3 +257,22 @@ def test_normalize_reports_reward_variance_out_of_range(rewards):
     with pytest.raises(ValueError, match="group 'big'") as err:
         normalize_advantages(group)
     assert not isinstance(err.value, DegenerateGroupError)
+
+
+def test_run_fsums_sums_each_run_of_one_column_in_order():
+    # runs of length 0 give 0.0; a run that overflows gives NaN and leaves
+    # the runs after it their own fsum bits, whether the column is a list
+    # or a memoryview of a float64 array
+    values = [0.1, 0.2, 0.3, 1e308, 1e308, -1e308, 1e-16, 1.0, 1e-16, 2.5]
+    lengths = [0, 3, 0, 3, 3, 1, 0]
+    want = [0.0, math.fsum(values[:3]), 0.0, math.nan, math.fsum(values[6:9]), 2.5, 0.0]
+    assert want[4] != sum(values[6:9])
+    for column in (values, memoryview(np.array(values))):
+        assert list(map(repr, run_fsums(column, lengths))) == list(map(repr, want))
+    rng = np.random.default_rng(0)
+    lengths = rng.integers(0, 9, 500).tolist()
+    stops = np.add.accumulate(lengths).tolist()
+    column = rng.standard_normal(stops[-1]) * 10.0 ** rng.integers(-300, 300, stops[-1])
+    want = [math.fsum(column[stop - n : stop].tolist()) for n, stop in zip(lengths, stops)]
+    for got in (run_fsums(column.tolist(), lengths), run_fsums(memoryview(column), lengths)):
+        assert list(map(repr, got)) == list(map(repr, want))

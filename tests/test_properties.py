@@ -504,8 +504,8 @@ def test_normalize_columns_equal_the_per_group_reference(groups):
             assert not got.advantages[start:stop].any()
         else:
             assert j not in got.errors and j not in got.degenerate
-            assert list(map(bits, got.advantages[start:stop])) == list(map(bits, want.advantages))
-            assert type(library) is np.ndarray and list(map(bits, library)) == list(map(bits, want.advantages))
+            assert list(map(bits, got.advantages[start:stop])) == list(map(bits, want))
+            assert type(library) is np.ndarray and list(map(bits, library)) == list(map(bits, want))
         start = stop
 
 
