@@ -205,7 +205,11 @@ class FlatBatch:
         columns = np.array([pos, neg, lengths, lengths * pos, lengths * neg])
         counts = np.add.reduceat(columns, first, axis=1)
         with np.errstate(over="ignore"):  # a product that overflows is an inf, as in Python
-            token_phi = np.minimum(r * a, r.clip(clip.lower, clip.upper) * a)
+            # phi = min(r A, clip(r) A), with the clamped branch as the one full-size temporary
+            token_phi = r * a
+            clamped = np.clip(r, clip.lower, clip.upper)
+            clamped *= a
+            np.minimum(token_phi, clamped, out=token_phi)
             signed = np.concatenate((pos.nonzero()[0], neg.nonzero()[0]))
             # a zero-advantage response's phi is 0 (NaN at an infinite ratio): its sum never raises
             phi = np.array(run_fsums(memoryview(token_phi), lengths.tolist()))[signed]

@@ -19,7 +19,6 @@ from itertools import accumulate, chain, compress
 from math import fsum
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -113,41 +112,29 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-# cmd_analyze reads and evaluates a log in chunks of whole windows of lines
-# that hold at least this many tokens (or the rest of the log). Peak memory
-# grows with it: on groups of 8 responses of 1-15 tokens, 8,192 adds under
-# 1 MB of peak RSS to one-window chunks, and 32,768 adds 5 MB.
+# cmd_analyze reads a log, and _evaluate evaluates it, in chunks of whole
+# windows of lines that hold at least this many tokens (or the rest of the
+# log). Peak memory grows with it: on groups of 8 responses of 1-15 tokens,
+# 8,192 adds under 1 MB of peak RSS to one-window chunks, and 32,768 adds 5 MB.
 _CHUNK_TOKENS = 8192
 
 
-class _Chunk(NamedTuple):
-    """The groups of a chunk that evaluate, as columns. Per response: its
-    length, reward and whether its advantage is positive or negative. Per
-    group: its first response (``starts`` has one entry more), count of
-    positive responses, each rule's objective (a row per rule, NaN for a
-    length-only group), clipped and total tokens, and whether it is
-    degenerate or length-only."""
+def _evaluate(
+    read: list[tuple], clip: ClipConfig, window: int, ended: bool, step: int, tally: LengthTally, report
+) -> tuple[list[tuple[list[MetricRecord], LengthStats, int]], list[tuple], int, int]:
+    """Evaluate the groups of ``read`` (as read_group_columns yields them)
+    and cut the windows of ``window`` groups that they complete, numbered
+    from ``step``; once the log has ``ended``, the last one too.
 
-    lengths: np.ndarray
-    rewards: np.ndarray
-    positive: np.ndarray
-    negative: np.ndarray
-    starts: list[int]
-    ks: np.ndarray
-    objectives: np.ndarray
-    clipped: np.ndarray
-    tokens: np.ndarray
-    degenerate: np.ndarray
-    length_only: np.ndarray
-
-
-def _evaluate(read: list[tuple], clip: ClipConfig, report) -> tuple[_Chunk, list[int]]:
-    """The columns of the groups of ``read`` (as read_group_columns yields
-    them) that evaluate, and their indices in ``read``: all of them
-    normalised together and all of them with ratios evaluated by one
-    FlatBatch. A group whose normalisation fails or whose objective
-    overflows is passed to ``report`` as (line number, text) and left out; a
-    degenerate group is taken as zero-advantage."""
+    All the groups are normalised together and all of them with ratios are
+    evaluated by one FlatBatch. A group whose normalisation fails or whose
+    objective overflows is passed to ``report`` as (line number, text) and
+    left out; a degenerate group is taken as zero-advantage. Returns each
+    window's metric rows, length statistics and count of groups; the groups
+    of the unfinished window, which are evaluated again with the next
+    chunk; and the counts of degenerate and length-only groups in the
+    windows. The windows' lengths, pooled and per sign, are added to ``tally``.
+    """
     line_nos, prompt_ids, eps_vars, rewards, lengths, ratios = zip(*read)
     sizes = list(map(len, rewards))
     flat_rewards = list(chain.from_iterable(rewards))
@@ -177,51 +164,39 @@ def _evaluate(read: list[tuple], clip: ClipConfig, report) -> tuple[_Chunk, list
         for j in overflows.nonzero()[0].tolist():
             report(line_nos[j], f"line {line_nos[j]}: group {prompt_ids[j]!r}: an objective overflows a float")
         keep &= ~overflows
-    degenerate = np.zeros(len(read), dtype=bool)
-    degenerate[normalized.degenerate] = True  # zero advantages never overflow
+    kept = keep.nonzero()[0]
+    done = kept.size if ended else kept.size - kept.size % window
+    pending = [read[j] for j in kept[done:].tolist()]
+    keep[kept[done:]] = False  # from here on, the groups of the windows
+    take = keep.tolist()
+    starts = [0, *accumulate(compress(sizes, take))]
     per_response = np.repeat(keep, sizes)
     advantages = normalized.advantages[per_response]
-    kept_sizes = list(compress(sizes, keep.tolist()))
-    starts = [0, *accumulate(kept_sizes)]
-    positive = advantages > 0.0
-    chunk = _Chunk(
-        np.fromiter(chain.from_iterable(compress(lengths, keep.tolist())), np.intp, starts[-1]),
-        np.array(flat_rewards)[per_response],
-        positive,
-        advantages < 0.0,
-        starts,
-        np.add.reduceat(positive, starts[:-1], dtype=np.intp) if kept_sizes else np.zeros(0, np.intp),
-        objectives[:, keep],
-        clipped[keep],
-        tokens[keep],
-        degenerate[keep],
-        length_only[keep],
-    )
-    return chunk, keep.nonzero()[0].tolist()
-
-
-def _window_rows(
-    step: int, chunk: _Chunk, first: int, end: int, tally: LengthTally
-) -> tuple[list[MetricRecord], LengthStats]:
-    """The metric rows and length statistics of the window of a chunk's
-    groups ``first`` to ``end`` (exclusive), cut from its columns.
-
-    The window's lengths, pooled and per sign, are also added to ``tally``.
-    """
-    responses = slice(chunk.starts[first], chunk.starts[end])
-    lengths = chunk.lengths[responses]
-    pos_lengths = lengths[chunk.positive[responses]].tolist()
-    neg_lengths = lengths[chunk.negative[responses]].tolist()
-    lengths = lengths.tolist()
-    tally.add(lengths, pos_lengths, neg_lengths)
-    evaluated = chunk.objectives[:, first:end][:, ~chunk.length_only[first:end]].tolist()
-    objectives = {rule: pooled_mean(col) if col else None for rule, col in zip(RULES, evaluated)}
-    tokens = int(chunk.tokens[first:end].sum())
-    clip_fraction = int(chunk.clipped[first:end].sum()) / tokens if tokens else None
-    stats = length_stats(lengths, pos_lengths, neg_lengths)
-    rewards = chunk.rewards[responses].tolist()
-    records = batch_metrics(step, stats, rewards, chunk.ks[first:end].tolist(), objectives, clip_fraction)
-    return records, stats
+    positive, negative = advantages > 0.0, advantages < 0.0
+    ks = np.add.reduceat(positive, starts[:-1], dtype=np.intp)
+    response_lengths = np.fromiter(chain.from_iterable(compress(lengths, take)), np.intp, starts[-1])
+    response_rewards = np.array(flat_rewards)[per_response]
+    objectives, clipped, tokens, length_only = objectives[:, keep], clipped[keep], tokens[keep], length_only[keep]
+    windows = []
+    for first in range(0, done, window):
+        end = min(first + window, done)
+        responses = slice(starts[first], starts[end])
+        window_lengths = response_lengths[responses]
+        pos_lengths = window_lengths[positive[responses]].tolist()
+        neg_lengths = window_lengths[negative[responses]].tolist()
+        window_lengths = window_lengths.tolist()
+        tally.add(window_lengths, pos_lengths, neg_lengths)
+        evaluated = objectives[:, first:end][:, ~length_only[first:end]].tolist()
+        pooled = {rule: pooled_mean(col) if col else None for rule, col in zip(RULES, evaluated)}
+        window_tokens = int(tokens[first:end].sum())
+        clip_fraction = int(clipped[first:end].sum()) / window_tokens if window_tokens else None
+        stats = length_stats(window_lengths, pos_lengths, neg_lengths)
+        window_rewards = response_rewards[responses].tolist()
+        records = batch_metrics(
+            step + len(windows), stats, window_rewards, ks[first:end].tolist(), pooled, clip_fraction
+        )
+        windows.append((records, stats, end - first))
+    return windows, pending, int(keep[normalized.degenerate].sum()), int(length_only.sum())
 
 
 def cmd_analyze(args) -> int:
@@ -232,13 +207,13 @@ def cmd_analyze(args) -> int:
     is read and re-checking only exceptional lines with the record
     validator, so the chunk is the one batch of this path. A chunk holds
     the groups its first window still needs, then whole windows of lines
-    until it has read ``_CHUNK_TOKENS`` tokens or the log ends. Its groups
-    are normalised and evaluated together, by one FlatBatch; a group whose
-    normalisation fails or whose objective overflows is reported and
+    until it has read ``_CHUNK_TOKENS`` tokens or the log ends. _evaluate
+    normalises and evaluates its groups together, by one FlatBatch; a group
+    whose normalisation fails or whose objective overflows is reported and
     dropped, so a window holds the first ``--window`` groups that evaluate,
-    and the groups of an unfinished window start the next chunk. Each
-    complete window is cut from the chunk's columns and its rows go to
-    ``analysis.csv``, and the chunk is dropped, so memory is set by
+    and the groups of an unfinished window start the next chunk. It returns
+    the rows of each complete window, which go to ``analysis.csv`` here,
+    and the chunk is dropped, so memory is set by
     ``--window`` and the chunk budget and not by the length of the log:
     across chunks only the regime lines and the counts of each response
     length (for the ``overall:`` line) are kept. A line yields at most one
@@ -282,15 +257,13 @@ def cmd_analyze(args) -> int:
                         ended = False
                         break
             except OSError as exc:
-                failure = exc
-            chunk, kept = _evaluate(read, clip, report) if read else (None, [])
+                failure, ended = exc, False
+            step = len(regime_lines)
+            windows, pending, chunk_degenerate, chunk_length_only = (
+                _evaluate(read, clip, args.window, ended, step, tally, report) if read else ([], [], 0, 0)
+            )
             flush_errors()
-            # the groups of complete windows, and at the end of the log the rest
-            done = len(kept) if ended and failure is None else len(kept) - len(kept) % args.window
-            pending = [read[j] for j in kept[done:]]  # evaluated again with the next chunk
-            for first in range(0, done, args.window):
-                end = min(first + args.window, done)
-                records, stats = _window_rows(len(regime_lines), chunk, first, end, tally)
+            for records, stats, groups in windows:
                 if csv is None:
                     args.out.mkdir(parents=True, exist_ok=True)
                     csv = open(csv_path, "w", encoding="utf-8")
@@ -298,13 +271,12 @@ def cmd_analyze(args) -> int:
                 csv.write(format_metrics(records))
                 gap = "n/a" if stats.len_gap is None else f"{stats.len_gap:.4f}"
                 regime_lines.append(
-                    f"window {len(regime_lines)}: groups={end - first} len_cv={stats.len_cv:.4f} "
+                    f"window {len(regime_lines)}: groups={groups} len_cv={stats.len_cv:.4f} "
                     f"len_gap={gap} regime={regime_report(stats)}"
                 )
-            if done:
-                degenerate += int(chunk.degenerate[:done].sum())
-                length_only += int(chunk.length_only[:done].sum())
-                groups_read += done
+                groups_read += groups
+            degenerate += chunk_degenerate
+            length_only += chunk_length_only
             if failure is not None:
                 print(f"error: cannot read {args.input}: {failure}", file=sys.stderr)
                 return 1

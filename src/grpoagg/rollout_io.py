@@ -283,19 +283,9 @@ def read_rollouts(
     """
     with _open_log(path) as fh:
         for line_no, raw in enumerate(_raw_lines(fh), 1):
-            try:
-                group = _parse_raw(raw, line_no, default_eps_var)
-            except RolloutLogError as exc:
-                _pass_on(exc, on_error)
-                continue
+            group = _parse_raw(raw, line_no, default_eps_var, on_error)
             if group is not None:
                 yield group
-
-
-def _pass_on(exc: RolloutLogError, on_error: Callable[[RolloutLogError], None] | None) -> None:
-    if on_error is None:
-        raise exc
-    on_error(exc)
 
 
 # Read buffer of a log: a line that fits in it is read in one pass.
@@ -319,12 +309,22 @@ def _raw_lines(fh) -> Iterator[bytes]:
             yield chunk  # one line: reading bytes splits at "\\n" alone
 
 
-def _parse_raw(raw: bytes, line_no: int, default_eps_var: float) -> RolloutGroup | None:
+def _parse_raw(
+    raw: bytes, line_no: int, default_eps_var: float, on_error: Callable[[RolloutLogError], None] | None
+) -> RolloutGroup | None:
     """``parse_rollout_line`` of one raw line, or None for a line that is
     whitespace only. A line that is not UTF-8 fails alone
-    (MalformedLineError), and its end is given as "\\n", as text mode gives it."""
-    line = _decode_line(raw, line_no)
-    return None if line.isspace() else parse_rollout_line(line, line_no, default_eps_var)
+    (MalformedLineError), and its end is given as "\\n", as text mode gives it.
+    A line's error is raised or, when ``on_error`` is given, passed to it,
+    and the line gives None."""
+    try:
+        line = _decode_line(raw, line_no)
+        return None if line.isspace() else parse_rollout_line(line, line_no, default_eps_var)
+    except RolloutLogError as exc:
+        if on_error is None:
+            raise
+        on_error(exc)
+        return None
 
 
 def _decode_line(raw: bytes, line_no: int) -> str:
@@ -368,11 +368,7 @@ def read_group_columns(
             if columns:
                 yield line_no, fields[0], *columns
                 continue
-            try:
-                group = _parse_raw(raw, line_no, default_eps_var)
-            except RolloutLogError as exc:
-                _pass_on(exc, on_error)
-                continue
+            group = _parse_raw(raw, line_no, default_eps_var, on_error)
             if group is None:
                 continue
             ratios = None

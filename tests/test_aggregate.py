@@ -8,6 +8,7 @@ from grpoagg.aggregate import (
     RULES,
     BoundaryProximityError,
     ClipConfig,
+    FlatBatch,
     MissingRatiosError,
     SumColumns,
     compute_rule_sums,
@@ -499,3 +500,20 @@ def test_compute_rule_sums_is_one_row_of_sum_columns(clip):
     sums = compute_rule_sums(group, normalize_advantages(group), clip)
     assert type(sums) is SumColumns
     assert all(column.shape == (1,) for column in sums) and sums.ok[0]
+
+
+def test_the_token_pass_leaves_its_inputs_alone(clip):
+    # rule_sums and ratio_gradients work in place only on arrays of their own
+    rng = np.random.default_rng(5)
+    groups = [random_binary_group(rng), random_real_group(rng), make_group([(2, 1.0, 2.0), (1, 0.0, 0.5)])]
+    responses = [r for g in groups for r in g.responses]
+    advantages = np.concatenate([normalize_advantages(g) for g in groups])
+    ratios = np.concatenate([r.ratios for r in responses])
+    batch = FlatBatch(advantages, [g.size for g in groups], [len(r.ratios) for r in responses], ratios)
+    assert batch.advantages is advantages and batch.ratios is ratios
+    columns = (batch.ratios, batch.advantages, batch.token_advantages)
+    before = [column.tobytes() for column in columns]
+    table = rule_table(batch.rule_sums(clip))
+    for rule in RULES:
+        batch.ratio_gradients(clip, *table[rule][2:])
+    assert [column.tobytes() for column in columns] == before
