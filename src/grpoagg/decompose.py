@@ -114,15 +114,21 @@ def decompose(
     """
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}; expected one of {RULES}")
-    return _report(group, compute_rule_sums(group, advantages, clip), rule)
+    sums = compute_rule_sums(group, advantages, clip)
+    if rule != "balanced_gen":
+        _require_binary(group, rule)
+    return _report(_rows(sums)[0], rule)
 
 
-def _report(group: RolloutGroup, sums: SumColumns, rule: str) -> DecompositionReport:
-    """``decompose`` of a group whose one-row sign sums are ``sums``."""
-    sums = SumColumns._make(column.item() for column in sums)  # the row as Python numbers
-    g = group.size
-    k = sums.k
-    nk = sums.neg_count
+def _rows(sums: SumColumns) -> list[SumColumns]:
+    """Each group's row of ``sums``, its fields Python numbers."""
+    return list(map(SumColumns._make, zip(*(column.tolist() for column in sums))))
+
+
+def _report(sums: SumColumns, rule: str) -> DecompositionReport:
+    """``decompose`` of a group whose sign sums are the row ``sums``; the
+    caller checks that the group is binary for every rule but balanced_gen."""
+    g, k, nk = sums.size, sums.k, sums.neg_count
 
     tbar_pos = sums.n_pos / k if k else 0.0
     tbar_neg = sums.n_neg / nk if nk else 0.0
@@ -133,7 +139,6 @@ def _report(group: RolloutGroup, sums: SumColumns, rule: str) -> DecompositionRe
         prefactor = sums.m_pos / g
         reconstructed = (sums.m_pos / g) * delta_pos - (sums.m_neg / g) * delta_neg
     else:
-        _require_binary(group, rule)
         a_pos, a_neg = binary_closed_form(g, k)
         if rule == "seq":
             delta_pos = (sums.pos_seq / a_pos) / k
@@ -177,21 +182,23 @@ def ba_weight_identity(
     """
     _require_binary(group, "balanced")
     sums = compute_rule_sums(group, advantages, clip)
-    g = group.size
-    k = sums.k.item()
-    if k == 0 or sums.neg_count.item() == 0:
+    return _ba_weights(_rows(sums)[0], rule_table(sums, ("balanced",))["balanced"][0].item())
+
+
+def _ba_weights(sums: SumColumns, objective: float) -> tuple[float, float, bool]:
+    """``ba_weight_identity`` of a binary group whose sign sums are the row
+    ``sums`` and whose balanced objective is ``objective``."""
+    g, k = sums.size, sums.k
+    if k == 0 or sums.neg_count == 0:
         raise ValueError(f"degenerate subset: k={k} of {g} responses positive")
     a_pos, a_neg = binary_closed_form(g, k)
     ba_pos = (k / g) * a_pos
     ba_neg = ((g - k) / g) * (-a_neg)
     seq_prefactor = math.sqrt(k * (g - k)) / g
-    report = _report(group, sums, "balanced")
-    objective = rule_table(sums, ("balanced",))["balanced"][0].item()
-    reconstructed = seq_prefactor * (report.delta_pos - report.delta_neg)
     match = (
         abs(ba_pos - seq_prefactor) <= IDENTITY_ATOL
         and abs(ba_neg - seq_prefactor) <= IDENTITY_ATOL
-        and abs(objective - reconstructed) <= IDENTITY_ATOL
+        and abs(objective - _report(sums, "balanced").reconstructed_objective) <= IDENTITY_ATOL
     )
     return ba_pos, seq_prefactor, match
 

@@ -3,10 +3,9 @@
 Each check draws random instances from its own seeded generator, evaluates
 one of the algebraic identities the advantage normaliser, the aggregation
 rules and their decompositions must satisfy, and reports the maximum observed
-error against a fixed tolerance. A check draws all of its groups first, then
-evaluates them as one batch: one ``normalize_columns`` and one ``FlatBatch``.
-The one-group API (``decompose``, ``ba_weight_identity``, ``gradient_check``)
-is still called per group, by the checks of those functions.
+error against a fixed tolerance. The drawers return a group's columns; a check
+draws all of its groups, then evaluates them as one ``normalize_columns`` and
+one ``FlatBatch`` (the gradient check differentiates each group's own batch).
 """
 
 from __future__ import annotations
@@ -18,9 +17,9 @@ from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-from .aggregate import RULES, ClipConfig, FlatBatch, SumColumns, gradient_check, objective, phi, rule_table
-from .decompose import LengthStats, ba_weight_identity, decompose, length_stats, regime_report
-from .groups import Response, RolloutGroup, binary_closed_form, normalize_advantages, normalize_columns
+from .aggregate import RULES, ClipConfig, FlatBatch, SumColumns, _central_difference, phi, rule_table
+from .decompose import LengthStats, _ba_weights, _report, _rows, length_stats, regime_report
+from .groups import binary_closed_form, normalize_columns
 
 __all__ = [
     "IdentityCheck",
@@ -32,12 +31,15 @@ __all__ = [
 ]
 
 
-def _response(rng: np.random.Generator, reward: float, length: int, lo: float, hi: float) -> Response:
-    return Response(
-        tokens=tuple(int(t) for t in rng.integers(1, 5, size=length)),
-        reward=float(reward),
-        ratios=tuple(float(r) for r in rng.uniform(lo, hi, size=length)),
-    )
+def _columns(rng: np.random.Generator, rewards: np.ndarray, max_len: int, lo: float, hi: float) -> tuple:
+    """The columns ``(rewards, lengths, ratios)`` of a group with ``rewards``:
+    lengths in [1, max_len] and one array of every token's ratio in [lo, hi)."""
+    lengths, ratios = [], []
+    for _ in rewards:
+        lengths.append(int(rng.integers(1, max_len + 1)))
+        rng.integers(1, 5, size=lengths[-1])  # the token ids, drawn only to keep the random stream
+        ratios.append(rng.uniform(lo, hi, size=lengths[-1]))
+    return rewards.tolist(), lengths, np.concatenate(ratios)
 
 
 # random_smooth_group draws every ratio this far inside the clip band
@@ -50,33 +52,25 @@ def random_binary_group(
     max_len: int = 10,
     ratio_low: float = 0.6,
     ratio_high: float = 1.6,
-) -> RolloutGroup:
-    """Random 0/1-reward group with 1 <= k <= G-1 and random lengths/ratios,
-    at eps_var 0."""
+) -> tuple:
+    """The columns of a random 0/1-reward group with 1 <= k <= G-1."""
     g = int(rng.integers(2, max_group + 1))
     k = int(rng.integers(1, g))
     rewards = np.zeros(g)
     rewards[rng.permutation(g)[:k]] = 1.0
-    responses = tuple(
-        _response(rng, r, int(rng.integers(1, max_len + 1)), ratio_low, ratio_high)
-        for r in rewards
-    )
-    return RolloutGroup("p0", responses, 0.0)
+    return _columns(rng, rewards, max_len, ratio_low, ratio_high)
 
 
-def random_real_group(rng: np.random.Generator) -> RolloutGroup:
-    """Random group of 2-16 responses of 1-10 tokens with standard normal
-    rewards and ratios in [0.6, 1.6), at eps_var 0 (no sign-subset
-    guarantees)."""
+def random_real_group(rng: np.random.Generator) -> tuple:
+    """The columns of a random group of 2-16 responses of 1-10 tokens with
+    standard normal rewards and ratios in [0.6, 1.6)."""
     g = int(rng.integers(2, 17))
-    rewards = rng.normal(size=g)
-    responses = tuple(_response(rng, r, int(rng.integers(1, 11)), 0.6, 1.6) for r in rewards)
-    return RolloutGroup("p0", responses, 0.0)
+    return _columns(rng, rng.normal(size=g), 10, 0.6, 1.6)
 
 
-def random_smooth_group(rng: np.random.Generator, clip: ClipConfig) -> RolloutGroup:
-    """Binary group of 2-8 responses of 1-6 tokens with all ratios
-    SMOOTH_MARGIN inside the clip band."""
+def random_smooth_group(rng: np.random.Generator, clip: ClipConfig) -> tuple:
+    """The columns of a binary group of 2-8 responses of 1-6 tokens with all
+    ratios SMOOTH_MARGIN inside the clip band."""
     return random_binary_group(rng, 8, 6, clip.lower + SMOOTH_MARGIN, clip.upper - SMOOTH_MARGIN)
 
 
@@ -98,12 +92,17 @@ def _advantages(rewards: list[Sequence[float]]) -> list[np.ndarray]:
     return np.split(out.advantages, list(accumulate(sizes[:-1])))
 
 
-def _table(groups: list[RolloutGroup], advantages: list[np.ndarray], clip: ClipConfig) -> tuple[SumColumns, dict]:
-    """The sign sums and rule table of ``groups`` under their advantages (an
-    array per group), evaluated as one FlatBatch."""
-    lengths = [t for group in groups for t in group.lengths]
-    ratios = np.array([r for group in groups for resp in group.responses for r in resp.ratios])
-    sums = FlatBatch(np.concatenate(advantages), [g.size for g in groups], lengths, ratios).rule_sums(clip)
+def _batch(groups: list[tuple], advantages: list[np.ndarray]) -> FlatBatch:
+    """The FlatBatch of drawn ``groups`` under their advantages (an array per group)."""
+    _, lengths, ratios = zip(*groups)
+    return FlatBatch(
+        np.concatenate(advantages), list(map(len, lengths)), list(chain.from_iterable(lengths)), np.concatenate(ratios)
+    )
+
+
+def _table(groups: list[tuple], advantages: list[np.ndarray], clip: ClipConfig) -> tuple[SumColumns, dict]:
+    """The sign sums and rule table of drawn ``groups`` as one FlatBatch."""
+    sums = _batch(groups, advantages).rule_sums(clip)
     return sums, rule_table(sums)
 
 
@@ -113,19 +112,19 @@ def _max_error(got, want) -> float:
 
 
 def _check_closed_form(rng: np.random.Generator, clip: ClipConfig) -> float:
-    groups = [random_binary_group(rng, max_group=32) for _ in range(300)]
-    advs = _advantages([g.rewards for g in groups])
+    rewards = [random_binary_group(rng, max_group=32)[0] for _ in range(300)]
+    advs = _advantages(rewards)
     want = []
-    for group, adv in zip(groups, advs):
-        pos, neg = binary_closed_form(group.size, int(np.count_nonzero(adv > 0.0)))
-        want += [pos if r == 1.0 else neg for r in group.rewards]
+    for group, adv in zip(rewards, advs):
+        pos, neg = binary_closed_form(len(group), int(np.count_nonzero(adv > 0.0)))
+        want += [pos if r == 1.0 else neg for r in group]
     return _max_error(np.concatenate(advs), want)
 
 
 def _check_shift_scale(rng: np.random.Generator, clip: ClipConfig) -> float:
     rewards, shifted, scaled = [], [], []
     for _ in range(200):
-        rewards.append(random_real_group(rng).rewards)
+        rewards.append(random_real_group(rng)[0])
         c, lam = float(rng.normal()) * 3.0, float(rng.uniform(0.1, 5.0))
         shifted.append([r + c for r in rewards[-1]])
         scaled.append([r * lam for r in rewards[-1]])
@@ -153,46 +152,42 @@ def _check_phi_values(rng: np.random.Generator, clip: ClipConfig) -> float:
 def _reconstruction(rule: str):
     def run(rng: np.random.Generator, clip: ClipConfig) -> float:
         groups = [random_binary_group(rng) for _ in range(300)]
-        advs = _advantages([g.rewards for g in groups])
-        reconstructed = [decompose(g, adv, clip, rule).reconstructed_objective for g, adv in zip(groups, advs)]
-        return _max_error(_table(groups, advs, clip)[1][rule][0], reconstructed)
+        sums, table = _table(groups, _advantages([g[0] for g in groups]), clip)
+        return _max_error(table[rule][0], [_report(row, rule).reconstructed_objective for row in _rows(sums)])
 
     return run
 
 
 def _check_ba_weights(rng: np.random.Generator, clip: ClipConfig) -> float:
-    err = 0.0
-    for _ in range(300):
-        group = random_binary_group(rng)
-        adv = normalize_advantages(group)
-        ba, seq, match = ba_weight_identity(group, adv, clip)
-        if not match:
-            return math.inf
-        err = max(err, abs(ba - seq))
-    return err
+    groups = [random_binary_group(rng) for _ in range(300)]
+    sums, table = _table(groups, _advantages([g[0] for g in groups]), clip)
+    ba, seq, match = zip(*map(_ba_weights, _rows(sums), table["balanced"][0].tolist()))
+    return _max_error(ba, seq) if all(match) else math.inf
 
 
 def _check_gen_reduction(rng: np.random.Generator, clip: ClipConfig) -> float:
     groups = [random_binary_group(rng) for _ in range(300)]
-    table = _table(groups, _advantages([g.rewards for g in groups]), clip)[1]
+    table = _table(groups, _advantages([g[0] for g in groups]), clip)[1]
     return _max_error(table["balanced_gen"][0], table["balanced"][0])
 
 
 def _check_mass_symmetry(rng: np.random.Generator, clip: ClipConfig) -> float:
     groups = [random_real_group(rng) for _ in range(300)]
-    advs = _advantages([g.rewards for g in groups])
+    advs = _advantages([g[0] for g in groups])
     sums = _table(groups, advs, clip)[0]
     half = [0.5 * sum(map(abs, adv.tolist())) for adv in advs]
     return max(_max_error(sums.m_pos, sums.m_neg), _max_error(sums.m_pos, half))
 
 
 def _check_gradients(rng: np.random.Generator, clip: ClipConfig) -> float:
+    groups = [random_smooth_group(rng, clip) for _ in range(40)]
     err = 0.0
-    for i in range(40):
-        group = random_smooth_group(rng, clip)
-        adv = normalize_advantages(group)
-        result = objective(RULES[i % 4], group, adv, clip)
-        err = max(err, gradient_check(result, group, adv, clip, h=1e-5))
+    for i, (group, adv) in enumerate(zip(groups, _advantages([g[0] for g in groups]))):
+        rule, batch = RULES[i % 4], _batch([group], [adv])
+        grads = batch.ratio_gradients(clip, *rule_table(batch.rule_sums(clip), (rule,))[rule][2:]).tolist()
+        err = max(err, _central_difference(
+            batch.ratios, lambda: rule_table(batch.rule_sums(clip), (rule,))[rule][0].item(), grads, 1e-5
+        ))
     return err
 
 
@@ -201,25 +196,20 @@ def _check_permutation(rng: np.random.Generator, clip: ClipConfig) -> float:
     groups, perms = [], []
     for _ in range(100):
         groups.append(random_binary_group(rng))
-        perms.append(rng.permutation(groups[-1].size))
-    advs = _advantages([g.rewards for g in groups])
+        perms.append(rng.permutation(len(groups[-1][0])))
+    advs = _advantages([g[0] for g in groups])
     # the permuted copies follow the groups and carry their advantages permuted, not renormalised
-    copies = [RolloutGroup("p0", tuple(g.responses[i] for i in perm), 0.0) for g, perm in zip(groups, perms)]
+    copies = []
+    for (_, lengths, ratios), perm in zip(groups, perms):
+        responses = np.split(ratios, list(accumulate(lengths[:-1])))
+        copies.append((None, [lengths[i] for i in perm], np.concatenate([responses[i] for i in perm])))
     table = _table(groups + copies, advs + [adv[perm] for adv, perm in zip(advs, perms)], clip)[1]
     return max(_max_error(table[rule][0][:100], table[rule][0][100:]) for rule in RULES)
 
 
 def _check_length_diagnostics(rng: np.random.Generator, clip: ClipConfig) -> float:
     lengths = (2, 4, 1, 1)
-    group = RolloutGroup(
-        "p0",
-        tuple(
-            Response((1,) * t, r, (1.0,) * t)
-            for t, r in zip(lengths, (1.0, 1.0, 0.0, 0.0))
-        ),
-        0.0,
-    )
-    adv = normalize_advantages(group)
+    adv = _advantages([(1.0, 1.0, 0.0, 0.0)])[0]
     stats = length_stats(
         lengths, list(compress(lengths, (adv > 0.0).tolist())), list(compress(lengths, (adv < 0.0).tolist()))
     )
@@ -265,9 +255,12 @@ def run_suite(seed: int, clip: ClipConfig, stream: TextIO) -> bool:
     ``seed`` and its index; write one line per check to ``stream``; True
     iff all pass.
 
-    Raises ValueError, before writing anything, for a clip band too narrow
-    for random_smooth_group or a ``clip_high`` above MAX_CLIP_HIGH.
+    Raises ValueError, before writing anything, for a negative seed, a clip
+    band too narrow for random_smooth_group or a ``clip_high`` above
+    MAX_CLIP_HIGH.
     """
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     if not clip.lower + SMOOTH_MARGIN < clip.upper - SMOOTH_MARGIN:
         raise ValueError(
             f"clip band ({clip.clip_low:g},{clip.clip_high:g}) is too narrow: the gradient check draws "

@@ -58,6 +58,13 @@ def make_group(specs, eps_var=0.0, prompt_id="p0"):
     return RolloutGroup(prompt_id, responses, eps_var)
 
 
+def drawn_group(columns):
+    """The group, at eps_var 0, of a verify drawer's columns (rewards,
+    lengths, ratios)."""
+    rewards, lengths, ratios = columns
+    return make_group(zip(lengths, rewards, np.split(ratios, np.cumsum(lengths[:-1]))))
+
+
 class RefSums(NamedTuple):
     """One group's sign sums as Python numbers, in SumColumns' field order."""
 

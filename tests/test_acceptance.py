@@ -41,7 +41,7 @@ from grpoagg.sim import (
 )
 from grpoagg.verify import random_binary_group, random_real_group, random_smooth_group
 
-from conftest import make_group
+from conftest import drawn_group, make_group
 
 DATA = Path(__file__).parent / "data"
 CLIP = ClipConfig(0.2, 0.28)
@@ -50,7 +50,7 @@ CLIP = ClipConfig(0.2, 0.28)
 def binary_groups(seed, count, **kw):
     rng = np.random.default_rng(seed)
     kw.setdefault("max_group", 32)
-    return [random_binary_group(rng, **kw) for _ in range(count)]
+    return [drawn_group(random_binary_group(rng, **kw)) for _ in range(count)]
 
 
 def binary_instances(seed, count, **kw):
@@ -115,7 +115,7 @@ def test_a5_mass_symmetry():
     worst = 0.0
     n = 0
     while n < 1000:
-        group = random_real_group(rng)
+        group = drawn_group(random_real_group(rng))
         adv = normalize_advantages(group)
         n += 1
         report = decompose(group, adv, CLIP, "balanced_gen")
@@ -131,7 +131,7 @@ def test_a6_gradient_correctness():
     rng = np.random.default_rng(106)
     worst_ratio = 0.0
     for i in range(60):
-        group = random_smooth_group(rng, CLIP)
+        group = drawn_group(random_smooth_group(rng, CLIP))
         adv = normalize_advantages(group)
         result = objective(rules[i % 4], group, adv, CLIP)
         worst_ratio = max(worst_ratio, gradient_check(result, group, adv, CLIP, h=1e-6))

@@ -25,7 +25,7 @@ from grpoagg.groups import (
 )
 from grpoagg.verify import random_binary_group, random_real_group, random_smooth_group
 
-from conftest import RefSums, make_group, reference_rule_sums, sums_row
+from conftest import RefSums, drawn_group, make_group, reference_rule_sums, sums_row
 
 
 # --- independent oracle: literal formulas, plain python loops ---
@@ -115,7 +115,7 @@ def test_objective_token_zero_advantages(clip):
 def test_objective_token_unclipped_band_mean(clip):
     rng = np.random.default_rng(4)
     for _ in range(50):
-        group = random_binary_group(rng, ratio_low=0.85, ratio_high=1.25)
+        group = drawn_group(random_binary_group(rng, ratio_low=0.85, ratio_high=1.25))
         adv = normalize_advantages(group)
         expected = sum(
             r * a
@@ -135,7 +135,7 @@ def test_objective_seq_examples(clip):
     # single-token responses: seq and token coincide bitwise
     rng = np.random.default_rng(5)
     for _ in range(30):
-        group = random_binary_group(rng, max_len=1)
+        group = drawn_group(random_binary_group(rng, max_len=1))
         adv = normalize_advantages(group)
         assert (
             objective("seq", group, adv, clip).objective
@@ -212,7 +212,7 @@ def test_objective_balanced_gen_example(clip):
 def test_objective_balanced_gen_reduces_to_balanced_on_binary(clip):
     rng = np.random.default_rng(7)
     for _ in range(300):
-        group = random_binary_group(rng)
+        group = drawn_group(random_binary_group(rng))
         adv = normalize_advantages(group)
         assert abs(
             objective("balanced_gen", group, adv, clip).objective
@@ -223,7 +223,7 @@ def test_objective_balanced_gen_reduces_to_balanced_on_binary(clip):
 def test_objectives_match_oracle_on_random_groups(clip):
     rng = np.random.default_rng(8)
     for _ in range(100):
-        group = random_real_group(rng)
+        group = drawn_group(random_real_group(rng))
         try:
             adv = normalize_advantages(group)
         except ValueError:
@@ -236,7 +236,7 @@ def test_objectives_match_oracle_on_random_groups(clip):
 def test_all_ratio_one_closed_forms(clip):
     rng = np.random.default_rng(9)
     for _ in range(100):
-        group = random_binary_group(rng, ratio_low=1.0, ratio_high=1.0)
+        group = drawn_group(random_binary_group(rng, ratio_low=1.0, ratio_high=1.0))
         adv = normalize_advantages(group)
         k = int(np.count_nonzero(adv > 0.0))
         g = group.size
@@ -255,7 +255,7 @@ def test_all_ratio_one_closed_forms(clip):
 def test_permutation_and_token_order_invariance_exact(clip):
     rng = np.random.default_rng(10)
     for _ in range(50):
-        group = random_binary_group(rng)
+        group = drawn_group(random_binary_group(rng))
         adv = normalize_advantages(group)
         perm = rng.permutation(group.size)
         permuted = RolloutGroup(
@@ -283,7 +283,7 @@ def test_permutation_and_token_order_invariance_exact(clip):
 def test_mass_symmetry(clip):
     rng = np.random.default_rng(11)
     for _ in range(200):
-        group = random_real_group(rng)
+        group = drawn_group(random_real_group(rng))
         try:
             adv = normalize_advantages(group)
         except ValueError:
@@ -359,7 +359,7 @@ def test_objective_errors_come_in_order(clip):
 def test_gradient_check_smooth(clip):
     rng = np.random.default_rng(12)
     for i in range(20):
-        group = random_smooth_group(rng, clip)
+        group = drawn_group(random_smooth_group(rng, clip))
         adv = normalize_advantages(group)
         result = objective(RULES[i % 4], group, adv, clip)
         assert gradient_check(result, group, adv, clip, h=1e-6) < 1e-5
@@ -449,9 +449,9 @@ def chain_gradients(rule, s, adv, arrays, clip):
 def table_cases(rng):
     """Binary, real, zero-advantage, single-sided and all-zero groups."""
     for _ in range(40):
-        group = random_binary_group(rng)
+        group = drawn_group(random_binary_group(rng))
         yield group, normalize_advantages(group)
-        group = random_real_group(rng)
+        group = drawn_group(random_real_group(rng))
         a = normalize_advantages(group)
         yield group, a
         g = group.size
@@ -505,7 +505,7 @@ def test_compute_rule_sums_is_one_row_of_sum_columns(clip):
 def test_the_token_pass_leaves_its_inputs_alone(clip):
     # rule_sums and ratio_gradients work in place only on arrays of their own
     rng = np.random.default_rng(5)
-    groups = [random_binary_group(rng), random_real_group(rng), make_group([(2, 1.0, 2.0), (1, 0.0, 0.5)])]
+    groups = [drawn_group(random_binary_group(rng)), drawn_group(random_real_group(rng)), make_group([(2, 1.0, 2.0), (1, 0.0, 0.5)])]
     responses = [r for g in groups for r in g.responses]
     advantages = np.concatenate([normalize_advantages(g) for g in groups])
     ratios = np.concatenate([r.ratios for r in responses])

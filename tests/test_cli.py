@@ -56,6 +56,11 @@ def test_verify_narrow_clip_band_is_usage_error(capsys):
     )
 
 
+def test_verify_negative_seed_is_usage_error(capsys):
+    # refused before the header, with the text simulate and compare print
+    assert run_cli(capsys, "verify", "--seed", "-1") == (2, "", "error: seed must be >= 0\n")
+
+
 @pytest.mark.parametrize("high", ["1e17", "1e308"])
 def test_verify_clip_high_above_the_ceiling_is_usage_error(capsys, high):
     # beyond 1e4 the gradient check's finite differences fail spuriously

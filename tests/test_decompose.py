@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from grpoagg.aggregate import objective
+from grpoagg.aggregate import RULES, objective
 from grpoagg.decompose import (
     LengthStats,
     LengthTally,
@@ -18,7 +18,7 @@ from grpoagg.decompose import (
 from grpoagg.groups import Response, RolloutGroup, normalize_advantages
 from grpoagg.verify import random_binary_group
 
-from conftest import length_columns, make_group
+from conftest import drawn_group, length_columns, make_group
 
 
 def test_decompose_token_example(clip):
@@ -64,10 +64,17 @@ def test_decompose_rejects_non_binary_for_binary_rules(clip):
         decompose(floored, fadv, clip, "token")
 
 
+def test_decompose_rejects_an_unknown_rule(clip):
+    group = make_group([(1, 1.0), (1, 0.0)])
+    with pytest.raises(ValueError) as err:
+        decompose(group, normalize_advantages(group), clip, "mean")
+    assert str(err.value) == f"unknown rule 'mean'; expected one of {RULES}"
+
+
 def test_reconstruction_identities_random(clip):
     rng = np.random.default_rng(20)
     for _ in range(300):
-        group = random_binary_group(rng)
+        group = drawn_group(random_binary_group(rng))
         adv = normalize_advantages(group)
         for rule in ("token", "seq", "balanced", "balanced_gen"):
             value = objective(rule, group, adv, clip).objective
@@ -78,7 +85,7 @@ def test_reconstruction_identities_random(clip):
 def test_token_counts_partition(clip):
     rng = np.random.default_rng(21)
     for _ in range(50):
-        group = random_binary_group(rng)
+        group = drawn_group(random_binary_group(rng))
         adv = normalize_advantages(group)
         report = decompose(group, adv, clip, "token")
         assert report.n_pos + report.n_neg == group.total_tokens
@@ -139,7 +146,7 @@ def test_ba_weight_identity_runs_the_sign_sums_once(clip, monkeypatch):
 def test_ba_weight_identity_random(clip):
     rng = np.random.default_rng(23)
     for _ in range(300):
-        group = random_binary_group(rng)
+        group = drawn_group(random_binary_group(rng))
         adv = normalize_advantages(group)
         assert ba_weight_identity(group, adv, clip)[2]
 
@@ -221,7 +228,7 @@ def test_length_tally_gives_length_stats_bits():
 def test_len_gap_invariant_under_integer_length_scaling(clip):
     rng = np.random.default_rng(24)
     for _ in range(50):
-        group = random_binary_group(rng, max_len=6)
+        group = drawn_group(random_binary_group(rng, max_len=6))
         adv = normalize_advantages(group)
         base = length_stats(*length_columns([group], [adv]))
         factor = int(rng.integers(2, 5))

@@ -147,6 +147,23 @@ def test_response_validation():
         Response((1, 2), 1.0, token_count=3)  # count disagrees with tokens
 
 
+@pytest.mark.parametrize(
+    "fields, text",
+    [
+        ({}, "response needs tokens or token_count"),
+        ({"tokens": (1, 2), "logp_new": (0.0,), "logp_old": (0.0,)},
+         "logp arrays of length 1/1 do not match token count 2"),
+        # each logp is finite, but their difference is inf
+        ({"tokens": (1,), "logp_new": (1.7e308,), "logp_old": (-1.7e308,)},
+         "exp(logp_new - logp_old) overflows a float"),
+    ],
+)
+def test_response_error_texts(fields, text):
+    with pytest.raises(ValueError) as err:
+        Response(**{"tokens": None, "reward": 1.0, **fields})
+    assert str(err.value) == text
+
+
 def test_response_ratio_derivation_and_consistency():
     r = Response((5,), 1.0, logp_new=(-1.0,), logp_old=(-1.0,))
     assert r.ratios == (1.0,)

@@ -141,6 +141,9 @@ TWO = '"responses":[{"token_count":1,"reward":1.0},{"token_count":1,"reward":0.0
         ('{"prompt_id":"p","responses":[]}', RecordValidationError, "line 3: "),
         ('{"reward":' + "1" * 5000 + "}", MalformedLineError, "line 3: invalid JSON"),
         ("[" * 100000, MalformedLineError, "line 3: invalid JSON"),
+        ('{"prompt_id":"p","responses":[' + ",".join(['{"tokens":[1],"reward":1.0,"logp_new":[1.7e308],'
+                                                      '"logp_old":[-1.7e308]}'] * 2) + "]}",
+         RecordValidationError, "line 3: response 0: exp(logp_new - logp_old) overflows a float"),
     ],
 )
 def test_parse_rejects_bad_groups_and_undecodable_lines(line, error, text):
@@ -254,6 +257,20 @@ def test_write_metrics_header_only(tmp_path):
     path = tmp_path / "m.csv"
     write_metrics([], path)
     assert path.read_text(encoding="utf-8") == ",".join(METRIC_FIELDS) + "\n"
+
+
+def test_read_metrics_rejects_a_bad_header_and_a_bad_row(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("step,rule\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_metrics(path)
+    assert str(err.value) == f"{path}: unexpected metric CSV header"
+    write_metrics([], path)
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write("1,token,2\n")
+    with pytest.raises(ValueError) as err:
+        read_metrics(path)
+    assert str(err.value) == f"{path}: bad row '1,token,2'"
 
 
 def test_write_metrics_single_row(tmp_path):

@@ -1,9 +1,14 @@
+import importlib
 import io
 
-from grpoagg.aggregate import ClipConfig
+from grpoagg.aggregate import ClipConfig, FlatBatch
+from grpoagg.groups import Response, RolloutGroup
 from grpoagg.verify import SUITE, run_suite
 
-from conftest import fail_check
+from conftest import count_constructions, fail_check
+
+# the module, not the function grpoagg.decompose that the package exports
+decompose_module = importlib.import_module("grpoagg.decompose")
 
 
 def test_suite_names_unique():
@@ -26,3 +31,40 @@ def test_run_suite_fault_injection(monkeypatch):
     text = out.getvalue()
     assert "FAIL token_decomposition" in text
     assert text.count("\nFAIL ") == 1
+
+
+def test_run_suite_builds_no_record(monkeypatch):
+    built = count_constructions(monkeypatch, Response, RolloutGroup)
+    assert run_suite(0, ClipConfig(), io.StringIO())
+    assert built == []
+
+
+def failures(text):
+    """Each FAIL line of a suite report, as {check name: its max_err text}."""
+    return {
+        line.split()[1]: line.split()[2]
+        for line in text.splitlines()
+        if line.startswith("FAIL ")
+    }
+
+
+def test_closed_form_fault_fails_the_binary_decompositions(monkeypatch):
+    # a closed-form advantage 1e-9 off in the decompositions; the
+    # closed_form_advantages check reads grpoagg.groups' own and still passes
+    exact = decompose_module.binary_closed_form
+    monkeypatch.setattr(
+        decompose_module, "binary_closed_form", lambda g, k: tuple(a * (1 + 1e-9) for a in exact(g, k))
+    )
+    out = io.StringIO()
+    assert not run_suite(0, ClipConfig(), out)
+    failed = failures(out.getvalue())
+    assert set(failed) == {"token_decomposition", "seq_decomposition", "balanced_decomposition", "ba_weight_identity"}
+    assert failed["ba_weight_identity"] == "max_err=inf"
+
+
+def test_ratio_gradient_fault_fails_only_the_gradient_check(monkeypatch):
+    exact = FlatBatch.ratio_gradients
+    monkeypatch.setattr(FlatBatch, "ratio_gradients", lambda self, *args: exact(self, *args) * 1.001)
+    out = io.StringIO()
+    assert not run_suite(0, ClipConfig(), out)
+    assert set(failures(out.getvalue())) == {"ratio_gradient_check"}
