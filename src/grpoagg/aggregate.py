@@ -325,6 +325,15 @@ def compute_rule_sums(group: RolloutGroup, advantages: Sequence[float], clip: Cl
     return _sums(_group_batch(group, advantages), clip)
 
 
+def _row(batch: FlatBatch, rule: str, clip: ClipConfig, name: object) -> tuple:
+    """A one-group batch's row of ``rule`` in the table; raises as _sums does,
+    then ValueError for an unknown rule or a non-finite objective."""
+    row = rule_table(_sums(batch, clip), (rule,))[rule]
+    if not math.isfinite(row[0][0]):
+        raise ValueError(f"non-finite {rule} objective for group {name!r}")
+    return row
+
+
 def objective(
     rule: str, group: RolloutGroup, advantages: Sequence[float], clip: ClipConfig
 ) -> AggregationResult:
@@ -334,9 +343,7 @@ def objective(
     a non-finite objective. The gradient arrays are read-only.
     """
     batch = _group_batch(group, advantages)
-    value, degenerate, w_pos, w_neg = rule_table(_sums(batch, clip), (rule,))[rule]
-    if not math.isfinite(value[0]):
-        raise ValueError(f"non-finite {rule} objective for group {group.prompt_id!r}")
+    value, degenerate, w_pos, w_neg = _row(batch, rule, clip, group.prompt_id)
     flat = batch.ratio_gradients(clip, w_pos, w_neg)
     flat.setflags(write=False)
     grads = tuple(np.split(flat, np.cumsum(batch.lengths[:-1])))
@@ -344,61 +351,54 @@ def objective(
 
 
 def gradient_check(
-    result: AggregationResult,
-    group: RolloutGroup,
-    advantages: Sequence[float],
-    clip: ClipConfig,
-    h: float = 1e-5,
+    rule: str, group: RolloutGroup, advantages: Sequence[float], clip: ClipConfig, h: float = 1e-5
 ) -> float:
-    """Central-difference check of dJ/d rho against ``result.grad_ratios``.
+    """Central-difference check of one group's analytic dJ/d rho under ``rule``.
 
     Every ratio must sit farther than 10*h from both clip boundaries (where
-    phi has kinks); offenders raise BoundaryProximityError. Returns the
-    maximum relative error max |analytic - numeric| / max(1, |a|, |n|).
+    phi has kinks) and from zero. Returns the maximum relative error
+    max |analytic - numeric| / max(1, |a|, |n|), NaN if any term is NaN.
+    Raises, in this order: ValueError "h must be > 0" for an h that is not
+    (NaN included); every error of ``objective(rule, group, advantages,
+    clip)``, in its order; BoundaryProximityError, listing the offenders.
     """
-    if h <= 0.0:
+    if not h > 0.0:
         raise ValueError("h must be > 0")
-    batch = _group_batch(group, advantages)
-    if len(result.grad_ratios) != len(batch.lengths) or any(
-        gr.shape != (t,) for gr, t in zip(result.grad_ratios, batch.lengths)
-    ):
-        raise ValueError("result gradient layout does not match group")
-    where = [(i, t) for i, n in enumerate(batch.lengths) for t in range(n)]
-    ratios = batch.ratios
-    offenders = [
-        (i, t, float(r))
-        for (i, t), r in zip(where, ratios)
-        if min(abs(r - clip.lower), abs(r - clip.upper)) <= 10.0 * h or r <= h
-    ]
-    if offenders:
+    return _ratio_gradient_error(_group_batch(group, advantages), rule, clip, h, group.prompt_id)
+
+
+def _ratio_gradient_error(batch: FlatBatch, rule: str, clip: ClipConfig, h: float, name: object) -> float:
+    """gradient_check on a one-group batch, whose group is called ``name``."""
+    analytic = batch.ratio_gradients(clip, *_row(batch, rule, clip, name)[2:])
+    r, ends = batch.ratios, np.add.accumulate(batch.lengths)
+    near = (np.minimum(np.abs(r - clip.lower), np.abs(r - clip.upper)) <= 10.0 * h) | (r <= h)
+    if near.any():
+        j = near.nonzero()[0]
+        i = np.searchsorted(ends, j, side="right")  # each offender's response, then its position in it
+        offenders = list(zip(i.tolist(), (j - (ends - batch.lengths)[i]).tolist(), r[j].tolist()))
         raise BoundaryProximityError(
             f"{len(offenders)} ratio(s) within 10*h={10 * h:g} of a clip "
             f"boundary or of zero: {offenders[:5]}",
             tuple(offenders),
         )
-    return _central_difference(
-        ratios,
-        lambda: rule_table(_sums(batch, clip), (result.rule,))[result.rule][0].item(),
-        np.concatenate(result.grad_ratios).tolist(),
-        h,
-    )
+    return _central_difference(r, lambda: rule_table(_sums(batch, clip), (rule,))[rule][0].item(), analytic, h)
 
 
 def _central_difference(
-    values: np.ndarray, objective: Callable[[], float], analytic: list[float], h: float
+    values: np.ndarray, objective: Callable[[], float], analytic: np.ndarray, h: float
 ) -> float:
     """The maximum relative error max |a - n| / max(1, |a|, |n|) of each
     ``analytic`` derivative against the central difference n of
-    ``objective()`` in the same entry of ``values`` (flat order), set +-h."""
+    ``objective()`` in the same entry of ``values`` (flat order), set +-h;
+    NaN if any term is NaN."""
     flat = values.reshape(-1)  # a view of the contiguous ``values``
-    max_rel = 0.0
-    for j, a in enumerate(analytic):
+    numeric = []
+    for j in range(analytic.size):
         orig = flat[j]
         flat[j] = orig + h
         j_plus = objective()
         flat[j] = orig - h
-        j_minus = objective()
+        numeric.append((j_plus - objective()) / (2.0 * h))
         flat[j] = orig
-        n = (j_plus - j_minus) / (2.0 * h)
-        max_rel = max(max_rel, abs(a - n) / max(1.0, abs(a), abs(n)))
-    return max_rel
+    a, n = np.abs(analytic), np.abs(numeric)
+    return float(np.max(np.abs(analytic - numeric) / np.maximum(np.maximum(1.0, a), n), initial=0.0))

@@ -571,6 +571,6 @@ def logit_gradient_check(
     return _central_difference(
         logits,
         lambda: evaluate_batch(PolicyTable(logits), rollouts, advantages, rule, clip, need_grad=False).objective,
-        base.grad_logits.ravel().tolist(),
+        base.grad_logits.ravel(),
         1e-4,
     )

@@ -3,9 +3,10 @@
 Each check draws random instances from its own seeded generator, evaluates
 one of the algebraic identities the advantage normaliser, the aggregation
 rules and their decompositions must satisfy, and reports the maximum observed
-error against a fixed tolerance. The drawers return a group's columns; a check
-draws all of its groups, then evaluates them as one ``normalize_columns`` and
-one ``FlatBatch`` (the gradient check differentiates each group's own batch).
+error against a fixed tolerance, a NaN error failing it. The drawers return a
+group's columns; a check draws all of its groups, then evaluates them as one
+``normalize_columns`` and one ``FlatBatch`` (the gradient check runs
+``gradient_check``'s core on each group's own batch).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-from .aggregate import RULES, ClipConfig, FlatBatch, SumColumns, _central_difference, phi, rule_table
+from .aggregate import RULES, ClipConfig, FlatBatch, SumColumns, _ratio_gradient_error, phi, rule_table
 from .decompose import LengthStats, _ba_weights, _report, _rows, length_stats, regime_report
 from .groups import binary_closed_form, normalize_columns
 
@@ -107,7 +108,7 @@ def _table(groups: list[tuple], advantages: list[np.ndarray], clip: ClipConfig) 
 
 
 def _max_error(got, want) -> float:
-    """The largest |got - want| over aligned entries, 0.0 for none."""
+    """The largest |got - want| over aligned entries, 0.0 for none, NaN if any is NaN."""
     return float(np.max(np.abs(np.subtract(got, want)), initial=0.0))
 
 
@@ -135,18 +136,13 @@ def _check_shift_scale(rng: np.random.Generator, clip: ClipConfig) -> float:
 def _check_phi_values(rng: np.random.Generator, clip: ClipConfig) -> float:
     # Hand values for the default 0.2/0.28 band, plus random concavity in rho.
     spot = ClipConfig(0.2, 0.28)
-    err = max(
-        abs(phi(1.0, 2.0, spot) - 2.0),
-        abs(phi(1.5, 1.0, spot) - 1.28),
-        abs(phi(0.5, -1.0, spot) - (-0.8)),
-    )
+    got = [phi(1.0, 2.0, spot), phi(1.5, 1.0, spot), phi(0.5, -1.0, spot)]
     for _ in range(500):
         a = float(rng.normal())
         x, y = np.sort(rng.uniform(0.05, 2.5, size=2))
-        mid = 0.5 * (x + y)
         chord = 0.5 * (phi(float(x), a, clip) + phi(float(y), a, clip))
-        err = max(err, chord - phi(float(mid), a, clip))
-    return err
+        got.append(np.maximum(chord - phi(float(0.5 * (x + y)), a, clip), 0.0))  # a concavity violation
+    return _max_error(got, [2.0, 1.28, -0.8] + [0.0] * 500)
 
 
 def _reconstruction(rule: str):
@@ -176,19 +172,14 @@ def _check_mass_symmetry(rng: np.random.Generator, clip: ClipConfig) -> float:
     advs = _advantages([g[0] for g in groups])
     sums = _table(groups, advs, clip)[0]
     half = [0.5 * sum(map(abs, adv.tolist())) for adv in advs]
-    return max(_max_error(sums.m_pos, sums.m_neg), _max_error(sums.m_pos, half))
+    return _max_error([sums.m_pos, sums.m_pos], [sums.m_neg, half])
 
 
 def _check_gradients(rng: np.random.Generator, clip: ClipConfig) -> float:
     groups = [random_smooth_group(rng, clip) for _ in range(40)]
-    err = 0.0
-    for i, (group, adv) in enumerate(zip(groups, _advantages([g[0] for g in groups]))):
-        rule, batch = RULES[i % 4], _batch([group], [adv])
-        grads = batch.ratio_gradients(clip, *rule_table(batch.rule_sums(clip), (rule,))[rule][2:]).tolist()
-        err = max(err, _central_difference(
-            batch.ratios, lambda: rule_table(batch.rule_sums(clip), (rule,))[rule][0].item(), grads, 1e-5
-        ))
-    return err
+    drawn = zip(groups, _advantages([g[0] for g in groups]))
+    errors = [_ratio_gradient_error(_batch([g], [a]), RULES[i % 4], clip, 1e-5, i) for i, (g, a) in enumerate(drawn)]
+    return _max_error(errors, 0.0)
 
 
 def _check_permutation(rng: np.random.Generator, clip: ClipConfig) -> float:
@@ -204,7 +195,7 @@ def _check_permutation(rng: np.random.Generator, clip: ClipConfig) -> float:
         responses = np.split(ratios, list(accumulate(lengths[:-1])))
         copies.append((None, [lengths[i] for i in perm], np.concatenate([responses[i] for i in perm])))
     table = _table(groups + copies, advs + [adv[perm] for adv, perm in zip(advs, perms)], clip)[1]
-    return max(_max_error(table[rule][0][:100], table[rule][0][100:]) for rule in RULES)
+    return _max_error([table[rule][0][:100] for rule in RULES], [table[rule][0][100:] for rule in RULES])
 
 
 def _check_length_diagnostics(rng: np.random.Generator, clip: ClipConfig) -> float:
@@ -213,11 +204,7 @@ def _check_length_diagnostics(rng: np.random.Generator, clip: ClipConfig) -> flo
     stats = length_stats(
         lengths, list(compress(lengths, (adv > 0.0).tolist())), list(compress(lengths, (adv < 0.0).tolist()))
     )
-    err = max(
-        abs(stats.mean_len - 2.0),
-        abs(stats.len_cv - math.sqrt(1.5) / 2.0),
-        abs((stats.len_gap or 0.0) - (-1.0)),
-    )
+    err = _max_error([stats.mean_len, stats.len_cv, stats.len_gap or 0.0], [2.0, math.sqrt(1.5) / 2.0, -1.0])
     labels_ok = (
         regime_report(LengthStats(1.0, 0.9, 1.0, 1.0, 0.05)) == "favors-token"
         and regime_report(LengthStats(1.0, 0.1, 1.0, 1.0, 0.6)) == "favors-seq"

@@ -65,7 +65,7 @@ def test_a1_closed_form_advantages():
         adv = normalize_advantages(group)
         pos, neg = binary_closed_form(group.size, int(np.count_nonzero(adv > 0.0)))
         for a, r in zip(adv.tolist(), group.rewards):
-            worst = max(worst, abs(a - (pos if r == 1.0 else neg)))
+            worst = np.maximum(worst, abs(a - (pos if r == 1.0 else neg)))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-10
     assert elapsed < 1.0
@@ -80,7 +80,7 @@ def test_a2_decomposition_identities():
         for rule in ("token", "seq", "balanced"):
             value = objective(rule, group, adv, CLIP).objective
             report = decompose(group, adv, CLIP, rule)
-            worst = max(worst, abs(value - report.reconstructed_objective))
+            worst = np.maximum(worst, abs(value - report.reconstructed_objective))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-12
     assert elapsed < 5.0
@@ -92,14 +92,14 @@ def test_a3_ba_weight_identity():
     for group, adv in binary_instances(103, 1000):
         ba, seq, match = ba_weight_identity(group, adv, CLIP)
         assert match
-        worst = max(worst, abs(ba - seq))
+        worst = np.maximum(worst, abs(ba - seq))
     print(f"A3 PASS inter-sign prefactor identity: max_err={worst:.3e}")
 
 
 def test_a4_generalized_reduction_on_binary():
     worst = 0.0
     for group, adv in binary_instances(104, 1000, ratio_low=0.5, ratio_high=1.8):
-        worst = max(
+        worst = np.maximum(
             worst,
             abs(
                 objective("balanced_gen", group, adv, CLIP).objective
@@ -120,7 +120,7 @@ def test_a5_mass_symmetry():
         n += 1
         report = decompose(group, adv, CLIP, "balanced_gen")
         half = 0.5 * fsum(abs(adv))
-        worst = max(worst, abs(report.m_pos - report.m_neg), abs(report.m_pos - half))
+        worst = np.max([worst, abs(report.m_pos - report.m_neg), abs(report.m_pos - half)])
     assert worst <= 1e-10
     print(f"A5 PASS advantage-mass symmetry: max_err={worst:.3e}")
 
@@ -133,8 +133,7 @@ def test_a6_gradient_correctness():
     for i in range(60):
         group = drawn_group(random_smooth_group(rng, CLIP))
         adv = normalize_advantages(group)
-        result = objective(rules[i % 4], group, adv, CLIP)
-        worst_ratio = max(worst_ratio, gradient_check(result, group, adv, CLIP, h=1e-6))
+        worst_ratio = np.maximum(worst_ratio, gradient_check(rules[i % 4], group, adv, CLIP, h=1e-6))
     worst_logit = 0.0
     task = TaskSpec("count", vocab_size=3, t_max=5, num_prompts=2)
     for i in range(40):
@@ -142,7 +141,7 @@ def test_a6_gradient_correctness():
         policy = PolicyTable(old.logits + rng.normal(scale=0.05, size=(2, 5, 3)))
         rollouts = sample_step(old, task, [0, 1], 6, [rollout_seed(106, i, p) for p in range(2)])
         advantages = normalize_columns(rollouts.rewards, rollouts.sizes, [1e-6] * 2, ["0", "1"]).advantages
-        worst_logit = max(
+        worst_logit = np.maximum(
             worst_logit,
             logit_gradient_check(policy, rollouts, advantages, rules[i % 4], CLIP),
         )
@@ -233,7 +232,7 @@ def test_a8_seq_vs_balanced_divergence_and_coincidence():
         specs += [(ln, 0.0, float(rng.uniform(0.85, 1.2))) for _ in range(g - k)]
         group = make_group(specs)
         adv = normalize_advantages(group)
-        worst = max(
+        worst = np.maximum(
             worst,
             abs(
                 objective("balanced", group, adv, CLIP).objective

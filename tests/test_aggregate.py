@@ -318,7 +318,6 @@ def test_one_group_calls_reject_an_advantage_that_is_not_a_finite_real(clip, bad
     # both sign subsets as if it were a zero advantage
     group = make_group([(2, 1.0, 1.1), (1, 0.0, 0.9), (3, 0.0, 1.05)])
     good = normalize_advantages(group)
-    result = objective("token", group, good, clip)
     advantages = [*good.tolist()[:2], bad]
     if as_array:
         advantages = np.array(advantages, dtype=float if isinstance(bad, float) else object)
@@ -326,7 +325,7 @@ def test_one_group_calls_reject_an_advantage_that_is_not_a_finite_real(clip, bad
         lambda: objective("token", group, advantages, clip),
         lambda: compute_rule_sums(group, advantages, clip),
         lambda: decompose(group, advantages, clip, "balanced"),
-        lambda: gradient_check(result, group, advantages, clip),
+        lambda: gradient_check("token", group, advantages, clip),
         lambda: ba_weight_identity(group, advantages, clip),
     ]
     for call in calls:
@@ -361,24 +360,70 @@ def test_gradient_check_smooth(clip):
     for i in range(20):
         group = drawn_group(random_smooth_group(rng, clip))
         adv = normalize_advantages(group)
-        result = objective(RULES[i % 4], group, adv, clip)
-        assert gradient_check(result, group, adv, clip, h=1e-6) < 1e-5
+        assert gradient_check(RULES[i % 4], group, adv, clip, h=1e-6) < 1e-5
 
 
 def test_gradient_check_zero_advantages(clip):
     group = make_group([(2, 1.0), (3, 1.0)], eps_var=1e-6)
     adv = normalize_advantages(group)
-    result = objective("token", group, adv, clip)
-    assert gradient_check(result, group, adv, clip, h=1e-6) == 0.0
+    assert gradient_check("token", group, adv, clip, h=1e-6) == 0.0
 
 
 def test_gradient_check_boundary_rejected(clip):
     group = make_group([(1, 1.0, 1.28), (1, 0.0, 1.0)])
     adv = normalize_advantages(group)
-    result = objective("token", group, adv, clip)
     with pytest.raises(BoundaryProximityError) as err:
-        gradient_check(result, group, adv, clip, h=1e-6)
+        gradient_check("token", group, adv, clip, h=1e-6)
     assert err.value.offenders[0][:2] == (0, 0)
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-5, math.nan])
+def test_gradient_check_refuses_an_h_that_is_not_positive(clip, h):
+    # a NaN h fails ``h <= 0`` too, and would perturb every ratio to NaN
+    group = make_group([(2, 1.0, 1.1), (1, 0.0, 0.9)])
+    with pytest.raises(ValueError, match=re.escape("h must be > 0")):
+        gradient_check("token", group, normalize_advantages(group), clip, h=h)
+
+
+def test_gradient_check_errors_come_in_order(clip):
+    # h first, then objective's errors in objective's order
+    length_only = RolloutGroup(
+        "p0", (Response(None, 1.0, token_count=3), Response(None, 0.0, token_count=5))
+    )
+    with pytest.raises(ValueError, match=re.escape("h must be > 0")):
+        gradient_check("mean", length_only, [1.0, -1.0, 0.5], clip, h=0.0)
+    with pytest.raises(ValueError, match="advantage set of size 3 does not match group of size 2"):
+        gradient_check("mean", length_only, [1.0, -1.0, 0.5], clip)
+    with pytest.raises(MissingRatiosError, match="'p0': response 0 is length-only"):
+        gradient_check("mean", length_only, [1.0, -1.0], clip)
+    huge = make_group([(2, 1.0, 1e308), (1, 0.0)])
+    with pytest.raises(OverflowError, match="the rule sums overflow a float"):
+        gradient_check("mean", huge, [-1.0, 1.0], clip)
+    infinite = [-1e300, 1.0]
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="unknown rule 'mean'"):
+            gradient_check("mean", huge, infinite, clip)
+        with pytest.raises(ValueError, match="non-finite token objective for group 'p0'"):
+            gradient_check("token", huge, infinite, clip)
+
+
+def test_gradient_check_returns_nan_for_a_nan_gradient(clip, monkeypatch):
+    exact = FlatBatch.ratio_gradients
+    monkeypatch.setattr(FlatBatch, "ratio_gradients", lambda self, *args: exact(self, *args) * math.nan)
+    group = drawn_group(random_smooth_group(np.random.default_rng(12), clip))
+    assert math.isnan(gradient_check("seq", group, normalize_advantages(group), clip))
+
+
+@pytest.mark.parametrize(
+    "lengths, ratios, message",
+    [
+        ([1, 1, 1], 3, "3 ratio arrays and 2 advantages for 2 responses"),
+        ([1, 2], 2, "2 ratios for 3 tokens"),
+    ],
+)
+def test_flat_batch_refuses_columns_that_do_not_line_up(lengths, ratios, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FlatBatch(np.array([1.0, -1.0]), [2], lengths, np.ones(ratios))
 
 
 def test_gradients_zero_beyond_clip(clip):

@@ -560,6 +560,21 @@ def test_inner_epochs_move_ratios_off_one():
     assert ev.objective != 0.0
 
 
+def test_evaluate_batch_refuses_advantages_or_a_policy_that_do_not_fit():
+    task = count_task(num_prompts=2)
+    policy = PolicyTable(np.zeros((2, 8, 3)))
+    rollouts = sample_step(policy, task, [0, 1], 4, [rollout_seed(0, 0, p) for p in range(2)])
+    with pytest.raises(ValueError, match="8 responses but 7 advantages"):
+        evaluate_batch(policy, rollouts, np.zeros(7), "token", ClipConfig())
+    with pytest.raises(ValueError, match="policy and sampling-table shapes differ"):
+        evaluate_batch(PolicyTable(np.zeros((2, 8, 4))), rollouts, np.zeros(8), "token", ClipConfig())
+
+
+def test_verify_reward_refuses_a_prompt_out_of_range():
+    with pytest.raises(ValueError, match="prompt index 4 out of range"):
+        verify_reward(TaskSpec("count"), 4, [1, 0])
+
+
 def test_evaluate_batch_reports_non_finite_gradient():
     task = count_task(num_prompts=2)
     policy = PolicyTable.uniform(2, 8, 3)

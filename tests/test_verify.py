@@ -1,5 +1,9 @@
 import importlib
 import io
+import math
+import re
+
+import pytest
 
 from grpoagg.aggregate import ClipConfig, FlatBatch
 from grpoagg.groups import Response, RolloutGroup
@@ -9,6 +13,7 @@ from conftest import count_constructions, fail_check
 
 # the module, not the function grpoagg.decompose that the package exports
 decompose_module = importlib.import_module("grpoagg.decompose")
+verify_module = importlib.import_module("grpoagg.verify")
 
 
 def test_suite_names_unique():
@@ -68,3 +73,26 @@ def test_ratio_gradient_fault_fails_only_the_gradient_check(monkeypatch):
     out = io.StringIO()
     assert not run_suite(0, ClipConfig(), out)
     assert set(failures(out.getvalue())) == {"ratio_gradient_check"}
+
+
+def test_a_nan_ratio_gradient_fails_only_the_gradient_check(monkeypatch):
+    # a Python max(err, nan) keeps err, so a NaN error must fail by itself
+    exact = FlatBatch.ratio_gradients
+    monkeypatch.setattr(FlatBatch, "ratio_gradients", lambda self, *args: exact(self, *args) * math.nan)
+    out = io.StringIO()
+    assert not run_suite(0, ClipConfig(), out)
+    assert failures(out.getvalue()) == {"ratio_gradient_check": "max_err=nan"}
+
+
+def test_a_nan_phi_above_two_fails_only_the_concavity_check(monkeypatch):
+    # the hand values use ratios up to 1.5 and stay exact; the concavity draws reach 2.5
+    exact = verify_module.phi
+    monkeypatch.setattr(verify_module, "phi", lambda ratio, *args: math.nan if ratio > 2.0 else exact(ratio, *args))
+    out = io.StringIO()
+    assert not run_suite(0, ClipConfig(), out)
+    assert failures(out.getvalue()) == {"clipped_term_concavity": "max_err=nan"}
+
+
+def test_drawn_groups_that_do_not_normalise_are_refused():
+    with pytest.raises(ValueError, match=re.escape("drawn groups [0] do not normalise")):
+        verify_module._advantages([[1.0, 1.0], [0.0, 1.0]])
