@@ -203,9 +203,9 @@ def cmd_analyze(args) -> int:
     """Analyze a rollout log a chunk of whole windows of ``--window`` groups
     at a time.
 
-    read_group_columns reads the log as columns, checking each line as it
-    is read and re-checking only exceptional lines with the record
-    validator, so the chunk is the one batch of this path. A chunk holds
+    read_group_columns reads the log as columns (a large log's in worker
+    processes), checking each line and re-checking only exceptional lines
+    with the record validator, so the chunk is the one batch here. A chunk holds
     the groups its first window still needs, then whole windows of lines
     until it has read ``_CHUNK_TOKENS`` tokens or the log ends. _evaluate
     normalises and evaluates its groups together, by one FlatBatch; a group
@@ -213,8 +213,8 @@ def cmd_analyze(args) -> int:
     dropped, so a window holds the first ``--window`` groups that evaluate,
     and the groups of an unfinished window start the next chunk. It returns
     the rows of each complete window, which go to ``analysis.csv`` here,
-    and the chunk is dropped, so memory is set by
-    ``--window`` and the chunk budget and not by the length of the log:
+    and the chunk is dropped, so memory is set by ``--window``, the chunk
+    budget and the reader's spans in flight, not by the length of the log:
     across chunks only the regime lines and the counts of each response
     length (for the ``overall:`` line) are kept. A line yields at most one
     error; a chunk's ``error: line N:`` lines go to stderr in line order

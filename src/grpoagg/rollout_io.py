@@ -18,11 +18,12 @@ come back as RecordValidationError naming the line and response.
 ``read_rollouts`` yields one validated RolloutGroup per line; it is the
 exact reference reader. ``read_group_columns`` is the fast one: it yields
 the same groups as plain columns, one tuple per line, for callers that
-evaluate many groups at once. It checks each line as it is read with
-``groups.group_columns``, which turns the line's ratios into one float64
-array of its own, and parses only a line those checks do not accept with
-``parse_rollout_line``, so both readers accept the same groups with the same
-values and report the same errors in the same order.
+evaluate many groups at once. It checks each line (a large log's in worker
+processes, a span of lines each) with ``groups.group_columns``, which turns
+the line's ratios into one float64 array of its own, and parses only a line
+those checks do not accept with ``parse_rollout_line``, so both readers
+accept the same groups with the same values and report the same errors in
+the same order.
 
 Each reader has one decode path. The fast check decodes a line with fewer
 than 512 "[" and "{" from its raw bytes: with ``orjson`` when it is
@@ -48,7 +49,13 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import re
+import signal
+import stat
+import threading
+from collections import deque
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -351,32 +358,115 @@ def read_group_columns(
     ``rewards`` and ``lengths`` are lists, ``ratios`` one float64 array of
     the group's own, ordered by response and position, or None for a
     length-only group; every value is what the line's RolloutGroup holds.
-    Each line is checked as it is read, by ``groups.group_columns``, which
-    builds no Response; a line it does not accept is parsed alone by
-    ``_parse_raw``, so the values, error texts and line numbers are the
-    record API's. Only the current line is held. Errors are raised or
-    passed to ``on_error`` in line order, each when the groups of the lines
-    before it have been yielded, and a read error only after them, all as
-    ``read_rollouts`` does. Closing the generator closes the log.
+    Each line is checked by ``_line_columns``, so the values, error texts
+    and line numbers are the record API's. A regular file of
+    ``_PARALLEL_BYTES`` or more is checked in spans of whole lines by a
+    worker process per CPU in this process's affinity; at most
+    ``_SPANS_PER_WORKER`` spans per worker are in flight, besides the one
+    being yielded. Any other log is checked here, holding only the current
+    line. Errors are raised or passed to ``on_error`` in line order, each
+    when the groups of the lines before it have been yielded, and a read
+    error only after them, all as ``read_rollouts`` does. Closing the
+    generator closes the log and stops the workers.
     """
     with _open_log(path) as fh:
-        loads = _orjson() or _stdlib_loads
-        for line_no, raw in enumerate(_raw_lines(fh), 1):
-            brackets = np.count_nonzero((np.frombuffer(raw, np.uint8) | 32) == 123)
-            fields = brackets < MAX_NESTING and _line_fields(loads, raw, default_eps_var)
-            columns = fields and group_columns(*fields)
-            if columns:
-                yield line_no, fields[0], *columns
-                continue
-            group = _parse_raw(raw, line_no, default_eps_var, on_error)
-            if group is None:
-                continue
-            ratios = None
-            if group.has_ratios:
-                ratios = np.fromiter(
-                    chain.from_iterable(r.ratios for r in group.responses), float, group.total_tokens
-                )
+        lines = enumerate(_raw_lines(fh), 1)
+        info = os.fstat(fh.fileno())
+        # fork copies only this thread; sched_getaffinity exists only where fork does
+        parallel = stat.S_ISREG(info.st_mode) and info.st_size >= _PARALLEL_BYTES \
+            and hasattr(os, "sched_getaffinity") and threading.active_count() == 1
+        workers = len(os.sched_getaffinity(0)) if parallel else 1
+        if workers > 1:
+            items = _columns_in_workers(fh.fileno(), lines, workers, default_eps_var)
+        else:
+            items = _line_columns(_orjson() or _stdlib_loads, lines, default_eps_var)
+        with closing(items):
+            for item in items:
+                if type(item) is tuple:
+                    yield item
+                elif on_error is None:
+                    raise item
+                else:
+                    on_error(item)
+
+
+def _line_columns(loads, lines: Iterable[tuple[int, bytes]], default_eps_var: float) -> Iterator:
+    """For each ``(line_no, raw)`` of ``lines``, its columns as
+    read_group_columns yields them or its RolloutLogError, or nothing for a
+    whitespace line. ``groups.group_columns`` checks a line without building
+    a Response; a line it does not accept is parsed alone by ``_parse_raw``."""
+    for line_no, raw in lines:
+        brackets = np.count_nonzero((np.frombuffer(raw, np.uint8) | 32) == 123)
+        fields = brackets < MAX_NESTING and _line_fields(loads, raw, default_eps_var)
+        columns = fields and group_columns(*fields)
+        if columns:
+            yield line_no, fields[0], *columns
+            continue
+        failed: list = []
+        group = _parse_raw(raw, line_no, default_eps_var, failed.append)
+        yield from failed
+        if group is not None:
+            ratios = (np.fromiter(chain.from_iterable(r.ratios for r in group.responses), float, group.total_tokens)
+                      if group.has_ratios else None)
             yield line_no, group.prompt_id, group.eps_var, list(group.rewards), list(group.lengths), ratios
+
+
+# Below _PARALLEL_BYTES, starting the workers (about 40 ms) costs more than
+# they save. A span is a run of whole lines that first reaches _SPAN_BYTES.
+_PARALLEL_BYTES = 4 << 20
+_SPAN_BYTES = 1 << 20
+_SPANS_PER_WORKER = 2
+
+
+def _columns_in_workers(fd: int, lines: Iterable[tuple[int, bytes]], workers: int, default_eps_var: float):
+    """``_line_columns`` of ``lines``, of the log open at ``fd``, from ``workers``
+    forked processes that each read back a span at a time; an OSError of
+    ``lines`` comes after the items of the lines before it."""
+    import multiprocessing
+
+    pool = multiprocessing.get_context("fork").Pool(workers, signal.signal, (signal.SIGINT, signal.SIG_IGN))
+    sent: deque = deque()
+    failures: list[OSError] = []
+    try:
+        for span in _spans(lines, failures):
+            sent.append(pool.apply_async(_span_columns, (fd, *span, default_eps_var)))
+            if len(sent) > _SPANS_PER_WORKER * workers:
+                yield from sent.popleft().get()
+        while sent:
+            yield from sent.popleft().get()
+        if failures:
+            raise failures[0]
+    finally:
+        for reply in sent:  # Pool.terminate hangs if it stops a worker mid-reply
+            reply.wait()
+        pool.close()
+        pool.join()
+
+
+def _spans(lines: Iterable[tuple[int, bytes]], failures: list[OSError]) -> Iterator[tuple[int, int, int, int]]:
+    """``(first line number, offset, size, number of lines)`` of each span
+    of ``lines``; an OSError of ``lines`` goes to ``failures`` and ends them."""
+    before = offset = size = line_no = 0
+    try:
+        for line_no, raw in lines:
+            size += len(raw)
+            if size >= _SPAN_BYTES:
+                yield before + 1, offset, size, line_no - before
+                before, offset, size = line_no, offset + size, 0
+    except OSError as exc:
+        failures.append(exc)
+    if line_no > before:
+        yield before + 1, offset, size, line_no - before
+
+
+def _span_columns(fd: int, first: int, offset: int, size: int, count: int, default_eps_var: float) -> list:
+    """A worker's ``_line_columns`` of a span read back from ``fd``: bytes that
+    split into other lines than the line pass read are an OSError."""
+    data = os.pread(fd, size, offset)
+    lines = data.splitlines(keepends=True)  # as _raw_lines splits them
+    if len(data) != size or len(lines) != count:
+        raise OSError(f"lines {first}-{first + count - 1} read back as {len(lines)} lines of {len(data)} bytes")
+    return list(_line_columns(_orjson() or _stdlib_loads, enumerate(lines, first), default_eps_var))
 
 
 def _line_fields(loads, raw: bytes, default_eps_var: float) -> tuple | None:

@@ -390,6 +390,15 @@ def test_analyze_rejects_bad_eps_var_once(tmp_path, capsys, eps_var):
     assert err.startswith("error: --eps-var must be finite and >= 0") and err.count("\n") == 1
 
 
+def test_analyze_rejects_a_window_below_one(tmp_path, capsys):
+    log = tmp_path / "log.jsonl"
+    write_log(log, 3)
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "analyze", "--input", str(log), "--out", str(out), "--window", "0")
+    assert (code, stdout, err) == (2, "", "error: --window must be >= 1\n")
+    assert not out.exists()
+
+
 def test_analyze_pools_extreme_but_valid_groups(tmp_path, capsys):
     # each group is valid, but the window sums of objectives and rewards
     # overflow a float; the pooled means are still exact enough to print

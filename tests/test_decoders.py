@@ -10,12 +10,18 @@ is compared, line by line, with the record path. Groups are compared by
 reprs mean equal bits.
 """
 
+import contextlib
 import json
 import math
+import multiprocessing
+import os
 import random
+import shutil
 import struct
+import sys
+import threading
 from decimal import Decimal
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -423,3 +429,224 @@ def test_a_read_error_comes_after_the_groups_read_before_it(tmp_path, monkeypatc
     assert len([next(read) for _ in range(3)]) == 3
     with pytest.raises(OSError, match="Input/output error"):
         next(read)
+
+
+# --- worker processes ---
+
+@contextlib.contextmanager
+def in_workers(span_bytes: int):
+    """read_group_columns checks any regular file in two worker processes,
+    in spans that first reach ``span_bytes``; 1 makes every line a span."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rollout_io, "_PARALLEL_BYTES", 0)
+        m.setattr(rollout_io, "_SPAN_BYTES", span_bytes)
+        m.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        yield
+
+
+def _children() -> list[int]:
+    """The processes under /proc whose parent is this one."""
+    kids = []
+    for stat_file in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat_file.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue  # the process ended while it was listed
+        if int(fields[1]) == os.getpid():
+            kids.append(int(stat_file.parent.name))
+    return kids
+
+
+def _assert_no_worker_left():
+    assert multiprocessing.active_children() == []
+    assert _children() == []
+
+
+@pytest.fixture(params=[1, 4096], ids=["span-1B", "span-4KiB"])
+def workers(request, monkeypatch):
+    """Every read in the test goes through worker processes (and at least
+    one does); none is left running after it."""
+    pools = []
+    spawn = rollout_io._columns_in_workers
+
+    def counted(*args):
+        pools.append(args)
+        return spawn(*args)
+
+    monkeypatch.setattr(rollout_io, "_columns_in_workers", counted)
+    with in_workers(request.param):
+        yield
+    assert pools
+    _assert_no_worker_left()
+
+
+@pytest.mark.parametrize("read_buffer", [1, 300, 16384])
+@pytest.mark.parametrize("decoder", DECODERS)
+@pytest.mark.parametrize("source", ["edge", "columns", "faulty", "golden-dump"])
+def test_group_columns_in_workers_match_the_record_path(workers, tmp_path, monkeypatch, source, decoder,
+                                                        read_buffer):
+    test_group_columns_match_the_record_path(tmp_path, monkeypatch, source, decoder, read_buffer)
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "lone-cr"])
+def test_workers_split_lines_as_the_line_pass_does(workers, tmp_path, end):
+    lines = [group(reward=r) for r in ("1.0", "0.0", "0.5")] + ["", " \t", group(reward="0.25"), "   "]
+    not_utf8 = group(prompt='"x"').encode().replace(b'"x"', b'"x\xff"')
+    data = end.join(lines).encode() + end.encode() + not_utf8 + end.encode() + group(reward="0.75").encode()
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(data)
+    want = _events(read_rollouts, path)
+    assert [e[:3] for e in want] == [("group", 1, "p0"), ("group", 2, "p0"), ("group", 3, "p0"),
+                                     ("group", 6, "p0"), ("error", "MalformedLineError", 8), ("group", 9, "p0")]
+    assert _events(read_group_columns, path) == want
+
+
+FAULTY = DATA / "faulty_rollouts.jsonl"
+
+
+@pytest.mark.parametrize("span_bytes", [1, 4096])
+@pytest.mark.parametrize("window", [1, 3, 16])
+def test_analyze_in_workers_gives_the_serial_bytes(tmp_path, capsys, window, span_bytes):
+    out = tmp_path / "out"
+
+    def analyze():
+        code = main(["analyze", "--input", str(FAULTY), "--out", str(out), "--window", str(window)])
+        captured = capsys.readouterr()
+        files = {name: (out / name).read_bytes() for name in ("analysis.csv", "regime.txt")}
+        shutil.rmtree(out)
+        return code, captured.out, captured.err, files
+
+    serial = analyze()
+    with in_workers(span_bytes):
+        assert analyze() == serial
+    assert serial[0] == 0 and serial[2].count("error: line") == 3
+
+
+def _log_of(path: Path, lines: int) -> Path:
+    path.write_text("".join(f"{group(reward=str(i % 4 / 4))}\n" for i in range(lines)), encoding="utf-8")
+    return path
+
+
+def test_a_read_error_in_the_line_pass_comes_after_the_groups_in_workers(workers, tmp_path, monkeypatch):
+    raw_lines = rollout_io._raw_lines
+
+    def failing_lines(fh):
+        yield from islice(raw_lines(fh), 3)
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(rollout_io, "_raw_lines", failing_lines)
+    read = read_group_columns(_log_of(tmp_path / "log.jsonl", 40))
+    assert [next(read)[0] for _ in range(3)] == [1, 2, 3]
+    with pytest.raises(OSError, match="Input/output error"):
+        next(read)
+
+
+@pytest.mark.parametrize("pass_lines, most", [
+    pytest.param(lambda fh: [b"".join(fh)], 0, id="one-line"),
+    pytest.param(lambda fh: chain(fh, [f"{group()}\n".encode()]), 40, id="short"),
+])
+def test_a_span_that_reads_back_otherwise_is_a_read_error(workers, tmp_path, monkeypatch, pass_lines, most):
+    # the line pass reads lines that the file does not hold (its 40 lines
+    # as one, or a 41st): the groups of the spans before the first such
+    # span come, then an OSError, never another group
+    monkeypatch.setattr(rollout_io, "_raw_lines", pass_lines)
+    got = []
+    with pytest.raises(OSError, match=r"^lines \d+-\d+ read back as \d+ lines of \d+ bytes$"):
+        for item in read_group_columns(_log_of(tmp_path / "log.jsonl", 40)):
+            got.append(item[0])
+    assert got == list(range(1, len(got) + 1)) and len(got) <= most
+
+
+def _full_read(path):
+    assert len(list(read_group_columns(path))) == 40
+
+
+def _closed_after_one(path):
+    read = read_group_columns(path)
+    assert next(read)[0] == 1
+    read.close()
+
+
+def _strict_error(path):
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write("{\n")
+    with pytest.raises(RolloutLogError, match="line 41: invalid JSON"):
+        list(read_group_columns(path))
+
+
+def _read_error(path):
+    raw_lines = rollout_io._raw_lines
+
+    def failing_lines(fh):
+        yield from islice(raw_lines(fh), 20)
+        raise OSError(5, "Input/output error")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rollout_io, "_raw_lines", failing_lines)
+        with pytest.raises(OSError, match="Input/output error"):
+            list(read_group_columns(path))
+
+
+@pytest.mark.parametrize("read", [_full_read, _closed_after_one, _strict_error, _read_error],
+                         ids=["full", "close", "strict-error", "read-error"])
+def test_no_worker_is_left_running(tmp_path, read):
+    with in_workers(4096):
+        read(_log_of(tmp_path / "log.jsonl", 40))
+    _assert_no_worker_left()
+
+
+# --- where the line-by-line path must run ---
+
+def _refuse_workers(*args):
+    raise AssertionError("read_group_columns started worker processes")
+
+
+def _reads_here(monkeypatch, path) -> list:
+    """The events of read_group_columns on ``path``, which must start no
+    worker process, against those of the record path."""
+    monkeypatch.setattr(rollout_io, "_columns_in_workers", _refuse_workers)
+    return _events(read_group_columns, path)
+
+
+def test_a_fifo_is_read_here(tmp_path, monkeypatch):
+    # a FIFO cannot be read back by span, however large
+    regular = _log_of(tmp_path / "log.jsonl", 40)
+    fifo = tmp_path / "log.fifo"
+    os.mkfifo(fifo)
+    monkeypatch.setattr(rollout_io, "_PARALLEL_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(threading, "active_count", lambda: 1)  # the feeding thread aside
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(regular.read_bytes())
+
+    feeder = threading.Thread(target=feed, daemon=True)
+    feeder.start()
+    try:
+        got = _reads_here(monkeypatch, fifo)
+    finally:
+        feeder.join(timeout=30)
+    assert not feeder.is_alive()
+    assert got == _events(read_rollouts, regular) and len(got) == 40
+
+
+def test_one_cpu_reads_here(tmp_path, monkeypatch):
+    monkeypatch.setattr(rollout_io, "_PARALLEL_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    path = _log_of(tmp_path / "log.jsonl", 40)
+    assert _reads_here(monkeypatch, path) == _events(read_rollouts, path)
+
+
+def test_a_log_below_the_threshold_is_read_here(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    path = _log_of(tmp_path / "log.jsonl", 40)
+    assert 0 < path.stat().st_size < rollout_io._PARALLEL_BYTES
+    assert _reads_here(monkeypatch, path) == _events(read_rollouts, path)
+
+
+def test_without_orjson_the_bulk_decoder_is_json_loads(monkeypatch):
+    monkeypatch.setitem(sys.modules, "orjson", None)  # import orjson raises ImportError
+    monkeypatch.setattr(rollout_io, "_fast_loads", rollout_io._UNRESOLVED)
+    assert rollout_io._orjson() is None
+    assert rollout_io._fast_loads is None
