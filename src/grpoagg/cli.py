@@ -15,9 +15,9 @@ import math
 import os
 import stat
 import sys
+from functools import partial
 from itertools import accumulate, chain, compress
 from math import fsum
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -112,178 +112,144 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-# cmd_analyze reads a log, and _evaluate evaluates it, in chunks of whole
-# windows of lines that hold at least this many tokens (or the rest of the
-# log). Peak memory grows with it: on groups of 8 responses of 1-15 tokens,
-# 8,192 adds under 1 MB of peak RSS to one-window chunks, and 32,768 adds 5 MB.
-_CHUNK_TOKENS = 8192
-
-
-def _evaluate(
-    read: list[tuple], clip: ClipConfig, window: int, ended: bool, step: int, tally: LengthTally, report
-) -> tuple[list[tuple[list[MetricRecord], LengthStats, int]], list[tuple], int, int]:
-    """Evaluate the groups of ``read`` (as read_group_columns yields them)
-    and cut the windows of ``window`` groups that they complete, numbered
-    from ``step``; once the log has ``ended``, the last one too.
-
-    All the groups are normalised together and all of them with ratios are
-    evaluated by one FlatBatch. A group whose normalisation fails or whose
-    objective overflows is passed to ``report`` as (line number, text) and
-    left out; a degenerate group is taken as zero-advantage. Returns each
-    window's metric rows, length statistics and count of groups; the groups
-    of the unfinished window, which are evaluated again with the next
-    chunk; and the counts of degenerate and length-only groups in the
-    windows. The windows' lengths, pooled and per sign, are added to ``tally``.
-    """
+def _group_rows(clip: ClipConfig, read: list[tuple]) -> list[tuple]:
+    """The row of each group of ``read`` (as read_group_columns yields them)
+    from one normalize_columns and one FlatBatch; no value of a row depends
+    on the other groups. A group whose normalisation fails or whose objective
+    overflows gives ``(line_no, error text)``, any other ``(line_no, None,
+    objectives, clipped, tokens, degenerate, lengths, rewards, signs)``: the
+    four objectives in RULES order (None if length-only), its clipped and
+    evaluated token counts, whether it is taken as zero-advantage, and each
+    response's length, reward and advantage sign (1, 0 or -1)."""
     line_nos, prompt_ids, eps_vars, rewards, lengths, ratios = zip(*read)
     sizes = list(map(len, rewards))
-    flat_rewards = list(chain.from_iterable(rewards))
-    normalized = normalize_columns(flat_rewards, sizes, eps_vars, prompt_ids)
-    keep = np.ones(len(read), dtype=bool)
-    for j, text in normalized.errors.items():
-        report(line_nos[j], f"line {line_nos[j]}: {text}")
-        keep[j] = False
-    length_only = np.array([r is None for r in ratios])
-    evaluable = keep & ~length_only
-    objectives = np.full((len(RULES), len(read)), np.nan)
-    clipped, tokens = np.zeros((2, len(read)), dtype=np.intp)
-    if evaluable.any():
-        take = evaluable.tolist()
+    normalized = normalize_columns(list(chain.from_iterable(rewards)), sizes, eps_vars, prompt_ids)
+    refusals = dict(normalized.errors)
+    evaluable = [r is not None and j not in refusals for j, r in enumerate(ratios)]
+    evaluated = {}
+    if any(evaluable):
         batch = FlatBatch(
             normalized.advantages[np.repeat(evaluable, sizes)],
-            list(compress(sizes, take)),
-            list(chain.from_iterable(compress(lengths, take))),
-            np.concatenate(list(compress(ratios, take))),
+            list(compress(sizes, evaluable)),
+            list(chain.from_iterable(compress(lengths, evaluable))),
+            np.concatenate(list(compress(ratios, evaluable))),
         )
         sums = batch.rule_sums(clip)
         table = rule_table(sums)
-        objectives[:, evaluable] = [table[rule][0] for rule in RULES]
-        clipped[evaluable], tokens[evaluable] = sums.clipped, sums.total_tokens
-        overflows = evaluable & ~np.isfinite(objectives).all(axis=0)
-        overflows[evaluable] |= ~sums.ok
-        for j in overflows.nonzero()[0].tolist():
-            report(line_nos[j], f"line {line_nos[j]}: group {prompt_ids[j]!r}: an objective overflows a float")
-        keep &= ~overflows
-    kept = keep.nonzero()[0]
-    done = kept.size if ended else kept.size - kept.size % window
-    pending = [read[j] for j in kept[done:].tolist()]
-    keep[kept[done:]] = False  # from here on, the groups of the windows
-    take = keep.tolist()
-    starts = [0, *accumulate(compress(sizes, take))]
-    per_response = np.repeat(keep, sizes)
-    advantages = normalized.advantages[per_response]
-    positive, negative = advantages > 0.0, advantages < 0.0
-    ks = np.add.reduceat(positive, starts[:-1], dtype=np.intp)
-    response_lengths = np.fromiter(chain.from_iterable(compress(lengths, take)), np.intp, starts[-1])
-    response_rewards = np.array(flat_rewards)[per_response]
-    objectives, clipped, tokens, length_only = objectives[:, keep], clipped[keep], tokens[keep], length_only[keep]
-    windows = []
-    for first in range(0, done, window):
-        end = min(first + window, done)
-        responses = slice(starts[first], starts[end])
-        window_lengths = response_lengths[responses]
-        pos_lengths = window_lengths[positive[responses]].tolist()
-        neg_lengths = window_lengths[negative[responses]].tolist()
-        window_lengths = window_lengths.tolist()
-        tally.add(window_lengths, pos_lengths, neg_lengths)
-        evaluated = objectives[:, first:end][:, ~length_only[first:end]].tolist()
-        pooled = {rule: pooled_mean(col) if col else None for rule, col in zip(RULES, evaluated)}
-        window_tokens = int(tokens[first:end].sum())
-        clip_fraction = int(clipped[first:end].sum()) / window_tokens if window_tokens else None
-        stats = length_stats(window_lengths, pos_lengths, neg_lengths)
-        window_rewards = response_rewards[responses].tolist()
-        records = batch_metrics(
-            step + len(windows), stats, window_rewards, ks[first:end].tolist(), pooled, clip_fraction
-        )
-        windows.append((records, stats, end - first))
-    return windows, pending, int(keep[normalized.degenerate].sum()), int(length_only.sum())
+        objectives = np.array([table[rule][0] for rule in RULES])
+        finite = np.isfinite(objectives).all(axis=0) & sums.ok
+        for j, ok, *values in zip(compress(range(len(read)), evaluable), finite.tolist(), objectives.T.tolist(),
+                                  sums.clipped.tolist(), sums.total_tokens.tolist()):
+            if ok:
+                evaluated[j] = values
+            else:
+                refusals[j] = f"group {prompt_ids[j]!r}: an objective overflows a float"
+    degenerate = set(normalized.degenerate)
+    signs = np.sign(normalized.advantages).astype(int).tolist()
+    starts = [0, *accumulate(sizes)]
+    rows = []
+    for j, (line_no, first, end) in enumerate(zip(line_nos, starts, starts[1:])):
+        if j in refusals:
+            rows.append((line_no, f"line {line_no}: {refusals[j]}"))
+        else:
+            objective, clipped, tokens = evaluated.get(j, (None, 0, 0))
+            rows.append((line_no, None, objective, clipped, tokens, j in degenerate, lengths[j], rewards[j],
+                         signs[first:end]))
+    return rows
+
+
+def _window(rows: list[tuple], step: int, tally: LengthTally) -> tuple[list[MetricRecord], LengthStats]:
+    """The metric rows, numbered ``step``, and the length statistics of a
+    window of the rows of groups that evaluate (as _group_rows gives them);
+    its lengths, pooled and per sign, are added to ``tally``."""
+    _, _, objectives, clipped, tokens, _, lengths, rewards, signs = zip(*rows)
+    ks = [group.count(1) for group in signs]
+    lengths, rewards, signs = (list(chain.from_iterable(column)) for column in (lengths, rewards, signs))
+    pos_lengths = [t for t, sign in zip(lengths, signs) if sign > 0]
+    neg_lengths = [t for t, sign in zip(lengths, signs) if sign < 0]
+    tally.add(lengths, pos_lengths, neg_lengths)
+    evaluated = [objective for objective in objectives if objective is not None]
+    pooled = dict(zip(RULES, map(pooled_mean, zip(*evaluated)))) if evaluated else dict.fromkeys(RULES)
+    window_tokens = sum(tokens)
+    clip_fraction = sum(clipped) / window_tokens if window_tokens else None
+    stats = length_stats(lengths, pos_lengths, neg_lengths)
+    return batch_metrics(step, stats, rewards, ks, pooled, clip_fraction), stats
 
 
 def cmd_analyze(args) -> int:
-    """Analyze a rollout log a chunk of whole windows of ``--window`` groups
-    at a time.
+    """Analyze a rollout log in windows of ``--window`` groups.
 
-    read_group_columns reads the log as columns (a large log's in worker
-    processes), checking each line and re-checking only exceptional lines
-    with the record validator, so the chunk is the one batch here. A chunk holds
-    the groups its first window still needs, then whole windows of lines
-    until it has read ``_CHUNK_TOKENS`` tokens or the log ends. _evaluate
-    normalises and evaluates its groups together, by one FlatBatch; a group
-    whose normalisation fails or whose objective overflows is reported and
-    dropped, so a window holds the first ``--window`` groups that evaluate,
-    and the groups of an unfinished window start the next chunk. It returns
-    the rows of each complete window, which go to ``analysis.csv`` here,
-    and the chunk is dropped, so memory is set by ``--window``, the chunk
-    budget and the reader's spans in flight, not by the length of the log:
-    across chunks only the regime lines and the counts of each response
-    length (for the ``overall:`` line) are kept. A line yields at most one
-    error; a chunk's ``error: line N:`` lines go to stderr in line order
-    before its rows are written. Notices and regime lines go to stdout once
-    ``regime.txt`` is written. Nothing is written, and ``--out`` is not
-    created, when no group parses; a read error ends the run after the rows
-    of every window that the lines read before it complete.
+    read_group_columns checks each line (a large log's in worker processes)
+    and evaluates the groups of a run of lines at once by _group_rows, in
+    the worker that read them or here. Its rows and errors come in line
+    order, one per line, and are streamed: an ``error: line N:`` goes to
+    stderr at once, and a group whose normalisation fails or whose objective
+    overflows is reported and dropped, so a window holds the next
+    ``--window`` groups that evaluate. Each full window's rows go to
+    ``analysis.csv`` at once, the last short one at the end of the log, so
+    memory is set by the window and the reader, not by the length of the
+    log: across windows only the regime lines and the counts of each
+    response length (for the ``overall:`` line) are kept. Notices and
+    regime lines go to stdout once ``regime.txt`` is written. Nothing is
+    written, and ``--out`` is not created, when no group parses; a read
+    error ends the run after the rows of every window that the lines read
+    before it complete.
     """
     clip = _clip_from_args(args)
     if args.window < 1:
         raise ValueError("--window must be >= 1")
     if not (math.isfinite(args.eps_var) and args.eps_var >= 0.0):
         raise ValueError(f"--eps-var must be finite and >= 0, got {args.eps_var!r}")
-    errors: list[tuple[int, str]] = []
 
-    def report(line_no: int, text: str) -> None:
-        errors.append((line_no, text))
+    def report(text: object) -> None:
+        print(f"error: {text}", file=sys.stderr)
 
-    def flush_errors() -> None:
-        for _, text in sorted(errors, key=itemgetter(0)):
-            print(f"error: {text}", file=sys.stderr)
-        errors.clear()
-
-    log = read_group_columns(args.input, args.eps_var, lambda exc: report(exc.line_no, str(exc)))
+    rows = read_group_columns(args.input, args.eps_var, report, partial(_group_rows, clip))
     csv_path = args.out / "analysis.csv"
     regime_path = args.out / "regime.txt"
     tally = LengthTally()
     degenerate = length_only = groups_read = 0
     regime_lines: list[str] = []
-    pending: list[tuple] = []  # the groups of an unfinished window that evaluate
+    window: list[tuple] = []
     csv = None
+
+    def write_window() -> None:
+        nonlocal csv
+        records, stats = _window(window, len(regime_lines), tally)
+        if csv is None:
+            args.out.mkdir(parents=True, exist_ok=True)
+            csv = open(csv_path, "w", encoding="utf-8")
+            csv.write(METRIC_HEADER)
+        csv.write(format_metrics(records))
+        gap = "n/a" if stats.len_gap is None else f"{stats.len_gap:.4f}"
+        regime_lines.append(
+            f"window {len(regime_lines)}: groups={len(window)} len_cv={stats.len_cv:.4f} "
+            f"len_gap={gap} regime={regime_report(stats)}"
+        )
+        window.clear()
+
     try:
         while True:
-            read, tokens, ended, failure = pending, 0, True, None
             try:
-                for group in log:
-                    read.append(group)
-                    tokens += sum(group[4])
-                    if tokens >= _CHUNK_TOKENS and len(read) % args.window == 0:
-                        ended = False
-                        break
+                row = next(rows, None)
             except OSError as exc:
-                failure, ended = exc, False
-            step = len(regime_lines)
-            windows, pending, chunk_degenerate, chunk_length_only = (
-                _evaluate(read, clip, args.window, ended, step, tally, report) if read else ([], [], 0, 0)
-            )
-            flush_errors()
-            for records, stats, groups in windows:
-                if csv is None:
-                    args.out.mkdir(parents=True, exist_ok=True)
-                    csv = open(csv_path, "w", encoding="utf-8")
-                    csv.write(METRIC_HEADER)
-                csv.write(format_metrics(records))
-                gap = "n/a" if stats.len_gap is None else f"{stats.len_gap:.4f}"
-                regime_lines.append(
-                    f"window {len(regime_lines)}: groups={groups} len_cv={stats.len_cv:.4f} "
-                    f"len_gap={gap} regime={regime_report(stats)}"
-                )
-                groups_read += groups
-            degenerate += chunk_degenerate
-            length_only += chunk_length_only
-            if failure is not None:
-                print(f"error: cannot read {args.input}: {failure}", file=sys.stderr)
+                report(f"cannot read {args.input}: {exc}")
                 return 1
-            if ended:
+            if row is None:
                 break
+            if row[1] is not None:
+                report(row[1])
+                continue
+            window.append(row)
+            groups_read += 1
+            degenerate += row[5]
+            length_only += row[2] is None
+            if len(window) == args.window:
+                write_window()
+        if window:
+            write_window()
     finally:
-        log.close()
+        rows.close()
         if csv is not None:
             csv.close()
     if csv is None:

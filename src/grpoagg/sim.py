@@ -263,8 +263,7 @@ class StepRollouts:
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "logp", self.log_probs[index])
         if not np.isfinite(self.logp).all():
-            self.groups()
-            raise ValueError("a sampled log-probability is not finite")
+            self.groups()  # raises: each logp is its response's logp_new, which must be finite
 
     def groups(self, eps_var: float = 0.0) -> list[RolloutGroup]:
         """The step as records: one group per prompt, its id ``str(prompt)``,

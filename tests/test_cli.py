@@ -514,13 +514,26 @@ def test_analyze_outputs_do_not_depend_on_the_chunk_budget(tmp_path, capsys, mon
         _refill_log(log)
     out = tmp_path / "out"
     results = []
-    for budget in (cli._CHUNK_TOKENS, 1, 2**62):
-        monkeypatch.setattr(cli, "_CHUNK_TOKENS", budget)
+
+    def analyze():
         code, stdout, stderr = run_cli(capsys, "analyze", "--input", str(log), "--window", str(window),
                                        "--out", str(out))
         assert code == 0
         results.append(((out / "analysis.csv").read_bytes(), (out / "regime.txt").read_bytes(), stdout, stderr))
-    assert results[1] == results[0] and results[2] == results[0]
+
+    for budget in (rollout_io._RUN_TOKENS, 1, 2**62):  # the serial reader's runs
+        monkeypatch.setattr(rollout_io, "_RUN_TOKENS", budget)
+        analyze()
+    spawned = []
+    spawn = rollout_io._columns_in_workers
+    for span_bytes in (1, 4096):  # one evaluation per span, in worker processes
+        with monkeypatch.context() as m:
+            m.setattr(rollout_io, "_columns_in_workers", lambda *args: spawned.append(1) or spawn(*args))
+            m.setattr(rollout_io, "_PARALLEL_BYTES", 0)
+            m.setattr(rollout_io, "_SPAN_BYTES", span_bytes)
+            m.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            analyze()
+    assert results[1:] == [results[0]] * 4 and len(spawned) == 2
     if log_name == "refill":
         assert results[0][3].count("\n") == 26  # 17 normalisation and 9 objective errors
 

@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from grpoagg import rollout_io
+from grpoagg.aggregate import FlatBatch
 from grpoagg.cli import main
 from grpoagg.rollout_io import RolloutLogError, parse_rollout_line, read_group_columns, read_rollouts
 
@@ -520,6 +521,32 @@ def test_analyze_in_workers_gives_the_serial_bytes(tmp_path, capsys, window, spa
     with in_workers(span_bytes):
         assert analyze() == serial
     assert serial[0] == 0 and serial[2].count("error: line") == 3
+
+
+@pytest.mark.parametrize("span_bytes", [1, 4096])
+def test_analyze_in_workers_evaluates_nothing_in_this_process(tmp_path, capsys, monkeypatch, span_bytes):
+    # the workers, forked from this process, inherit the patch but not its pid
+    out = tmp_path / "out"
+    pid, rule_sums = os.getpid(), FlatBatch.rule_sums
+
+    def rule_sums_elsewhere(self, clip):
+        assert os.getpid() != pid, "rule_sums ran in the main process"
+        return rule_sums(self, clip)
+
+    def analyze():
+        code = main(["analyze", "--input", str(FAULTY), "--out", str(out), "--window", "2"])
+        captured = capsys.readouterr()
+        files = {name: (out / name).read_bytes() for name in ("analysis.csv", "regime.txt")}
+        shutil.rmtree(out)
+        return code, captured.out, captured.err, files
+
+    serial = analyze()
+    monkeypatch.setattr(FlatBatch, "rule_sums", rule_sums_elsewhere)
+    with in_workers(span_bytes):
+        assert analyze() == serial
+    with pytest.raises(AssertionError, match="rule_sums ran in the main process"):
+        analyze()
+    assert serial[0] == 0 and serial[3]["analysis.csv"] == (GOLDEN / "analysis.csv").read_bytes()
 
 
 def _log_of(path: Path, lines: int) -> Path:

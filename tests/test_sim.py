@@ -307,6 +307,13 @@ def test_non_finite_sampled_log_prob_raises_the_record_error():
     assert str(err.value) == str(record.value) == "logp_new[1] must be a finite real number, got -inf"
 
 
+def test_a_nan_sampled_log_prob_raises_the_record_error():
+    table = np.zeros((1, 2, 3))
+    table[0, 1, 2] = math.nan
+    with pytest.raises(ValueError, match=r"^logp_new\[1\] must be a finite real number, got nan$"):
+        StepRollouts(table, (0,), (2,), np.array([1, 1, 2]), (1, 2), (1.0, 0.0), (False, False))
+
+
 # --- training step ---
 
 @pytest.mark.parametrize("inner_epochs", [1, 2])
@@ -588,6 +595,36 @@ def test_evaluate_batch_reports_non_finite_gradient():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SimulationError) as err:
         evaluate_batch(policy, rollouts_of(groups, PolicyTable(bad_old)), flat_advantages(advs), "token", ClipConfig())
     assert "prompt" in str(err.value)
+
+
+def _one_group_rollouts(shift: float) -> tuple[PolicyTable, StepRollouts]:
+    """A uniform policy and one prompt's step sampled from a table that
+    gives symbol 2 a log-probability ``shift`` below the policy's: the
+    positive response is [0], the negative one [2, 2], so each of its
+    tokens has the ratio exp(shift)."""
+    policy = PolicyTable.uniform(1, 4, 3)
+    old = policy.log_probs().copy()
+    old[:, :, 2] -= shift
+    tokens = np.array([0, 2, 2], dtype=np.intp)
+    return policy, StepRollouts(old, (0,), (2,), tokens, (1, 2), (1.0, 0.0), (False, False))
+
+
+def test_evaluate_batch_refuses_rule_sums_that_overflow():
+    # two finite phi of about -1.2e308 sum past the float range
+    policy, rollouts = _one_group_rollouts(709.4)
+    assert np.isfinite(rollouts.logp).all()
+    with pytest.raises(SimulationError, match=r"^rule sums overflow a float for prompt 0$"):
+        evaluate_batch(policy, rollouts, np.array([1.0, -1.0]), "token", ClipConfig())
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_evaluate_batch_refuses_a_non_finite_objective(rule):
+    # an infinite ratio on the negative side gives phi = -inf, whose sums
+    # do not overflow, and an objective of -inf
+    policy, rollouts = _one_group_rollouts(800.0)
+    with np.errstate(over="ignore"), pytest.raises(SimulationError) as err:
+        evaluate_batch(policy, rollouts, np.array([1.0, -1.0]), rule, ClipConfig())
+    assert str(err.value) == f"non-finite {rule} objective for prompt 0"
 
 
 def test_policy_table_invariants():
