@@ -15,6 +15,7 @@ import math
 import os
 import stat
 import sys
+from collections import Counter
 from functools import partial
 from itertools import accumulate, chain, compress
 from math import fsum
@@ -32,7 +33,7 @@ from .decompose import (
     regime_report,
 )
 from .groups import normalize_columns
-from .rollout_io import METRIC_HEADER, MetricRecord, format_metrics, read_group_columns, write_metrics
+from .rollout_io import METRIC_HEADER, MetricRecord, RolloutLogError, format_metrics, read_group_columns, write_metrics
 from .sim import TASK_KINDS, TaskSpec, TrainConfig, run_training
 from .verify import run_suite
 
@@ -112,13 +113,14 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _group_rows(clip: ClipConfig, read: list[tuple]) -> list[tuple]:
+def _group_rows(clip: ClipConfig, read: list[tuple]) -> list[tuple | RolloutLogError]:
     """The row of each group of ``read`` (as read_group_columns yields them)
     from one normalize_columns and one FlatBatch; no value of a row depends
     on the other groups. A group whose normalisation fails or whose objective
-    overflows gives ``(line_no, error text)``, any other ``(line_no, None,
-    objectives, clipped, tokens, degenerate, lengths, rewards, signs)``: the
-    four objectives in RULES order (None if length-only), its clipped and
+    overflows gives a RolloutLogError (``line N: group 'p': ...``), which the
+    reader reports as it does a line's; any other gives ``(objectives,
+    clipped, tokens, degenerate, lengths, rewards, signs)``: the four
+    objectives in RULES order (None if length-only), its clipped and
     evaluated token counts, whether it is taken as zero-advantage, and each
     response's length, reward and advantage sign (1, 0 or -1)."""
     line_nos, prompt_ids, eps_vars, rewards, lengths, ratios = zip(*read)
@@ -150,19 +152,21 @@ def _group_rows(clip: ClipConfig, read: list[tuple]) -> list[tuple]:
     rows = []
     for j, (line_no, first, end) in enumerate(zip(line_nos, starts, starts[1:])):
         if j in refusals:
-            rows.append((line_no, f"line {line_no}: {refusals[j]}"))
+            rows.append(RolloutLogError(f"line {line_no}: {refusals[j]}", line_no))
         else:
             objective, clipped, tokens = evaluated.get(j, (None, 0, 0))
-            rows.append((line_no, None, objective, clipped, tokens, j in degenerate, lengths[j], rewards[j],
-                         signs[first:end]))
+            rows.append((objective, clipped, tokens, j in degenerate, lengths[j], rewards[j], signs[first:end]))
     return rows
 
 
-def _window(rows: list[tuple], step: int, tally: LengthTally) -> tuple[list[MetricRecord], LengthStats]:
+def _window(rows: list[tuple], step: int, tally: LengthTally,
+            counts: Counter) -> tuple[list[MetricRecord], LengthStats]:
     """The metric rows, numbered ``step``, and the length statistics of a
     window of the rows of groups that evaluate (as _group_rows gives them);
-    its lengths, pooled and per sign, are added to ``tally``."""
-    _, _, objectives, clipped, tokens, _, lengths, rewards, signs = zip(*rows)
+    its lengths, pooled and per sign, are added to ``tally``, and its counts
+    of groups, degenerate groups and length-only groups to ``counts``."""
+    objectives, clipped, tokens, degenerate, lengths, rewards, signs = zip(*rows)
+    counts.update(groups=len(rows), degenerate=sum(degenerate), length_only=objectives.count(None))
     ks = [group.count(1) for group in signs]
     lengths, rewards, signs = (list(chain.from_iterable(column)) for column in (lengths, rewards, signs))
     pos_lengths = [t for t, sign in zip(lengths, signs) if sign > 0]
@@ -181,11 +185,12 @@ def cmd_analyze(args) -> int:
 
     read_group_columns checks each line (a large log's in worker processes)
     and evaluates the groups of a run of lines at once by _group_rows, in
-    the worker that read them or here. Its rows and errors come in line
-    order, one per line, and are streamed: an ``error: line N:`` goes to
-    stderr at once, and a group whose normalisation fails or whose objective
-    overflows is reported and dropped, so a window holds the next
-    ``--window`` groups that evaluate. Each full window's rows go to
+    the worker that read them or here. Its rows come in line order and are
+    streamed. Every line that does not parse and every group whose
+    normalisation fails or whose objective overflows reaches its
+    ``on_error``, in line order, and goes to stderr at once as one
+    ``error: line N: ...``; so a window holds the next ``--window`` groups
+    that evaluate. Each full window's rows go to
     ``analysis.csv`` at once, the last short one at the end of the log, so
     memory is set by the window and the reader, not by the length of the
     log: across windows only the regime lines and the counts of each
@@ -208,14 +213,14 @@ def cmd_analyze(args) -> int:
     csv_path = args.out / "analysis.csv"
     regime_path = args.out / "regime.txt"
     tally = LengthTally()
-    degenerate = length_only = groups_read = 0
+    counts: Counter = Counter()
     regime_lines: list[str] = []
     window: list[tuple] = []
     csv = None
 
     def write_window() -> None:
         nonlocal csv
-        records, stats = _window(window, len(regime_lines), tally)
+        records, stats = _window(window, len(regime_lines), tally, counts)
         if csv is None:
             args.out.mkdir(parents=True, exist_ok=True)
             csv = open(csv_path, "w", encoding="utf-8")
@@ -237,13 +242,7 @@ def cmd_analyze(args) -> int:
                 return 1
             if row is None:
                 break
-            if row[1] is not None:
-                report(row[1])
-                continue
             window.append(row)
-            groups_read += 1
-            degenerate += row[5]
-            length_only += row[2] is None
             if len(window) == args.window:
                 write_window()
         if window:
@@ -256,11 +255,11 @@ def cmd_analyze(args) -> int:
         print("error: no groups parsed", file=sys.stderr)
         return 1
 
-    regime_lines.append(f"overall: groups={groups_read} regime={regime_report(tally.stats())}")
+    regime_lines.append(f"overall: groups={counts['groups']} regime={regime_report(tally.stats())}")
     regime_path.write_text("\n".join(regime_lines) + "\n", encoding="utf-8")
-    notices = _degenerate_notice(degenerate)
-    if length_only:
-        notices.append(f"notice: {length_only} length-only group(s); objectives skipped for them")
+    notices = _degenerate_notice(counts["degenerate"])
+    if counts["length_only"]:
+        notices.append(f"notice: {counts['length_only']} length-only group(s); objectives skipped for them")
     _print_stdout([*notices, *regime_lines, f"wrote {csv_path} and {regime_path}"])
     return 0
 

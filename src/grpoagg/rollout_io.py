@@ -98,7 +98,8 @@ METRIC_HEADER = ",".join(METRIC_FIELDS) + "\n"
 
 
 class RolloutLogError(ValueError):
-    """Base class for rollout-log parsing failures; carries the line number."""
+    """Base class for rollout-log failures: a line that does not parse, or a
+    group that a reader's ``evaluate`` refuses; carries the line number."""
 
     def __init__(self, message: str, line_no: int | None = None):
         super().__init__(message)
@@ -289,10 +290,20 @@ def read_rollouts(
     or, when ``on_error`` is given, is passed to it and skipped.
     """
     with _open_log(path) as fh:
-        for line_no, raw in enumerate(_raw_lines(fh), 1):
-            group = _parse_raw(raw, line_no, default_eps_var, on_error)
-            if group is not None:
-                yield group
+        lines = enumerate(_raw_lines(fh), 1)
+        yield from _reported((_parse_raw(raw, line_no, default_eps_var) for line_no, raw in lines), on_error)
+
+
+def _reported(items: Iterable, on_error: Callable[[RolloutLogError], None] | None) -> Iterator:
+    """Each item of ``items`` other than None, in order; a RolloutLogError
+    is raised or, when ``on_error`` is given, passed to it instead."""
+    for item in items:
+        if isinstance(item, RolloutLogError):
+            if on_error is None:
+                raise item
+            on_error(item)
+        elif item is not None:
+            yield item
 
 
 # Read buffer of a log: a line that fits in it is read in one pass.
@@ -316,22 +327,16 @@ def _raw_lines(fh) -> Iterator[bytes]:
             yield chunk  # one line: reading bytes splits at "\\n" alone
 
 
-def _parse_raw(
-    raw: bytes, line_no: int, default_eps_var: float, on_error: Callable[[RolloutLogError], None] | None
-) -> RolloutGroup | None:
-    """``parse_rollout_line`` of one raw line, or None for a line that is
-    whitespace only. A line that is not UTF-8 fails alone
-    (MalformedLineError), and its end is given as "\\n", as text mode gives it.
-    A line's error is raised or, when ``on_error`` is given, passed to it,
-    and the line gives None."""
+def _parse_raw(raw: bytes, line_no: int, default_eps_var: float) -> RolloutGroup | RolloutLogError | None:
+    """``parse_rollout_line`` of one raw line, the RolloutLogError it
+    raises, or None for a line that is whitespace only. A line that is not
+    UTF-8 fails alone (MalformedLineError), and its end is given as "\\n", as
+    text mode gives it."""
     try:
         line = _decode_line(raw, line_no)
         return None if line.isspace() else parse_rollout_line(line, line_no, default_eps_var)
     except RolloutLogError as exc:
-        if on_error is None:
-            raise
-        on_error(exc)
-        return None
+        return exc
 
 
 def _decode_line(raw: bytes, line_no: int) -> str:
@@ -351,7 +356,7 @@ def read_group_columns(
     path: str | Path,
     default_eps_var: float = 0.0,
     on_error: Callable[[RolloutLogError], None] | None = None,
-    evaluate: Callable[[list[tuple]], list[tuple]] | None = None,
+    evaluate: Callable[[list[tuple]], list[tuple | RolloutLogError]] | None = None,
 ) -> Iterator[tuple]:
     """Stream a log's valid groups as columns, one tuple per group:
     ``(line_no, prompt_id, eps_var, rewards, lengths, ratios)``.
@@ -366,18 +371,22 @@ def read_group_columns(
     ``_SPANS_PER_WORKER`` spans per worker are in flight, besides the one
     being yielded. Any other log is checked here, holding only the current
     line. Errors are raised or passed to ``on_error`` in line order, each
-    when the groups of the lines before it have been yielded, and a read
-    error only after them, all as ``read_rollouts`` does. Closing the
-    generator closes the log and stops the workers.
+    when the groups of the lines before it have been yielded, as
+    ``read_rollouts`` does; an OSError in reading the log's lines is raised
+    after the items of every line read before it. Closing the generator
+    closes the log and stops the workers.
 
     ``evaluate``, a picklable function from a list of such tuples to one
-    tuple per group that does not depend on the other groups, makes the
-    reader yield its tuples instead: it runs on each span's groups in the
-    worker, or here on each run of lines that first holds ``_RUN_TOKENS``
-    tokens, so only one run of columns is held.
+    tuple or RolloutLogError per group that does not depend on the other
+    groups, makes the reader yield its tuples instead, and treat its errors
+    as a line's: without ``on_error``, the first group it refuses raises.
+    It runs on each span's groups in the worker, or here on each run of
+    lines that first holds ``_RUN_TOKENS`` tokens, so only one run of
+    columns is held.
     """
     with _open_log(path) as fh:
-        lines = enumerate(_raw_lines(fh), 1)
+        failures: list[OSError] = []
+        lines = _until_failure(enumerate(_raw_lines(fh), 1), failures)
         info = os.fstat(fh.fileno())
         # fork copies only this thread; sched_getaffinity exists only where fork does
         parallel = stat.S_ISREG(info.st_mode) and info.st_size >= _PARALLEL_BYTES \
@@ -390,13 +399,17 @@ def read_group_columns(
             if evaluate is not None:
                 items = _in_runs(items, evaluate)
         with closing(items):
-            for item in items:
-                if type(item) is tuple:
-                    yield item
-                elif on_error is None:
-                    raise item
-                else:
-                    on_error(item)
+            yield from _reported(items, on_error)
+        if failures:
+            raise failures[0]
+
+
+def _until_failure(lines: Iterator[tuple[int, bytes]], failures: list[OSError]) -> Iterator[tuple[int, bytes]]:
+    """The items of ``lines`` up to its OSError, if any, which goes to ``failures``."""
+    try:
+        yield from lines
+    except OSError as exc:
+        failures.append(exc)
 
 
 def _line_columns(loads, lines: Iterable[tuple[int, bytes]], default_eps_var: float) -> Iterator:
@@ -411,10 +424,10 @@ def _line_columns(loads, lines: Iterable[tuple[int, bytes]], default_eps_var: fl
         if columns:
             yield line_no, fields[0], *columns
             continue
-        failed: list = []
-        group = _parse_raw(raw, line_no, default_eps_var, failed.append)
-        yield from failed
-        if group is not None:
+        group = _parse_raw(raw, line_no, default_eps_var)
+        if isinstance(group, RolloutLogError):
+            yield group
+        elif group is not None:
             ratios = (np.fromiter(chain.from_iterable(r.ratios for r in group.responses), float, group.total_tokens)
                       if group.has_ratios else None)
             yield line_no, group.prompt_id, group.eps_var, list(group.rewards), list(group.lengths), ratios
@@ -426,27 +439,22 @@ def _line_columns(loads, lines: Iterable[tuple[int, bytes]], default_eps_var: fl
 _RUN_TOKENS = 8192
 
 
-def _in_runs(items: Iterator, evaluate: Callable[[list[tuple]], list[tuple]]) -> Iterator:
+def _in_runs(items: Iterator, evaluate: Callable[[list[tuple]], list[tuple | RolloutLogError]]) -> Iterator:
     """``_evaluated`` of each run of ``items`` that first holds
-    ``_RUN_TOKENS`` tokens, and of the rest; an OSError of ``items`` comes
-    after the run read before it."""
+    ``_RUN_TOKENS`` tokens, and of the rest."""
     run: list = []
     tokens = 0
-    try:
-        for item in items:
-            run.append(item)
-            tokens += sum(item[4]) if type(item) is tuple else 0
-            if tokens >= _RUN_TOKENS:
-                yield from _evaluated(run, evaluate)
-                run, tokens = [], 0
-    except OSError:
-        yield from _evaluated(run, evaluate)
-        raise
+    for item in items:
+        run.append(item)
+        tokens += sum(item[4]) if type(item) is tuple else 0
+        if tokens >= _RUN_TOKENS:
+            yield from _evaluated(run, evaluate)
+            run, tokens = [], 0
     yield from _evaluated(run, evaluate)
 
 
-def _evaluated(items: list, evaluate: Callable[[list[tuple]], list[tuple]]) -> list:
-    """``items`` with its groups' columns replaced by ``evaluate``'s tuples of them all."""
+def _evaluated(items: list, evaluate: Callable[[list[tuple]], list[tuple | RolloutLogError]]) -> list:
+    """``items`` with its groups' columns replaced by what ``evaluate`` gives for them all."""
     groups = [item for item in items if type(item) is tuple]
     if not groups:
         return items
@@ -464,25 +472,21 @@ _SPANS_PER_WORKER = 2
 
 
 def _columns_in_workers(fd: int, lines: Iterable[tuple[int, bytes]], workers: int, default_eps_var: float,
-                        evaluate: Callable[[list[tuple]], list[tuple]] | None):
+                        evaluate: Callable[[list[tuple]], list[tuple | RolloutLogError]] | None):
     """``_line_columns`` of ``lines``, of the log open at ``fd``, from ``workers``
     forked processes that each read back a span at a time and, given
-    ``evaluate``, evaluate its groups; an OSError of ``lines`` comes after
-    the items of the lines before it."""
+    ``evaluate``, evaluate its groups."""
     import multiprocessing
 
     pool = multiprocessing.get_context("fork").Pool(workers, signal.signal, (signal.SIGINT, signal.SIG_IGN))
     sent: deque = deque()
-    failures: list[OSError] = []
     try:
-        for span in _spans(lines, failures):
+        for span in _spans(lines):
             sent.append(pool.apply_async(_span_columns, (fd, *span, default_eps_var, evaluate)))
             if len(sent) > _SPANS_PER_WORKER * workers:
                 yield from sent.popleft().get()
         while sent:
             yield from sent.popleft().get()
-        if failures:
-            raise failures[0]
     finally:
         for reply in sent:  # Pool.terminate hangs if it stops a worker mid-reply
             reply.wait()
@@ -490,24 +494,20 @@ def _columns_in_workers(fd: int, lines: Iterable[tuple[int, bytes]], workers: in
         pool.join()
 
 
-def _spans(lines: Iterable[tuple[int, bytes]], failures: list[OSError]) -> Iterator[tuple[int, int, int, int]]:
-    """``(first line number, offset, size, number of lines)`` of each span
-    of ``lines``; an OSError of ``lines`` goes to ``failures`` and ends them."""
+def _spans(lines: Iterable[tuple[int, bytes]]) -> Iterator[tuple[int, int, int, int]]:
+    """``(first line number, offset, size, number of lines)`` of each span of ``lines``."""
     before = offset = size = line_no = 0
-    try:
-        for line_no, raw in lines:
-            size += len(raw)
-            if size >= _SPAN_BYTES:
-                yield before + 1, offset, size, line_no - before
-                before, offset, size = line_no, offset + size, 0
-    except OSError as exc:
-        failures.append(exc)
+    for line_no, raw in lines:
+        size += len(raw)
+        if size >= _SPAN_BYTES:
+            yield before + 1, offset, size, line_no - before
+            before, offset, size = line_no, offset + size, 0
     if line_no > before:
         yield before + 1, offset, size, line_no - before
 
 
 def _span_columns(fd: int, first: int, offset: int, size: int, count: int, default_eps_var: float,
-                  evaluate: Callable[[list[tuple]], list[tuple]] | None) -> list:
+                  evaluate: Callable[[list[tuple]], list[tuple | RolloutLogError]] | None) -> list:
     """A worker's ``_line_columns`` of a span read back from ``fd``, given
     ``evaluate`` its ``_evaluated``: bytes that split into other lines than
     the line pass read are an OSError."""

@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -13,10 +14,10 @@ import pytest
 import grpoagg
 from grpoagg import cli, rollout_io, sim
 from grpoagg.cli import main
-from grpoagg.aggregate import FlatBatch
+from grpoagg.aggregate import ClipConfig, FlatBatch
 from grpoagg.decompose import length_stats
 from grpoagg.groups import Response, RolloutGroup
-from grpoagg.rollout_io import METRIC_FIELDS, read_metrics, read_rollouts
+from grpoagg.rollout_io import METRIC_FIELDS, RolloutLogError, read_group_columns, read_metrics, read_rollouts
 
 from conftest import count_constructions, fail_check
 
@@ -503,6 +504,41 @@ def _refill_log(path):
                                   "ratios": [rng.uniform(0.7, 1.4) for _ in range(n)]})
         lines.append(json.dumps({"prompt_id": f"p{i}", "responses": responses}) + "\n")
     path.write_text("".join(lines), encoding="utf-8")
+
+
+def test_a_refused_group_reaches_on_error_in_line_order(tmp_path, monkeypatch):
+    # a group that normalisation or an objective refuses is a RolloutLogError
+    # for on_error, as a line that does not parse is, from either reader path
+    log = tmp_path / "refill.jsonl"
+    _refill_log(log)
+    evaluate = partial(cli._group_rows, ClipConfig())
+    spawned = []
+    spawn = rollout_io._columns_in_workers
+
+    def refusals():
+        errors = []
+        rows = list(read_group_columns(log, on_error=errors.append, evaluate=evaluate))
+        assert len(rows) + len(errors) == 120
+        return [(type(e), e.line_no, str(e)) for e in errors]
+
+    serial = refusals()
+    for span_bytes in (1, 4096):
+        with monkeypatch.context() as m:
+            m.setattr(rollout_io, "_columns_in_workers", lambda *args: spawned.append(1) or spawn(*args))
+            m.setattr(rollout_io, "_PARALLEL_BYTES", 0)
+            m.setattr(rollout_io, "_SPAN_BYTES", span_bytes)
+            m.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            assert refusals() == serial
+    assert len(spawned) == 2
+    normalisation = [i + 1 for i in range(120) if i % 7 == 3]
+    objective = [i + 1 for i in range(120) if i % 11 == 5 and i % 7 != 3]
+    assert (len(normalisation), len(objective)) == (17, 9)
+    assert [line_no for _, line_no, _ in serial] == sorted(normalisation + objective)
+    for kind, line_no, text in serial:
+        assert kind is RolloutLogError and text.startswith(f"line {line_no}: group 'p{line_no - 1}': ")
+        assert text.endswith(": an objective overflows a float") == (line_no in objective)
+    with pytest.raises(RolloutLogError, match=r"^line 4: group 'p3': "):  # without on_error, the first raises
+        list(read_group_columns(log, evaluate=evaluate))
 
 
 @pytest.mark.parametrize("window", [1, 3, 16])

@@ -577,11 +577,21 @@ def test_a_span_that_reads_back_otherwise_is_a_read_error(workers, tmp_path, mon
     # as one, or a 41st): the groups of the spans before the first such
     # span come, then an OSError, never another group
     monkeypatch.setattr(rollout_io, "_raw_lines", pass_lines)
+    path = _log_of(tmp_path / "log.jsonl", 40)
     got = []
     with pytest.raises(OSError, match=r"^lines \d+-\d+ read back as \d+ lines of \d+ bytes$"):
-        for item in read_group_columns(_log_of(tmp_path / "log.jsonl", 40)):
+        for item in read_group_columns(path):
             got.append(item[0])
     assert got == list(range(1, len(got) + 1)) and len(got) <= most
+    # in this process, as a worker reads a span back: the log's own 40
+    # lines, then the lines that the line pass reads
+    data = path.read_bytes()
+    passed = list(pass_lines(data.splitlines(keepends=True)))
+    with path.open("rb") as fh:
+        whole = rollout_io._span_columns(fh.fileno(), 1, 0, len(data), 40, 0.0, None)
+        assert [item[0] for item in whole] == list(range(1, 41))
+        with pytest.raises(OSError, match=rf"^lines 1-{len(passed)} read back as \d+ lines of \d+ bytes$"):
+            rollout_io._span_columns(fh.fileno(), 1, 0, sum(map(len, passed)), len(passed), 0.0, None)
 
 
 def _full_read(path):
