@@ -475,23 +475,25 @@ def _columns_in_workers(fd: int, lines: Iterable[tuple[int, bytes]], workers: in
                         evaluate: Callable[[list[tuple]], list[tuple | RolloutLogError]] | None):
     """``_line_columns`` of ``lines``, of the log open at ``fd``, from ``workers``
     forked processes that each read back a span at a time and, given
-    ``evaluate``, evaluate its groups."""
+    ``evaluate``, evaluate its groups. A worker that ends abruptly is an
+    OSError, raised in place of the first span it leaves without a reply."""
     import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-    pool = multiprocessing.get_context("fork").Pool(workers, signal.signal, (signal.SIGINT, signal.SIG_IGN))
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), initializer=signal.signal,
+                               initargs=(signal.SIGINT, signal.SIG_IGN))
     sent: deque = deque()
     try:
         for span in _spans(lines):
-            sent.append(pool.apply_async(_span_columns, (fd, *span, default_eps_var, evaluate)))
+            sent.append(pool.submit(_span_columns, fd, *span, default_eps_var, evaluate))
             if len(sent) > _SPANS_PER_WORKER * workers:
-                yield from sent.popleft().get()
+                yield from sent.popleft().result()
         while sent:
-            yield from sent.popleft().get()
+            yield from sent.popleft().result()
+    except BrokenProcessPool:
+        raise OSError("a worker process ended") from None
     finally:
-        for reply in sent:  # Pool.terminate hangs if it stops a worker mid-reply
-            reply.wait()
-        pool.close()
-        pool.join()
+        pool.shutdown()  # waits for the spans in flight: no worker is stopped mid-reply
 
 
 def _spans(lines: Iterable[tuple[int, bytes]]) -> Iterator[tuple[int, int, int, int]]:

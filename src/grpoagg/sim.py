@@ -20,25 +20,29 @@ as the old policy, and performs gradient ascent on the batch-mean objective
 of the configured aggregation rule. All four rules are evaluated on the
 same rollouts for logging. Sampling is seeded per (seed, step, prompt), so
 runs are deterministic and rule-comparison runs share rollout randomness
-per step. Response and RolloutGroup records are built only on request
-(``StepRollouts.groups``), for a rollout dump.
+per step. A run builds no Response or RolloutGroup record: a rollout dump is
+written as each step ends, as text made from the step's columns
+(``StepRollouts.jsonl``).
 """
 
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
-from itertools import compress, islice
+from contextlib import contextmanager, suppress
+from dataclasses import dataclass, field
+from itertools import accumulate, compress
 from math import fsum
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .aggregate import RULES, ClipConfig, FlatBatch, _central_difference, rule_table
 from .decompose import batch_metrics, length_stats
-from .groups import Response, RolloutGroup, normalize_columns
-from .rollout_io import MetricRecord, write_rollouts
+from .groups import _real, normalize_columns
+from .rollout_io import MetricRecord, parse_rollout_line
 
 __all__ = [
     "EOS_TOKEN",
@@ -235,8 +239,7 @@ class StepRollouts:
     each response's. Construction derives each group's token count, each
     token's (prompt, position, symbol) ``index`` into the table and its
     sampled log-probability ``logp``, and checks every ``logp`` finite in one
-    pass; when one is not, the step is built as records, so the error is the
-    record validator's.
+    pass; the first that is not raises the record validator's error for it.
     """
 
     log_probs: np.ndarray
@@ -251,40 +254,44 @@ class StepRollouts:
     logp: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        group_tokens = []
-        i = 0
-        for size in self.sizes:
-            group_tokens.append(sum(self.lengths[i : i + size]))
-            i += size
+        starts = [0, *accumulate(self.sizes)]
+        group_tokens = tuple(sum(self.lengths[a:b]) for a, b in zip(starts, starts[1:]))
         lengths = np.asarray(self.lengths, dtype=np.intp)
         positions = np.arange(self.tokens.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         index = (np.repeat(np.asarray(self.prompts, dtype=np.intp), group_tokens), positions, self.tokens)
-        object.__setattr__(self, "group_tokens", tuple(group_tokens))
+        object.__setattr__(self, "group_tokens", group_tokens)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "logp", self.log_probs[index])
         if not np.isfinite(self.logp).all():
-            self.groups()  # raises: each logp is its response's logp_new, which must be finite
+            first = np.flatnonzero(~np.isfinite(self.logp))[0]
+            _real(self.logp[first].item(), f"logp_new[{positions[first]}]")  # raises
 
-    def groups(self, eps_var: float = 0.0) -> list[RolloutGroup]:
-        """The step as records: one group per prompt, its id ``str(prompt)``,
-        each response's logp_new and logp_old both its sampled log-probabilities."""
-        tokens, logp = self.tokens.tolist(), self.logp.tolist()
-        rows = iter(zip(self.lengths, self.rewards, self.truncated))
-        out = []
-        start = 0
-        for prompt, size in zip(self.prompts, self.sizes):
-            responses = []
-            for length, reward, truncated in islice(rows, size):
-                end = start + length
-                lp = tuple(logp[start:end])
-                responses.append(
-                    Response(
-                        tuple(tokens[start:end]), reward, logp_new=lp, logp_old=lp, truncated=truncated
-                    )
-                )
-                start = end
-            out.append(RolloutGroup(str(prompt), tuple(responses), eps_var))
-        return out
+    def jsonl(self, eps_var: float, step: int | None = None) -> str:
+        """The step's groups as JSONL, each line the bytes of
+        ``json.dumps(group_to_dict(group), separators=(",", ":"))``: one
+        group per prompt, its id ``s<step>-p<prompt>`` given ``step`` and
+        none otherwise, each response's ratios 1.0 and its logp_new and
+        logp_old both its sampled log-probabilities."""
+        tokens = list(map(str, self.tokens.tolist()))
+        # float.__repr__, as json.dumps writes a float, once per distinct value (by its bits: 0.0 is not -0.0)
+        bits, inverse = np.unique(self.logp.view(np.int64), return_inverse=True)
+        logp = list(map(list(map(repr, bits.view(np.float64).tolist())).__getitem__, inverse.tolist()))
+        responses = []
+        for end, length, reward, truncated in zip(accumulate(self.lengths), self.lengths, self.rewards,
+                                                  self.truncated):
+            lp = ",".join(logp[end - length : end])
+            responses.append(
+                f'{{"tokens":[{",".join(tokens[end - length : end])}],"reward":{float(reward)!r},'
+                f'"ratios":[{",".join(["1.0"] * length)}],"logp_new":[{lp}],"logp_old":[{lp}]'
+                + (',"truncated":true}' if truncated else "}")
+            )
+        starts = [0, *accumulate(self.sizes)]
+        ids = [""] * len(self.prompts) if step is None else [f'"group_id":"s{step}-p{p}",' for p in self.prompts]
+        return "".join(
+            f'{{"v":1,{group_id}"prompt_id":"{prompt}","eps_var":{float(eps_var)!r},'
+            f'"responses":[{",".join(responses[a:b])}]}}\n'
+            for group_id, prompt, a, b in zip(ids, self.prompts, starts, starts[1:])
+        )
 
 
 def sample_step(
@@ -298,7 +305,7 @@ def sample_step(
 
     Responses without EOS by t_max are truncated and flagged. The policy's
     log-probabilities are computed once, and that table is the step's old
-    policy too, so a record built from the step has ratios of exactly 1.
+    policy too, so the step's ratios at sampling are exactly 1.
 
     Group j draws its uniforms from ``seeds[j]`` as one block of G * t_max;
     each token takes the next draw in order, so the rollouts are those of one
@@ -323,9 +330,7 @@ def sample_step(
     lp = policy.log_probs()
     cums = np.cumsum(np.exp(lp[prompts]), axis=2)[:, :, :-1].tolist()
     tokens: list[int] = []
-    lengths = []
-    rewards = []
-    truncated = []
+    lengths, rewards, truncated = [], [], []
     for p, seed, cum in zip(prompts, seeds, cums):
         draws = np.random.default_rng(seed).random(group_size * task.t_max).tolist()
         k = 0
@@ -341,27 +346,15 @@ def sample_step(
             lengths.append(len(response))
             rewards.append(_reward(task, p, response))
             truncated.append(v != EOS_TOKEN)
-    return StepRollouts(
-        lp,
-        tuple(prompts),
-        (group_size,) * len(prompts),
-        np.array(tokens, dtype=np.intp),
-        tuple(lengths),
-        tuple(rewards),
-        tuple(truncated),
-    )
+    return StepRollouts(lp, tuple(prompts), (group_size,) * len(prompts), np.array(tokens, dtype=np.intp),
+                        tuple(lengths), tuple(rewards), tuple(truncated))
 
 
-def sample_group(
-    policy: PolicyTable,
-    task: TaskSpec,
-    prompt_index: int,
-    group_size: int,
-    seed,
-    eps_var: float = 0.0,
-) -> RolloutGroup:
-    """sample_step for one prompt, as a record; deterministic given ``seed``."""
-    return sample_step(policy, task, [prompt_index], group_size, [seed]).groups(eps_var)[0]
+def sample_group(policy: PolicyTable, task: TaskSpec, prompt_index: int, group_size: int, seed,
+                 eps_var: float = 0.0):
+    """sample_step for one prompt, as the RolloutGroup its JSONL line reads
+    back as; deterministic given ``seed``."""
+    return parse_rollout_line(sample_step(policy, task, [prompt_index], group_size, [seed]).jsonl(eps_var))
 
 
 @dataclass(frozen=True)
@@ -470,17 +463,10 @@ def train_step(
     ``on_degenerate`` is called with the step's count of them when it is
     not 0; a group whose variance overflows raises its ValueError.
     """
-    rollouts = sample_step(
-        policy,
-        task,
-        prompt_indices,
-        config.group_size,
-        [rollout_seed(config.seed, step, p) for p in prompt_indices],
-    )
+    seeds = [rollout_seed(config.seed, step, p) for p in prompt_indices]
+    rollouts = sample_step(policy, task, prompt_indices, config.group_size, seeds)
     rewards, lengths, sizes = rollouts.rewards, rollouts.lengths, rollouts.sizes
-    normalized = normalize_columns(
-        rewards, sizes, [config.eps_var] * len(sizes), list(map(str, rollouts.prompts))
-    )
+    normalized = normalize_columns(rewards, sizes, [config.eps_var] * len(sizes), list(map(str, rollouts.prompts)))
     if normalized.errors:
         raise ValueError(next(iter(normalized.errors.values())))
     if normalized.degenerate and on_degenerate is not None:
@@ -498,11 +484,8 @@ def train_step(
         current = PolicyTable(current.logits + config.learning_rate * ev.grad_logits)
     objectives = {r: fsum(v) / len(v) for r, v in values.items()}
     positive = advantages > 0.0
-    stats = length_stats(
-        lengths,
-        list(compress(lengths, positive.tolist())),
-        list(compress(lengths, (advantages < 0.0).tolist())),
-    )
+    stats = length_stats(lengths, list(compress(lengths, positive.tolist())),
+                         list(compress(lengths, (advantages < 0.0).tolist())))
     ks = np.add.reduce(positive.reshape(len(sizes), config.group_size), axis=1, dtype=np.intp).tolist()
     records = batch_metrics(step, stats, rewards, ks, objectives, fsum(clip_fracs) / len(clip_fracs))
     return current, records, rollouts
@@ -517,38 +500,50 @@ def run_training(
     """Run ``config.steps`` steps over every prompt of ``task`` from a
     uniform policy; returns (records, final policy), four records per step.
 
-    With ``rollouts_path``, writes a JSONL dump of every sampled group (the
-    only use of Response records in a run) after the last step, creating its
-    directory. Raises ValueError before any work when one step's
-    prompts * group_size * t_max * vocab_size exceeds MAX_STEP_CELLS, or
-    that times steps * inner_epochs exceeds MAX_WORK_CELLS. ``on_degenerate``
-    is passed to every train_step.
+    With ``rollouts_path``, appends each step's ``StepRollouts.jsonl`` to a
+    JSONL dump as the step ends (see ``_dump_file``). Raises ValueError
+    before any work when one step's prompts * group_size * t_max *
+    vocab_size exceeds MAX_STEP_CELLS, or that times steps * inner_epochs
+    exceeds MAX_WORK_CELLS. ``on_degenerate`` is passed to every train_step.
     """
     step_cells = task.num_prompts * config.group_size * task.t_max * task.vocab_size
-    _check_cells(
-        "step cells (prompts * group_size * t_max * vocab_size)",
-        step_cells,
-        MAX_STEP_CELLS,
-    )
-    _check_cells(
-        "work cells (steps * inner_epochs * step cells)",
-        config.steps * config.inner_epochs * step_cells,
-        MAX_WORK_CELLS,
-    )
+    _check_cells("step cells (prompts * group_size * t_max * vocab_size)", step_cells, MAX_STEP_CELLS)
+    _check_cells("work cells (steps * inner_epochs * step cells)", config.steps * config.inner_epochs * step_cells,
+                 MAX_WORK_CELLS)
     policy = PolicyTable.uniform(task.num_prompts, task.t_max, task.vocab_size)
     records: list[MetricRecord] = []
-    dumped: list[RolloutGroup] = []
-    for step in range(config.steps):
-        policy, recs, rollouts = train_step(policy, task, range(task.num_prompts), config, step, on_degenerate)
-        records.extend(recs)
-        if rollouts_path is not None:
-            dumped.extend(
-                replace(g, group_id=f"s{step}-p{g.prompt_id}")
-                for g in rollouts.groups(config.eps_var)
-            )
-    if rollouts_path is not None:
-        write_rollouts(dumped, rollouts_path)
+    with _dump_file(rollouts_path) as dump:
+        for step in range(config.steps):
+            policy, recs, rollouts = train_step(policy, task, range(task.num_prompts), config, step, on_degenerate)
+            records.extend(recs)
+            if dump is not None:
+                dump.write(rollouts.jsonl(config.eps_var, step))
     return records, policy
+
+
+@contextmanager
+def _dump_file(path):
+    """A text file that becomes ``path`` when the block ends, or None without
+    ``path``. It is written under a temporary name in ``path``'s directory,
+    which is created; when the block raises, the file and every directory
+    made for it are removed, so a failed run leaves no dump."""
+    if path is None:
+        yield None
+        return
+    path = Path(path)
+    made = [directory for directory in path.parents if not directory.exists()]  # deepest first
+    part = path.with_name(path.name + ".part")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(part, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(part, path)
+    except BaseException:
+        with suppress(OSError):
+            part.unlink(missing_ok=True)
+            for directory in made:
+                directory.rmdir()
+        raise
 
 
 def logit_gradient_check(

@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -481,6 +482,70 @@ def test_analyze_read_error_mid_log_keeps_the_windows_read_before_it(tmp_path, c
     assert not (out / "regime.txt").exists()
 
 
+# Runs in a child: analyze reads the log of argv[1] in two worker processes,
+# one span a line; the worker that gets the span of line 21 SIGKILLs itself
+# once the spans of lines 1-20 are read. Prints the exit code and the
+# processes left whose parent is the child.
+WORKER_DIES = """
+import json, multiprocessing, os, signal, sys, time
+from pathlib import Path
+from grpoagg import cli, rollout_io
+
+main_pid = os.getpid()
+span_columns = rollout_io._span_columns
+read = multiprocessing.Value("i", 0)
+
+def dying_span_columns(fd, first, *rest):
+    if first == 21 and os.getpid() != main_pid:
+        deadline = time.monotonic() + 5
+        while read.value < 20 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.2)  # their replies are sent
+        os.kill(os.getpid(), signal.SIGKILL)
+    items = span_columns(fd, first, *rest)
+    with read.get_lock():
+        read.value += 1
+    return items
+
+rollout_io._span_columns = dying_span_columns
+rollout_io._PARALLEL_BYTES = 0
+rollout_io._SPAN_BYTES = 1
+os.sched_getaffinity = lambda pid: {0, 1}
+code = cli.main(["analyze", "--input", sys.argv[1], "--window", "4", "--out", sys.argv[2]])
+
+def parent_of(stat):
+    try:
+        return int(stat.read_text().rsplit(")", 1)[1].split()[1])
+    except (OSError, IndexError):
+        return None  # the process ended while it was listed
+
+left = [p.parent.name for p in Path("/proc").glob("[0-9]*/stat") if parent_of(p) == main_pid]
+print(json.dumps({"code": code, "active": len(multiprocessing.active_children()), "left": left}))
+"""
+
+
+def test_analyze_ends_with_an_error_when_a_worker_dies(tmp_path, capsys):
+    # the worker's span and those after it are lost; the windows of lines
+    # 1-20, read before it, are written, and no worker is left running
+    log = tmp_path / "log.jsonl"
+    write_log(log, 40)
+    twenty = tmp_path / "twenty.jsonl"
+    twenty.write_bytes(b"".join(log.read_bytes().splitlines(keepends=True)[:20]))
+    code, _, _ = run_cli(capsys, "analyze", "--input", str(twenty), "--window", "4", "--out", str(tmp_path / "twenty"))
+    assert code == 0
+    src = str(Path(grpoagg.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-c", WORKER_DIES, str(log), str(out)], capture_output=True,
+                          text=True, env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"code": 1, "active": 0, "left": []}
+    assert proc.stderr == f"error: cannot read {log}: a worker process ended\n"
+    assert (out / "analysis.csv").read_bytes() == (tmp_path / "twenty" / "analysis.csv").read_bytes()
+    assert len((out / "analysis.csv").read_text(encoding="utf-8").splitlines()) == 1 + 5 * 4
+    assert not (out / "regime.txt").exists()
+
+
 def _refill_log(path):
     """A log of about 12,000 tokens in which some groups fail normalisation
     or overflow an objective, so windows are refilled from later lines; one
@@ -787,6 +852,55 @@ def test_failed_run_leaves_no_out_directory(tmp_path, capsys, monkeypatch, comma
     assert code == 2
     assert err == "error: group '0': reward variance is out of float range\n"
     assert not out.exists()
+
+
+def _failing_at_step(monkeypatch, exc, step, rule=None):
+    """Make evaluate_batch raise ``exc`` at ``step`` of each lineage (of
+    ``rule``'s alone, given one); every step evaluates one batch."""
+    evaluate = sim.evaluate_batch
+    calls = Counter()
+
+    def failing(policy, rollouts, advantages, rule_, *args, **kwargs):
+        calls[rule_] += 1
+        if calls[rule_] == step + 1 and rule in (None, rule_):
+            raise exc
+        return evaluate(policy, rollouts, advantages, rule_, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "evaluate_batch", failing)
+
+
+@pytest.mark.parametrize("exc", [sim.SimulationError("non-finite gradient for prompt 0"), KeyboardInterrupt()],
+                         ids=["SimulationError", "KeyboardInterrupt"])
+@pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+def test_a_failed_dumping_run_leaves_no_dump_and_no_out_it_created(tmp_path, monkeypatch, exc, existing):
+    # the dump is written as each step ends; when step 2 fails, the written
+    # steps, the file they went to and every directory made for it go
+    if existing:
+        (tmp_path / "made" / "out").mkdir(parents=True)
+    _failing_at_step(monkeypatch, exc, 2)
+    with pytest.raises(type(exc)):
+        main(["simulate", "--steps", "5", "--dump-rollouts", "--out", str(tmp_path / "made" / "out")])
+    assert sorted(tmp_path.rglob("*")) == ([tmp_path / "made", tmp_path / "made" / "out"] if existing else [])
+
+
+def test_a_compare_that_fails_in_its_second_lineage_keeps_the_first_lineage_files(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    code, _, _ = run_cli(capsys, "compare", "--steps", "5", "--dump-rollouts", "--out", str(tmp_path / "want"))
+    assert code == 0
+    _failing_at_step(monkeypatch, sim.SimulationError("non-finite gradient for prompt 0"), 2, rule="seq")
+    with pytest.raises(sim.SimulationError):
+        main(["compare", "--steps", "5", "--dump-rollouts", "--out", str(out)])
+    assert sorted(path.name for path in out.iterdir()) == ["policy_token.npz", "rollouts_token.jsonl"]
+    assert (out / "rollouts_token.jsonl").read_bytes() == (tmp_path / "want" / "rollouts_token.jsonl").read_bytes()
+
+
+def test_a_dump_of_zero_steps_is_an_empty_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "simulate", "--steps", "0", "--dump-rollouts", "--out", str(out))
+    assert (code, err) == (0, "")
+    assert sorted(path.name for path in out.iterdir()) == ["metrics_balanced.csv", "policy_balanced.npz",
+                                                           "rollouts_balanced.jsonl"]
+    assert (out / "rollouts_balanced.jsonl").read_bytes() == b""
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 from math import fsum
@@ -15,7 +16,7 @@ from grpoagg.aggregate import (
 from grpoagg.cli import main
 from grpoagg.decompose import batch_metrics, decompose, length_stats
 from grpoagg.groups import Response, RolloutGroup, normalize_advantages, normalize_columns
-from grpoagg.rollout_io import write_metrics
+from grpoagg.rollout_io import group_to_dict, parse_rollout_line, write_metrics
 from grpoagg.sim import (
     COUNT_SYMBOL,
     EOS_TOKEN,
@@ -42,6 +43,11 @@ from conftest import count_constructions, length_columns, reference_rule_sums, r
 def flat_advantages(advs):
     """Each response's advantage, in order, as evaluate_batch takes them."""
     return np.concatenate(advs)
+
+
+def step_groups(rollouts, eps_var):
+    """The step's groups as records, read back from its JSONL text."""
+    return [parse_rollout_line(line) for line in rollouts.jsonl(eps_var).splitlines()]
 
 
 def rollouts_of(groups, old):
@@ -266,11 +272,33 @@ def test_sample_group_matches_per_token_reference():
                 step = seed + batch
                 prompts = [(step * batch + j) % 3 for j in range(batch)]
                 _, _, rollouts = train_step(policy, task, prompts, config, step)
-                assert rollouts.groups(config.eps_var) == [
+                assert step_groups(rollouts, config.eps_var) == [
                     reference_sample_group(policy, task, p, group_size, rollout_seed(seed, step, p),
                                            config.eps_var)
                     for p in prompts
                 ]
+    # EOS before t_max, EOS exactly at position t_max - 1, and truncation all occur
+    assert ends == {(False, False), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("eps_var", [0, 1e-6], ids=["int-0", "1e-6"])
+def test_a_dumped_line_is_the_reference_encoding_of_its_group(tmp_path, eps_var):
+    # the dump is written from the step's columns; each line must be the
+    # bytes write_rollouts gives for the group it reads back as
+    ends = set()
+    for kind, group_size, t_max, vocab in [("count", 16, 8, 3), ("free-length", 7, 3, 2),
+                                           ("free-length", 5, 12, 6), ("count", 64, 32, 8)]:
+        task = TaskSpec(kind, vocab_size=vocab, t_max=t_max, num_prompts=3)
+        config = TrainConfig(rule="token", steps=3, group_size=group_size, learning_rate=0.5, eps_var=eps_var)
+        path = tmp_path / f"{kind}-{t_max}.jsonl"
+        run_training(task, config, rollouts_path=path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 3 * 3
+        for i, line in enumerate(lines):
+            group = parse_rollout_line(line)
+            assert line == json.dumps(group_to_dict(group), separators=(",", ":"))
+            assert group.group_id == f"s{i // 3}-p{i % 3}" and group.eps_var == eps_var
+            ends |= {(r.length == t_max, r.truncated) for r in group.responses}
     # EOS before t_max, EOS exactly at position t_max - 1, and truncation all occur
     assert ends == {(False, False), (True, False), (True, True)}
 
@@ -328,15 +356,14 @@ def test_train_step_computes_log_probs_once_to_sample_and_once_per_epoch(monkeyp
     assert calls[:2] == [policy, policy]  # sampling, then the first epoch
 
 
-def test_run_training_builds_records_only_for_a_dump(monkeypatch, tmp_path):
-    built = []
-    post_init = Response.__post_init__
-    monkeypatch.setattr(Response, "__post_init__", lambda self: built.append(1) or post_init(self))
+def test_run_training_builds_no_record_with_or_without_a_dump(monkeypatch, tmp_path):
+    built = count_constructions(monkeypatch, Response, RolloutGroup)
     config = TrainConfig(rule="balanced", steps=3, group_size=4, seed=1)
     run_training(count_task(), config)
     assert built == []
     run_training(count_task(), config, rollouts_path=tmp_path / "r.jsonl")
-    assert len(built) == 3 * 4 * 4  # steps * prompts * group_size
+    assert built == []
+    assert len((tmp_path / "r.jsonl").read_text(encoding="utf-8").splitlines()) == 3 * 4  # steps * prompts
 
 
 def test_train_step_builds_no_per_group_record(monkeypatch):
@@ -356,7 +383,7 @@ def test_train_step_equals_evaluate_batch_over_its_materialised_groups():
                          inner_epochs=3)
     policy = PolicyTable(np.random.default_rng(4).normal(size=(5, 8, 3)))
     new_policy, records, rollouts = train_step(policy, task, [3, 4, 0], config, 1)
-    groups = rollouts.groups(config.eps_var)
+    groups = step_groups(rollouts, config.eps_var)
     rebuilt = rollouts_of(groups, policy)
     for name in ("prompts", "sizes", "lengths", "rewards", "truncated", "group_tokens"):
         assert getattr(rebuilt, name) == getattr(rollouts, name)
@@ -442,7 +469,7 @@ def test_first_epoch_update_matches_reinforce_oracle(rule):
     lr = 0.1
     config = TrainConfig(rule=rule, steps=1, group_size=4, learning_rate=lr, seed=9)
     new_policy, _, rollouts = train_step(policy, task, range(2), config, 0)
-    groups = rollouts.groups(config.eps_var)
+    groups = step_groups(rollouts, config.eps_var)
     update = (new_policy.logits - policy.logits) / lr
     oracle = reinforce_oracle_grad(policy.logits, groups, rule, config.eps_var)
     np.testing.assert_allclose(update, oracle, rtol=1e-10, atol=1e-14)
@@ -562,7 +589,7 @@ def test_inner_epochs_move_ratios_off_one():
     assert not np.array_equal(new_policy.logits, policy.logits)
     # second and later epochs see off-policy ratios; the logged objective
     # averages over epochs, so it can move away from the on-policy value
-    advs = [normalize_advantages(g) for g in rollouts.groups(config.eps_var)]
+    advs = [normalize_advantages(g) for g in step_groups(rollouts, config.eps_var)]
     ev = evaluate_batch(new_policy, rollouts, flat_advantages(advs), "balanced", config.clip)
     assert ev.objective != 0.0
 
@@ -643,7 +670,7 @@ def test_evaluate_batch_one_pass_matches_per_rule_evaluation():
     config = TrainConfig(rule="token", steps=1, learning_rate=0.5, seed=5, inner_epochs=2)
     policy = PolicyTable.uniform(4, 8, 3)
     new_policy, _, rollouts = train_step(policy, task, range(4), config, 0)
-    groups = rollouts.groups(config.eps_var)
+    groups = step_groups(rollouts, config.eps_var)
     advs = [normalize_advantages(g) for g in groups]
     lp_new, lp_old = new_policy.log_probs(), policy.log_probs()
     arrays = [policy_ratio_arrays(g, lp_new, lp_old) for g in groups]
@@ -697,7 +724,7 @@ def test_evaluate_batch_matches_per_response_reference():
     config = TrainConfig(rule="token", steps=1, learning_rate=20.0, seed=8, inner_epochs=2)
     old = PolicyTable.uniform(4, 8, 3)
     policy, _, rollouts = train_step(old, task, range(4), config, 0)
-    groups = rollouts.groups(config.eps_var)
+    groups = step_groups(rollouts, config.eps_var)
     advs = [normalize_advantages(g) for g in groups]
     a = advs[0].tolist()
     # all rewards equal under the eps_var floor: all-zero advantages, a degenerate group

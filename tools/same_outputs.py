@@ -14,7 +14,9 @@ and ``analyze-short`` logs (written by ``bench/inputs.py``),
 ``tests/data/faulty_rollouts.jsonl``, ``tests/data/golden/rollouts_balanced.jsonl``
 and a log whose groups are refused by normalisation or by an overflowing
 objective. The other cases are ``verify --seed 0`` and ``--seed 7``,
-``simulate --steps 20`` and ``compare --steps 10 --locked-rollouts``.
+``simulate --steps 20``, ``compare --steps 10 --locked-rollouts``, and the
+rollout dumps of ``simulate --steps 20``, ``compare --steps 10`` and
+``simulate --steps 0`` (``--dump-rollouts``).
 
 Prints each case that differs and then ``k of n identical``; the exit code is
 1 on any difference. Needs only the standard library and numpy.
@@ -103,7 +105,10 @@ def cases(directory: Path) -> list[tuple[str, dict, list[str]]]:
                     found.append((name, dict(patches, orjson=decoder == "orjson"), argv))
     for argv in (["verify", "--seed", "0"], ["verify", "--seed", "7"],
                  ["simulate", "--steps", "20", "--out", "out"],
-                 ["compare", "--steps", "10", "--locked-rollouts", "--out", "out"]):
+                 ["compare", "--steps", "10", "--locked-rollouts", "--out", "out"],
+                 ["simulate", "--steps", "20", "--dump-rollouts", "--out", "out"],
+                 ["compare", "--steps", "10", "--dump-rollouts", "--out", "out"],
+                 ["simulate", "--steps", "0", "--dump-rollouts", "--out", "out"]):
         found.append((" ".join(argv), {}, argv))
     return found
 
