@@ -50,12 +50,14 @@ import io
 import json
 import math
 import os
+import pickle
 import re
 import signal
 import stat
+import struct
 import threading
 from collections import deque
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -376,7 +378,7 @@ def read_group_columns(
     after the items of every line read before it. Closing the generator
     closes the log and stops the workers.
 
-    ``evaluate``, a picklable function from a list of such tuples to one
+    ``evaluate``, a function from a list of such tuples to one
     tuple or RolloutLogError per group that does not depend on the other
     groups, makes the reader yield its tuples instead, and treat its errors
     as a line's: without ``on_error``, the first group it refuses raises.
@@ -462,38 +464,89 @@ def _evaluated(items: list, evaluate: Callable[[list[tuple]], list[tuple | Rollo
     return [next(rows) if type(item) is tuple else item for item in items]
 
 
-# Below _PARALLEL_BYTES, starting the workers (about 40 ms) costs more than
-# they save: a log of short lines breaks even near 3.5 MiB and one of long
-# lines near 7 MiB, and at 5 MiB neither loses more than about a quarter.
+# The workers pay off only on a large log: starting two and a first reply
+# take about 8 ms, and each one's first span 7-22 ms more CPU than its later
+# ones. On a 2-CPU host both bench line shapes lose at 1-8 MiB (by 15-61%)
+# and win at 16 MiB, so there _PARALLEL_BYTES is below the crossover.
 # A span is a run of whole lines that first reaches _SPAN_BYTES.
 _PARALLEL_BYTES = 5 << 20
 _SPAN_BYTES = 1 << 20
 _SPANS_PER_WORKER = 2
+_TASK = struct.Struct("4q")  # a span as _spans gives it, as sent to a worker
 
 
 def _columns_in_workers(fd: int, lines: Iterable[tuple[int, bytes]], workers: int, default_eps_var: float,
                         evaluate: Callable[[list[tuple]], list[tuple | RolloutLogError]] | None):
     """``_line_columns`` of ``lines``, of the log open at ``fd``, from ``workers``
     forked processes that each read back a span at a time and, given
-    ``evaluate``, evaluate its groups. A worker that ends abruptly is an
-    OSError, raised in place of the first span it leaves without a reply."""
-    import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), initializer=signal.signal,
-                               initargs=(signal.SIGINT, signal.SIG_IGN))
-    sent: deque = deque()
+    ``evaluate``, evaluate its groups; span i goes to worker i % ``workers``.
+    A worker that ends abruptly is an OSError, raised in place of the first
+    span it leaves without a reply."""
+    _orjson()  # resolved before the fork, so that every worker inherits it
+    children: list[tuple[int, io.FileIO, io.BufferedReader]] = []
     try:
-        for span in _spans(lines):
-            sent.append(pool.submit(_span_columns, fd, *span, default_eps_var, evaluate))
+        for _ in range(workers):
+            children.append(_fork_worker(fd, default_eps_var, evaluate, children))
+        sent: deque = deque()
+        for index, span in enumerate(_spans(lines)):
+            _, tasks, replies = children[index % workers]
+            with suppress(BrokenPipeError):  # the worker has ended: its replies end too
+                tasks.write(_TASK.pack(*span))
+            sent.append(replies)
             if len(sent) > _SPANS_PER_WORKER * workers:
-                yield from sent.popleft().result()
+                yield from _reply(sent.popleft())
         while sent:
-            yield from sent.popleft().result()
-    except BrokenProcessPool:
-        raise OSError("a worker process ended") from None
+            yield from _reply(sent.popleft())
+    finally:  # ends a worker blocked on sending a reply, then one waiting for a span
+        for pipe in [replies for *_, replies in children] + [tasks for _, tasks, _ in children]:
+            pipe.close()
+        for pid, *_ in children:
+            os.waitpid(pid, 0)
+
+
+def _fork_worker(fd: int, default_eps_var: float, evaluate, others: list) -> tuple[int, io.FileIO, io.BufferedReader]:
+    """A forked worker's pid, task pipe and reply pipe. Until its task pipe ends it
+    replies to each span with ``_span_columns`` or the exception that raises,
+    pickled, after their size. It ignores SIGINT and leaves only by ``os._exit``."""
+    task_read, task_write, reply_read, reply_write = ends = os.pipe() + os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for end in ends:
+            os.close(end)
+        raise
+    if pid:
+        os.close(task_read)
+        os.close(reply_write)
+        return pid, open(task_write, "wb", buffering=0), open(reply_read, "rb")
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        for end in [task_write, reply_read, *chain.from_iterable((t.fileno(), r.fileno()) for _, t, r in others)]:
+            os.close(end)
+        with open(task_read, "rb") as tasks, open(reply_write, "wb") as replies:
+            while task := tasks.read(_TASK.size):
+                try:
+                    reply = _span_columns(fd, *_TASK.unpack(task), default_eps_var, evaluate)
+                except Exception as exc:
+                    reply = exc
+                data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+                replies.write(len(data).to_bytes(8, "little") + data)
+                replies.flush()
     finally:
-        pool.shutdown()  # waits for the spans in flight: no worker is stopped mid-reply
+        os._exit(0)
+
+
+def _reply(replies: io.BufferedReader) -> list:
+    """The items of a worker's next reply; an exception sent in their place
+    is raised, and so is an OSError if the pipe ends first."""
+    size = int.from_bytes(replies.read(8), "little")
+    data = replies.read(size)
+    if not data or len(data) < size:
+        raise OSError("a worker process ended")
+    reply = pickle.loads(data)
+    if isinstance(reply, BaseException):
+        raise reply
+    return reply
 
 
 def _spans(lines: Iterable[tuple[int, bytes]]) -> Iterator[tuple[int, int, int, int]]:

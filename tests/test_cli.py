@@ -546,6 +546,31 @@ def test_analyze_ends_with_an_error_when_a_worker_dies(tmp_path, capsys):
     assert not (out / "regime.txt").exists()
 
 
+def test_the_worker_path_imports_no_process_pool(tmp_path):
+    # a fresh process that analyzes a log in two forked workers, which
+    # inherit its bulk decoder
+    code = (
+        "import os, sys\n"
+        "from grpoagg import cli, rollout_io\n"
+        "spawn = rollout_io._columns_in_workers\n"
+        "spawned = []\n"
+        "rollout_io._columns_in_workers = lambda *args: spawned.append(1) or spawn(*args)\n"
+        "rollout_io._PARALLEL_BYTES = 0\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "assert cli.main(['analyze', '--input', sys.argv[1], '--window', '2', '--out', sys.argv[2]]) == 0\n"
+        "assert spawned == [1]\n"
+        "assert rollout_io._fast_loads is not rollout_io._UNRESOLVED  # resolved here, for the workers\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+    )
+    src = str(Path(grpoagg.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-c", code, str(DATA / "faulty_rollouts.jsonl"), str(tmp_path)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "analysis.csv").read_bytes() == (DATA / "golden" / "analysis.csv").read_bytes()
+
+
 def _refill_log(path):
     """A log of about 12,000 tokens in which some groups fail normalisation
     or overflow an objective, so windows are refilled from later lines; one

@@ -17,9 +17,11 @@ import multiprocessing
 import os
 import random
 import shutil
+import signal
 import struct
 import sys
 import threading
+import time
 from decimal import Decimal
 from itertools import chain, islice
 from pathlib import Path
@@ -624,11 +626,65 @@ def _read_error(path):
             list(read_group_columns(path))
 
 
-@pytest.mark.parametrize("read", [_full_read, _closed_after_one, _strict_error, _read_error],
-                         ids=["full", "close", "strict-error", "read-error"])
+def _interrupted(path):
+    # the log's 40 lines are three spans: the next two are in flight
+    read = read_group_columns(path)
+    assert next(read)[0] == 1
+    with pytest.raises(KeyboardInterrupt):
+        read.throw(KeyboardInterrupt)
+
+
+@pytest.mark.parametrize("read", [_full_read, _closed_after_one, _strict_error, _read_error, _interrupted],
+                         ids=["full", "close", "strict-error", "read-error", "interrupted"])
 def test_no_worker_is_left_running(tmp_path, read):
     with in_workers(4096):
         read(_log_of(tmp_path / "log.jsonl", 40))
+    _assert_no_worker_left()
+
+
+def test_a_worker_exception_reaches_the_caller(tmp_path, monkeypatch):
+    # a worker, which ignores SIGINT, fails on the span of line 21 with an
+    # exception of its own: the groups of lines 1-20 come, then that
+    # exception as its own type, and no worker is left running
+    span_columns = rollout_io._span_columns
+
+    def failing_span_columns(fd, first, *rest):
+        if signal.getsignal(signal.SIGINT) is not signal.SIG_IGN:
+            raise AssertionError("the span was read by a process that takes SIGINT")
+        if first == 21:
+            raise MemoryError("no room for the span of line 21")
+        return span_columns(fd, first, *rest)
+
+    monkeypatch.setattr(rollout_io, "_span_columns", failing_span_columns)
+    got = []
+    with in_workers(1), pytest.raises(MemoryError, match="^no room for the span of line 21$"):
+        for item in read_group_columns(_log_of(tmp_path / "log.jsonl", 40)):
+            got.append(item[0])
+    assert got == list(range(1, 21))
+    _assert_no_worker_left()
+
+
+def test_a_span_sent_to_an_ended_worker_is_the_worker_error(tmp_path, monkeypatch):
+    # the worker of line 1's span ends at once, and line 3's span is sent
+    # to it after that: the pipe it was sent on is broken, but the error is
+    # the one of the first span left without a reply, and no worker is left
+    span_columns, spans, pid = rollout_io._span_columns, rollout_io._spans, os.getpid()
+
+    def ending_span_columns(fd, first, *rest):
+        if first == 1 and os.getpid() != pid:
+            os._exit(1)
+        return span_columns(fd, first, *rest)
+
+    def late_spans(lines):
+        for index, span in enumerate(spans(lines)):
+            if index == 2:
+                time.sleep(0.2)  # the worker of line 1's span has ended
+            yield span
+
+    monkeypatch.setattr(rollout_io, "_span_columns", ending_span_columns)
+    monkeypatch.setattr(rollout_io, "_spans", late_spans)
+    with in_workers(1), pytest.raises(OSError, match="^a worker process ended$"):
+        next(read_group_columns(_log_of(tmp_path / "log.jsonl", 40)))
     _assert_no_worker_left()
 
 
