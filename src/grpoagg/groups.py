@@ -60,6 +60,7 @@ class DegenerateGroupError(ValueError):
 
 # Element types taken as real numbers / integers without a per-element check.
 _REAL_TYPES = frozenset((float, int, np.float64))
+_FLOAT_TYPE = frozenset((float,))
 _INT_TYPE = frozenset((int,))
 # Largest length that is still an exact float, as the length statistics need.
 MAX_TOKEN_COUNT = 2**53
@@ -83,15 +84,23 @@ def _real(value, name: str) -> float:
     raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
+def _floats(values: Sequence) -> Sequence[float] | None:
+    """``values`` as floats, or None unless each is a real number a float holds."""
+    if _FLOAT_TYPE.issuperset(map(type, values)):
+        return values
+    if _REAL_TYPES.issuperset(map(type, values)):
+        try:
+            return list(map(float, values))  # json.loads keeps integers of any size
+        except OverflowError:
+            pass
+    return None
+
+
 def _reals(values, name: str) -> tuple[float, ...]:
     """``_real`` over a sequence, in C-level passes unless an element fails."""
     values = _as_tuple(values, name)
-    try:
-        if _REAL_TYPES.issuperset(map(type, values)):
-            if all(map(math.isfinite, out := tuple(map(float, values)))):
-                return out
-    except OverflowError:
-        pass
+    if (out := _floats(values)) is not None and all(map(math.isfinite, out)):
+        return tuple(out)
     return tuple(_real(v, f"{name}[{i}]") for i, v in enumerate(values))
 
 
@@ -236,19 +245,6 @@ class RolloutGroup:
 # is at least 2**63 in magnitude; every other field it keeps is checked to
 # be an int, a bool or a str.
 _BOUND = 2.0**63
-_FLOAT_TYPE = frozenset((float,))
-
-
-def _floats(values: list) -> list | None:
-    """``values`` as floats, or None unless each is a real number a float holds."""
-    if _FLOAT_TYPE.issuperset(map(type, values)):
-        return values
-    if _REAL_TYPES.issuperset(map(type, values)):
-        try:
-            return list(map(float, values))  # json.loads keeps integers of any size
-        except OverflowError:
-            pass
-    return None
 
 
 def group_columns(prompt_id, responses, eps_var, group_id) -> tuple | None:
@@ -270,7 +266,9 @@ def group_columns(prompt_id, responses, eps_var, group_id) -> tuple | None:
     so that no value is one orjson read from an integer beyond 64 bits.
     Integral-float token ids, a ``token_count`` next to ``tokens`` and
     ratios next to a logp pair (which need the RATIO_LOGP_RTOL check) always
-    give None. A rule added to Response or RolloutGroup must be added here.
+    give None. A rule added to Response or RolloutGroup must be added here;
+    test_group_columns_match_the_record_path and
+    test_parse_returns_a_group_or_a_rollout_log_error keep the two in step.
     """
     if not (
         type(prompt_id) is str

@@ -11,9 +11,9 @@ Rollout logs are line-delimited JSON, one group per line:
 ``logp_old`` pair (from which ratios are derived), and ``"truncated": true``
 when it hit the length limit. Records with only token counts are
 "length-only": they support length and advantage diagnostics but not
-objective evaluation. The parser checks only the line format; every field
-rule belongs to ``groups.Response`` and ``groups.RolloutGroup``, whose errors
-come back as RecordValidationError naming the line and response.
+objective evaluation. Both readers check the line header in ``_line_fields``;
+every field rule belongs to ``groups.Response`` and ``groups.RolloutGroup``,
+whose errors come back as RecordValidationError naming the line and response.
 
 ``read_rollouts`` yields one validated RolloutGroup per line; it is the
 exact reference reader. ``read_group_columns`` is the fast one: it yields
@@ -243,16 +243,7 @@ def parse_rollout_line(
         obj = json.loads(line)
     except (ValueError, RecursionError) as exc:
         raise MalformedLineError(f"line {line_no}: invalid JSON: {exc}", line_no) from exc
-    if not isinstance(obj, dict):
-        raise MalformedLineError(f"line {line_no}: expected a JSON object", line_no)
-    version = obj.get("v", 1)
-    if version != 1 or version is True:  # True == 1 in Python
-        raise RecordValidationError(
-            f"line {line_no}: unsupported schema version {version!r}", line_no
-        )
-    raw_responses = obj.get("responses")
-    if not isinstance(raw_responses, list):
-        raise RecordValidationError(f"line {line_no}: missing or non-list responses", line_no)
+    prompt_id, raw_responses, eps_var, group_id = _line_fields(obj, line_no, default_eps_var)
     responses = []
     for idx, raw in enumerate(raw_responses):
         where = f"line {line_no}: response {idx}"
@@ -268,14 +259,29 @@ def parse_rollout_line(
             raise RecordValidationError(f"{where}: {exc}", line_no) from exc
     try:
         return RolloutGroup(
-            prompt_id=obj.get("prompt_id"),
+            prompt_id=prompt_id,
             responses=tuple(responses),
-            eps_var=obj.get("eps_var", default_eps_var),
-            group_id=obj.get("group_id"),
+            eps_var=eps_var,
+            group_id=group_id,
             source_line=line_no,
         )
     except (TypeError, ValueError) as exc:
         raise RecordValidationError(f"line {line_no}: {exc}", line_no) from exc
+
+
+def _line_fields(obj, line_no: int | None, default_eps_var: float) -> tuple:
+    """A decoded line's ``(prompt_id, responses, eps_var, group_id)``, once its header is checked."""
+    if not isinstance(obj, dict):
+        raise MalformedLineError(f"line {line_no}: expected a JSON object", line_no)
+    version = obj.get("v", 1)
+    if version != 1 or version is True:  # True == 1 in Python
+        raise RecordValidationError(
+            f"line {line_no}: unsupported schema version {version!r}", line_no
+        )
+    responses = obj.get("responses")
+    if not isinstance(responses, list):
+        raise RecordValidationError(f"line {line_no}: missing or non-list responses", line_no)
+    return obj.get("prompt_id"), responses, obj.get("eps_var", default_eps_var), obj.get("group_id")
 
 
 def read_rollouts(
@@ -415,13 +421,16 @@ def _until_failure(lines: Iterator[tuple[int, bytes]], failures: list[OSError]) 
 
 
 def _line_columns(loads, lines: Iterable[tuple[int, bytes]], default_eps_var: float) -> Iterator:
-    """For each ``(line_no, raw)`` of ``lines``, its columns as
-    read_group_columns yields them or its RolloutLogError, or nothing for a
-    whitespace line. ``groups.group_columns`` checks a line without building
-    a Response; a line it does not accept is parsed alone by ``_parse_raw``."""
+    """For each ``(line_no, raw)`` of ``lines``, its columns as read_group_columns
+    yields them or its RolloutLogError, or nothing for a whitespace line.
+    ``_line_fields`` and ``groups.group_columns`` check a decoded line without
+    building a Response; a line they do not accept is parsed alone by ``_parse_raw``."""
     for line_no, raw in lines:
         brackets = np.count_nonzero((np.frombuffer(raw, np.uint8) | 32) == 123)
-        fields = brackets < MAX_NESTING and _line_fields(loads, raw, default_eps_var)
+        try:
+            fields = brackets < MAX_NESTING and _line_fields(loads(raw), line_no, default_eps_var)
+        except (ValueError, RecursionError):  # a RolloutLogError too
+            fields = None
         columns = fields and group_columns(*fields)
         if columns:
             yield line_no, fields[0], *columns
@@ -572,23 +581,6 @@ def _span_columns(fd: int, first: int, offset: int, size: int, count: int, defau
         raise OSError(f"lines {first}-{first + count - 1} read back as {len(lines)} lines of {len(data)} bytes")
     items = list(_line_columns(_orjson() or _stdlib_loads, enumerate(lines, first), default_eps_var))
     return items if evaluate is None else _evaluated(items, evaluate)
-
-
-def _line_fields(loads, raw: bytes, default_eps_var: float) -> tuple | None:
-    """A raw line's ``(prompt_id, responses, eps_var, group_id)`` as
-    group_columns takes them, or None unless ``loads`` decodes it to an
-    object of the line format."""
-    try:
-        obj = loads(raw)
-    except (ValueError, RecursionError):
-        return None
-    if type(obj) is not dict:
-        return None
-    version = obj.get("v", 1)
-    responses = obj.get("responses")
-    if not (type(version) is int and version == 1 and type(responses) is list):
-        return None
-    return obj.get("prompt_id"), responses, obj.get("eps_var", default_eps_var), obj.get("group_id")
 
 
 def group_to_dict(group: RolloutGroup) -> dict:

@@ -15,10 +15,12 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import random
 import shutil
 import signal
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -325,6 +327,18 @@ def test_a_non_ascii_line_is_accepted_in_bulk(tmp_path, monkeypatch, decoder):
     with decoding_with(decoder):
         (line_no, prompt_id, *_), = read_group_columns(path)
     assert (line_no, prompt_id, calls) == (1, "\u00e9t\u00e9", [])
+
+
+@pytest.mark.parametrize("decoder", DECODERS)
+def test_a_float_version_line_is_accepted_in_bulk(tmp_path, monkeypatch, decoder):
+    # "v": 1.0 is version 1 to the one header reader, as to the record path
+    calls = []
+    monkeypatch.setattr(rollout_io, "parse_rollout_line", lambda *args: calls.append(args))
+    path = tmp_path / "log.jsonl"
+    path.write_text(group().replace('"v": 1', '"v": 1.0') + "\n", encoding="utf-8")
+    with decoding_with(decoder):
+        (line_no, prompt_id, *_), = read_group_columns(path)
+    assert (line_no, prompt_id, calls) == (1, "p0", [])
 
 
 def _padded(brackets: int) -> str:
@@ -640,6 +654,57 @@ def test_no_worker_is_left_running(tmp_path, read):
     with in_workers(4096):
         read(_log_of(tmp_path / "log.jsonl", 40))
     _assert_no_worker_left()
+
+
+# Runs in a child: reads the log of argv[1] in two worker processes, one
+# span a line, closes the reader after its first group and prints that
+# group's line number, the seconds the close took and the processes left
+# whose parent is the child.
+CLOSE_WITH_REPLIES_UNREAD = """
+import json, os, sys, time
+from pathlib import Path
+from grpoagg import rollout_io
+
+rollout_io._PARALLEL_BYTES = 0
+rollout_io._SPAN_BYTES = 1
+os.sched_getaffinity = lambda pid: {0, 1}
+read = rollout_io.read_group_columns(sys.argv[1])
+first = next(read)[0]
+start = time.monotonic()
+read.close()
+seconds = time.monotonic() - start
+
+def parent_of(stat):
+    try:
+        return int(stat.read_text().rsplit(")", 1)[1].split()[1])
+    except (OSError, IndexError):
+        return None  # the process ended while it was listed
+
+left = [p.parent.name for p in Path("/proc").glob("[0-9]*/stat") if parent_of(p) == os.getpid()]
+print(json.dumps({"first": first, "seconds": seconds, "left": left}))
+"""
+
+
+def test_closing_the_reader_ends_workers_blocked_on_a_reply(tmp_path):
+    # every span's reply is larger than a pipe holds, so when the reader is
+    # closed after its first group, the workers of the spans in flight are
+    # blocked writing theirs, with nobody reading: closing the reply pipes
+    # must end them at once. Run in a child, so that a hang is a timeout.
+    responses = [{"tokens": [1] * 10_000, "reward": reward, "ratios": [1.0] * 10_000} for reward in (0.0, 1.0)]
+    line = json.dumps({"prompt_id": "p0", "responses": responses}) + "\n"
+    path = tmp_path / "log.jsonl"
+    path.write_text(line * 12, encoding="utf-8")
+    with path.open("rb") as fh:
+        reply = rollout_io._span_columns(fh.fileno(), 1, 0, len(line), 1, 0.0, None)
+    assert len(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)) > 1 << 16  # a pipe's default capacity
+    src = str(Path(rollout_io.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", CLOSE_WITH_REPLIES_UNREAD, str(path)], capture_output=True,
+                          text=True, env=env, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert (got["first"], got["left"]) == (1, [])
+    assert got["seconds"] < 5
 
 
 def test_a_worker_exception_reaches_the_caller(tmp_path, monkeypatch):

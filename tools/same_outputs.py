@@ -11,9 +11,10 @@ serial reader (``rollout_io._PARALLEL_BYTES`` patched high) and with worker
 processes (patched to 0, with two CPUs in the affinity), each with orjson and
 with its import blocked. The logs are the benchmark's seed-0 ``analyze-long``
 and ``analyze-short`` logs (written by ``bench/inputs.py``),
-``tests/data/faulty_rollouts.jsonl``, ``tests/data/golden/rollouts_balanced.jsonl``
-and a log whose groups are refused by normalisation or by an overflowing
-objective. The other cases are ``verify --seed 0`` and ``--seed 7``,
+``tests/data/faulty_rollouts.jsonl``, ``tests/data/golden/rollouts_balanced.jsonl``,
+a log whose groups are refused by normalisation or by an overflowing
+objective, and a log of header and record-parser fallback line shapes. The
+other cases are ``verify --seed 0`` and ``--seed 7``,
 ``simulate --steps 20``, ``compare --steps 10 --locked-rollouts``, and the
 rollout dumps of ``simulate --steps 20``, ``compare --steps 10`` and
 ``simulate --steps 0`` (``--dump-rollouts``).
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -76,6 +78,42 @@ def refused_groups_log(path: Path) -> None:
     path.write_text("".join(lines), encoding="utf-8")
 
 
+def header_shapes_log(path: Path) -> None:
+    """60 groups, of which every third takes in turn one of nine header or
+    record-parser fallback shapes: ``"v"`` 1.0, true or 2, a JSON array, an
+    object with no ``responses``, integral-float token ids, ``token_count``
+    beside ``tokens``, ratios beside a logp pair, and a reward of 1e300."""
+    rng = random.Random(5)
+    lines = []
+    for i in range(60):
+        responses = []
+        for _ in range(rng.randrange(2, 5)):
+            n = rng.randrange(1, 9)
+            responses.append({"tokens": [rng.randrange(3) for _ in range(n)], "reward": float(rng.random() < 0.5),
+                              "ratios": [rng.uniform(0.7, 1.4) for _ in range(n)]})
+        line: object = {"prompt_id": f"p{i}", "responses": responses}
+        shape = i // 3 % 9 if i % 3 == 1 else None
+        if shape in (0, 1, 2):
+            line = {"v": (1.0, True, 2)[shape], **line}
+        elif shape == 3:
+            line = [line]
+        elif shape == 4:
+            del line["responses"]
+        elif shape == 8:
+            responses[0]["reward"] = 1e300
+        for response in responses:
+            if shape == 5:
+                response["tokens"] = [float(token) for token in response["tokens"]]
+            elif shape == 6:
+                response["token_count"] = len(response["tokens"])
+            elif shape == 7:
+                old = response["logp_old"] = [rng.uniform(-3.0, 0.0) for _ in response["ratios"]]
+                new = response["logp_new"] = [x + rng.uniform(-0.3, 0.3) for x in old]
+                response["ratios"] = [math.exp(a - b) for a, b in zip(new, old)]
+        lines.append(json.dumps(line) + "\n")
+    path.write_text("".join(lines), encoding="utf-8")
+
+
 def logs(directory: Path) -> dict[str, Path]:
     """The analyze cases' logs by name, the generated ones written to ``directory``."""
     sys.path.insert(0, str(ROOT / "bench"))
@@ -90,6 +128,8 @@ def logs(directory: Path) -> dict[str, Path]:
     found["golden-balanced"] = ROOT / "tests" / "data" / "golden" / "rollouts_balanced.jsonl"
     found["refused-groups"] = directory / "refused-groups.jsonl"
     refused_groups_log(found["refused-groups"])
+    found["header-shapes"] = directory / "header-shapes.jsonl"
+    header_shapes_log(found["header-shapes"])
     return found
 
 
