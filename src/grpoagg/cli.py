@@ -17,7 +17,7 @@ import stat
 import sys
 from collections import Counter
 from functools import partial
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain, compress, islice
 from math import fsum
 from pathlib import Path
 
@@ -59,10 +59,12 @@ def build_parser() -> argparse.ArgumentParser:
     eps_var = dict(type=float, help="variance floor inside the advantage normalizer")
 
     p_verify = sub.add_parser("verify", help="run the identity suite")
+    p_verify.set_defaults(run=cmd_verify)
     p_verify.add_argument("--seed", **seed)
     add_clip(p_verify)
 
     p_analyze = sub.add_parser("analyze", help="analyze a JSONL rollout log")
+    p_analyze.set_defaults(run=cmd_analyze)
     p_analyze.add_argument("--out", **out)
     p_analyze.add_argument("--eps-var", default=0.0, **eps_var)
     add_clip(p_analyze)
@@ -89,10 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p_sim = sub.add_parser("simulate", help="train the toy policy under one rule")
+    p_sim.set_defaults(run=cmd_simulate)
     add_sim_flags(p_sim)
     p_sim.add_argument("--rule", choices=RULES, default="balanced")
 
     p_cmp = sub.add_parser("compare", help="train all four rules on shared seeds")
+    p_cmp.set_defaults(run=cmd_compare)
     add_sim_flags(p_cmp)
     p_cmp.add_argument(
         "--locked-rollouts",
@@ -102,13 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _clip_from_args(args) -> ClipConfig:
-    return ClipConfig(args.clip_low, args.clip_high)
-
-
 def cmd_verify(args) -> int:
     # run_suite raises its ValueErrors (exit 2) before it prints anything
-    ok = run_suite(args.seed, _clip_from_args(args), sys.stdout)
+    ok = run_suite(args.seed, ClipConfig(args.clip_low, args.clip_high), sys.stdout)
     sys.stdout.flush()  # a failed write is main's <stdout> error, not one at exit
     return 0 if ok else 1
 
@@ -189,18 +189,18 @@ def cmd_analyze(args) -> int:
     streamed. Every line that does not parse and every group whose
     normalisation fails or whose objective overflows reaches its
     ``on_error``, in line order, and goes to stderr at once as one
-    ``error: line N: ...``; so a window holds the next ``--window`` groups
-    that evaluate. Each full window's rows go to
-    ``analysis.csv`` at once, the last short one at the end of the log, so
+    ``error: line N: ...``; so a window, an ``islice`` cut of the reader's
+    rows, holds the next ``--window`` groups that evaluate (the last, what
+    is left). Each window's rows go to ``analysis.csv`` once it is cut, so
     memory is set by the window and the reader, not by the length of the
     log: across windows only the regime lines and the counts of each
     response length (for the ``overall:`` line) are kept. Notices and
     regime lines go to stdout once ``regime.txt`` is written. Nothing is
     written, and ``--out`` is not created, when no group parses; a read
     error ends the run after the rows of every window that the lines read
-    before it complete.
+    before it complete, and drops only the partial window it cuts short.
     """
-    clip = _clip_from_args(args)
+    clip = ClipConfig(args.clip_low, args.clip_high)
     if args.window < 1:
         raise ValueError("--window must be >= 1")
     if not (math.isfinite(args.eps_var) and args.eps_var >= 0.0):
@@ -215,38 +215,29 @@ def cmd_analyze(args) -> int:
     tally = LengthTally()
     counts: Counter = Counter()
     regime_lines: list[str] = []
-    window: list[tuple] = []
     csv = None
-
-    def write_window() -> None:
-        nonlocal csv
-        records, stats = _window(window, len(regime_lines), tally, counts)
-        if csv is None:
-            args.out.mkdir(parents=True, exist_ok=True)
-            csv = open(csv_path, "w", encoding="utf-8")
-            csv.write(METRIC_HEADER)
-        csv.write(format_metrics(records))
-        gap = "n/a" if stats.len_gap is None else f"{stats.len_gap:.4f}"
-        regime_lines.append(
-            f"window {len(regime_lines)}: groups={len(window)} len_cv={stats.len_cv:.4f} "
-            f"len_gap={gap} regime={regime_report(stats)}"
-        )
-        window.clear()
-
+    # islice refuses a stop above sys.maxsize; no window can hold more rows
+    windows = iter(lambda: list(islice(rows, min(args.window, sys.maxsize))), [])
     try:
         while True:
             try:
-                row = next(rows, None)
+                window = next(windows, None)
             except OSError as exc:
                 report(f"cannot read {args.input}: {exc}")
                 return 1
-            if row is None:
+            if window is None:
                 break
-            window.append(row)
-            if len(window) == args.window:
-                write_window()
-        if window:
-            write_window()
+            records, stats = _window(window, len(regime_lines), tally, counts)
+            if csv is None:
+                args.out.mkdir(parents=True, exist_ok=True)
+                csv = open(csv_path, "w", encoding="utf-8")
+                csv.write(METRIC_HEADER)
+            csv.write(format_metrics(records))
+            gap = "n/a" if stats.len_gap is None else f"{stats.len_gap:.4f}"
+            regime_lines.append(
+                f"window {len(regime_lines)}: groups={len(window)} len_cv={stats.len_cv:.4f} "
+                f"len_gap={gap} regime={regime_report(stats)}"
+            )
     finally:
         rows.close()
         if csv is not None:
@@ -262,28 +253,6 @@ def cmd_analyze(args) -> int:
         notices.append(f"notice: {counts['length_only']} length-only group(s); objectives skipped for them")
     _print_stdout([*notices, *regime_lines, f"wrote {csv_path} and {regime_path}"])
     return 0
-
-
-def _task_from_args(args) -> TaskSpec:
-    return TaskSpec(
-        kind=args.task,
-        vocab_size=args.vocab_size,
-        t_max=args.t_max,
-        num_prompts=args.prompts,
-    )
-
-
-def _config_from_args(args, rule: str) -> TrainConfig:
-    return TrainConfig(
-        rule=rule,
-        steps=args.steps,
-        group_size=args.group_size,
-        learning_rate=args.lr,
-        clip=_clip_from_args(args),
-        eps_var=args.eps_var,
-        seed=args.seed,
-        inner_epochs=args.inner_epochs,
-    )
 
 
 def _degenerate_notice(count: int) -> list[str]:
@@ -314,8 +283,22 @@ def _drop_stdout() -> None:
 def _run_one(args, rule: str, tag: str, degenerate: list[int]) -> list[MetricRecord]:
     """Train under ``rule``, writing the policy (and the rollouts) under
     ``tag``; each step's count of degenerate groups is added to ``degenerate``."""
-    task = _task_from_args(args)
-    config = _config_from_args(args, rule)
+    task = TaskSpec(
+        kind=args.task,
+        vocab_size=args.vocab_size,
+        t_max=args.t_max,
+        num_prompts=args.prompts,
+    )
+    config = TrainConfig(
+        rule=rule,
+        steps=args.steps,
+        group_size=args.group_size,
+        learning_rate=args.lr,
+        clip=ClipConfig(args.clip_low, args.clip_high),
+        eps_var=args.eps_var,
+        seed=args.seed,
+        inner_epochs=args.inner_epochs,
+    )
     # refused before the run, not after it: stat raises NotADirectoryError
     # when a parent of --out is a file
     try:
@@ -388,13 +371,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        return cmd_compare(args)
+        return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -401,6 +401,22 @@ def test_analyze_rejects_a_window_below_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_analyze_takes_a_window_above_sys_maxsize_as_one_window(tmp_path, capsys):
+    # itertools.islice refuses a stop above sys.maxsize; such a window holds every group
+    log = str(DATA / "faulty_rollouts.jsonl")
+    huge = "99999999999999999999"
+    assert int(huge) > sys.maxsize
+    runs = {}
+    for window in (huge, "16"):
+        code, stdout, err = run_cli(capsys, "analyze", "--input", log, "--window", window,
+                                    "--out", str(tmp_path / window))
+        assert code == 0, err
+        assert stdout.count("window ") == 1
+        runs[window] = (stdout.replace(str(tmp_path / window), "<out>"), err,
+                        (tmp_path / window / "analysis.csv").read_bytes())
+    assert runs[huge] == runs["16"]
+
+
 def test_analyze_pools_extreme_but_valid_groups(tmp_path, capsys):
     # each group is valid, but the window sums of objectives and rewards
     # overflow a float; the pooled means are still exact enough to print

@@ -17,7 +17,11 @@ objective, and a log of header and record-parser fallback line shapes. The
 other cases are ``verify --seed 0`` and ``--seed 7``,
 ``simulate --steps 20``, ``compare --steps 10 --locked-rollouts``, and the
 rollout dumps of ``simulate --steps 20``, ``compare --steps 10`` and
-``simulate --steps 0`` (``--dump-rollouts``).
+``simulate --steps 0`` (``--dump-rollouts``), and the dispatch and error
+cases: no command, ``--help``, ``analyze --help``, ``analyze`` with no
+``--input`` and with a missing one, the faulty log at ``--window 0``,
+``--eps-var nan`` and ``--window 99999999999999999999``, ``simulate --steps
+-1``, ``simulate --steps 1 --out /dev/null`` and ``verify --clip-high 1e5``.
 
 Prints each case that differs and then ``k of n identical``; the exit code is
 1 on any difference. Needs only the standard library and numpy.
@@ -143,13 +147,19 @@ def cases(directory: Path) -> list[tuple[str, dict, list[str]]]:
                     name = f"analyze {log_name} --window {window} {path} {decoder}"
                     argv = ["analyze", "--input", str(log), "--window", window, "--out", "out"]
                     found.append((name, dict(patches, orjson=decoder == "orjson"), argv))
+    faulty = ["analyze", "--input", str(ROOT / "tests" / "data" / "faulty_rollouts.jsonl"), "--out", "out"]
     for argv in (["verify", "--seed", "0"], ["verify", "--seed", "7"],
                  ["simulate", "--steps", "20", "--out", "out"],
                  ["compare", "--steps", "10", "--locked-rollouts", "--out", "out"],
                  ["simulate", "--steps", "20", "--dump-rollouts", "--out", "out"],
                  ["compare", "--steps", "10", "--dump-rollouts", "--out", "out"],
-                 ["simulate", "--steps", "0", "--dump-rollouts", "--out", "out"]):
-        found.append((" ".join(argv), {}, argv))
+                 ["simulate", "--steps", "0", "--dump-rollouts", "--out", "out"],
+                 [], ["--help"], ["analyze", "--help"], ["analyze"], ["analyze", "--input", "missing.jsonl"],
+                 [*faulty, "--window", "0"], [*faulty, "--eps-var", "nan"],
+                 [*faulty, "--window", "99999999999999999999"],
+                 ["simulate", "--steps", "-1"], ["simulate", "--steps", "1", "--out", "/dev/null"],
+                 ["verify", "--clip-high", "1e5"]):
+        found.append((" ".join(argv) or "no command", {}, argv))
     return found
 
 
