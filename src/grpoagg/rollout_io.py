@@ -475,8 +475,10 @@ def _evaluated(items: list, evaluate: Callable[[list[tuple]], list[tuple | Rollo
 
 # The workers pay off only on a large log: starting two and a first reply
 # take about 8 ms, and each one's first span 7-22 ms more CPU than its later
-# ones. On a 2-CPU host both bench line shapes lose at 1-8 MiB (by 15-61%)
-# and win at 16 MiB, so there _PARALLEL_BYTES is below the crossover.
+# ones (an unforked process's first span costs about as much more). On a
+# 2-CPU host the bench's analyze-short log (7.95 MiB) reads 1.13-1.40 M
+# tokens/s through the workers against 0.85-0.91 M serially (bench/run.py,
+# 5 pairs).
 # A span is a run of whole lines that first reaches _SPAN_BYTES.
 _PARALLEL_BYTES = 5 << 20
 _SPAN_BYTES = 1 << 20

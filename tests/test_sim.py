@@ -524,6 +524,32 @@ def test_run_training_deterministic_stream(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 5])
+def test_rollout_states_are_the_states_rollout_seed_gives(seed):
+    # a 5-prompt run's first step, the last step of its first block of
+    # seeded states and the first of the next, and the steps either side of
+    # 2**32, from where a step is two entropy words, all in one call
+    block = sim._STATE_LANES // 5
+    steps = [0, block - 1, block, 2**32 - 1, 2**32]
+    assert sim._rollout_states(seed, steps, 5) == [
+        [np.random.PCG64(rollout_seed(seed, step, p)).state for p in range(5)] for step in steps
+    ]
+
+
+def test_run_training_equals_train_steps_on_rollout_seed_streams():
+    # 300 steps of 4 prompts cross a block of seeded states
+    task = count_task()
+    config = TrainConfig(rule="balanced", steps=300, learning_rate=0.5, seed=2**64 + 3)
+    assert task.num_prompts * config.steps > sim._STATE_LANES
+    records, policy = run_training(task, config)
+    expected, reference = [], PolicyTable.uniform(4, 8, 3)
+    for step in range(config.steps):
+        reference, step_records, _ = train_step(reference, task, range(4), config, step)
+        expected += step_records
+    assert records == expected
+    assert policy.logits.tobytes() == reference.logits.tobytes()
+
+
 def test_run_training_improves_reward():
     task = count_task()
     config = TrainConfig(rule="balanced", steps=60, group_size=16, learning_rate=0.5, seed=3)

@@ -17,7 +17,11 @@ objective, and a log of header and record-parser fallback line shapes. The
 other cases are ``verify --seed 0`` and ``--seed 7``,
 ``simulate --steps 20``, ``compare --steps 10 --locked-rollouts``, and the
 rollout dumps of ``simulate --steps 20``, ``compare --steps 10`` and
-``simulate --steps 0`` (``--dump-rollouts``), and the dispatch and error
+``simulate --steps 0`` (``--dump-rollouts``), two runs whose seeds are
+several 32-bit words and whose steps cross a block of seeded sampling
+states, ``simulate --steps 300 --seed 4294967296`` and ``compare --steps 270
+--prompts 5 --seed 79228162514264337593543950341`` (2**96 + 5), each with
+``--dump-rollouts``, and the dispatch and error
 cases: no command, ``--help``, ``analyze --help``, ``analyze`` with no
 ``--input`` and with a missing one, the faulty log at ``--window 0``,
 ``--eps-var nan`` and ``--window 99999999999999999999``, ``simulate --steps
@@ -154,6 +158,9 @@ def cases(directory: Path) -> list[tuple[str, dict, list[str]]]:
                  ["simulate", "--steps", "20", "--dump-rollouts", "--out", "out"],
                  ["compare", "--steps", "10", "--dump-rollouts", "--out", "out"],
                  ["simulate", "--steps", "0", "--dump-rollouts", "--out", "out"],
+                 ["simulate", "--steps", "300", "--seed", "4294967296", "--dump-rollouts", "--out", "out"],
+                 ["compare", "--steps", "270", "--prompts", "5", "--seed", "79228162514264337593543950341",
+                  "--dump-rollouts", "--out", "out"],
                  [], ["--help"], ["analyze", "--help"], ["analyze"], ["analyze", "--input", "missing.jsonl"],
                  [*faulty, "--window", "0"], [*faulty, "--eps-var", "nan"],
                  [*faulty, "--window", "99999999999999999999"],
