@@ -32,7 +32,7 @@ from .decompose import (
     pooled_mean,
     regime_report,
 )
-from .groups import normalize_columns
+from .groups import MAX_TOKEN_COUNT, normalize_columns
 from .rollout_io import METRIC_HEADER, MetricRecord, RolloutLogError, format_metrics, read_group_columns, write_metrics
 from .sim import TASK_KINDS, TaskSpec, TrainConfig, run_training
 from .verify import run_suite
@@ -119,10 +119,11 @@ def _group_rows(clip: ClipConfig, read: list[tuple]) -> list[tuple | RolloutLogE
     on the other groups. A group whose normalisation fails or whose objective
     overflows gives a RolloutLogError (``line N: group 'p': ...``), which the
     reader reports as it does a line's; any other gives ``(objectives,
-    clipped, tokens, degenerate, lengths, rewards, signs)``: the four
-    objectives in RULES order (None if length-only), its clipped and
-    evaluated token counts, whether it is taken as zero-advantage, and each
-    response's length, reward and advantage sign (1, 0 or -1)."""
+    clipped, tokens, degenerate, lengths, rewards, k, n_pos, neg_count,
+    n_neg)``: the four objectives in RULES order (None if length-only), its
+    clipped and evaluated token counts, whether it is taken as
+    zero-advantage, each response's length and reward, and its counts of
+    positive and negative responses and of their tokens."""
     line_nos, prompt_ids, eps_vars, rewards, lengths, ratios = zip(*read)
     sizes = list(map(len, rewards))
     normalized = normalize_columns(list(chain.from_iterable(rewards)), sizes, eps_vars, prompt_ids)
@@ -147,15 +148,18 @@ def _group_rows(clip: ClipConfig, read: list[tuple]) -> list[tuple | RolloutLogE
             else:
                 refusals[j] = f"group {prompt_ids[j]!r}: an objective overflows a float"
     degenerate = set(normalized.degenerate)
-    signs = np.sign(normalized.advantages).astype(int).tolist()
-    starts = [0, *accumulate(sizes)]
+    # int64 per-sign totals, unless a group's lengths could sum to 2**63 or more
+    flat = np.array(list(chain.from_iterable(lengths)), np.int64 if max(sizes) * MAX_TOKEN_COUNT < 2**63 else object)
+    signs = np.array([normalized.advantages > 0.0, normalized.advantages < 0.0], dtype=np.int64)
+    columns = np.stack([signs, signs * flat], axis=1).reshape(4, -1)  # k, n_pos, neg_count, n_neg
+    signed = np.add.reduceat(columns, [0, *accumulate(sizes[:-1])], axis=1).T.tolist()
     rows = []
-    for j, (line_no, first, end) in enumerate(zip(line_nos, starts, starts[1:])):
+    for j, line_no in enumerate(line_nos):
         if j in refusals:
             rows.append(RolloutLogError(f"line {line_no}: {refusals[j]}", line_no))
         else:
             objective, clipped, tokens = evaluated.get(j, (None, 0, 0))
-            rows.append((objective, clipped, tokens, j in degenerate, lengths[j], rewards[j], signs[first:end]))
+            rows.append((objective, clipped, tokens, j in degenerate, lengths[j], rewards[j], *signed[j]))
     return rows
 
 
@@ -163,21 +167,19 @@ def _window(rows: list[tuple], step: int, tally: LengthTally,
             counts: Counter) -> tuple[list[MetricRecord], LengthStats]:
     """The metric rows, numbered ``step``, and the length statistics of a
     window of the rows of groups that evaluate (as _group_rows gives them);
-    its lengths, pooled and per sign, are added to ``tally``, and its counts
+    its lengths and per-sign totals are added to ``tally``, and its counts
     of groups, degenerate groups and length-only groups to ``counts``."""
-    objectives, clipped, tokens, degenerate, lengths, rewards, signs = zip(*rows)
+    objectives, clipped, tokens, degenerate, lengths, rewards, *signed = zip(*rows)
     counts.update(groups=len(rows), degenerate=sum(degenerate), length_only=objectives.count(None))
-    ks = [group.count(1) for group in signs]
-    lengths, rewards, signs = (list(chain.from_iterable(column)) for column in (lengths, rewards, signs))
-    pos_lengths = [t for t, sign in zip(lengths, signs) if sign > 0]
-    neg_lengths = [t for t, sign in zip(lengths, signs) if sign < 0]
-    tally.add(lengths, pos_lengths, neg_lengths)
+    lengths, rewards = list(chain.from_iterable(lengths)), list(chain.from_iterable(rewards))
+    k, n_pos, neg_count, n_neg = map(sum, signed)
+    tally.add(lengths, k, n_pos, neg_count, n_neg)
     evaluated = [objective for objective in objectives if objective is not None]
     pooled = dict(zip(RULES, map(pooled_mean, zip(*evaluated)))) if evaluated else dict.fromkeys(RULES)
     window_tokens = sum(tokens)
     clip_fraction = sum(clipped) / window_tokens if window_tokens else None
-    stats = length_stats(lengths, pos_lengths, neg_lengths)
-    return batch_metrics(step, stats, rewards, ks, pooled, clip_fraction), stats
+    stats = length_stats(lengths, k, n_pos, neg_count, n_neg)
+    return batch_metrics(step, stats, rewards, k, len(rows), pooled, clip_fraction), stats
 
 
 def cmd_analyze(args) -> int:
@@ -193,12 +195,12 @@ def cmd_analyze(args) -> int:
     rows, holds the next ``--window`` groups that evaluate (the last, what
     is left). Each window's rows go to ``analysis.csv`` once it is cut, so
     memory is set by the window and the reader, not by the length of the
-    log: across windows only the regime lines and the counts of each
-    response length (for the ``overall:`` line) are kept. Notices and
-    regime lines go to stdout once ``regime.txt`` is written. Nothing is
-    written, and ``--out`` is not created, when no group parses; a read
-    error ends the run after the rows of every window that the lines read
-    before it complete, and drops only the partial window it cuts short.
+    log: across windows only the regime lines, the counts of each response
+    length and four per-sign totals (for the ``overall:`` line) are kept.
+    Notices and regime lines go to stdout once ``regime.txt`` is written.
+    Nothing is written, and ``--out`` is not created, when no group parses;
+    a read error ends the run after the rows of every window that the lines
+    read before it complete, and drops only the partial window it cuts short.
     """
     clip = ClipConfig(args.clip_low, args.clip_high)
     if args.window < 1:

@@ -204,27 +204,25 @@ def _ba_weights(sums: SumColumns, objective: float) -> tuple[float, float, bool]
 
 
 class LengthTally:
-    """Counts of response lengths, pooled and per advantage sign.
+    """Counts of response lengths, and per-sign totals as length_stats takes them.
 
-    ``stats`` gives exactly what length_stats gives over every length
-    added: the statistics are ``fsum``s, whose value does not depend on the
-    order of their terms. A tally takes memory of the order of the number of
-    distinct lengths, however many lengths it has seen.
+    ``stats`` gives exactly what length_stats gives over every length and
+    total added: the pooled statistics are ``fsum``s, whose value does not
+    depend on the order of their terms, and the totals are exact integers.
+    A tally takes memory of the order of the number of distinct lengths.
     """
 
     def __init__(self) -> None:
         self.all: Counter[int] = Counter()
-        self.pos: Counter[int] = Counter()
-        self.neg: Counter[int] = Counter()
+        self.totals = [0, 0, 0, 0]  # k, n_pos, neg_count, n_neg
 
-    def add(self, lengths: Iterable[int], pos_lengths: Iterable[int], neg_lengths: Iterable[int]) -> None:
-        """Count a batch's lengths, as passed to length_stats."""
+    def add(self, lengths: Iterable[int], k: int, n_pos: int, neg_count: int, n_neg: int) -> None:
+        """Count a batch's lengths and add its totals, as passed to length_stats."""
         self.all.update(lengths)
-        self.pos.update(pos_lengths)
-        self.neg.update(neg_lengths)
+        self.totals = [a + b for a, b in zip(self.totals, (k, n_pos, neg_count, n_neg))]
 
     def stats(self) -> LengthStats:
-        return length_stats(_Counted(self.all), _Counted(self.pos), _Counted(self.neg))
+        return length_stats(_Counted(self.all), *self.totals)
 
 
 class _Counted:
@@ -240,24 +238,19 @@ class _Counted:
         return self.counts.elements()
 
 
-def length_stats(
-    lengths: Collection[int], pos_lengths: Collection[int], neg_lengths: Collection[int]
-) -> LengthStats:
+def length_stats(lengths: Collection[int], k: int, n_pos: int, neg_count: int, n_neg: int) -> LengthStats:
     """Pooled length statistics (CV from the population variance) of every
-    response length and of the positive / negative responses' lengths; each
-    is iterated more than once."""
+    response length, iterated more than once, and the mean lengths of ``k``
+    positive responses of ``n_pos`` tokens in all and ``neg_count`` negative
+    ones of ``n_neg``: ``float(n_pos) / k`` is the ``fsum`` mean, bit for bit."""
     n = len(lengths)
     if not n:
         raise ValueError("length_stats needs a non-empty batch")
     mean_len = fsum(lengths) / n
     len_cv = math.sqrt(fsum((t - mean_len) ** 2 for t in lengths) / n) / mean_len
-    tbar_pos = fsum(pos_lengths) / len(pos_lengths) if pos_lengths else None
-    tbar_neg = fsum(neg_lengths) / len(neg_lengths) if neg_lengths else None
-    len_gap = (
-        (tbar_neg - tbar_pos) / mean_len
-        if tbar_pos is not None and tbar_neg is not None
-        else None
-    )
+    tbar_pos = float(n_pos) / k if k else None
+    tbar_neg = float(n_neg) / neg_count if neg_count else None
+    len_gap = None if tbar_pos is None or tbar_neg is None else (tbar_neg - tbar_pos) / mean_len
     return LengthStats(mean_len, len_cv, tbar_pos, tbar_neg, len_gap)
 
 
@@ -273,19 +266,21 @@ def batch_metrics(
     step: int,
     stats: LengthStats,
     rewards: Sequence[float],
-    ks: Sequence[int],
+    k: int,
+    groups: int,
     objectives: Mapping[str, float | None],
     clip_fraction: float | None,
 ) -> list[MetricRecord]:
     """One MetricRecord per rule in ``objectives`` for a batch of groups.
 
     ``stats`` are the batch's length statistics, ``rewards`` every response's
-    reward and ``ks`` each group's count of positive responses. Only the
-    objective and its pg_loss differ between the records; lengths, mean
+    reward and ``k`` the count of positive responses in its ``groups`` groups
+    (``float(k) / groups`` is the ``fsum`` mean of the groups' counts). Only
+    the objective and its pg_loss differ between the records; lengths, mean
     reward, mean k and ``clip_fraction`` do not depend on the rule.
     """
     mean_reward = pooled_mean(rewards)
-    k_mean = fsum(ks) / len(ks)
+    k_mean = float(k) / groups
     return [
         MetricRecord(
             step=step,

@@ -482,7 +482,7 @@ def evaluate_batch(
     The batch is one FlatBatch: ratios, phi and the gradient chain are each
     one numpy pass over the flat tokens, the rule table is one column per
     rule, and each response's weight is read from its group's entry. The
-    logit gradient is one ``np.add.at`` whose entries come in token order,
+    logit gradient is one ``np.bincount`` whose entries come in token order,
     each token's V dense -coeff * pi terms before its +coeff point term:
     the same additions, in the same order per logit, as a loop over
     responses.
@@ -526,9 +526,7 @@ def evaluate_batch(
         values = np.empty((tokens.size, vocab + 1))
         values[:, :vocab] = -(coeff[:, None] * np.exp(lp_new.reshape(-1, vocab)[rows]))
         values[:, vocab] = coeff
-        grad = np.zeros(lp_new.size)
-        np.add.at(grad, entries.ravel(), values.ravel())
-        grad = grad.reshape(lp_new.shape)
+        grad = np.bincount(entries.ravel(), values.ravel(), lp_new.size).reshape(lp_new.shape)
         grad /= b
     return BatchEval(
         objective=objectives[rule],
@@ -586,11 +584,10 @@ def train_step(
         assert ev.grad_logits is not None
         current = PolicyTable(current.logits + config.learning_rate * ev.grad_logits)
     objectives = {r: fsum(v) / len(v) for r, v in values.items()}
-    positive = advantages > 0.0
-    stats = length_stats(lengths, list(compress(lengths, positive.tolist())),
-                         list(compress(lengths, (advantages < 0.0).tolist())))
-    ks = np.add.reduce(positive.reshape(len(sizes), config.group_size), axis=1, dtype=np.intp).tolist()
-    records = batch_metrics(step, stats, rewards, ks, objectives, fsum(clip_fracs) / len(clip_fracs))
+    positive, negative = (advantages > 0.0).tolist(), (advantages < 0.0).tolist()
+    k = sum(positive)
+    stats = length_stats(lengths, k, sum(compress(lengths, positive)), sum(negative), sum(compress(lengths, negative)))
+    records = batch_metrics(step, stats, rewards, k, len(sizes), objectives, fsum(clip_fracs) / len(clip_fracs))
     return current, records, rollouts
 
 

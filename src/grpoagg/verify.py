@@ -201,9 +201,9 @@ def _check_permutation(rng: np.random.Generator, clip: ClipConfig) -> float:
 def _check_length_diagnostics(rng: np.random.Generator, clip: ClipConfig) -> float:
     lengths = (2, 4, 1, 1)
     adv = _advantages([(1.0, 1.0, 0.0, 0.0)])[0]
-    stats = length_stats(
-        lengths, list(compress(lengths, (adv > 0.0).tolist())), list(compress(lengths, (adv < 0.0).tolist()))
-    )
+    positive, negative = (adv > 0.0).tolist(), (adv < 0.0).tolist()
+    stats = length_stats(lengths, sum(positive), sum(compress(lengths, positive)),
+                         sum(negative), sum(compress(lengths, negative)))
     err = _max_error([stats.mean_len, stats.len_cv, stats.len_gap or 0.0], [2.0, math.sqrt(1.5) / 2.0, -1.0])
     labels_ok = (
         regime_report(LengthStats(1.0, 0.9, 1.0, 1.0, 0.05)) == "favors-token"

@@ -90,16 +90,23 @@ def sums_row(sums, i=0):
     return RefSums(*(column[i].item() for column in sums[:-1])) if sums.ok[i] else None
 
 
-def length_columns(groups, advs):
+def length_lists(groups, advs):
     """Every response length of ``groups`` and the positive / negative
-    responses' lengths under ``advs`` (each group's advantages), as
-    length_stats takes them."""
+    responses' lengths under ``advs`` (each group's advantages), one
+    response at a time."""
     lengths, pos_lengths, neg_lengths = [], [], []
     for group, adv in zip(groups, advs, strict=True):
         lengths.extend(group.lengths)
         pos_lengths.extend(t for t, a in zip(group.lengths, adv, strict=True) if a > 0.0)
         neg_lengths.extend(t for t, a in zip(group.lengths, adv, strict=True) if a < 0.0)
     return lengths, pos_lengths, neg_lengths
+
+
+def length_columns(groups, advs):
+    """``length_lists`` as length_stats takes them: every length, then the
+    count and token total of the positive and of the negative responses."""
+    lengths, pos_lengths, neg_lengths = length_lists(groups, advs)
+    return lengths, len(pos_lengths), sum(pos_lengths), len(neg_lengths), sum(neg_lengths)
 
 
 def reference_rule_sums(advantages, ratio_arrays, clip):

@@ -10,6 +10,7 @@ from collections import Counter
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import grpoagg
@@ -17,7 +18,7 @@ from grpoagg import cli, rollout_io, sim
 from grpoagg.cli import main
 from grpoagg.aggregate import ClipConfig, FlatBatch
 from grpoagg.decompose import length_stats
-from grpoagg.groups import Response, RolloutGroup
+from grpoagg.groups import MAX_TOKEN_COUNT, Response, RolloutGroup, normalize_columns
 from grpoagg.rollout_io import METRIC_FIELDS, RolloutLogError, read_group_columns, read_metrics, read_rollouts
 
 from conftest import count_constructions, fail_check
@@ -645,6 +646,43 @@ def test_a_refused_group_reaches_on_error_in_line_order(tmp_path, monkeypatch):
         assert text.endswith(": an objective overflows a float") == (line_no in objective)
     with pytest.raises(RolloutLogError, match=r"^line 4: group 'p3': "):  # without on_error, the first raises
         list(read_group_columns(log, evaluate=evaluate))
+
+
+def test_group_rows_counts_are_the_sign_split_of_the_advantages():
+    # each row's k, n_pos, neg_count and n_neg are the counts and token totals
+    # of the responses whose normalize_columns advantage is > 0 and < 0; a
+    # group of 1,025 responses whose positive lengths total 2**63 takes the
+    # exact-integer path for its whole run
+    rng = random.Random(31)
+
+    def ratios(lengths):
+        return np.array([rng.uniform(0.8, 1.2) for _ in range(sum(lengths))])
+
+    run = [
+        ("degenerate", 0.0, [1.0, 1.0], [2, 3], ratios([2, 3])),
+        ("zero advantage", 1e-6, [1.0, 0.0, 0.5], [1, 2, 4], ratios([1, 2, 4])),
+        ("length-only", 0.0, [1.0, 0.0, 0.0], [MAX_TOKEN_COUNT, 7, MAX_TOKEN_COUNT - 1], None),
+        ("refused", 0.0, [1e308, -1e308], [1, 1], None),
+        ("binary", 0.0, [0.0, 1.0, 1.0, 0.0], [3, 1, 4, 1], ratios([3, 1, 4, 1])),
+    ]
+    wide = ("wide", 0.0, [1.0] * 1024 + [0.0], [MAX_TOKEN_COUNT] * 1024 + [5], None)
+    for groups in (run, [*run, wide]):
+        prompt_ids, eps_vars, rewards, lengths, _ = zip(*groups)
+        sizes = list(map(len, rewards))
+        advantages = normalize_columns([r for group in rewards for r in group], sizes, eps_vars, prompt_ids).advantages
+        split = np.split(advantages.tolist(), np.cumsum(sizes)[:-1])
+        rows = cli._group_rows(ClipConfig(), [(line_no, *group) for line_no, group in enumerate(groups, 1)])
+        assert isinstance(rows[3], RolloutLogError) and str(rows[3]).startswith("line 4: group 'refused': ")
+        assert rows[0][3] and rows[2][0] is None  # degenerate; length-only
+        for row, group_lengths, adv in zip(rows, lengths, split):
+            if isinstance(row, RolloutLogError):
+                continue
+            pos = [t for t, a in zip(group_lengths, adv) if a > 0.0]
+            neg = [t for t, a in zip(group_lengths, adv) if a < 0.0]
+            assert row[6:] == (len(pos), sum(pos), len(neg), sum(neg))
+            assert all(type(count) is int for count in row[6:])
+        assert [row[6:] for row in rows[:3]] == [(0, 0, 0, 0), (1, 1, 1, 2), (1, 2**53, 2, 2**53 + 6)]
+    assert rows[-1][6:] == (1024, 2**63, 1, 5)
 
 
 @pytest.mark.parametrize("window", [1, 3, 16])

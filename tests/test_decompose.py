@@ -10,6 +10,7 @@ from grpoagg.decompose import (
     LengthTally,
     NonBinaryRewardError,
     ba_weight_identity,
+    batch_metrics,
     decompose,
     length_stats,
     pooled_mean,
@@ -18,7 +19,7 @@ from grpoagg.decompose import (
 from grpoagg.groups import Response, RolloutGroup, normalize_advantages
 from grpoagg.verify import random_binary_group
 
-from conftest import drawn_group, length_columns, make_group
+from conftest import drawn_group, length_columns, length_lists, make_group
 
 
 def test_decompose_token_example(clip):
@@ -205,14 +206,48 @@ def test_length_stats_absent_gap():
     assert stats.len_gap is None
 
 
+def list_length_stats(lengths, pos_lengths, neg_lengths):
+    """The length statistics from per-sign length lists: the oracle of the
+    counts form that length_stats takes."""
+    n = len(lengths)
+    mean_len = math.fsum(lengths) / n
+    len_cv = math.sqrt(math.fsum((t - mean_len) ** 2 for t in lengths) / n) / mean_len
+    tbar_pos = math.fsum(pos_lengths) / len(pos_lengths) if pos_lengths else None
+    tbar_neg = math.fsum(neg_lengths) / len(neg_lengths) if neg_lengths else None
+    len_gap = (tbar_neg - tbar_pos) / mean_len if tbar_pos is not None and tbar_neg is not None else None
+    return LengthStats(mean_len, len_cv, tbar_pos, tbar_neg, len_gap)
+
+
+def test_counts_form_has_the_bits_of_the_per_sign_list_formulas():
+    # the fsum mean is the correctly rounded total over the count, as
+    # float(n_pos) / k is; the exact quotient n_pos / k rounds once, not twice
+    edge = [2**53 - 1, 1, 1]
+    assert math.fsum(edge) / len(edge) == 3002399751580330.5 and sum(edge) / len(edge) == 3002399751580331.0
+    rng = np.random.default_rng(31)
+    cases = [([*edge, 4, 5], edge, [4, 5]), ([2, 3], [], [2, 3]), ([7], [7], [])]
+    for _ in range(300):
+        lengths = [int(rng.choice([1, 2, 3, 2**40 + int(rng.integers(9)), 2**53 - int(rng.integers(3))]))
+                   for _ in range(int(rng.integers(1, 12)))]
+        signs = rng.integers(-1, 2, len(lengths)).tolist()
+        cases.append((lengths, [t for t, s in zip(lengths, signs) if s > 0],
+                      [t for t, s in zip(lengths, signs) if s < 0]))
+    for lengths, pos_lengths, neg_lengths in cases:
+        stats = length_stats(lengths, len(pos_lengths), sum(pos_lengths), len(neg_lengths), sum(neg_lengths))
+        assert repr(stats) == repr(list_length_stats(lengths, pos_lengths, neg_lengths))
+    for ks in (edge, [0, 3, 1], [5], list(map(int, rng.integers(0, 2**20, 50)))):
+        record, = batch_metrics(0, stats, [1.0], sum(ks), len(ks), {"token": 0.5}, None)
+        assert repr(record.k_mean) == repr(math.fsum(ks) / len(ks))
+
+
 def test_length_tally_gives_length_stats_bits():
-    # lengths up to 2**40 make the fsums' rounding matter; the tally must
-    # still give exactly the bits of length_stats over the same groups
+    # lengths up to 2**53 make the fsums' rounding matter; the tally's counts
+    # must still give exactly the bits of the list formulas over the same groups
     rng = np.random.default_rng(5)
     groups = []
     for _ in range(40):
+        choices = [1, 3, 2**40 + int(rng.integers(9)), 2**53 - int(rng.integers(3))]
         responses = [
-            Response(None, float(rng.integers(2)), token_count=int(rng.choice([1, 3, 2**40 + int(rng.integers(9))])))
+            Response(None, float(rng.integers(2)), token_count=int(rng.choice(choices)))
             for _ in range(int(rng.integers(2, 7)))
         ]
         groups.append(RolloutGroup("p", tuple(responses), 1e-6))
@@ -220,7 +255,9 @@ def test_length_tally_gives_length_stats_bits():
     tally = LengthTally()
     for group, adv in zip(groups, advs):
         tally.add(*length_columns([group], [adv]))
-    assert repr(tally.stats()) == repr(length_stats(*length_columns(groups, advs)))
+    _, n_pos, _, n_neg = tally.totals
+    assert n_pos > 2**53 and n_neg > 2**53
+    assert repr(tally.stats()) == repr(list_length_stats(*length_lists(groups, advs)))
     with pytest.raises(ValueError, match="non-empty"):
         LengthTally().stats()
 

@@ -405,7 +405,8 @@ def test_train_step_equals_evaluate_batch_over_its_materialised_groups():
         1,
         length_stats(*length_columns(groups, advs)),
         [r.reward for g in groups for r in g.responses],
-        [int(np.count_nonzero(a > 0.0)) for a in advs],
+        sum(int(np.count_nonzero(a > 0.0)) for a in advs),
+        len(advs),
         {r: fsum(v) / len(v) for r, v in values.items()},
         fsum(clip_fracs) / len(clip_fracs),
     )

@@ -13,7 +13,9 @@ with its import blocked. The logs are the benchmark's seed-0 ``analyze-long``
 and ``analyze-short`` logs (written by ``bench/inputs.py``),
 ``tests/data/faulty_rollouts.jsonl``, ``tests/data/golden/rollouts_balanced.jsonl``,
 a log whose groups are refused by normalisation or by an overflowing
-objective, and a log of header and record-parser fallback line shapes. The
+objective, a log of header and record-parser fallback line shapes, and a
+length-only log whose per-sign token totals pass 2**53 (and, in one group,
+2**63). The
 other cases are ``verify --seed 0`` and ``--seed 7``,
 ``simulate --steps 20``, ``compare --steps 10 --locked-rollouts``, and the
 rollout dumps of ``simulate --steps 20``, ``compare --steps 10`` and
@@ -122,6 +124,21 @@ def header_shapes_log(path: Path) -> None:
     path.write_text("".join(lines), encoding="utf-8")
 
 
+def long_lengths_log(path: Path) -> None:
+    """40 length-only groups of 2 to 5 responses of up to 2**53 tokens, so
+    that a window's per-sign token totals pass 2**53 and round, then one
+    group of 1,025 whose positive responses' lengths total 2**63."""
+    rng = random.Random(7)
+    lines = []
+    for i in range(40):
+        responses = [{"token_count": rng.choice([1, 3, 2**40 + rng.randrange(9), 2**53 - rng.randrange(3)]),
+                      "reward": float(rng.random() < 0.5)} for _ in range(rng.randrange(2, 6))]
+        lines.append(json.dumps({"prompt_id": f"p{i}", "responses": responses}) + "\n")
+    wide = [{"token_count": 2**53, "reward": 1.0}] * 1024 + [{"token_count": 5, "reward": 0.0}]
+    lines.append(json.dumps({"prompt_id": "wide", "responses": wide}) + "\n")
+    path.write_text("".join(lines), encoding="utf-8")
+
+
 def logs(directory: Path) -> dict[str, Path]:
     """The analyze cases' logs by name, the generated ones written to ``directory``."""
     sys.path.insert(0, str(ROOT / "bench"))
@@ -138,6 +155,8 @@ def logs(directory: Path) -> dict[str, Path]:
     refused_groups_log(found["refused-groups"])
     found["header-shapes"] = directory / "header-shapes.jsonl"
     header_shapes_log(found["header-shapes"])
+    found["long-lengths"] = directory / "long-lengths.jsonl"
+    long_lengths_log(found["long-lengths"])
     return found
 
 
