@@ -18,12 +18,10 @@ Each outer step samples G responses per prompt once, into flat columns
 (``StepRollouts``) that keep the policy's log-probability table at sampling
 as the old policy, and performs gradient ascent on the batch-mean objective
 of the configured aggregation rule. All four rules are evaluated on the
-same rollouts for logging. Sampling is seeded per (seed, step, prompt), so
-runs are deterministic and rule-comparison runs share rollout randomness
-per step: the stream of (seed, step, prompt) is a PCG64 seeded by
-``SeedSequence([seed, step, prompt])`` (``rollout_seed``), and
-``run_training`` computes those generators' states a block of steps at a
-time, re-stating one generator per prompt each step. A run builds no
+same rollouts for logging. Each step samples from one stream,
+``np.random.default_rng([seed, step])``, whatever the rule, so runs are
+deterministic and rule-comparison runs share rollout randomness per step;
+the step's groups read consecutive blocks of it in order. A run builds no
 Response or RolloutGroup record: a rollout dump is written as each step
 ends, as text made from the step's columns (``StepRollouts.jsonl``).
 """
@@ -35,7 +33,7 @@ import os
 from bisect import bisect_right
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, groupby
+from itertools import accumulate, compress
 from math import fsum
 from pathlib import Path
 from typing import Callable, Sequence
@@ -225,105 +223,6 @@ def verify_reward(task: TaskSpec, prompt_index: int, tokens: Sequence[int]) -> f
     return _reward(task, prompt_index, tokens)
 
 
-def rollout_seed(seed: int, step: int, prompt_index: int) -> np.random.SeedSequence:
-    """Per-(step, prompt) sampling seed; independent of the aggregation rule.
-
-    This defines the stream of ``(seed, step, prompt)``: a PCG64 seeded by
-    ``SeedSequence([seed, step, prompt])``. ``run_training`` computes those
-    generators' states a block of steps at a time (``_rollout_states``)
-    rather than building one SeedSequence and one PCG64 per group."""
-    return np.random.SeedSequence([seed, step, prompt_index])
-
-
-# numpy's SeedSequence (4-word pool) and PCG64 seeding constants
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-# run_training seeds at most this many (step, prompt) lanes at once, and at least one step;
-# a block costs about 0.15 ms plus 1.2 us a lane (2-core x86 host, Python 3.11), so larger
-# blocks would save nothing measurable
-_STATE_LANES = 1024
-
-
-def _words(n: int) -> list[int]:
-    """``n``'s little-endian 32-bit words, as SeedSequence reads an int (0 is one word)."""
-    words = [n & 0xFFFFFFFF]
-    while n := n >> 32:
-        words.append(n & 0xFFFFFFFF)
-    return words
-
-
-def _hash_keys(init: int, mult: int):
-    """SeedSequence's hash constants, which do not depend on the data: each
-    hash xors the current constant, advances it and multiplies by the new one."""
-    while True:
-        yield init, (init := init * mult & 0xFFFFFFFF)
-
-
-def _hash(values: np.ndarray, keys) -> np.ndarray:
-    before, after = next(keys)
-    values = (values ^ before) * after
-    return values ^ values >> 16
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return result ^ result >> 16
-
-
-def _rollout_states(seed: int, steps: Sequence[int], num_prompts: int) -> list[list[dict]]:
-    """``np.random.PCG64(rollout_seed(seed, step, p)).state`` for each of
-    ``steps`` and each prompt p below ``num_prompts``, by step, then prompt.
-
-    SeedSequence's pool mixing and ``generate_state(4, np.uint64)`` run as
-    uint32 column arithmetic over every (step, prompt) lane at once, a run of
-    steps of one word count at a time (a step from 2**32 on has two words);
-    PCG64's seeding of the 128-bit state and increment is done in Python ints.
-    """
-    seed_words = _words(seed)
-    states: list[list[dict]] = []
-    for _, run in groupby(map(_words, steps), len):
-        step_words = np.repeat(np.array(list(run), dtype=np.uint32), num_prompts, axis=0)
-        lanes = len(step_words)
-        entropy = [*(np.full(lanes, word, dtype=np.uint32) for word in seed_words), *step_words.T,
-                   np.tile(np.arange(num_prompts, dtype=np.uint32), lanes // num_prompts)]
-        keys = _hash_keys(_INIT_A, _MULT_A)
-        pool = [_hash(entropy[i] if i < len(entropy) else np.zeros(lanes, np.uint32), keys) for i in range(4)]
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], _hash(pool[src], keys))
-        for word in entropy[4:]:
-            for dst in range(4):
-                pool[dst] = _mix(pool[dst], _hash(word, keys))
-        keys = _hash_keys(_INIT_B, _MULT_B)
-        out = [_hash(pool[i % 4], keys).astype(np.uint64) for i in range(8)]
-        # the 64-bit words are the high and low halves of the initial state, then of the sequence
-        words64 = ((out[2 * i] | out[2 * i + 1] << np.uint64(32)).tolist() for i in range(4))
-        lane_states = []
-        for init_hi, init_lo, seq_hi, seq_lo in zip(*words64):
-            inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
-            state = ((inc + (init_hi << 64 | init_lo)) * _PCG64_MULT + inc) & _MASK128
-            lane_states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                                "has_uint32": 0, "uinteger": 0})
-        states += (lane_states[i : i + num_prompts] for i in range(0, lanes, num_prompts))
-    return states
-
-
-def _rollout_streams(seed: int, steps: int, num_prompts: int):
-    """For each step below ``steps``, the step's ``rollout_seed`` streams as
-    one PCG64 per prompt, re-stated for the step; the generators are the same
-    objects every step, so each step's must be drawn from before the next."""
-    generators = [np.random.PCG64(0) for _ in range(num_prompts)]
-    block = max(1, _STATE_LANES // num_prompts)
-    for start in range(0, steps, block):
-        for states in _rollout_states(seed, range(start, min(start + block, steps)), num_prompts):
-            for generator, state in zip(generators, states):
-                generator.state = state
-            yield generators
-
-
 @dataclass(frozen=True)
 class StepRollouts:
     """One step's sampled responses as flat columns, with no per-response record.
@@ -396,7 +295,7 @@ def sample_step(
     task: TaskSpec,
     prompt_indices: Sequence[int],
     group_size: int,
-    seeds: Sequence,
+    seed,
 ) -> StepRollouts:
     """Sample G responses for each prompt at temperature 1, as one step's columns.
 
@@ -404,13 +303,14 @@ def sample_step(
     log-probabilities are computed once, and that table is the step's old
     policy too, so the step's ratios at sampling are exactly 1.
 
-    Group j draws its uniforms from ``seeds[j]`` as one block of G * t_max;
-    each token takes the next draw in order, so the rollouts are those of one
-    ``rng.random()`` call per token (the unused tail of the block is
-    discarded with the private generator). The symbol for draw u at position
-    t is the count of cum[t][:V-1] <= u, i.e. ``searchsorted(cum[t], u,
-    side="right")`` clamped to V-1. Extra memory is O(G * t_max) per group
-    plus O(t_max * V) per prompt of the step.
+    ``seed`` is anything ``np.random.default_rng`` takes. Group j reads the
+    j-th block of G * t_max uniforms of that one stream, so no group's
+    rollouts depend on the prompts after it; each token takes the next draw
+    of its group's block in order, and the unused tail of the block is
+    skipped. The symbol for draw u at position t is the count of
+    cum[t][:V-1] <= u, i.e. ``searchsorted(cum[t], u, side="right")``
+    clamped to V-1. Extra memory is O(G * t_max) per group plus
+    O(t_max * V) per prompt of the step.
     """
     if group_size < 2:
         raise ValueError("group_size must be >= 2")
@@ -419,8 +319,6 @@ def sample_step(
     if policy.logits.shape != shape:
         raise ValueError(f"policy shape {policy.logits.shape} does not match the task's {shape}")
     prompts = [int(p) for p in prompt_indices]
-    if len(seeds) != len(prompts):
-        raise ValueError(f"{len(prompts)} prompts but {len(seeds)} seeds")
     for p in prompts:
         if not 0 <= p < task.num_prompts:
             raise ValueError(f"prompt index {p} out of range")
@@ -428,8 +326,9 @@ def sample_step(
     cums = np.cumsum(np.exp(lp[prompts]), axis=2)[:, :, :-1].tolist()
     tokens: list[int] = []
     lengths, rewards, truncated = [], [], []
-    for p, seed, cum in zip(prompts, seeds, cums):
-        draws = np.random.default_rng(seed).random(group_size * task.t_max).tolist()
+    rng = np.random.default_rng(seed)
+    for p, cum in zip(prompts, cums):
+        draws = rng.random(group_size * task.t_max).tolist()
         k = 0
         for _ in range(group_size):
             start = len(tokens)
@@ -450,8 +349,8 @@ def sample_step(
 def sample_group(policy: PolicyTable, task: TaskSpec, prompt_index: int, group_size: int, seed,
                  eps_var: float = 0.0):
     """sample_step for one prompt, as the RolloutGroup its JSONL line reads
-    back as; deterministic given ``seed``."""
-    return parse_rollout_line(sample_step(policy, task, [prompt_index], group_size, [seed]).jsonl(eps_var))
+    back as; deterministic given ``seed``, which sample_step takes as is."""
+    return parse_rollout_line(sample_step(policy, task, [prompt_index], group_size, seed).jsonl(eps_var))
 
 
 @dataclass(frozen=True)
@@ -543,7 +442,6 @@ def train_step(
     config: TrainConfig,
     step: int,
     on_degenerate: Callable[[int], None] | None = None,
-    seeds: Sequence | None = None,
 ) -> tuple[PolicyTable, list[MetricRecord], StepRollouts]:
     """One outer step: sample the prompts' groups once, ascend the configured rule.
 
@@ -559,13 +457,10 @@ def train_step(
     ``on_degenerate`` is called with the step's count of them when it is
     not 0; a group whose variance overflows raises its ValueError.
 
-    ``seeds`` are the groups' sampling seeds, one per prompt index, as
-    ``sample_step`` takes them; by default ``rollout_seed(config.seed, step,
-    p)`` for each prompt index p.
+    The step samples from the stream ``[config.seed, step]``, which depends
+    on neither the rule nor the policy.
     """
-    if seeds is None:
-        seeds = [rollout_seed(config.seed, step, p) for p in prompt_indices]
-    rollouts = sample_step(policy, task, prompt_indices, config.group_size, seeds)
+    rollouts = sample_step(policy, task, prompt_indices, config.group_size, [config.seed, step])
     rewards, lengths, sizes = rollouts.rewards, rollouts.lengths, rollouts.sizes
     normalized = normalize_columns(rewards, sizes, [config.eps_var] * len(sizes), list(map(str, rollouts.prompts)))
     if normalized.errors:
@@ -605,8 +500,6 @@ def run_training(
     before any work when one step's prompts * group_size * t_max *
     vocab_size exceeds MAX_STEP_CELLS, or that times steps * inner_epochs
     exceeds MAX_WORK_CELLS. ``on_degenerate`` is passed to every train_step.
-    Each step's seeds are its ``rollout_seed`` streams, whose generator
-    states are computed a block of steps at a time (``_rollout_streams``).
     """
     step_cells = task.num_prompts * config.group_size * task.t_max * task.vocab_size
     _check_cells("step cells (prompts * group_size * t_max * vocab_size)", step_cells, MAX_STEP_CELLS)
@@ -615,9 +508,8 @@ def run_training(
     policy = PolicyTable.uniform(task.num_prompts, task.t_max, task.vocab_size)
     records: list[MetricRecord] = []
     with _dump_file(rollouts_path) as dump:
-        for step, seeds in enumerate(_rollout_streams(config.seed, config.steps, task.num_prompts)):
-            policy, recs, rollouts = train_step(policy, task, range(task.num_prompts), config, step, on_degenerate,
-                                                seeds)
+        for step in range(config.steps):
+            policy, recs, rollouts = train_step(policy, task, range(task.num_prompts), config, step, on_degenerate)
             records.extend(recs)
             if dump is not None:
                 dump.write(rollouts.jsonl(config.eps_var, step))

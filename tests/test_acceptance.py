@@ -33,7 +33,6 @@ from grpoagg.sim import (
     TaskSpec,
     TrainConfig,
     logit_gradient_check,
-    rollout_seed,
     run_training,
     sample_group,
     sample_step,
@@ -139,7 +138,7 @@ def test_a6_gradient_correctness():
     for i in range(40):
         old = PolicyTable(rng.normal(scale=0.3, size=(2, 5, 3)))
         policy = PolicyTable(old.logits + rng.normal(scale=0.05, size=(2, 5, 3)))
-        rollouts = sample_step(old, task, [0, 1], 6, [rollout_seed(106, i, p) for p in range(2)])
+        rollouts = sample_step(old, task, [0, 1], 6, [106, i])
         advantages = normalize_columns(rollouts.rewards, rollouts.sizes, [1e-6] * 2, ["0", "1"]).advantages
         worst_logit = np.maximum(
             worst_logit,
@@ -176,7 +175,7 @@ def test_a7_sign_length_coupling():
     logits[0, 0, COUNT_SYMBOL] = 50.0  # always start with the count symbol
     logits[0, 2:, COUNT_SYMBOL] = 50.0  # never stop after position 1
     policy = PolicyTable(logits)
-    sampled = sample_group(policy, task, 0, 16, rollout_seed(7, 0, 0))
+    sampled = sample_group(policy, task, 0, 16, [7, 0])
     sadv = normalize_advantages(sampled)
     assert 1 <= np.count_nonzero(sadv > 0.0) <= 15
     report = decompose(sampled, sadv, CLIP, "token")

@@ -3,6 +3,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import grpoagg
 
 # by import_module: ``from grpoagg import decompose`` gives the function
@@ -22,6 +24,13 @@ def test_package_exports_each_module_list_once():
     assert isinstance(grpoagg.__version__, str)
     # ``from .decompose import *`` rebinds the package's ``decompose`` to the function
     assert grpoagg.decompose is MODULES[1].decompose
+
+
+def test_the_package_version_is_the_project_version():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == grpoagg.__version__
 
 
 def test_the_bench_tracer_resolves_the_names_it_wraps(monkeypatch):

@@ -29,7 +29,6 @@ from grpoagg.sim import (
     TrainConfig,
     evaluate_batch,
     logit_gradient_check,
-    rollout_seed,
     run_training,
     sample_group,
     sample_step,
@@ -147,7 +146,7 @@ def test_size_caps_are_checked_before_allocating(capsys, tmp_path):
         run_training(task, TrainConfig(rule="token", steps=1, group_size=huge))
     policy = PolicyTable.uniform(4, 8, 3)
     with pytest.raises(ValueError, match="draws per group"):
-        sample_group(policy, task, 0, huge, rollout_seed(0, 0, 0))
+        sample_group(policy, task, 0, huge, [0, 0])
     for flag in ("--t-max", "--group-size", "--prompts", "--vocab-size"):
         argv = ["simulate", flag, str(huge), "--steps", "1", "--out", str(tmp_path)]
         assert main(argv) == 2
@@ -190,7 +189,7 @@ def test_work_cap_is_checked_before_the_first_step(monkeypatch, capsys, tmp_path
 def test_sample_group_ratios_exactly_one():
     task = count_task()
     policy = PolicyTable.uniform(4, 8, 3)
-    group = sample_group(policy, task, 0, 8, rollout_seed(0, 0, 0), 1e-6)
+    group = sample_group(policy, task, 0, 8, [0, 0], 1e-6)
     assert group.size == 8
     for resp in group.responses:
         assert all(r == 1.0 for r in resp.ratios)
@@ -200,8 +199,8 @@ def test_sample_group_ratios_exactly_one():
 def test_sample_group_deterministic():
     task = count_task()
     policy = PolicyTable.uniform(4, 8, 3)
-    a = sample_group(policy, task, 2, 16, rollout_seed(5, 3, 2), 1e-6)
-    b = sample_group(policy, task, 2, 16, rollout_seed(5, 3, 2), 1e-6)
+    a = sample_group(policy, task, 2, 16, [5, 3], 1e-6)
+    b = sample_group(policy, task, 2, 16, [5, 3], 1e-6)
     assert a == b
 
 
@@ -209,7 +208,7 @@ def test_sample_group_forced_correct_string():
     task = count_task()
     correct = [(COUNT_SYMBOL,) * n + (EOS_TOKEN,) for n in task.counts]
     policy = deterministic_policy(task, correct)
-    group = sample_group(policy, task, 2, 4, rollout_seed(0, 0, 2))
+    group = sample_group(policy, task, 2, 4, [0, 0])
     for resp in group.responses:
         assert resp.reward == 1.0
         assert resp.length == task.counts[2] + 1 == 4
@@ -222,7 +221,7 @@ def test_sample_group_truncation_flag():
     logits = np.zeros((4, 8, 3))
     logits[:, :, COUNT_SYMBOL] = 50.0
     policy = PolicyTable(logits)
-    group = sample_group(policy, task, 0, 4, rollout_seed(1, 0, 0))
+    group = sample_group(policy, task, 0, 4, [1, 0])
     for resp in group.responses:
         assert resp.truncated
         assert resp.length == task.t_max
@@ -230,9 +229,12 @@ def test_sample_group_truncation_flag():
         assert resp.reward == 0.0
 
 
-def reference_sample_group(policy, task, prompt_index, group_size, seed, eps_var):
-    """One rng.random() call and one searchsorted per token, as a loop."""
+def reference_sample_group(policy, task, prompt_index, group_size, seed, eps_var, block=0):
+    """One rng.random() call and one searchsorted per token, as a loop, on
+    the stream of ``seed`` after ``block`` earlier groups' blocks of
+    group_size * t_max draws: the step's group ``block``."""
     rng = np.random.default_rng(seed)
+    rng.random(block * group_size * task.t_max)
     lp = policy.log_probs()[prompt_index]
     cum = np.cumsum(np.exp(lp), axis=1)
     responses = []
@@ -254,31 +256,43 @@ def reference_sample_group(policy, task, prompt_index, group_size, seed, eps_var
 
 
 def test_sample_group_matches_per_token_reference():
-    ends = set()
+    ends, repeats = set(), set()
     for kind, group_size, t_max, vocab in [("count", 16, 8, 3), ("free-length", 7, 3, 2),
                                            ("free-length", 5, 12, 6), ("count", 64, 32, 8)]:
         task = TaskSpec(kind, vocab_size=vocab, t_max=t_max, num_prompts=3)
         for seed in range(6):
             policy = PolicyTable(np.random.default_rng(seed).normal(size=(3, t_max, vocab)))
             for p in range(3):
-                seq = rollout_seed(seed, 1, p)
-                got = sample_group(policy, task, p, group_size, seq, 1e-6)
-                assert got == reference_sample_group(policy, task, p, group_size, seq, 1e-6)
+                got = sample_group(policy, task, p, group_size, [seed, 1], 1e-6)
+                assert got == reference_sample_group(policy, task, p, group_size, [seed, 1], 1e-6)
                 ends |= {(r.length == t_max, r.truncated) for r in got.responses}
             # whole steps, as run_training batches them: fewer prompts per
-            # batch than prompts (the order wraps) and more (prompts repeat)
+            # batch than prompts (the order wraps) and more (prompts repeat);
+            # group j reads the j-th block of the step's one stream
             config = TrainConfig(rule="token", steps=1, group_size=group_size, seed=seed)
             for batch in (2, 3, 5):
                 step = seed + batch
                 prompts = [(step * batch + j) % 3 for j in range(batch)]
                 _, _, rollouts = train_step(policy, task, prompts, config, step)
-                assert step_groups(rollouts, config.eps_var) == [
-                    reference_sample_group(policy, task, p, group_size, rollout_seed(seed, step, p),
-                                           config.eps_var)
-                    for p in prompts
+                groups = step_groups(rollouts, config.eps_var)
+                assert groups == [
+                    reference_sample_group(policy, task, p, group_size, [seed, step], config.eps_var, j)
+                    for j, p in enumerate(prompts)
                 ]
+                # a prompt that appears twice in a step samples from two blocks
+                repeats |= {groups[i] == groups[i + 3] for i in range(batch - 3)}
     # EOS before t_max, EOS exactly at position t_max - 1, and truncation all occur
     assert ends == {(False, False), (True, False), (True, True)}
+    assert False in repeats
+
+
+def test_a_step_s_first_groups_do_not_depend_on_the_prompts_after_them():
+    task = count_task()
+    policy = PolicyTable(np.random.default_rng(8).normal(size=(4, 8, 3)))
+    config = TrainConfig(rule="token", steps=1, seed=11)
+    _, _, two = train_step(policy, task, [0, 1], config, 6)
+    _, _, four = train_step(policy, task, [0, 1, 2, 3], config, 6)
+    assert step_groups(four, config.eps_var)[:2] == step_groups(two, config.eps_var)
 
 
 @pytest.mark.parametrize("eps_var", [0, 1e-6], ids=["int-0", "1e-6"])
@@ -306,15 +320,12 @@ def test_a_dumped_line_is_the_reference_encoding_of_its_group(tmp_path, eps_var)
 def test_sample_step_checks_its_arguments():
     task = count_task()
     policy = PolicyTable.uniform(4, 8, 3)
-    seeds = [rollout_seed(0, 0, p) for p in range(2)]
     with pytest.raises(ValueError, match=r"policy shape \(4, 7, 3\) does not match the task's \(4, 8, 3\)"):
-        sample_step(PolicyTable.uniform(4, 7, 3), task, [0, 1], 4, seeds)
+        sample_step(PolicyTable.uniform(4, 7, 3), task, [0, 1], 4, 0)
     with pytest.raises(ValueError, match="prompt index 4 out of range"):
-        sample_step(policy, task, [0, 4], 4, seeds)
-    with pytest.raises(ValueError, match="2 prompts but 1 seeds"):
-        sample_step(policy, task, [0, 1], 4, seeds[:1])
+        sample_step(policy, task, [0, 4], 4, 0)
     with pytest.raises(ValueError, match="group_size must be >= 2"):
-        sample_step(policy, task, [0, 1], 1, seeds)
+        sample_step(policy, task, [0, 1], 1, 0)
 
 
 def test_non_finite_sampled_log_prob_raises_the_record_error():
@@ -482,7 +493,7 @@ def test_token_vs_balanced_update_reweighting():
     task = count_task()
     policy = PolicyTable.uniform(4, 8, 3)
     clip = ClipConfig()
-    group = sample_group(policy, task, 0, 16, rollout_seed(3, 0, 0))
+    group = sample_group(policy, task, 0, 16, [3, 0])
     adv = normalize_advantages(group)
     if not (adv > 0.0).any() or (adv > 0.0).all():
         pytest.skip("needs a mixed group for this seed")
@@ -525,23 +536,10 @@ def test_run_training_deterministic_stream(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 5])
-def test_rollout_states_are_the_states_rollout_seed_gives(seed):
-    # a 5-prompt run's first step, the last step of its first block of
-    # seeded states and the first of the next, and the steps either side of
-    # 2**32, from where a step is two entropy words, all in one call
-    block = sim._STATE_LANES // 5
-    steps = [0, block - 1, block, 2**32 - 1, 2**32]
-    assert sim._rollout_states(seed, steps, 5) == [
-        [np.random.PCG64(rollout_seed(seed, step, p)).state for p in range(5)] for step in steps
-    ]
-
-
-def test_run_training_equals_train_steps_on_rollout_seed_streams():
-    # 300 steps of 4 prompts cross a block of seeded states
+def test_run_training_equals_its_train_steps():
+    # a seed of three 32-bit words
     task = count_task()
     config = TrainConfig(rule="balanced", steps=300, learning_rate=0.5, seed=2**64 + 3)
-    assert task.num_prompts * config.steps > sim._STATE_LANES
     records, policy = run_training(task, config)
     expected, reference = [], PolicyTable.uniform(4, 8, 3)
     for step in range(config.steps):
@@ -600,7 +598,7 @@ def test_logit_gradient_check_all_rules():
     clip = ClipConfig()
     old = PolicyTable(rng.normal(scale=0.3, size=(2, 5, 3)))
     policy = PolicyTable(old.logits + rng.normal(scale=0.05, size=(2, 5, 3)))
-    rollouts = sample_step(old, task, [0, 1], 8, [rollout_seed(9, 0, p) for p in range(2)])
+    rollouts = sample_step(old, task, [0, 1], 8, [9, 0])
     advantages = normalize_columns(rollouts.rewards, rollouts.sizes, [1e-6] * 2, ["0", "1"]).advantages
     for rule in ("token", "seq", "balanced", "balanced_gen"):
         assert logit_gradient_check(policy, rollouts, advantages, rule, clip) < 1e-4
@@ -624,7 +622,7 @@ def test_inner_epochs_move_ratios_off_one():
 def test_evaluate_batch_refuses_advantages_or_a_policy_that_do_not_fit():
     task = count_task(num_prompts=2)
     policy = PolicyTable(np.zeros((2, 8, 3)))
-    rollouts = sample_step(policy, task, [0, 1], 4, [rollout_seed(0, 0, p) for p in range(2)])
+    rollouts = sample_step(policy, task, [0, 1], 4, [0, 0])
     with pytest.raises(ValueError, match="8 responses but 7 advantages"):
         evaluate_batch(policy, rollouts, np.zeros(7), "token", ClipConfig())
     with pytest.raises(ValueError, match="policy and sampling-table shapes differ"):
@@ -639,10 +637,7 @@ def test_verify_reward_refuses_a_prompt_out_of_range():
 def test_evaluate_batch_reports_non_finite_gradient():
     task = count_task(num_prompts=2)
     policy = PolicyTable.uniform(2, 8, 3)
-    groups = [
-        sample_group(policy, task, p, 8, rollout_seed(2, 0, p), 1e-6)
-        for p in range(2)
-    ]
+    groups = step_groups(sample_step(policy, task, range(2), 8, [2, 0]), 1e-6)
     advs = [normalize_advantages(g) for g in groups]
     bad_old = np.zeros((2, 8, 3))
     bad_old[:, :, COUNT_SYMBOL] = -800.0  # ratio exp(~800) overflows

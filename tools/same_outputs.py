@@ -19,11 +19,10 @@ length-only log whose per-sign token totals pass 2**53 (and, in one group,
 other cases are ``verify --seed 0`` and ``--seed 7``,
 ``simulate --steps 20``, ``compare --steps 10 --locked-rollouts``, and the
 rollout dumps of ``simulate --steps 20``, ``compare --steps 10`` and
-``simulate --steps 0`` (``--dump-rollouts``), two runs whose seeds are
-several 32-bit words and whose steps cross a block of seeded sampling
-states, ``simulate --steps 300 --seed 4294967296`` and ``compare --steps 270
---prompts 5 --seed 79228162514264337593543950341`` (2**96 + 5), each with
-``--dump-rollouts``, and the dispatch and error
+``simulate --steps 0`` (``--dump-rollouts``), two runs whose sampling
+seeds are several 32-bit words, ``simulate --steps 300 --seed 4294967296``
+and ``compare --steps 270 --prompts 5 --seed 79228162514264337593543950341``
+(2**96 + 5), each with ``--dump-rollouts``, and the dispatch and error
 cases: no command, ``--help``, ``analyze --help``, ``analyze`` with no
 ``--input`` and with a missing one, the faulty log at ``--window 0``,
 ``--eps-var nan`` and ``--window 99999999999999999999``, ``simulate --steps
