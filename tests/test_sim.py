@@ -295,6 +295,26 @@ def test_a_step_s_first_groups_do_not_depend_on_the_prompts_after_them():
     assert step_groups(four, config.eps_var)[:2] == step_groups(two, config.eps_var)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 5])
+def test_a_step_samples_from_the_stream_of_its_seed_and_step(seed):
+    # seeds and steps of one, two and more 32-bit words, taken whole: step
+    # 2**32 is not step 0, and step 2**32 - 1 is not step 2**32
+    task = count_task()
+    policy = PolicyTable(np.random.default_rng(4).normal(size=(4, 8, 3)))
+    config = TrainConfig(rule="token", steps=1, group_size=8, seed=seed)
+    prompts = [1, 3, 0]
+    seen = []
+    for step in (0, 2**32 - 1, 2**32):
+        _, _, rollouts = train_step(policy, task, prompts, config, step)
+        groups = step_groups(rollouts, config.eps_var)
+        assert groups == [
+            reference_sample_group(policy, task, p, 8, [seed, step], config.eps_var, j)
+            for j, p in enumerate(prompts)
+        ]
+        assert groups not in seen
+        seen.append(groups)
+
+
 @pytest.mark.parametrize("eps_var", [0, 1e-6], ids=["int-0", "1e-6"])
 def test_a_dumped_line_is_the_reference_encoding_of_its_group(tmp_path, eps_var):
     # the dump is written from the step's columns; each line must be the
