@@ -212,8 +212,8 @@ def _orjson():
     return _fast_loads
 
 
-def _stdlib_loads(raw: bytes):
-    return json.loads(raw.decode("utf-8"))
+def _stdlib_loads(raw: bytes | memoryview):
+    return json.loads(str(raw, "utf-8"))
 
 
 def _nesting(line: str) -> int:
@@ -335,7 +335,7 @@ def _raw_lines(fh) -> Iterator[bytes]:
             yield chunk  # one line: reading bytes splits at "\\n" alone
 
 
-def _parse_raw(raw: bytes, line_no: int, default_eps_var: float) -> RolloutGroup | RolloutLogError | None:
+def _parse_raw(raw: bytes | memoryview, line_no: int, default_eps_var: float) -> RolloutGroup | RolloutLogError | None:
     """``parse_rollout_line`` of one raw line, the RolloutLogError it
     raises, or None for a line that is whitespace only. A line that is not
     UTF-8 fails alone (MalformedLineError), and its end is given as "\\n", as
@@ -347,10 +347,10 @@ def _parse_raw(raw: bytes, line_no: int, default_eps_var: float) -> RolloutGroup
         return exc
 
 
-def _decode_line(raw: bytes, line_no: int) -> str:
+def _decode_line(raw: bytes | memoryview, line_no: int) -> str:
     """One line as text mode reads it: UTF-8, its line end (if any) as "\\n"."""
     try:
-        line = raw.decode("utf-8")
+        line = str(raw, "utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedLineError(f"line {line_no}: not UTF-8: {exc}", line_no) from exc
     if line.endswith("\r"):
@@ -420,7 +420,7 @@ def _until_failure(lines: Iterator[tuple[int, bytes]], failures: list[OSError]) 
         failures.append(exc)
 
 
-def _line_columns(loads, lines: Iterable[tuple[int, bytes]], default_eps_var: float) -> Iterator:
+def _line_columns(loads, lines: Iterable[tuple[int, bytes | memoryview]], default_eps_var: float) -> Iterator:
     """For each ``(line_no, raw)`` of ``lines``, its columns as read_group_columns
     yields them or its RolloutLogError, or nothing for a whitespace line.
     ``_line_fields`` and ``groups.group_columns`` check a decoded line without
@@ -534,10 +534,11 @@ def _fork_worker(fd: int, default_eps_var: float, evaluate, others: list) -> tup
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         for end in [task_write, reply_read, *chain.from_iterable((t.fileno(), r.fileno()) for _, t, r in others)]:
             os.close(end)
+        buffer = bytearray()  # every span is read into it
         with open(task_read, "rb") as tasks, open(reply_write, "wb") as replies:
             while task := tasks.read(_TASK.size):
                 try:
-                    reply = _span_columns(fd, *_TASK.unpack(task), default_eps_var, evaluate)
+                    reply = _span_columns(fd, *_TASK.unpack(task), default_eps_var, evaluate, buffer)
                 except Exception as exc:
                     reply = exc
                 data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
@@ -573,15 +574,37 @@ def _spans(lines: Iterable[tuple[int, bytes]]) -> Iterator[tuple[int, int, int, 
 
 
 def _span_columns(fd: int, first: int, offset: int, size: int, count: int, default_eps_var: float,
-                  evaluate: Callable[[list[tuple]], list[tuple | RolloutLogError]] | None) -> list:
-    """A worker's ``_line_columns`` of a span read back from ``fd``, given
+                  evaluate: Callable[[list[tuple]], list[tuple | RolloutLogError]] | None,
+                  buffer: bytearray) -> list:
+    """A worker's ``_line_columns`` of a span read back from ``fd`` into
+    ``buffer``, which grows only when the span does not fit in it; given
     ``evaluate`` its ``_evaluated``: bytes that split into other lines than
-    the line pass read are an OSError."""
-    data = os.pread(fd, size, offset)
-    lines = data.splitlines(keepends=True)  # as _raw_lines splits them
-    if len(data) != size or len(lines) != count:
-        raise OSError(f"lines {first}-{first + count - 1} read back as {len(lines)} lines of {len(data)} bytes")
-    items = list(_line_columns(_orjson() or _stdlib_loads, enumerate(lines, first), default_eps_var))
+    the line pass read are an OSError. A span's lines are split as
+    ``_raw_lines`` splits them, from the bytes read alone, and decoded in
+    place as views of ``buffer`` (from a copy if the span holds a "\\r");
+    every view is released before this returns or raises, so no item holds
+    one and ``buffer`` can grow again."""
+    if len(buffer) < size:
+        buffer.extend(bytes(size - len(buffer)))
+    views: list[memoryview] = []
+    with memoryview(buffer) as whole:
+        try:
+            read = os.preadv(fd, [whole[:size]], offset)
+            if buffer.find(b"\r", 0, read) < 0:
+                start = 0
+                while start < read:
+                    end = buffer.find(b"\n", start, read) + 1 or read
+                    views.append(whole[start:end])
+                    start = end
+                lines: list = views
+            else:  # "\r\n" and a lone "\r" end a line too
+                lines = whole[:read].tobytes().splitlines(keepends=True)
+            if read != size or len(lines) != count:
+                raise OSError(f"lines {first}-{first + count - 1} read back as {len(lines)} lines of {read} bytes")
+            items = list(_line_columns(_orjson() or _stdlib_loads, enumerate(lines, first), default_eps_var))
+        finally:
+            for view in views:
+                view.release()
     return items if evaluate is None else _evaluated(items, evaluate)
 
 

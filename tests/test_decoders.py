@@ -518,6 +518,77 @@ def test_workers_split_lines_as_the_line_pass_does(workers, tmp_path, end):
     assert _events(read_group_columns, path) == want
 
 
+def _line_ends_log(path: Path) -> Path:
+    """Runs of groups whose lines end in "\\n", then "\\r\\n", then a lone
+    "\\r", then "\\n" again, with no end after the last; among the first run
+    a line that is not UTF-8, a whitespace line, a line of broken JSON, a
+    line nested past MAX_NESTING and a line of over 1 MiB."""
+    wide = json.dumps({"prompt_id": "wide", "responses": [
+        {"tokens": [1] * 150_000, "reward": 1.0, "ratios": [1.0] * 150_000},
+        {"tokens": [2], "reward": 0.0, "ratios": [0.5]}]})
+    odd = [group(prompt='"x"').encode().replace(b'"x"', b'"x\xff"'), b" \t ", group()[:-1].encode(),
+           group(prompt="[" * 600 + "0" + "]" * 600).encode(), wide.encode()]
+    short = [group(reward=str(i % 4 / 4), gid=f'"g{i}"').encode() for i in range(60)]
+    lines = short[:10] + odd[:4] + short[10:15] + odd[4:] + short[15:]
+    ends = [b"\n"] * 30 + [b"\r\n"] * 10 + [b"\r"] * 10 + [b"\n"] * 14 + [b""]
+    path.write_bytes(b"".join(line + end for line, end in zip(lines, ends, strict=True)))
+    return path
+
+
+@pytest.mark.parametrize("decoder", [
+    pytest.param("orjson", marks=pytest.mark.skipif(orjson is None, reason="orjson is not installed")),
+    "blocked",
+])
+def test_lines_read_as_views_give_the_serial_items(workers, tmp_path, monkeypatch, decoder):
+    # a worker decodes most lines as views of its buffer, and a span that
+    # holds a "\r" from bytes: every item is the serial reader's either way
+    if decoder == "blocked":
+        monkeypatch.setitem(sys.modules, "orjson", None)  # import orjson raises ImportError
+    monkeypatch.setattr(rollout_io, "_fast_loads", rollout_io._UNRESOLVED)
+    path = _line_ends_log(tmp_path / "log.jsonl")
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rollout_io, "_PARALLEL_BYTES", 1 << 62)
+        serial = _events(read_group_columns, path)
+    assert (rollout_io._fast_loads is None) == (decoder == "blocked")
+    errors = [e[2:] for e in serial if e[0] == "error"]
+    assert [(line_no, text.split(": ")[1]) for line_no, text in errors] == [
+        (11, "not UTF-8"), (13, "invalid JSON"), (14, "invalid JSON")]
+    assert errors[2][1].endswith("nesting deeper than 512 levels")
+    assert ("group", 20, "wide") in [e[:3] for e in serial] and len(serial) == 64
+    assert _events(read_group_columns, path) == serial == _events(read_rollouts, path)
+
+
+def test_a_workers_buffer_holds_no_stale_bytes_and_no_view(tmp_path):
+    # one buffer, as a worker keeps it: a span of 202 lines, two of them
+    # errors, then a shorter span whose read-back comes up short. The
+    # second counts the lines of the bytes read alone, not of those the
+    # first left behind them, and after each call, returned or raised, no
+    # view of the buffer is left, so it can be resized
+    big = _log_of(tmp_path / "big.jsonl", 200)
+    with big.open("ab") as fh:
+        fh.write(b'{"x\xff"}\n{\n')  # not UTF-8, then broken JSON
+    data = big.read_bytes()
+    small = _log_of(tmp_path / "small.jsonl", 40).read_bytes()
+    extra = f"{group()}\n".encode()
+    buffer = bytearray()
+
+    def resize():
+        buffer.append(0)
+        del buffer[-1]
+
+    with big.open("rb") as fh:
+        items = rollout_io._span_columns(fh.fileno(), 1, 0, len(data), 202, 0.0, None, buffer)
+    assert [item[0] for item in items[:200]] == list(range(1, 201))
+    assert [type(item).__name__ for item in items[200:]] == ["MalformedLineError"] * 2
+    assert len(buffer) == len(data)
+    resize()
+    with (tmp_path / "small.jsonl").open("rb") as fh, \
+            pytest.raises(OSError, match=rf"^lines 1-41 read back as 40 lines of {len(small)} bytes$"):
+        rollout_io._span_columns(fh.fileno(), 1, 0, len(small) + len(extra), 41, 0.0, None, buffer)
+    assert len(buffer) == len(data)
+    resize()
+
+
 FAULTY = DATA / "faulty_rollouts.jsonl"
 
 
@@ -604,10 +675,11 @@ def test_a_span_that_reads_back_otherwise_is_a_read_error(workers, tmp_path, mon
     data = path.read_bytes()
     passed = list(pass_lines(data.splitlines(keepends=True)))
     with path.open("rb") as fh:
-        whole = rollout_io._span_columns(fh.fileno(), 1, 0, len(data), 40, 0.0, None)
+        whole = rollout_io._span_columns(fh.fileno(), 1, 0, len(data), 40, 0.0, None, bytearray())
         assert [item[0] for item in whole] == list(range(1, 41))
         with pytest.raises(OSError, match=rf"^lines 1-{len(passed)} read back as \d+ lines of \d+ bytes$"):
-            rollout_io._span_columns(fh.fileno(), 1, 0, sum(map(len, passed)), len(passed), 0.0, None)
+            rollout_io._span_columns(fh.fileno(), 1, 0, sum(map(len, passed)), len(passed), 0.0, None,
+                                    bytearray())
 
 
 def _full_read(path):
@@ -695,7 +767,7 @@ def test_closing_the_reader_ends_workers_blocked_on_a_reply(tmp_path):
     path = tmp_path / "log.jsonl"
     path.write_text(line * 12, encoding="utf-8")
     with path.open("rb") as fh:
-        reply = rollout_io._span_columns(fh.fileno(), 1, 0, len(line), 1, 0.0, None)
+        reply = rollout_io._span_columns(fh.fileno(), 1, 0, len(line), 1, 0.0, None, bytearray())
     assert len(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)) > 1 << 16  # a pipe's default capacity
     src = str(Path(rollout_io.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

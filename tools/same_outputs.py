@@ -7,16 +7,21 @@ stderr and its exit code. An ``.npz`` file is compared by its arrays, since
 its zip entries carry the time they were written.
 
 The ``analyze`` cases run each log at ``--window`` 16, 3 and 1, with the
-serial reader (``rollout_io._PARALLEL_BYTES`` patched high) and with worker
-processes (patched to 0, with two CPUs in the affinity), each with orjson and
-with its import blocked. The logs are the benchmark's seed-0 ``analyze-long``
-and ``analyze-short`` logs (written by ``bench/inputs.py``),
-``tests/data/faulty_rollouts.jsonl``, ``tests/data/golden/rollouts_balanced.jsonl``,
-a log whose groups are refused by normalisation or by an overflowing
-objective, a log of header and record-parser fallback line shapes, and a
-length-only log whose per-sign token totals pass 2**53 (and, in one group,
-2**63). The
-other cases are ``verify --seed 0`` and ``--seed 7``,
+serial reader (``rollout_io._PARALLEL_BYTES`` patched high), with worker
+processes (patched to 0, with two CPUs in the affinity) and with worker
+processes reading spans of 4 KiB (``rollout_io._SPAN_BYTES`` patched too,
+so that a worker reads spans of very different sizes into its one buffer),
+each with orjson and with its import blocked. The logs are the benchmark's
+seed-0 ``analyze-long`` and ``analyze-short`` logs (written by
+``bench/inputs.py``), ``tests/data/faulty_rollouts.jsonl``,
+``tests/data/golden/rollouts_balanced.jsonl``, a log whose groups are
+refused by normalisation or by an overflowing objective, a log of header
+and record-parser fallback line shapes, a length-only log whose per-sign
+token totals pass 2**53 (and, in one group, 2**63), and a log of every line
+end (``\\n``, ``\\r\\n``, a lone ``\\r``, none after the last line) with a
+line that is not UTF-8, a whitespace line, broken JSON, a line nested past
+512 levels and a line of over 1 MiB among them. The other cases are
+``verify --seed 0`` and ``--seed 7``,
 ``simulate --steps 20``, ``compare --steps 10 --locked-rollouts``, and the
 rollout dumps of ``simulate --steps 20``, ``compare --steps 10`` and
 ``simulate --steps 0`` (``--dump-rollouts``), two runs whose sampling
@@ -61,6 +66,8 @@ assert rollout_io.__file__.startswith(src), rollout_io.__file__
 if "parallel_bytes" in patches:
     rollout_io._PARALLEL_BYTES = patches["parallel_bytes"]
     os.sched_getaffinity = lambda pid: {0, 1}
+if "span_bytes" in patches:
+    rollout_io._SPAN_BYTES = patches["span_bytes"]
 sys.exit(cli.main(argv))
 """
 
@@ -138,6 +145,31 @@ def long_lengths_log(path: Path) -> None:
     path.write_text("".join(lines), encoding="utf-8")
 
 
+def line_ends_log(path: Path) -> None:
+    """100 groups whose lines end in turn in "\\n", "\\r\\n" and a lone "\\r",
+    in runs of 20, with no end after the last; among them a line that is not
+    UTF-8, a whitespace line, a line of broken JSON, a line nested past 512
+    levels and a group of 150,000 tokens, a line of over 1 MiB."""
+    rng = random.Random(9)
+    lines = []
+    for i in range(100):
+        responses = []
+        for _ in range(rng.randrange(2, 5)):
+            n = rng.randrange(1, 30)
+            responses.append({"tokens": [rng.randrange(3) for _ in range(n)], "reward": float(rng.random() < 0.5),
+                              "ratios": [rng.uniform(0.7, 1.4) for _ in range(n)]})
+        lines.append(json.dumps({"prompt_id": f"p{i}", "responses": responses}).encode())
+    wide = [{"tokens": [1] * 150_000, "reward": 1.0, "ratios": [1.05] * 150_000},
+            {"tokens": [2, 0], "reward": 0.0, "ratios": [0.9, 1.0]}]
+    lines[7] = lines[7].replace(b'"p7"', b'"p7\xff"')
+    lines[13] = b" \t "
+    lines[26] = lines[26][:-1]
+    lines[62] = lines[62].replace(b'"p62"', b"[" * 600 + b"0" + b"]" * 600)
+    lines[66] = json.dumps({"prompt_id": "wide", "responses": wide}).encode()
+    ends = [(b"\n", b"\r\n", b"\r")[i // 20 % 3] for i in range(99)] + [b""]
+    path.write_bytes(b"".join(line + end for line, end in zip(lines, ends)))
+
+
 def logs(directory: Path) -> dict[str, Path]:
     """The analyze cases' logs by name, the generated ones written to ``directory``."""
     sys.path.insert(0, str(ROOT / "bench"))
@@ -156,6 +188,8 @@ def logs(directory: Path) -> dict[str, Path]:
     header_shapes_log(found["header-shapes"])
     found["long-lengths"] = directory / "long-lengths.jsonl"
     long_lengths_log(found["long-lengths"])
+    found["line-ends"] = directory / "line-ends.jsonl"
+    line_ends_log(found["line-ends"])
     return found
 
 
@@ -164,7 +198,8 @@ def cases(directory: Path) -> list[tuple[str, dict, list[str]]]:
     found = []
     for log_name, log in logs(directory).items():
         for window in ("16", "3", "1"):
-            for path, patches in (("serial", {"parallel_bytes": 1 << 62}), ("workers", {"parallel_bytes": 0})):
+            for path, patches in (("serial", {"parallel_bytes": 1 << 62}), ("workers", {"parallel_bytes": 0}),
+                                  ("workers 4KiB", {"parallel_bytes": 0, "span_bytes": 4096})):
                 for decoder in ("orjson", "json"):
                     name = f"analyze {log_name} --window {window} {path} {decoder}"
                     argv = ["analyze", "--input", str(log), "--window", window, "--out", "out"]
