@@ -23,7 +23,7 @@ from .rollout_io import *  # noqa: F401,F403
 from .sim import *  # noqa: F401,F403
 from .verify import *  # noqa: F401,F403
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     *_aggregate.__all__,

@@ -78,9 +78,9 @@ MAX_POLICY_CELLS = 2**22
 MAX_STEP_CELLS = 2**22
 # Work cap, so a run that cannot finish is a ValueError before its first
 # step: a run evaluates steps * inner_epochs batches of step cells each. One
-# step cell takes 0.14 us (G64/P16/T32/V8) to 1.5 us (the default count
-# task's 1,536 cells) on a 2-core x86 host with Python 3.11, so a run at the
-# cap would take 43 hours to 19 days.
+# step cell takes 0.022 us (G64/P16/T32/V8) to 0.35 us (the default count
+# task's 1,536 cells) in run_training on a 2-core x86 host with Python 3.11,
+# so a run at the cap would take 7 hours to 4.5 days.
 MAX_WORK_CELLS = 2**40
 
 

@@ -25,7 +25,15 @@ from grpoagg.groups import (
 )
 from grpoagg.verify import random_binary_group, random_real_group, random_smooth_group
 
-from conftest import RefSums, drawn_group, make_group, reference_rule_sums, sums_row
+from conftest import (
+    RefSums,
+    drawn_group,
+    make_group,
+    reference_ratio_gradients,
+    reference_rule_sums,
+    reference_rule_terms,
+    sums_row,
+)
 
 
 # --- independent oracle: literal formulas, plain python loops ---
@@ -439,57 +447,7 @@ def test_gradients_zero_beyond_clip(clip):
     assert result2.grad_ratios[1][0] == pytest.approx(-0.5)
 
 
-# --- the rule table against the per-rule if-chains it replaced ---
-
-def chain_terms(rule, s):
-    """Objective, degenerate flag and sign weights, spelled out per rule."""
-    g = s.size
-    w_pos = w_neg = 0.0
-    degenerate = False
-    if rule == "token":
-        objective = (s.pos_phi + s.neg_phi) / s.total_tokens
-    elif rule == "seq":
-        objective = (s.pos_seq + s.neg_seq) / g
-    elif rule == "balanced":
-        term_pos = (s.k / g) * (s.pos_phi / s.n_pos) if s.k else 0.0
-        term_neg = (s.neg_count / g) * (s.neg_phi / s.n_neg) if s.neg_count else 0.0
-        objective = term_pos + term_neg
-        degenerate = s.k == 0 and s.neg_count == 0
-        if s.k:
-            w_pos = (s.k / g) / s.n_pos
-        if s.neg_count:
-            w_neg = (s.neg_count / g) / s.n_neg
-    else:
-        term_pos = (s.m_pos / g) * (s.pos_phi / s.z_pos) if s.k else 0.0
-        term_neg = (s.m_neg / g) * (s.neg_phi / s.z_neg) if s.neg_count else 0.0
-        objective = term_pos + term_neg
-        degenerate = s.k == 0 and s.neg_count == 0
-        if s.k:
-            w_pos = (s.m_pos / g) / s.z_pos
-        if s.neg_count:
-            w_neg = (s.m_neg / g) / s.z_neg
-    return objective, degenerate, w_pos, w_neg
-
-
-def chain_gradients(rule, s, adv, arrays, clip):
-    _, _, w_pos, w_neg = chain_terms(rule, s)
-    out = []
-    for arr, a in zip(arrays, np.asarray(adv, dtype=float).tolist()):
-        if rule == "token":
-            w = 1.0 / s.total_tokens
-        elif rule == "seq":
-            w = 1.0 / (s.size * len(arr))
-        else:
-            w = w_pos if a > 0.0 else w_neg if a < 0.0 else 0.0
-        if a > 0.0:
-            dphi = a * (arr <= clip.upper).astype(float)
-        elif a < 0.0:
-            dphi = a * (arr >= clip.lower).astype(float)
-        else:
-            dphi = np.zeros_like(arr)
-        out.append(w * dphi)
-    return out
-
+# --- the rule table against the per-rule reference ---
 
 def table_cases(rng):
     """Binary, real, zero-advantage, single-sided and all-zero groups."""
@@ -519,10 +477,10 @@ def test_rule_table_matches_chains_and_objective_exactly(clip):
         for rule in RULES:
             table, table_degen = (c.item() for c in rule_table(sums, (rule,))[rule][:2])
             result = objective(rule, group, adv, clip)
-            want, want_degen, _, _ = chain_terms(rule, row)
+            want, want_degen, _, _ = reference_rule_terms(rule, row)
             assert table == result.objective == want
             assert table_degen == result.degenerate == want_degen
-            want_grads = chain_gradients(rule, row, adv, arrays, clip)
+            want_grads = reference_ratio_gradients(rule, row, adv, arrays, clip)
             assert len(result.grad_ratios) == len(want_grads)
             for got, want_g in zip(result.grad_ratios, want_grads):
                 assert got.dtype == want_g.dtype and got.tobytes() == want_g.tobytes()

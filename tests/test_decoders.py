@@ -589,6 +589,39 @@ def test_a_workers_buffer_holds_no_stale_bytes_and_no_view(tmp_path):
     resize()
 
 
+def test_a_span_with_carriage_returns_splits_as_the_serial_reader_does(tmp_path):
+    # in this process, so the span's "\r" branch runs where line tracing
+    # sees it: lines ending "\r\n", a lone "\r" and "\n", a whitespace line
+    # and a line that is not UTF-8, read into one buffer that already holds
+    # a longer span of "\n" lines
+    not_utf8 = group(prompt='"x"').encode().replace(b'"x"', b'"x\xff"')
+    data = (group(reward="0.0").encode() + b"\r\n" + group(reward="0.5").encode() + b"\r \t\r\n"
+            + not_utf8 + b"\r" + group(reward="0.25").encode() + b"\n" + group(gid='"last"').encode())
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(data)
+    buffer = bytearray(_log_of(tmp_path / "longer.jsonl", 20).read_bytes())
+
+    def resize():
+        buffer.append(0)
+        del buffer[-1]
+
+    with path.open("rb") as fh:
+        items = rollout_io._span_columns(fh.fileno(), 1, 0, len(data), 6, 0.0, None, buffer)
+    events = [
+        ("error", type(item).__name__, item.line_no, str(item)) if isinstance(item, RolloutLogError)
+        else ("group", *item[:2], repr(item[2]), repr(item[3]), item[4], (item[5].dtype.name, item[5].tobytes()))
+        for item in items
+    ]
+    assert [e[:3] for e in events] == [("group", 1, "p0"), ("group", 2, "p0"), ("error", "MalformedLineError", 4),
+                                       ("group", 5, "p0"), ("group", 6, "p0")]
+    assert events == _events(read_group_columns, path)
+    resize()
+    with path.open("rb") as fh, \
+            pytest.raises(OSError, match=rf"^lines 1-7 read back as 6 lines of {len(data)} bytes$"):
+        rollout_io._span_columns(fh.fileno(), 1, 0, len(data) + 1, 7, 0.0, None, buffer)
+    resize()
+
+
 FAULTY = DATA / "faulty_rollouts.jsonl"
 
 

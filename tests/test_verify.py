@@ -3,11 +3,19 @@ import io
 import math
 import re
 
+import numpy as np
 import pytest
 
 from grpoagg.aggregate import ClipConfig, FlatBatch
 from grpoagg.groups import Response, RolloutGroup
-from grpoagg.verify import SUITE, run_suite
+from grpoagg.verify import (
+    SMOOTH_MARGIN,
+    SUITE,
+    random_binary_group,
+    random_real_group,
+    random_smooth_group,
+    run_suite,
+)
 
 from conftest import count_constructions, fail_check
 
@@ -96,3 +104,34 @@ def test_a_nan_phi_above_two_fails_only_the_concavity_check(monkeypatch):
 def test_drawn_groups_that_do_not_normalise_are_refused():
     with pytest.raises(ValueError, match=re.escape("drawn groups [0] do not normalise")):
         verify_module._advantages([[1.0, 1.0], [0.0, 1.0]])
+
+
+SMOOTH = ClipConfig(0.1, 0.5)
+DRAWERS = {
+    # drawer, its largest group, its longest response, its ratio band
+    "binary": (random_binary_group, 16, 10, 0.6, 1.6),
+    "binary-32": (lambda rng: random_binary_group(rng, max_group=32), 32, 10, 0.6, 1.6),
+    "real": (random_real_group, 16, 10, 0.6, 1.6),
+    "smooth": (lambda rng: random_smooth_group(rng, SMOOTH), 8, 6,
+               SMOOTH.lower + SMOOTH_MARGIN, SMOOTH.upper - SMOOTH_MARGIN),
+}
+
+
+@pytest.mark.parametrize("name", DRAWERS)
+def test_drawers_keep_their_sizes_lengths_and_ratio_bands(name):
+    drawer, max_group, max_len, lo, hi = DRAWERS[name]
+    rng = np.random.default_rng(11)
+    sizes, all_lengths = set(), set()
+    for _ in range(300):
+        rewards, lengths, ratios = drawer(rng)
+        sizes.add(len(rewards))
+        all_lengths.update(lengths)
+        assert len(lengths) == len(rewards)
+        assert ratios.dtype == np.float64 and len(ratios) == sum(lengths)
+        assert lo <= ratios.min() and ratios.max() < hi
+        if name != "real":
+            k = rewards.count(1.0)
+            assert k + rewards.count(0.0) == len(rewards) and 1 <= k <= len(rewards) - 1
+    # every size and length lies in its range, and both ends of each are drawn
+    assert min(sizes) == 2 and max(sizes) == max_group
+    assert min(all_lengths) == 1 and max(all_lengths) == max_len
